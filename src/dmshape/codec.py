@@ -163,12 +163,3 @@ class SchemeCodec:
             raise DecodeError("sequence rank beyond the leaf's payload space")
         return start + rank
 
-
-def scheme_encode(word: int, built: CompositionSet) -> tuple[float, ...]:
-    """One-shot encode; build a SchemeCodec for repeated use."""
-    return SchemeCodec(built).encode(word)
-
-
-def scheme_decode(seq, built: CompositionSet) -> int:
-    """One-shot decode; build a SchemeCodec for repeated use."""
-    return SchemeCodec(built).decode(seq)

@@ -78,18 +78,6 @@ def colex_key(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(counts))
 
 
-def validate_composition(counts: Sequence[int], n: int | None = None,
-                         m: int | None = None) -> Counts:
-    c = tuple(int(x) for x in counts)
-    if any(x < 0 for x in c):
-        raise ValueError("composition counts must be non-negative")
-    if m is not None and len(c) != m:
-        raise ValueError(f"composition has {len(c)} parts, expected {m}")
-    if n is not None and sum(c) != n:
-        raise ValueError(f"composition sums to {sum(c)}, expected {n}")
-    return c
-
-
 def multinomial_coefficient(counts: Sequence[int]) -> int:
     """Number of distinct arrangements of the composition, exact."""
     return kernels.mc_counts(tuple(counts))
@@ -152,13 +140,16 @@ def block_moments(pmf: Sequence[float],
                   alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> BlockMoments:
     if len(pmf) != alphabet.m:
         raise ValueError("PMF length does not match alphabet")
-    total = sum(pmf)
+    # plain left-to-right accumulation (not sum(), which compensates on
+    # Python >= 3.12), so nli.analyze can replay it leaf-parallel bit for bit
+    total = mu2 = mu4 = mu6 = 0.0
+    for p, e in zip(pmf, alphabet.energies):
+        total += p
+        mu2 += p * e
+        mu4 += p * e * e
+        mu6 += p * e * e * e
     if abs(total - 1.0) > 1e-12:
         raise DegeneratePmfError(f"PMF sums to {total!r}")
-    es = alphabet.energies
-    mu2 = sum(p * e for p, e in zip(pmf, es))
-    mu4 = sum(p * e * e for p, e in zip(pmf, es))
-    mu6 = sum(p * e * e * e for p, e in zip(pmf, es))
     if mu2 <= 0:
         raise DegeneratePmfError("zero second moment")
     kurt2d = (mu4 / mu2**2 + 1.0) / 2.0

@@ -92,11 +92,15 @@ def parse_config(path: str | None) -> RunConfig:
             key = key.strip()
             value = value.strip()
             if key in _INT_KEYS:
-                raw[key] = int(value)
+                convert = int
             elif key in _FLOAT_KEYS:
-                raw[key] = float(value)
+                convert = float
             else:
                 raise SchemeFileError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                raw[key] = convert(value)
+            except ValueError as exc:
+                raise SchemeFileError(f"{path}:{lineno}: {key}: {exc}") from None
     link_kwargs = {k: raw.pop(k) for k in list(raw)
                    if k in LinkConfig.__dataclass_fields__}
     wdm_kwargs = {k: raw.pop(k) for k in list(raw)
@@ -107,10 +111,6 @@ def parse_config(path: str | None) -> RunConfig:
         return RunConfig(link=link, wdm=wdm, **raw)
     except ValueError as exc:
         raise SchemeFileError(f"invalid configuration: {exc}") from exc
-
-
-def snr_db_to_linear(snr_db: float) -> float:
-    return 10 ** (snr_db / 10)
 
 
 def w_to_dbm(power_w: float) -> float:

@@ -10,11 +10,21 @@ prefix tree.
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
 shell membership test are therefore free of float boundary artefacts.
+
+The radius comes from the generating polynomial rather than a simplex scan:
+the number of length-n sequences of integer energy e is the coefficient of
+x^e in (sum_i x^u_i)^n.  With offsets d_i = (u_i - u_0) / g, g the gcd of
+the u_i - u_0, that is the coefficient of y^j, j = (e - n*u_0) / g, in
+(sum_i y^d_i)^n.  No coefficient exceeds m^n, so evaluating at y = 2^B with
+B > bitlen(m^n) packs every coefficient in its own B-bit slot without
+carries; one exact bigint power then yields all of them, and the radius is
+where the running slot sum first reaches 2^k.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import kernels
@@ -46,14 +56,17 @@ class EnergyShellIndex:
 def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
     units, _ = alphabet.integer_energies()
     need = 1 << k
-    totals, _counts = kernels.energy_totals(n, units)
+    offsets = [u - units[0] for u in units]
+    g = math.gcd(*offsets)
+    width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
+    n_slots = n * offsets[-1] // g + 1
+    poly = sum(1 << (8 * width * (d // g)) for d in offsets)
+    packed = (poly ** n).to_bytes(width * n_slots, "little")
     cum = 0
-    for e, t in enumerate(totals):
-        if t == 0:
-            continue
-        cum += t
+    for j in range(n_slots):
+        cum += int.from_bytes(packed[j * width:(j + 1) * width], "little")
         if cum >= need:
-            return e
+            return n * units[0] + g * j
     raise RateInfeasibleError(
         f"alphabet admits only {cum} sequences at n={n}, need 2^{k}")
 
@@ -80,7 +93,9 @@ def shell_index(n: int, k: int,
     for counts, e, mc in raw:
         cum += mc
         cumulative.append(cum)
-        shells.append((counts, float(e * scale), mc))
+        # scale is 1/den and int/int division rounds correctly, so this is
+        # float(e * scale) without a Fraction per shell
+        shells.append((counts, e / scale.denominator, mc))
     return EnergyShellIndex(e_max=float(e_int * scale), shells=tuple(shells),
                             cumulative=tuple(cumulative))
 

@@ -11,6 +11,23 @@ payload cap that still reaches 2^k addresses, which spreads the input space
 over the whole pair population instead of a handful of top pairs, and the
 greedy exact cover then trims the boundary class.  Tree depths follow as
 k - payload.
+
+Target selection prunes with two exact bounds before any pair scan; a
+candidate whose singleton plus either bound stays below 2^k cannot be
+feasible and is skipped.  A pair of payload p adds 2 * 2^p addresses, and
+2^p <= min(MC(C), MC(C')) <= sqrt(MC(C) * MC(C')) with C' = 2*C0 - C.
+
+- Box bound (cheap, run on every candidate).  Factorials are log-convex,
+  so c!*(2a-c)! >= a!^2 and hence MC(C)*MC(C') <= MC(C0)^2: no pair payload
+  exceeds k0 = bits(C0).  Every pair member lies in the box
+  0 <= c_i <= min(2*c0_i, n), and the complement map pairs up that box's B
+  compositions around its one fixed point C0, so the pairs supply at most
+  (B-1) * 2^k0 addresses.
+- Geometric-mean bound (tighter, run on the box bound's survivors).
+  With d = C - C0, MC(C)*MC(C') = MC(C0)^2 * prod_i r_i(d_i) where
+  r_i(d) = c0_i!^2 / ((c0_i+d)! (c0_i-d)!), so summing sqrt(MC(C)*MC(C'))
+  over the box factorises over the levels under sum(d) = 0: a short
+  convolution, done in fixed point with every factor rounded up.
 """
 
 from __future__ import annotations
@@ -68,10 +85,52 @@ def enumerate_pairs(c0: Counts, min_payload: int) -> list[CompositionPair]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _pair_space(c0: Counts) -> tuple[int, int]:
-    """(target input bits, total pair address space in the payload window)."""
-    k0 = input_bits(c0)
-    return k0, kernels.pair_capacity(c0, max(0, k0 - PAIR_WINDOW_BITS))
+def _box_count(c0: Counts) -> int:
+    """Compositions of sum(c0) with 0 <= c_i <= min(2*c0_i, sum(c0))."""
+    n = sum(c0)
+    ways = [1] + [0] * n  # ways[s]: prefixes of the levels seen so far summing to s
+    for a in c0:
+        cap = min(2 * a, n)
+        prefix = [0]
+        for w in ways:
+            prefix.append(prefix[-1] + w)
+        ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(n + 1)]
+    return ways[n]
+
+
+def _pair_space_bound(c0: Counts) -> int:
+    """Upper bound on _pair_space(c0): (B - 1) pair members at <= 2^k0 each."""
+    return (_box_count(tuple(c0)) - 1) << input_bits(c0)
+
+
+_FIXED_BITS = 64  # fraction bits of each rounded-up sqrt(r_i(d)) factor
+
+
+@functools.lru_cache(maxsize=1024)
+def _pair_space_gm_bound(c0: Counts) -> int:
+    """Upper bound on _pair_space(c0): sum over the box of sqrt(MC(C)*MC(C'))."""
+    n = sum(c0)
+    one_sq = 1 << (2 * _FIXED_BITS)
+    sums = {0: 1}  # partial sum of d -> fixed-point sum of factor products
+    for a in c0:
+        fa2 = math.factorial(a) ** 2
+        # isqrt(floor(x)) + 1 > sqrt(x), so each factor rounds up
+        factors = [(d, math.isqrt(one_sq * fa2 // (math.factorial(a + d)
+                                                   * math.factorial(a - d))) + 1)
+                   for d in range(-a, min(a, n - a) + 1)]
+        nxt: dict[int, int] = {}
+        for s, v in sums.items():
+            for d, u in factors:
+                nxt[s + d] = nxt.get(s + d, 0) + v * u
+        sums = nxt
+    total = kernels.mc_counts(tuple(c0)) * sums[0]
+    return -(-total >> (_FIXED_BITS * len(c0)))  # ceiling
+
+
+@functools.lru_cache(maxsize=1024)
+def _pair_space(c0: Counts) -> int:
+    """Total pair address space in the payload window around c0."""
+    return kernels.pair_capacity(c0, min_pair_payload(c0))
 
 
 def select_mpdm_target(n: int, k: int,
@@ -80,14 +139,18 @@ def select_mpdm_target(n: int, k: int,
 
     Sweeps the quantised MB chain from the largest shaping parameter down
     and returns the first composition where the singleton plus all pairs in
-    the payload window supply at least 2^k addresses.
+    the payload window supply at least 2^k addresses.  Candidates that the
+    bounds in the module docstring prove short are never scanned.
     """
     if k < 0 or k > n * math.log2(alphabet.m):
         raise RateInfeasibleError(f"k={k} outside [0, n*log2(m)]")
     need = 1 << k
     for _, comp in mb_composition_chain(n, alphabet):
-        k0, pair_space = _pair_space(comp)
-        if (1 << min(k0, k)) + pair_space >= need:
+        singleton = 1 << min(input_bits(comp), k)
+        if singleton + _pair_space_bound(comp) < need \
+                or singleton + _pair_space_gm_bound(comp) < need:
+            continue
+        if singleton + _pair_space(comp) >= need:
             return comp
     raise RateInfeasibleError(f"no MPDM target reaches k={k} at n={n}")
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.constants import c as C_LIGHT, h as H_PLANCK
 
-from .combinatorics import block_moments, pmf_of
+from .combinatorics import AmplitudeAlphabet, block_moments, pmf_of
 from .errors import CalibrationError, ModelDomainError
 from .schemes import CompositionSet
 
@@ -187,7 +187,65 @@ class SnrReport:
 
 
 def composition_id(counts) -> str:
-    return ":".join(str(c) for c in counts)
+    return ":".join(map(str, counts))
+
+
+ANALYZE_CHUNK = 4096  # leaves per numpy batch; bounds the arrays' memory
+
+
+def _leaf_snr(counts, alphabet: AmplitudeAlphabet,
+              model: NliModel) -> tuple[float, float]:
+    """(kurtosis, SNR dB) of one composition: the per-leaf reference."""
+    mom = block_moments(pmf_of(counts), alphabet)
+    return mom.kurtosis_2d, snr_eff(mom.kurtosis_2d, mom.psi_2d, model)
+
+
+def _reference_chunk(counts, alphabet, model):
+    pairs = [_leaf_snr(c, alphabet, model) for c in counts]
+    return [q for q, _ in pairs], [s for _, s in pairs]
+
+
+def _chunk_snr(counts: Sequence, alphabet: AmplitudeAlphabet,
+               model: NliModel) -> tuple[list[float], list[float]]:
+    """_leaf_snr over many compositions, bit-identical and leaf-parallel.
+
+    numpy replays block_moments's operations in the same order (IEEE
+    multiply, divide and add round identically elementwise).  Three steps
+    stay scalar Python because numpy rounds them differently: mu2**2
+    (numpy squares as mu2*mu2), (2*mu2)**3 and math.log10.  A chunk that
+    would raise anywhere, or whose counts are too large to be exact in
+    float64, reruns through _leaf_snr, which raises at the same leaf with
+    the same error.
+    """
+    m = alphabet.m
+    if any(len(c) != m for c in counts):
+        return _reference_chunk(counts, alphabet, model)
+    c = np.array(counts, dtype=np.float64)
+    if np.abs(c).max() * m >= 2.0**53:
+        return _reference_chunk(counts, alphabet, model)
+    rows = c.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmf = c / rows[:, None]
+        total = mu2 = mu4 = mu6 = 0.0
+        for i, e in enumerate(alphabet.energies):
+            p = pmf[:, i]
+            total = total + p
+            mu2 = mu2 + p * e
+            mu4 = mu4 + p * e * e
+            mu6 = mu6 + p * e * e * e
+        mu2_list = mu2.tolist()
+        kurt = (mu4 / np.array([x**2 for x in mu2_list]) + 1.0) / 2.0
+        sixth = (2.0 * mu6 + 6.0 * mu4 * mu2) / np.array(
+            [(2.0 * x) ** 3 for x in mu2_list])
+        psi = sixth - 9.0 * kurt + 12.0
+        eta = model.eta0 + model.eta1 * (kurt - 2.0) + model.eta2 * psi
+        p_launch = model.launch_power_w
+        denom = model.ase_variance_w + eta * p_launch**3
+        ratio = p_launch / denom
+    if ((rows <= 0) | (np.abs(total - 1.0) > 1e-12) | (mu2 <= 0)
+            | (denom <= 0)).any():
+        return _reference_chunk(counts, alphabet, model)
+    return kurt.tolist(), [10 * math.log10(r) for r in ratio.tolist()]
 
 
 def analyze(built: CompositionSet, model: NliModel,
@@ -197,24 +255,26 @@ def analyze(built: CompositionSet, model: NliModel,
     Zero-weight leaves (unused boundary shells) are excluded; aggregates are
     weighted by leaf usage, min/max are unweighted extremes over the carried
     leaves.  Histogram bins have the given width; the CDF is cumulative
-    weight over ascending SNR.
+    weight over ascending SNR.  Per-leaf moments and SNRs are computed in
+    numpy chunks that equal the per-leaf reference exactly; mu2**2,
+    (2*mu2)**3 and log10 stay scalar Python (see _chunk_snr).
     """
+    carried = [leaf for leaf in built.leaves if leaf.weight > 0]
     entries = []
-    for leaf in built.leaves:
-        if leaf.weight <= 0:
-            continue
-        mom = block_moments(pmf_of(leaf.counts), built.alphabet)
-        snr = snr_eff(mom.kurtosis_2d, mom.psi_2d, model)
-        entries.append(SnrEntry(composition_id(leaf.counts),
-                                mom.kurtosis_2d, leaf.weight, snr))
+    for start in range(0, len(carried), ANALYZE_CHUNK):
+        chunk = carried[start:start + ANALYZE_CHUNK]
+        kurts, snrs = _chunk_snr([leaf.counts for leaf in chunk],
+                                 built.alphabet, model)
+        entries += [SnrEntry(composition_id(leaf.counts), q, leaf.weight, s)
+                    for leaf, q, s in zip(chunk, kurts, snrs)]
     snrs = [e.snr_db for e in entries]
     weights = [e.weight for e in entries]
     mn, mx = min(snrs), max(snrs)
     avg = sum(s * w for s, w in zip(snrs, weights))
     bins: dict[int, float] = {}
     for s, w in zip(snrs, weights):
-        bins[math.floor(s / bin_width_db)] = bins.get(
-            math.floor(s / bin_width_db), 0.0) + w
+        b = math.floor(s / bin_width_db)
+        bins[b] = bins.get(b, 0.0) + w
     histogram = tuple(((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins))
     by_snr: dict[float, float] = {}
     for s, w in zip(snrs, weights):

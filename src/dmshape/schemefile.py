@@ -16,6 +16,7 @@ from .errors import SchemeFileError
 from .schemes import AddressedComposition, CompositionSet
 
 TOOL_VERSION = f"dmshape {__version__}"
+SCHEMES = ("ccdm", "ess", "mpdm", "opt-mpdm")
 
 
 def _format_number(x: float) -> str:
@@ -49,18 +50,36 @@ def scheme_to_text(built: CompositionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _known_scheme(name: str) -> str:
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}")
+    return name
+
+
 def write_scheme(built: CompositionSet, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(scheme_to_text(built))
 
 
 def read_scheme(path: str) -> CompositionSet:
+    """Parse and validate a scheme file.
+
+    Every malformed field is reported as a one-line SchemeFileError of the
+    form ``path:line: field: reason``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
-    header: dict[str, str] = {}
+
+    def parse(lineno: int, field: str, text: str, convert):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise SchemeFileError(f"{path}:{lineno}: {field}: {exc}") from None
+
+    header: dict[str, tuple[int, str]] = {}
     i = 0
     n_leaves = None
     while i < len(lines):
@@ -69,44 +88,54 @@ def read_scheme(path: str) -> CompositionSet:
         if not line.strip():
             continue
         if "=" not in line:
-            raise SchemeFileError(f"{path}: malformed header line {line!r}")
+            raise SchemeFileError(f"{path}:{i}: malformed header line {line!r}")
         key, _, value = line.partition("=")
         if key == "leaves":
-            n_leaves = int(value)
+            n_leaves = parse(i, key, value, int)
             break
-        header[key] = value
+        header[key] = (i, value)
     if n_leaves is None:
         raise SchemeFileError(f"{path}: missing leaves section")
-    try:
-        scheme = header["scheme"]
-        n = int(header["n"])
-        k = int(header["k"])
-        alphabet = AmplitudeAlphabet(
-            tuple(float(x) for x in header["alphabet"].split(",")))
-        rate_loss = float(header["rate_loss"])
-        avg_pmf = tuple(float(x) for x in header["avg_pmf"].split(","))
-        e_max = float(header["e_max"]) if "e_max" in header else None
-    except (KeyError, ValueError) as exc:
-        raise SchemeFileError(f"{path}: bad header: {exc}") from exc
-    leaf_lines = [ln for ln in lines[i:] if ln.strip()]
+
+    def field(key: str, convert):
+        if key not in header:
+            raise SchemeFileError(f"{path}: missing header field {key!r}")
+        lineno, value = header[key]
+        return parse(lineno, key, value, convert)
+
+    scheme = field("scheme", _known_scheme)
+    n = field("n", int)
+    k = field("k", int)
+    alphabet = field("alphabet", lambda v: AmplitudeAlphabet(
+        tuple(float(x) for x in v.split(","))))
+    rate_loss = field("rate_loss", float)
+    avg_pmf = field("avg_pmf", lambda v: tuple(float(x) for x in v.split(",")))
+    e_max = field("e_max", float) if "e_max" in header else None
+    leaf_lines = [(j, ln) for j, ln in enumerate(lines[i:], i + 1) if ln.strip()]
     if len(leaf_lines) != n_leaves:
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {len(leaf_lines)}")
     leaves = []
     tree = scheme != "ess"
-    for ln in leaf_lines:
+    for j, ln in leaf_lines:
         parts = ln.split("|")
         if len(parts) != 4:
-            raise SchemeFileError(f"{path}: malformed leaf line {ln!r}")
-        counts = tuple(int(x) for x in parts[0].split(","))
-        weight = float(parts[3])
+            raise SchemeFileError(f"{path}:{j}: malformed leaf line {ln!r}")
+        counts = parse(j, "counts", parts[0],
+                       lambda v: tuple(int(x) for x in v.split(",")))
+        if len(counts) != alphabet.m:
+            raise SchemeFileError(f"{path}:{j}: counts: {len(counts)} levels, "
+                                  f"alphabet has {alphabet.m}")
+        weight = parse(j, "weight", parts[3], float)
         if tree:
             leaves.append(AddressedComposition(
                 counts=counts, weight=weight,
-                payload_bits=int(parts[1]), depth=int(parts[2])))
+                payload_bits=parse(j, "payload_bits", parts[1], int),
+                depth=parse(j, "depth", parts[2], int)))
         else:
             leaves.append(AddressedComposition(
-                counts=counts, weight=weight, used_count=int(parts[1])))
+                counts=counts, weight=weight,
+                used_count=parse(j, "used_count", parts[1], int)))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=tuple(leaves), avg_pmf=avg_pmf,
                            rate_loss=rate_loss, e_max=e_max)

@@ -165,3 +165,43 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "r")])
         assert rc == 3
         capsys.readouterr()
+
+
+class TestHostileInput:
+    """Malformed files exit 3 with one ``path:line: field`` line, no traceback."""
+
+    def toy_scheme(self, tmp_path, capsys, edit):
+        good = tmp_path / "good.scheme"
+        assert main(["build", "--scheme", "ccdm", *TOY, "--out", str(good)]) == 0
+        capsys.readouterr()
+        lines = good.read_text().splitlines()
+        bad = tmp_path / "bad.scheme"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        return str(bad)
+
+    def assert_data_error(self, rc, capsys, where, field):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"dmshape: {where}: {field}: ")
+
+    @pytest.mark.parametrize("field,lineno,edit", [
+        ("leaves", 8, lambda ls: ls[:7] + ["leaves=abc"] + ls[8:]),
+        ("counts", 9, lambda ls: ls[:8] + ["3,x|4|0|1.0"]),
+        ("counts", 9, lambda ls: ls[:8] + ["3,3,0|4|0|1.0"]),
+        ("payload_bits", 9, lambda ls: ls[:8] + ["3,3|4.5|0|1.0"]),
+        ("scheme", 1, lambda ls: ["scheme=zzz"] + ls[1:]),
+    ])
+    def test_bad_scheme_field(self, tmp_path, capsys, field, lineno, edit):
+        bad = self.toy_scheme(tmp_path, capsys, edit)
+        rc = main(["analyze", bad, "--config", eta_config(tmp_path),
+                   "--out", str(tmp_path / "r")])
+        self.assert_data_error(rc, capsys, f"{bad}:{lineno}", field)
+        assert not (tmp_path / "r_scatter.csv").exists()
+
+    def test_bad_config_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# link\nn_spans=abc\n")
+        rc = main(["compare", "--n", "6", "--k", "3", "--alphabet", "1,3",
+                   "--config", str(cfg)])
+        self.assert_data_error(rc, capsys, f"{cfg}:2", "n_spans")

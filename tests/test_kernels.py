@@ -96,7 +96,7 @@ def test_scheme_bytes_identical_across_backends(tmp_path):
         "sys.stdout.write(scheme_to_text(d.build_ess(8, 6, a2)))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
-                          env={"DMSHAPE_PURE": "1", "PATH": "/usr/bin:/bin"})
+                          env=dict(os.environ, DMSHAPE_PURE="1"))
     assert proc.returncode == 0, proc.stderr
     a2 = d.AmplitudeAlphabet((1, 3))
     local = scheme_to_text(d.build_mpdm(8, 5, a2)) + \
