@@ -13,7 +13,6 @@ import argparse
 import csv
 import sys
 
-from .ccdm import build_ccdm
 from .codec import SchemeCodec
 from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet
 from .config import RunConfig, parse_config
@@ -25,19 +24,11 @@ from .errors import (
     RateInfeasibleError,
     SchemeFileError,
 )
-from .ess import build_ess
 from .mpdm import build_mpdm
 from .nli import NliModel, SnrReport, analyze
-from .optimizer import build_opt_mpdm, compare_schemes
+from .optimizer import BUILDERS, compare_schemes
 from .schemefile import read_scheme, write_scheme
 from .schemes import CompositionSet
-
-BUILDERS = {
-    "ccdm": build_ccdm,
-    "mpdm": build_mpdm,
-    "ess": build_ess,
-    "opt-mpdm": build_opt_mpdm,
-}
 
 
 def _parse_alphabet(text: str | None) -> AmplitudeAlphabet:
@@ -113,11 +104,7 @@ def cmd_compare(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     cfg = parse_config(args.config)
     mpdm = build_mpdm(args.n, args.k, alphabet)
-    if cfg.eta0 is not None or cfg.eta1 is not None \
-            or cfg.anchor2_kurtosis is not None:
-        model = cfg.resolve_model()
-    else:
-        model = cfg.resolve_model(anchor2_kurtosis=mpdm.kurtosis_range()[0])
+    model = _resolve_model(cfg, mpdm)
     rows = compare_schemes(args.n, args.k, model, alphabet,
                            built={"mpdm": mpdm})
     header = ["scheme", "n_compositions", "rate_loss", "max_snr_db",

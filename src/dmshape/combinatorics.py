@@ -88,21 +88,6 @@ def input_bits(counts: Sequence[int]) -> int:
     return kernels.mc_counts(tuple(counts)).bit_length() - 1
 
 
-def log2_exact_floor(x: int) -> float:
-    """float log2 of a positive big integer from its top 64 bits.
-
-    The integer part comes from the bit length and the result is clamped
-    below the next power of two, so floor(log2_exact_floor(x)) equals
-    x.bit_length() - 1 even where float log2 would round up (e.g. 2^49 - 1).
-    """
-    if x <= 0:
-        raise ValueError("log2 of non-positive count")
-    nbits = x.bit_length()
-    shift = max(0, nbits - 64)
-    approx = shift + math.log2(x >> shift)
-    return min(approx, math.nextafter(float(nbits), 0.0))
-
-
 def pmf_of(counts: Sequence[int]) -> Pmf:
     n = sum(counts)
     if n <= 0:
@@ -209,8 +194,3 @@ def enumerate_compositions(
                 break
         else:
             return
-
-
-def composition_count(n: int, m: int) -> int:
-    """Number of compositions of n into m parts: C(n+m-1, m-1)."""
-    return math.comb(n + m - 1, m - 1)

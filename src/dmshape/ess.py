@@ -130,8 +130,3 @@ def build_ess(n: int, k: int,
                            e_max=index.e_max)
     built.validate()
     return built
-
-
-def ess_kurtosis_range(built: CompositionSet) -> tuple[float, float]:
-    """Kurtosis spread over the shells that actually carry probability."""
-    return built.kurtosis_range()

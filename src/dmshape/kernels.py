@@ -1,17 +1,18 @@
-"""Pure-Python reference kernels.
+"""Exact combinatorial kernels.
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
 full scans over the composition simplex, complement-pair scans and the
-energy-bounded suffix-count table used by sphere-shaping codecs.  A compiled
-Cython twin (``dmshape.kernels._speed``) implements the same functions; the
-package picks whichever is importable (see ``dmshape.kernels``).  All
-arithmetic that can overflow 64 bits is done with Python ints, so both
-backends are exact.
+energy-bounded suffix-count table used by sphere-shaping codecs.  All
+arithmetic that can overflow 64 bits is done with Python ints, so every
+kernel is exact.
 """
 
 from math import comb
 
-BACKEND = "pure"
+
+def backend_name():
+    """Name of the kernel implementation; there is only the pure one."""
+    return "pure"
 
 
 def mc_counts(counts):

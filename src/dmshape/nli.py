@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, h as H_PLANCK
 
 from .combinatorics import AmplitudeAlphabet, block_moments, pmf_of
 from .errors import CalibrationError, ModelDomainError
 from .schemes import CompositionSet
+
+# Exact by the SI definition (m/s, J s).
+C_LIGHT = 299792458.0
+H_PLANCK = 6.62607015e-34
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,15 @@ def build_opt_mpdm(n: int, k: int,
     return tree_scheme("opt-mpdm", n, k, alphabet, cover)
 
 
+# The one scheme registry, tag -> builder(n, k, alphabet), in compare-row order.
+BUILDERS = {
+    "ccdm": build_ccdm,
+    "ess": build_ess,
+    "mpdm": build_mpdm,
+    "opt-mpdm": build_opt_mpdm,
+}
+
+
 @dataclass(frozen=True)
 class SchemeRow:
     """One comparison row: composition count, rate loss, SNR aggregates."""
@@ -87,14 +96,8 @@ def compare_schemes(n: int, k: int, model: NliModel,
     ``built`` can supply pre-built schemes by tag to avoid rebuilding.
     """
     built = dict(built or {})
-    builders = {
-        "ccdm": build_ccdm,
-        "ess": build_ess,
-        "mpdm": build_mpdm,
-        "opt-mpdm": build_opt_mpdm,
-    }
     rows = []
-    for tag, builder in builders.items():
+    for tag, builder in BUILDERS.items():
         scheme = built.get(tag) or builder(n, k, alphabet)
         rows.append(scheme_row(scheme, analyze(scheme, model)))
     return rows

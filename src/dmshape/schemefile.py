@@ -13,10 +13,10 @@ from __future__ import annotations
 from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
+from .optimizer import BUILDERS
 from .schemes import AddressedComposition, CompositionSet
 
 TOOL_VERSION = f"dmshape {__version__}"
-SCHEMES = ("ccdm", "ess", "mpdm", "opt-mpdm")
 
 
 def _format_number(x: float) -> str:
@@ -50,8 +50,15 @@ def scheme_to_text(built: CompositionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _leaf_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError(f"negative leaf count {count}")
+    return count
+
+
 def _known_scheme(name: str) -> str:
-    if name not in SCHEMES:
+    if name not in BUILDERS:
         raise ValueError(f"unknown scheme {name!r}")
     return name
 
@@ -91,7 +98,7 @@ def read_scheme(path: str) -> CompositionSet:
             raise SchemeFileError(f"{path}:{i}: malformed header line {line!r}")
         key, _, value = line.partition("=")
         if key == "leaves":
-            n_leaves = parse(i, key, value, int)
+            n_leaves = parse(i, key, value, _leaf_count)
             break
         header[key] = (i, value)
     if n_leaves is None:

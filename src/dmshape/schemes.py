@@ -79,6 +79,10 @@ class CompositionSet:
                     raise ConstructionBugError("inconsistent payload/depth")
                 if (1 << p) > multinomial_coefficient(leaf.counts):
                     raise ConstructionBugError("payload exceeds composition capacity")
+                if leaf.weight != 2.0 ** (p - self.k):
+                    raise ConstructionBugError(
+                        f"leaf {leaf.counts} weight {leaf.weight!r} is not "
+                        f"2^({p}-{self.k})")
                 space += 1 << p
             if space != 1 << self.k:
                 raise ConstructionBugError(

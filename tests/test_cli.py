@@ -170,9 +170,10 @@ class TestConfigErrors:
 class TestHostileInput:
     """Malformed files exit 3 with one ``path:line: field`` line, no traceback."""
 
-    def toy_scheme(self, tmp_path, capsys, edit):
+    def toy_scheme(self, tmp_path, capsys, edit, scheme="ccdm"):
         good = tmp_path / "good.scheme"
-        assert main(["build", "--scheme", "ccdm", *TOY, "--out", str(good)]) == 0
+        assert main(["build", "--scheme", scheme, *TOY,
+                     "--out", str(good)]) == 0
         capsys.readouterr()
         lines = good.read_text().splitlines()
         bad = tmp_path / "bad.scheme"
@@ -191,6 +192,8 @@ class TestHostileInput:
         ("counts", 9, lambda ls: ls[:8] + ["3,3,0|4|0|1.0"]),
         ("payload_bits", 9, lambda ls: ls[:8] + ["3,3|4.5|0|1.0"]),
         ("scheme", 1, lambda ls: ["scheme=zzz"] + ls[1:]),
+        pytest.param("leaves", 8, lambda ls: ls[:7] + ["leaves=-3"] + ls[8:],
+                     id="leaves-8-negative"),
     ])
     def test_bad_scheme_field(self, tmp_path, capsys, field, lineno, edit):
         bad = self.toy_scheme(tmp_path, capsys, edit)
@@ -205,3 +208,19 @@ class TestHostileInput:
         rc = main(["compare", "--n", "6", "--k", "3", "--alphabet", "1,3",
                    "--config", str(cfg)])
         self.assert_data_error(rc, capsys, f"{cfg}:2", "n_spans")
+
+    def test_swapped_leaf_weights(self, tmp_path, capsys):
+        # leaves 4,2 (payload 3) and 5,1 (payload 2) of the toy MPDM trade
+        # weights: the weights still sum to 1, but neither is 2^(payload-k)
+        def swap(ls):
+            assert ls[8:10] == ["4,2|3|1|0.5", "5,1|2|2|0.25"]
+            return ls[:8] + ["4,2|3|1|0.25", "5,1|2|2|0.5"] + ls[10:]
+
+        bad = self.toy_scheme(tmp_path, capsys, swap, scheme="mpdm")
+        rc = main(["analyze", bad, "--config", eta_config(tmp_path),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"dmshape: {bad}: inconsistent scheme: ")
+        assert "weight" in err and "Traceback" not in err
+        assert not (tmp_path / "r_scatter.csv").exists()

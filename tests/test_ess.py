@@ -86,14 +86,14 @@ class TestBuildEss:
         # the all-ones shell is always inside the sphere: kurtosis exactly 1
         built = d.build_ess(4, 3, A2)
         assert built.leaves[0].counts == (4, 0)
-        kmin, _ = d.ess_kurtosis_range(built)
+        kmin, _ = built.kurtosis_range()
         assert kmin == pytest.approx(1.0, abs=1e-12)
 
     def test_toy_range_three_shells(self):
         built = d.build_ess(2, 2, A2)
         carried = [l.counts for l in built.leaves if l.weight > 0]
         assert carried == [(2, 0), (1, 1), (0, 2)]
-        kmin, kmax = d.ess_kurtosis_range(built)
+        kmin, kmax = built.kurtosis_range()
         assert kmin == pytest.approx(1.0, abs=1e-12)
         assert kmax > kmin
 
@@ -112,6 +112,6 @@ class TestBuildEss:
         assert ess216.n_compositions == sum(ncomp[: e_int + 1])
 
     def test_wider_than_mpdm(self, ess216, mpdm216):
-        ek = d.ess_kurtosis_range(ess216)
+        ek = ess216.kurtosis_range()
         mk = mpdm216.kurtosis_range()
         assert ek[0] < mk[0] and ek[1] > mk[1]

@@ -1,104 +1,143 @@
-"""Backend parity: the compiled kernels must match the pure ones bit for bit."""
+"""Oracle tests of the exact kernels against brute force at small n.
 
-import os
-import random
+Each kernel is checked against an independent enumeration by
+``itertools.product``: of all m^n level sequences (which it yields in
+lexicographic order), or of all count vectors in a box, for alphabets of
+m = 2 to 4 levels.
+"""
+
+import itertools
+import math
+from collections import defaultdict
 
 import pytest
 
 from dmshape import kernels
-from dmshape.kernels import pure
 
-speed = pytest.importorskip("dmshape.kernels._speed",
-                            reason="compiled kernels not built")
-
-BACKENDS = [pure, speed]
-
-
-def random_composition(rng, n, m):
-    cuts = sorted(rng.sample(range(n + m - 1), m - 1))
-    return tuple(b - a - 1 for a, b in zip([-1] + cuts, cuts + [n + m - 1]))
+# (n, m) with m^n <= 4096, so every sequence can be listed
+SIZES = [(1, 2), (5, 2), (10, 2), (1, 3), (4, 3), (7, 3), (1, 4), (3, 4),
+         (6, 4)]
+ENERGIES = {2: [(1, 9), (2, 5)], 3: [(1, 9, 25), (2, 5, 11)],
+            4: [(1, 9, 25, 49), (1, 4, 4, 9)]}
 
 
-@pytest.mark.skipif(os.environ.get("DMSHAPE_PURE") == "1",
-                    reason="pure backend forced via environment")
-def test_active_backend_is_compiled():
-    assert kernels.backend_name() == "cython"
+def sequences(n, m):
+    return list(itertools.product(range(m), repeat=n))
 
 
-def test_mc_and_cc_parity():
-    rng = random.Random(7)
-    for _ in range(150):
-        m = rng.randint(2, 5)
-        n = rng.randint(1, 12)
-        counts = random_composition(rng, n, m)
-        mc_p = pure.mc_counts(counts)
-        assert mc_p == speed.mc_counts(counts)
-        for _ in range(4):
-            i = rng.randrange(mc_p) if mc_p > 0 else 0
-            s = pure.cc_unrank(i, counts)
-            assert s == speed.cc_unrank(i, counts)
-            assert pure.cc_rank(s, counts) == speed.cc_rank(s, counts) == i
+def composition(seq, m):
+    return tuple(seq.count(i) for i in range(m))
 
 
-@pytest.mark.parametrize("energies", [(1, 9), (1, 9, 25), (1, 9, 25, 49),
-                                      (2, 5, 11)])
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_scan_parity(energies, n):
-    assert pure.energy_totals(n, energies) == speed.energy_totals(n, energies)
-    cap = (n * energies[0] + n * energies[-1]) // 2
-    assert pure.shells_upto(n, energies, cap) == speed.shells_upto(n, energies, cap)
+def compositions(n, m, box=None):
+    """All compositions of n into m parts inside the box, colex order."""
+    box = box or (n,) * m
+    comps = itertools.product(*(range(b + 1) for b in box))
+    return sorted((c for c in comps if sum(c) == n), key=lambda c: c[::-1])
 
 
-@pytest.mark.parametrize("c0", [(3, 2, 1), (5, 3, 2, 1), (10, 6, 3, 1), (4, 2)])
-@pytest.mark.parametrize("pmin", [0, 1, 3])
-def test_pair_parity(c0, pmin):
-    assert sorted(pure.pair_list(c0, pmin)) == sorted(speed.pair_list(c0, pmin))
-    assert pure.pair_capacity(c0, pmin) == speed.pair_capacity(c0, pmin)
+def multinomial(counts):
+    r = math.factorial(sum(counts))
+    for c in counts:
+        r //= math.factorial(c)
+    return r
 
 
-@pytest.mark.parametrize("deltas,width,n", [((0, 4), 10, 5),
-                                            ((0, 4, 12, 24), 40, 8),
-                                            ((0, 1), 3, 4)])
-def test_trellis_parity(deltas, width, n):
-    rng = random.Random(3)
-    t_p = pure.trellis_build(n, deltas, width)
-    t_s = speed.trellis_build(n, deltas, width)
-    assert t_p == t_s
-    total = t_p[0][width]
-    for i in rng.sample(range(total), min(40, total)):
-        a = pure.ess_unrank(i, n, deltas, width, t_p)
-        assert a == speed.ess_unrank(i, n, deltas, width, t_s)
-        assert pure.ess_rank(a, n, deltas, width, t_p) == \
-            speed.ess_rank(a, n, deltas, width, t_s) == i
+def energy(counts, units):
+    return sum(c * u for c, u in zip(counts, units))
+
+
+def test_backend_name():
+    assert kernels.backend_name() == "pure"
+
+
+@pytest.mark.parametrize("n,m", SIZES)
+def test_mc_counts(n, m):
+    for counts in compositions(n, m):
+        assert kernels.mc_counts(counts) == multinomial(counts)
+
+
+@pytest.mark.parametrize("n,m", SIZES)
+def test_cc_rank_unrank_all_ranks(n, m):
+    perms = defaultdict(list)  # composition -> its arrangements, sorted
+    for seq in sequences(n, m):
+        perms[composition(seq, m)].append(seq)
+    for counts, arrangements in perms.items():
+        for rank, seq in enumerate(arrangements):
+            assert kernels.cc_unrank(rank, counts) == list(seq)
+            assert kernels.cc_rank(seq, counts) == rank
+        with pytest.raises(ValueError):
+            kernels.cc_unrank(len(arrangements), counts)
+
+
+def test_cc_rank_rejects_foreign_sequence():
+    with pytest.raises(ValueError):
+        kernels.cc_rank((1, 1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("n,m", SIZES)
+def test_energy_totals(n, m):
+    for units in ENERGIES[m]:
+        want = [0] * (n * max(units) + 1)
+        for seq in sequences(n, m):
+            want[sum(units[s] for s in seq)] += 1
+        want_comp = [0] * len(want)
+        for counts in compositions(n, m):
+            want_comp[energy(counts, units)] += 1
+        assert kernels.energy_totals(n, units) == (want, want_comp)
 
 
 def test_simplex_totals_are_m_to_n():
-    for backend in BACKENDS:
-        totals, ncomp = backend.energy_totals(7, (1, 9, 25))
-        assert sum(totals) == 3 ** 7
-        assert sum(ncomp) == 36  # C(9, 2)
+    totals, ncomp = kernels.energy_totals(7, (1, 9, 25))
+    assert sum(totals) == 3 ** 7
+    assert sum(ncomp) == 36  # C(9, 2)
 
 
-def test_scheme_bytes_identical_across_backends(tmp_path):
-    # builders only take integers from the kernels, so a forced-pure build
-    # must produce byte-identical scheme files
-    import subprocess
-    import sys
+@pytest.mark.parametrize("n,m", SIZES)
+def test_shells_upto(n, m):
+    for units in ENERGIES[m]:
+        levels = {energy(c, units) for c in compositions(n, m)}
+        for cap in sorted(levels | {n * min(units) - 1}):
+            want = [(c, energy(c, units), multinomial(c))
+                    for c in compositions(n, m) if energy(c, units) <= cap]
+            assert kernels.shells_upto(n, units, cap) == want
 
-    from dmshape.schemefile import scheme_to_text
-    import dmshape as d
 
-    script = (
-        "import dmshape as d, sys\n"
-        "from dmshape.schemefile import scheme_to_text\n"
-        "a2 = d.AmplitudeAlphabet((1, 3))\n"
-        "sys.stdout.write(scheme_to_text(d.build_mpdm(8, 5, a2)))\n"
-        "sys.stdout.write(scheme_to_text(d.build_ess(8, 6, a2)))\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, DMSHAPE_PURE="1"))
-    assert proc.returncode == 0, proc.stderr
-    a2 = d.AmplitudeAlphabet((1, 3))
-    local = scheme_to_text(d.build_mpdm(8, 5, a2)) + \
-        scheme_to_text(d.build_ess(8, 6, a2))
-    assert proc.stdout == local
+@pytest.mark.parametrize("c0", [(4, 2), (3, 3), (3, 2, 1), (2, 2, 2),
+                                (5, 3, 2, 1), (2, 1, 1, 2)])
+@pytest.mark.parametrize("pmin", [0, 1, 3])
+def test_pair_list_and_capacity(c0, pmin):
+    n, m = sum(c0), len(c0)
+    want = []
+    for c in compositions(n, m, box=[min(2 * a, n) for a in c0]):
+        cb = tuple(2 * a - b for a, b in zip(c0, c))
+        if c == c0 or c[::-1] >= cb[::-1]:
+            continue
+        p = min(multinomial(c).bit_length(), multinomial(cb).bit_length()) - 1
+        if p >= pmin:
+            want.append((c, cb, p))
+    assert kernels.pair_list(c0, pmin) == want
+    assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
+
+
+@pytest.mark.parametrize("n,deltas", [(10, (0, 4)), (5, (0, 1)),
+                                      (7, (0, 2, 3)), (4, (0, 1, 3, 6)),
+                                      (6, (0, 1, 3, 6))])
+def test_trellis_and_ess_codec(n, deltas):
+    m = len(deltas)
+    width = n * deltas[-1] // 2
+    table = kernels.trellis_build(n, deltas, width)
+    for i in range(n + 1):
+        tails = [sum(deltas[s] for s in seq) for seq in sequences(n - i, m)]
+        assert table[i] == [sum(t <= w for t in tails)
+                            for w in range(width + 1)]
+    ball = [seq for seq in sequences(n, m)
+            if sum(deltas[s] for s in seq) <= width]
+    assert table[0][width] == len(ball)
+    for rank, seq in enumerate(ball):
+        assert kernels.ess_unrank(rank, n, deltas, width, table) == list(seq)
+        assert kernels.ess_rank(seq, n, deltas, width, table) == rank
+    with pytest.raises(ValueError):
+        kernels.ess_unrank(len(ball), n, deltas, width, table)
+    with pytest.raises(ValueError):
+        kernels.ess_rank((m - 1,) * n, n, deltas, width, table)
