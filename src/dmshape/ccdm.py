@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
@@ -52,22 +54,67 @@ def quantize_pmf(pmf, n: int) -> Counts:
     return tuple(counts)
 
 
+CHAIN_CHUNK = 4096  # grid points per numpy batch; bounds the arrays' memory
+
+
+def _quantize_grid(lam, offsets, n: int):
+    """quantize_pmf(mb_pmf(lam)) for a batch of lambdas, with a certainty mask.
+
+    A row is certain when every n*p_i is more than a margin away from a
+    positive integer (so every floor agrees with the scalar path) and the
+    remainders either side of the largest-remainder cut differ by more than
+    the margin (so the same entries get the leftover units).  Other rows
+    must be recomputed with the scalar functions.  numpy's exp and row sums
+    differ from the scalar path by a few ulps, so the two values of n*p_i
+    differ by less than 1e-15 * n; the margin leaves a thousandfold room.
+    """
+    w = np.exp(-lam[:, None] * offsets)
+    scaled = n * (w / w.sum(axis=1, keepdims=True))
+    floors = np.floor(scaled)
+    rem = scaled - floors
+    deficit = n - floors.sum(axis=1).astype(np.int64)
+    order = np.argsort(-rem, axis=1, kind="stable")  # ties to the lower index
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(offsets.size)[None, :], axis=1)
+    counts = floors.astype(np.int64) + (rank < deficit[:, None])
+
+    margin = 1e-12 * max(n, 1000)
+    nearest = np.rint(scaled)
+    certain = ~np.any((np.abs(scaled - nearest) <= margin) & (nearest > 0), axis=1)
+    ranked = np.take_along_axis(rem, order, axis=1)
+    cut = np.clip(deficit, 1, offsets.size - 1)
+    rows = np.arange(lam.size)
+    gap = ranked[rows, cut - 1] - ranked[rows, cut]
+    certain &= (deficit == 0) | (gap > margin)
+    return counts, certain
+
+
 @functools.lru_cache(maxsize=16)
 def mb_composition_chain(n: int, alphabet: AmplitudeAlphabet) -> tuple[tuple[float, Counts], ...]:
     """Distinct quantised MB compositions for descending lambda.
 
     Each entry is (lambda, composition) for the largest grid lambda whose
     quantised PMF yields that composition.  The grid step (2 / 2^16) is far
-    below the quantisation granularity at practical block lengths.
+    below the quantisation granularity at practical block lengths.  The grid
+    is evaluated in numpy chunks; rows numpy cannot certify go through
+    quantize_pmf(mb_pmf(lam)), so the chain equals the scalar sweep exactly.
     """
+    es = alphabet.energies
+    offsets = np.array([e - es[0] for e in es])
     segs = []
     prev = None
-    for i in range(LAMBDA_GRID, -1, -1):
-        lam = LAMBDA_MAX * i / LAMBDA_GRID
-        comp = quantize_pmf(mb_pmf(lam, alphabet), n)
-        if comp != prev:
-            segs.append((lam, comp))
-            prev = comp
+    for top in range(LAMBDA_GRID, -1, -CHAIN_CHUNK):
+        lam = LAMBDA_MAX * np.arange(top, max(top - CHAIN_CHUNK, -1), -1) / LAMBDA_GRID
+        counts, certain = _quantize_grid(lam, offsets, n)
+        for r in np.flatnonzero(~certain):
+            counts[r] = quantize_pmf(mb_pmf(float(lam[r]), alphabet), n)
+        changed = np.ones(lam.size, dtype=bool)
+        changed[1:] = np.any(counts[1:] != counts[:-1], axis=1)
+        for r in np.flatnonzero(changed):
+            comp = tuple(counts[r].tolist())
+            if comp != prev:
+                segs.append((float(lam[r]), comp))
+                prev = comp
     return tuple(segs)
 
 

@@ -25,18 +25,20 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from . import kernels
 from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
     Counts,
-    colex_key,
     rate_loss as _rate_loss,
 )
 from .errors import RateInfeasibleError
-from .schemes import AddressedComposition, CompositionSet
+from .schemes import AddressedComposition, CompositionSet, average_pmf
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,22 @@ class EnergyShellIndex:
     cumulative: tuple[int, ...]
 
 
+RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
+
+
 @functools.lru_cache(maxsize=64)
 def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
     units, _ = alphabet.integer_energies()
-    need = 1 << k
     offsets = [u - units[0] for u in units]
     g = math.gcd(*offsets)
-    width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
     n_slots = n * offsets[-1] // g + 1
+    # a slot holds up to m^n <= 2^(n * bitlen(m-1)); refuse packed grids too
+    # large to hold (a scheme file may name any alphabet and n)
+    if n_slots * n * (alphabet.m - 1).bit_length() > RADIUS_GRID_BITS:
+        raise RateInfeasibleError(
+            f"energy grid of {n_slots} levels at n={n} is too large")
+    need = 1 << k
+    width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
     poly = sum(1 << (8 * width * (d // g)) for d in offsets)
     packed = (poly ** n).to_bytes(width * n_slots, "little")
     cum = 0
@@ -86,18 +96,16 @@ def shell_index(n: int, k: int,
     units, scale = alphabet.integer_energies()
     e_int = _integer_radius(n, k, alphabet)
     raw = kernels.shells_upto(n, units, e_int)
-    raw.sort(key=lambda s: (s[1], colex_key(s[0])))
-    cumulative = []
-    cum = 0
-    shells = []
-    for counts, e, mc in raw:
-        cum += mc
-        cumulative.append(cum)
-        # scale is 1/den and int/int division rounds correctly, so this is
-        # float(e * scale) without a Fraction per shell
-        shells.append((counts, e / scale.denominator, mc))
-    return EnergyShellIndex(e_max=float(e_int * scale), shells=tuple(shells),
-                            cumulative=tuple(cumulative))
+    # shells_upto returns colex order, so a stable sort on energy alone
+    # gives the (energy, colex) order
+    raw.sort(key=itemgetter(1))
+    # scale is 1/den and int/int division rounds correctly, so e / den is
+    # float(e * scale) without a Fraction per shell
+    den = scale.denominator
+    return EnergyShellIndex(
+        e_max=float(e_int * scale),
+        shells=tuple((counts, e / den, mc) for counts, e, mc in raw),
+        cumulative=tuple(accumulate(mc for _, _, mc in raw)))
 
 
 def build_ess(n: int, k: int,
@@ -111,22 +119,24 @@ def build_ess(n: int, k: int,
     """
     index = shell_index(n, k, alphabet)
     need = 1 << k
-    leaves = []
-    avg = [0.0] * alphabet.m
-    prev = 0
-    for (counts, _e, mc), cum in zip(index.shells, index.cumulative):
-        used = min(mc, need - prev) if prev < need else 0
-        prev += used
-        w = used / need if used else 0.0
-        leaves.append(AddressedComposition(counts=counts, weight=w,
-                                           used_count=used))
-        if used:
-            for i, c in enumerate(counts):
-                avg[i] += w * c / n
-    avg_pmf = tuple(avg)
+    # shells before the first one whose cumulative count reaches 2^k are
+    # used in full, that one in part, the ones after it not at all
+    cross = bisect_left(index.cumulative, need)
+    before = index.cumulative[cross - 1] if cross else 0
+    leaves = [AddressedComposition(counts=counts, weight=mc / need,
+                                   used_count=mc)
+              for counts, _e, mc in index.shells[:cross]]
+    used = need - before
+    leaves.append(AddressedComposition(counts=index.shells[cross][0],
+                                       weight=used / need, used_count=used))
+    leaves += [AddressedComposition(counts=counts, weight=0.0, used_count=0)
+               for counts, _e, _mc in index.shells[cross + 1:]]
+    e_max = index.e_max
+    del index  # the shell table is done with; validate runs without it
+    avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=tuple(leaves), avg_pmf=avg_pmf,
                            rate_loss=_rate_loss(avg_pmf, k, n),
-                           e_max=index.e_max)
+                           e_max=e_max)
     built.validate()
     return built

@@ -206,47 +206,54 @@ def _iter_pairs(c0, min_payload):
     m = len(c0)
     n = sum(c0)
     c0t = tuple(c0)
-    box = [min(2 * c0t[i], n) for i in range(m)]
+    box = [min(2 * a, n) for a in c0t]
+    floor = 1 << min_payload
 
-    # iterate over coordinates m-1 .. 1 (colex outer loops), coordinate 0 is
-    # the remainder; innermost axis keeps incremental multinomials for both
-    # members of the pair.
-    def rec(i, rem, prefix):
+    # Outer loops run over coordinates m-1 .. 2 in colex order; coordinate 1
+    # varies along the inner line and coordinate 0 is the remainder.  C is the
+    # colex-smaller member iff C_i < c0_i at the highest index where they
+    # differ, so while every outer coordinate equals c0's ("tight") the next
+    # one is capped at c0's value, and a tight line stops below c0[1].
+    def rec(i, rem, suffix, tight):
         if i == 1:
-            yield from _inner(rem, prefix)
+            yield from line(rem, suffix, tight)
             return
-        for ci in range(0, min(box[i], rem) + 1):
-            yield from rec(i - 1, rem - ci, (ci,) + prefix)
+        hi = min(box[i], rem, c0t[i]) if tight else min(box[i], rem)
+        for ci in range(hi + 1):
+            yield from rec(i - 1, rem - ci, (ci,) + suffix,
+                           tight and ci == c0t[i])
 
-    def _inner(rem, suffix):
-        # suffix holds coordinates 1..m-1; coordinate 1 varies here
-        hi = min(box[1], rem)
-        c1 = 0
-        first = True
-        mc = mcb = None
-        for c1 in range(0, hi + 1):
-            c0_ = rem - c1
-            if c0_ > box[0]:
-                continue
-            C = (c0_, c1) + suffix
-            Cb = tuple(2 * a - b for a, b in zip(c0t, C))
-            if first:
-                mc = mc_counts(C)
-                mcb = mc_counts(Cb)
-                first = False
-            else:
+    def line(rem, suffix, tight):
+        # Along the line one unit moves level 0 -> 1 per step, so MC(C) and
+        # MC(2*c0 - C) are each a binomial in c1, hence log-concave: the
+        # points where both reach 2^min_payload form one interval.
+        lo = max(0, rem - box[0])
+        hi = min(box[1], rem, c0t[1] - 1) if tight else min(box[1], rem)
+        if lo > hi:
+            return
+        a, b = rem - lo, lo                    # C[0], C[1]
+        ab, bb = 2 * c0t[0] - a, 2 * c0t[1] - b  # Cb[0], Cb[1]
+        rest = tuple(2 * x - y for x, y in zip(c0t[2:], suffix))
+        mc = mc_counts((a, b) + suffix)
+        mcb = mc_counts((ab, bb) + rest)
+        inside = False
+        for c1 in range(lo, hi + 1):
+            if c1 > lo:
                 # one unit moved 0 -> 1 in C, and 1 -> 0 in Cb
-                mc = mc * (C[0] + 1) // C[1]
-                mcb = mcb * (Cb[1] + 1) // Cb[0]
-            if C == c0t:
-                continue
-            if C[::-1] >= Cb[::-1]:
-                continue
-            p = min(mc.bit_length(), mcb.bit_length()) - 1
-            if p >= min_payload:
-                yield (C, Cb, p)
+                a -= 1
+                b += 1
+                ab += 1
+                bb -= 1
+                mc = mc * (a + 1) // b
+                mcb = mcb * (bb + 1) // ab
+            if mc >= floor and mcb >= floor:
+                inside = True
+                p = min(mc.bit_length(), mcb.bit_length()) - 1
+                yield ((a, b) + suffix, (ab, bb) + rest, p)
+            elif inside:
+                return
 
-    yield from rec(m - 1, n, ())
+    yield from rec(m - 1, n, (), True)
 
 
 def trellis_build(n, deltas, width):

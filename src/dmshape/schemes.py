@@ -9,8 +9,13 @@ instead, and payload/depth are absent.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .combinatorics import (
     AmplitudeAlphabet,
@@ -18,13 +23,12 @@ from .combinatorics import (
     Pmf,
     colex_key,
     kurtosis_of,
-    multinomial_coefficient,
     rate_loss as _rate_loss,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressedComposition:
     """One leaf of a shaping scheme."""
 
@@ -63,41 +67,111 @@ class CompositionSet:
         return min(ks), max(ks)
 
     def validate(self) -> None:
-        """Raise ConstructionBugError on any violated scheme invariant."""
+        """Raise ConstructionBugError on any violated scheme invariant.
+
+        Capacities are checked exactly with factorials: 2^p <= MC(C) as
+        2^p * prod(c_i!) <= n!, and likewise for used counts.
+        The header fields must be what the leaves imply: avg_pmf and
+        rate_loss recomputed as the builders compute them, and e_max the
+        minimal ESS radius (tree schemes carry none).
+        """
+        n, k, m = self.n, self.k, self.alphabet.m
         seen = set()
         for leaf in self.leaves:
-            if leaf.counts in seen:
-                raise ConstructionBugError(f"duplicate leaf {leaf.counts}")
-            seen.add(leaf.counts)
-            if sum(leaf.counts) != self.n:
-                raise ConstructionBugError("leaf block length mismatch")
-        if self.is_tree_addressed:
-            space = 0
-            for leaf in self.leaves:
+            counts = leaf.counts
+            if counts in seen:
+                raise ConstructionBugError(f"duplicate leaf {counts}")
+            seen.add(counts)
+            if len(counts) != m or sum(counts) != n or min(counts) < 0:
+                raise ConstructionBugError(
+                    f"leaf {counts} is not a composition of {n} into {m} levels")
+        # 2^k <= m^n sequences exist; checked before 1 << k is formed
+        if not 0 <= k <= n * math.log2(m):
+            raise ConstructionBugError(f"k={k} outside [0, n*log2(m)]")
+        need = 1 << k
+        fact = _Factorials()
+        factorial_of = fact.__getitem__
+        n_fact = fact[n] if self.leaves else 1
+        tree = self.is_tree_addressed
+        total = 0
+        for leaf in self.leaves:
+            denom = math.prod(map(factorial_of, leaf.counts))
+            if tree:
                 p, d = leaf.payload_bits, leaf.depth
-                if p < 0 or d != self.k - p:
+                if p < 0 or p > k or d != k - p:
                     raise ConstructionBugError("inconsistent payload/depth")
-                if (1 << p) > multinomial_coefficient(leaf.counts):
+                if denom << p > n_fact:
                     raise ConstructionBugError("payload exceeds composition capacity")
-                if leaf.weight != 2.0 ** (p - self.k):
+                if leaf.weight != 2.0 ** (p - k):
                     raise ConstructionBugError(
                         f"leaf {leaf.counts} weight {leaf.weight!r} is not "
-                        f"2^({p}-{self.k})")
-                space += 1 << p
-            if space != 1 << self.k:
-                raise ConstructionBugError(
-                    f"address space is {space}, expected 2^{self.k}")
-        else:
-            used = sum(leaf.used_count for leaf in self.leaves)
-            if used != 1 << self.k:
-                raise ConstructionBugError(
-                    f"used sequences {used}, expected 2^{self.k}")
-            for leaf in self.leaves:
-                if leaf.used_count > multinomial_coefficient(leaf.counts):
-                    raise ConstructionBugError("used count exceeds shell size")
+                        f"2^({p}-{k})")
+                total += 1 << p
+            else:
+                used = leaf.used_count
+                if used < 0 or used * denom > n_fact:
+                    raise ConstructionBugError(
+                        f"leaf {leaf.counts} used count {used} exceeds its "
+                        "shell size")
+                if leaf.weight != used / need:
+                    raise ConstructionBugError(
+                        f"leaf {leaf.counts} weight {leaf.weight!r} is not "
+                        f"{used}/2^{k}")
+                total += used
+        if total != need:
+            what = "address space" if tree else "used sequences"
+            raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
         wsum = sum(leaf.weight for leaf in self.leaves)
-        if abs(wsum - 1.0) > 1e-9:
+        if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
+        if tree:
+            if self.e_max is not None:
+                raise ConstructionBugError(
+                    f"tree scheme carries e_max {self.e_max!r}")
+        else:
+            # imported here: ess builds on this module
+            from .ess import select_emax
+            radius = select_emax(n, k, self.alphabet)
+            if self.e_max != radius:
+                raise ConstructionBugError(
+                    f"e_max {self.e_max!r} is not the minimal radius {radius!r}")
+        avg = average_pmf(self.leaves, n, m)
+        if avg != self.avg_pmf:
+            raise ConstructionBugError(
+                f"avg_pmf {self.avg_pmf!r} is not the leaves' {avg!r}")
+        loss = _rate_loss(avg, k, n)
+        if loss != self.rate_loss:
+            raise ConstructionBugError(
+                f"rate_loss {self.rate_loss!r} is not the leaves' {loss!r}")
+
+
+class _Factorials(dict):
+    """c -> c!, computed on first use; a scheme's leaves share few distinct c."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = value = math.factorial(c)
+        return value
+
+
+AVG_CHUNK = 4096  # leaves per numpy batch in average_pmf
+
+
+def average_pmf(leaves: Sequence[AddressedComposition], n: int, m: int) -> Pmf:
+    """Weighted average PMF: sum over leaves of weight * c_i / n, per level.
+
+    Terms are added leaf by leaf in order, exactly as a Python loop would:
+    np.cumsum accumulates sequentially (np.sum would add pairwise), so the
+    result is bit for bit the loop's.  Zero-weight leaves add 0.0, which
+    changes nothing.
+    """
+    avg = np.zeros((1, m))
+    for start in range(0, len(leaves), AVG_CHUNK):
+        chunk = leaves[start:start + AVG_CHUNK]
+        w = np.fromiter((leaf.weight for leaf in chunk), np.float64, len(chunk))
+        c = np.fromiter(chain.from_iterable(leaf.counts for leaf in chunk),
+                        np.float64, len(chunk) * m).reshape(-1, m)
+        avg = np.cumsum(np.vstack((avg, w[:, None] * c / n)), axis=0)[-1:]
+    return tuple(avg[0].tolist())
 
 
 class CoverItem:
@@ -162,9 +236,11 @@ def smallest_feasible_cap(items: Sequence[CoverItem], k: int) -> int:
     possible (a depth-balanced tree).
     """
     need = 1 << k
+    # items sharing (multiplicity, payload) contribute alike at every cap
+    hist = Counter((it.multiplicity, it.payload) for it in items)
 
     def capped_total(cap: int) -> int:
-        return sum(it.multiplicity << min(it.payload, cap) for it in items)
+        return sum((cnt * mult) << min(p, cap) for (mult, p), cnt in hist.items())
 
     if capped_total(k) < need:
         raise RateInfeasibleError(f"address space below 2^{k}")
@@ -185,11 +261,7 @@ def tree_scheme(scheme: str, n: int, k: int, alphabet: AmplitudeAlphabet,
         AddressedComposition(counts=c, weight=2.0 ** (p - k),
                              payload_bits=p, depth=k - p)
         for c, p in cover)
-    avg = [0.0] * alphabet.m
-    for leaf in leaves:
-        for i, c in enumerate(leaf.counts):
-            avg[i] += leaf.weight * c / n
-    avg_pmf = tuple(avg)
+    avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves, avg_pmf=avg_pmf,
                            rate_loss=_rate_loss(avg_pmf, k, n))

@@ -224,3 +224,63 @@ class TestHostileInput:
         assert err.startswith(f"dmshape: {bad}: inconsistent scheme: ")
         assert "weight" in err and "Traceback" not in err
         assert not (tmp_path / "r_scatter.csv").exists()
+
+    @staticmethod
+    def replace_line(old, new):
+        def edit(ls):
+            assert old in ls
+            return [new if ln == old else ln for ln in ls]
+        return edit
+
+    @pytest.mark.parametrize("scheme,edits,reason", [
+        # the toy ESS leaves are 6,0|1, 5,1|6 and 4,2|9 out of 2^4
+        pytest.param("ess", [("6,0|1||0.0625", "6,0|1||0.375"),
+                             ("5,1|6||0.375", "5,1|6||0.0625")],
+                     "weight 0.375 is not 1/2^4", id="ess-swapped-weights"),
+        pytest.param("ess", [("6,0|1||0.0625", "6,0|1||nan")],
+                     "weight nan is not 1/2^4", id="ess-nan-weight"),
+        pytest.param("ess", [("e_max=22.0", "e_max=1000.0")],
+                     "e_max 1000.0 is not the minimal radius 22.0",
+                     id="ess-e_max"),
+        pytest.param("mpdm", [("leaves=3", "e_max=22.0\nleaves=3")],
+                     "tree scheme carries e_max 22.0", id="tree-e_max"),
+        pytest.param("mpdm", [("avg_pmf=0.6666666666666666,0.3333333333333333",
+                               "avg_pmf=0.9,0.1")],
+                     "avg_pmf (0.9, 0.1) is not the leaves'", id="avg_pmf"),
+        pytest.param("ess", [("rate_loss=0.1446114577924662", "rate_loss=0.5")],
+                     "rate_loss 0.5 is not the leaves' 0.1446114577924662",
+                     id="rate_loss"),
+        # 2^k sequences cannot exceed m^n; checked before 2^k is formed
+        pytest.param("ess", [("k=4", "k=99")], "k=99 outside [0, n*log2(m)]",
+                     id="k-above-capacity"),
+    ])
+    def test_inconsistent_header_or_weights(self, tmp_path, capsys, scheme,
+                                            edits, reason):
+        def edit(ls):
+            for old, new in edits:
+                ls = self.replace_line(old, new)(ls)
+            return ls
+
+        bad = self.toy_scheme(tmp_path, capsys, edit, scheme=scheme)
+        rc = main(["analyze", bad, "--config", eta_config(tmp_path),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"dmshape: {bad}: inconsistent scheme: ")
+        assert reason in err and "Traceback" not in err
+        assert not (tmp_path / "r_scatter.csv").exists()
+
+    def test_codec_refuses_wrong_e_max(self, tmp_path, capsys):
+        # with e_max=1000 the codec's energy ball would hold every sequence,
+        # so word 0x5 would encode to 1,1,1,1,3,3 instead of 1,1,1,3,1,3
+        good = tmp_path / "good.scheme"
+        assert main(["build", "--scheme", "ess", *TOY, "--out", str(good)]) == 0
+        capsys.readouterr()
+        assert main(["codec", "encode", str(good), "0x5"]) == 0
+        assert capsys.readouterr().out.strip() == "1,1,1,3,1,3"
+        bad = self.toy_scheme(tmp_path, capsys,
+                              self.replace_line("e_max=22.0", "e_max=1000.0"),
+                              scheme="ess")
+        assert main(["codec", "encode", bad, "0x5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"dmshape: {bad}: inconsistent scheme: e_max ")

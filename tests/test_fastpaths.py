@@ -2,22 +2,36 @@
 
 Each fast path must return exactly what the straightforward computation
 returns: MPDM target selection with the log-convexity bound against the
-unpruned pair-scan sweep, the generating-polynomial ESS radius against the
-cumulative kernels.energy_totals scan, and the chunked analyze against the
-per-leaf block_moments + snr_eff reference (compared with ==, not approx).
+unpruned pair-scan sweep, the half-box windowed pair scan against a
+brute-force box filter, the certified numpy MB chain against the scalar
+grid sweep, the histogram cap search against the direct sum, the ESS build
+against its per-shell loop, the generating-polynomial ESS radius against
+the cumulative kernels.energy_totals scan, and the chunked analyze against
+the per-leaf block_moments + snr_eff reference (compared with ==, not
+approx).  The reference outputs at n=216, k=349 are pinned by digest.
 """
 
+import hashlib
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmshape as d
-from dmshape import kernels, mpdm, nli
+from dmshape import ccdm, ess, kernels, mpdm, nli
 from dmshape.ccdm import mb_composition_chain
+from dmshape.cli import main
 from dmshape.combinatorics import enumerate_compositions, input_bits
-from dmshape.errors import ModelDomainError, RateInfeasibleError
-from dmshape.ess import _integer_radius
+from dmshape.errors import (
+    ConstructionBugError,
+    ModelDomainError,
+    RateInfeasibleError,
+)
+from dmshape.ess import _integer_radius, shell_index
+from dmshape.schemefile import scheme_to_text
+from dmshape.schemes import CoverItem, average_pmf, smallest_feasible_cap
 
 ALPHABETS = [
     d.AmplitudeAlphabet((1, 3)),
@@ -111,6 +125,285 @@ def test_reference_scale_scans_at_most_two(monkeypatch):
     assert len(calls) <= 2
 
 
+# -- pair scan -----------------------------------------------------------------
+
+def brute_pairs(c0, min_payload):
+    """Every box point in colex order, filtered: the scan's full definition."""
+    n = sum(c0)
+    box = [min(2 * a, n) for a in c0]
+    out = []
+    for rev in itertools.product(*(range(b + 1) for b in reversed(box[1:]))):
+        rest = rev[::-1]
+        c = (n - sum(rest),) + rest
+        if not 0 <= c[0] <= box[0]:
+            continue
+        cb = tuple(2 * a - x for a, x in zip(c0, c))
+        if c == tuple(c0) or c[::-1] >= cb[::-1]:
+            continue
+        p = min(input_bits(c), input_bits(cb))
+        if p >= min_payload:
+            out.append((c, cb, p))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(compositions(max_n=14), st.data())
+def test_pair_list_equals_box_filter(case, data):
+    c0, _ = case
+    pmin = data.draw(st.integers(0, input_bits(c0) + 1))
+    want = brute_pairs(c0, pmin)
+    assert kernels.pair_list(c0, pmin) == want
+    assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
+
+
+def test_pair_list_equals_box_filter_at_reference():
+    c0 = (105, 70, 31, 10)
+    got = kernels.pair_list(c0, mpdm.min_pair_payload(c0))
+    assert len(got) == 20731
+    assert got == brute_pairs(c0, mpdm.min_pair_payload(c0))
+
+
+# -- MB chain ------------------------------------------------------------------
+
+def scalar_chain(n, alphabet):
+    """The full grid sweep through quantize_pmf(mb_pmf(lam)), point by point."""
+    segs = []
+    prev = None
+    for i in range(ccdm.LAMBDA_GRID, -1, -1):
+        lam = ccdm.LAMBDA_MAX * i / ccdm.LAMBDA_GRID
+        comp = ccdm.quantize_pmf(ccdm.mb_pmf(lam, alphabet), n)
+        if comp != prev:
+            segs.append((lam, comp))
+            prev = comp
+    return tuple(segs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(alphabet=alphabets, n=st.integers(1, 400),
+       grid=st.sampled_from([64, 1000, 1 << 11]),
+       chunk=st.sampled_from([1, 7, ccdm.CHAIN_CHUNK]))
+def test_chain_equals_scalar_sweep(alphabet, n, grid, chunk):
+    # a coarser grid keeps the scalar oracle cheap; both read the same grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ccdm, "LAMBDA_GRID", grid)
+        mp.setattr(ccdm, "CHAIN_CHUNK", chunk)
+        assert mb_composition_chain.__wrapped__(n, alphabet) == \
+            scalar_chain(n, alphabet)
+
+
+@pytest.mark.parametrize("alphabet,n", [(ALPHABETS[0], 6), (ALPHABETS[1], 11),
+                                        (ALPHABETS[2], 30),
+                                        (d.DEFAULT_ALPHABET, 216)])
+def test_chain_equals_scalar_sweep_full_grid(alphabet, n):
+    assert mb_composition_chain.__wrapped__(n, alphabet) == \
+        scalar_chain(n, alphabet)
+
+
+def test_chain_grid_marks_exact_ties_uncertain():
+    # at lam = 0 every p_i = 1/m: n*p_i = 2 exactly, and at n = 7, m = 3 the
+    # remainders tie at the cut; both rows must go to the scalar path
+    lam = np.array([0.0, 0.0, 0.5])
+    for n, alphabet in ((6, ALPHABETS[2]), (7, ALPHABETS[2])):
+        es = alphabet.energies
+        offsets = np.array([e - es[0] for e in es])
+        counts, certain = ccdm._quantize_grid(lam, offsets, n)
+        assert not certain[0] and not certain[1]
+        for r in np.flatnonzero(certain):
+            assert tuple(counts[r].tolist()) == ccdm.quantize_pmf(
+                ccdm.mb_pmf(float(lam[r]), alphabet), n)
+
+
+def test_chain_recomputes_uncertain_rows(monkeypatch):
+    # rows the grid cannot certify must come from the scalar path: corrupt
+    # every third row and mark it uncertain, and the chain must not change
+    real = ccdm._quantize_grid
+
+    def corrupted(lam, offsets, n):
+        counts, certain = real(lam, offsets, n)
+        counts[::3] = 0
+        certain[::3] = False
+        return counts, certain
+
+    monkeypatch.setattr(ccdm, "_quantize_grid", corrupted)
+    monkeypatch.setattr(ccdm, "LAMBDA_GRID", 1000)
+    for alphabet, n in ((ALPHABETS[0], 6), (d.DEFAULT_ALPHABET, 40)):
+        assert mb_composition_chain.__wrapped__(n, alphabet) == \
+            scalar_chain(n, alphabet)
+
+
+# -- cap search ----------------------------------------------------------------
+
+def direct_cap(items, k):
+    """Smallest cap in 0..k whose capped total reaches 2^k, by direct sums.
+
+    The capped total grows with the cap, so a bisection finds the smallest.
+    """
+    def reaches(cap):
+        return sum(it.multiplicity << min(it.payload, cap)
+                   for it in items) >= 1 << k
+
+    if not reaches(k):
+        return None
+    lo, hi = 0, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid + 1, hi)
+    return lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 12), data=st.data())
+def test_histogram_cap_equals_direct_sum(k, data):
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 2),
+                                          st.integers(0, k + 2)),
+                                max_size=40))
+    items = [CoverItem(((i,),) * mult, p) for i, (mult, p) in enumerate(shapes)]
+    want = direct_cap(items, k)
+    if want is None:
+        with pytest.raises(RateInfeasibleError):
+            smallest_feasible_cap(items, k)
+    else:
+        assert smallest_feasible_cap(items, k) == want
+
+
+def test_histogram_cap_at_reference(mpdm216):
+    target = mpdm.select_mpdm_target(216, 349)
+    pairs = mpdm.enumerate_pairs(target, mpdm.min_pair_payload(target))
+    items = [CoverItem((target,), input_bits(target))]
+    items += [CoverItem((p.c, p.c_bar), p.payload_bits) for p in pairs]
+    assert len(items) == 20732
+    assert smallest_feasible_cap(items, 349) == direct_cap(items, 349)
+
+
+# -- ESS build -----------------------------------------------------------------
+
+def loop_ess(n, k, alphabet):
+    """The per-shell loop: (counts, weight, used) per leaf and avg_pmf."""
+    need = 1 << k
+    rows = []
+    avg = [0.0] * alphabet.m
+    prev = 0
+    for counts, _e, mc in shell_index(n, k, alphabet).shells:
+        used = min(mc, need - prev) if prev < need else 0
+        prev += used
+        w = used / need if used else 0.0
+        rows.append((counts, w, used))
+        if used:
+            for i, c in enumerate(counts):
+                avg[i] += w * c / n
+    return rows, tuple(avg)
+
+
+def ess_rows(built):
+    return [(leaf.counts, leaf.weight, leaf.used_count) for leaf in built.leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphabet=alphabets, n=st.integers(1, 24), data=st.data())
+def test_build_ess_equals_shell_loop(alphabet, n, data):
+    k = data.draw(st.integers(0, max_k(n, alphabet)))
+    built = d.build_ess(n, k, alphabet)
+    rows, avg = loop_ess(n, k, alphabet)
+    assert ess_rows(built) == rows
+    assert built.avg_pmf == avg
+
+
+def test_build_ess_equals_shell_loop_at_reference(ess216):
+    rows, avg = loop_ess(216, 349, d.DEFAULT_ALPHABET)
+    assert ess_rows(ess216) == rows
+    assert ess216.avg_pmf == avg
+
+
+@pytest.mark.parametrize("n,k", [(12, 14), (24, 36)])
+def test_shell_order_is_energy_then_colex(n, k):
+    # compositions of equal energy come in colex order, which differs from
+    # lex order for four levels at these n
+    for alphabet in ALPHABETS:
+        k_a = min(k, max_k(n, alphabet))
+        units, _ = alphabet.integer_energies()
+        radius = _integer_radius(n, k_a, alphabet)
+
+        def energy(c):
+            return sum(x * u for x, u in zip(c, units))
+
+        want = sorted((c for c in enumerate_compositions(n, alphabet)
+                       if energy(c) <= radius),
+                      key=lambda c: (energy(c), c[::-1]))
+        assert [c for c, _, _ in shell_index(n, k_a, alphabet).shells] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphabet=alphabets, n=st.integers(1, 30), data=st.data())
+def test_average_pmf_equals_leaf_loop(alphabet, n, data):
+    k = data.draw(st.integers(0, max_k(n, alphabet)))
+    builder = data.draw(st.sampled_from([d.build_mpdm, d.build_ess]))
+    try:
+        built = builder(n, k, alphabet)
+    except RateInfeasibleError:
+        return
+    avg = [0.0] * alphabet.m
+    for leaf in built.leaves:
+        for i, c in enumerate(leaf.counts):
+            avg[i] += leaf.weight * c / n
+    assert average_pmf(built.leaves, n, alphabet.m) == tuple(avg)
+
+
+# -- validate ------------------------------------------------------------------
+
+def ess_set(n, k, alphabet, used_by_counts):
+    """An ESS set with the given used counts and consistent header fields."""
+    leaves = tuple(d.AddressedComposition(counts=c, weight=u / (1 << k),
+                                          used_count=u)
+                   for c, u in used_by_counts)
+    avg = average_pmf(leaves, n, alphabet.m)
+    return d.CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
+                            leaves=leaves, avg_pmf=avg,
+                            rate_loss=d.rate_loss(avg, k, n),
+                            e_max=d.select_emax(n, k, alphabet))
+
+
+def test_factorial_check_rejects_used_above_shell_size():
+    a2 = d.AmplitudeAlphabet((1, 3))
+    # the toy ESS at n=6, k=4 uses (6,0) x1, (5,1) x6, (4,2) x9
+    ess_set(6, 4, a2, [((6, 0), 1), ((5, 1), 6), ((4, 2), 9)]).validate()
+    # MC(6,0) = 1: one used sequence more, with the total still 2^4
+    bad = ess_set(6, 4, a2, [((6, 0), 2), ((5, 1), 6), ((4, 2), 8)])
+    with pytest.raises(ConstructionBugError, match="exceeds its shell size"):
+        bad.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(compositions(max_n=12))
+def test_factorial_check_is_the_multinomial(case):
+    c, alphabet = case
+    n = sum(c)
+    mc = kernels.mc_counts(c)
+    k = mc.bit_length() - 1
+    # a one-leaf tree scheme at payload k passes exactly when 2^k <= MC
+    ok = d.CompositionSet(scheme="ccdm", n=n, k=k, alphabet=alphabet,
+                          leaves=(d.AddressedComposition(c, 1.0, k, 0),),
+                          avg_pmf=d.pmf_of(c),
+                          rate_loss=d.rate_loss(d.pmf_of(c), k, n))
+    ok.validate()
+    over = d.CompositionSet(scheme="ccdm", n=n, k=k + 1, alphabet=alphabet,
+                            leaves=(d.AddressedComposition(c, 1.0, k + 1, 0),),
+                            avg_pmf=d.pmf_of(c), rate_loss=0.0)
+    with pytest.raises(ConstructionBugError):
+        over.validate()
+
+
+# -- reference bytes -----------------------------------------------------------
+
+def test_reference_outputs_pinned(ess216, capsys):
+    capsys.readouterr()
+    assert main(["compare", "--n", "216", "--k", "349"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "282b98e69c8cac296382861ead452345"
+    assert hashlib.sha256(scheme_to_text(ess216).encode()).hexdigest() == \
+        "9b1e947b66885a39ec8c898723f78bf1286edcaee29ebed3ca5db94c635e5a8d"
+
+
 # -- ESS radius ----------------------------------------------------------------
 
 def scanned_radius(n, k, alphabet):
@@ -139,6 +432,16 @@ def test_polynomial_radius_equals_energy_scan(alphabet, n, data):
 def test_polynomial_radius_at_scale(n, k):
     assert _integer_radius(n, k, d.DEFAULT_ALPHABET) == \
         scanned_radius(n, k, d.DEFAULT_ALPHABET)
+
+
+def test_radius_refuses_oversized_grid(monkeypatch):
+    # n=24 over {1,3,5,7} packs 145 slots of about 48 bits: 6960 bits
+    monkeypatch.setattr(ess, "RADIUS_GRID_BITS", 6960)
+    assert _integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET) == \
+        scanned_radius(24, 36, d.DEFAULT_ALPHABET)
+    monkeypatch.setattr(ess, "RADIUS_GRID_BITS", 6959)
+    with pytest.raises(RateInfeasibleError, match="energy grid of 145 levels"):
+        _integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
 
 
 def test_shell_energies_match_fraction_arithmetic():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dmshape as d
 from dmshape.errors import SchemeFileError
@@ -70,3 +71,60 @@ class TestErrors:
         path.write_text("not a scheme\n")
         with pytest.raises(SchemeFileError):
             read_scheme(str(path))
+
+
+# -- parser fuzzing ------------------------------------------------------------
+
+TOY_TEXTS = {name: scheme_to_text(builder(6, 4, A2)) for name, builder in
+             [("ccdm", d.build_ccdm), ("mpdm", d.build_mpdm),
+              ("ess", d.build_ess)]}
+FUZZ_CHARS = "0123456789,.|=-+eE naif\t"
+
+
+@st.composite
+def edited_texts(draw):
+    name = draw(st.sampled_from(sorted(TOY_TEXTS)))
+    lines = TOY_TEXTS[name].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace",
+                                   "char", "blank"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            key = lines[i].partition("=")[0] + "=" if "=" in lines[i] else ""
+            lines[i] = key + draw(st.text(FUZZ_CHARS, max_size=12))
+        elif op == "char":
+            pos = draw(st.integers(0, len(lines[i])))
+            ch = draw(st.sampled_from(FUZZ_CHARS))
+            cut = draw(st.integers(0, 1))
+            lines[i] = lines[i][:pos] + ch + lines[i][pos + cut:]
+        else:
+            lines.insert(i, "")
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edited.scheme"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_texts())
+def test_line_edits_read_back_or_raise_scheme_file_error(fuzz_path, text):
+    fuzz_path.write_text(text)
+    try:
+        back = read_scheme(str(fuzz_path))
+    except SchemeFileError:
+        return
+    # accepted: a valid scheme whose text reads back to the same scheme
+    back.validate()
+    fuzz_path.write_text(scheme_to_text(back))
+    assert read_scheme(str(fuzz_path)) == back
