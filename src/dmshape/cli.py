@@ -52,12 +52,15 @@ def _resolve_model(cfg: RunConfig, built: CompositionSet) -> NliModel:
     return cfg.resolve_model(anchor2_kurtosis=reference.kurtosis_range()[0])
 
 
+def _write_rows(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        _write_rows(fh, header, rows)
 
 
 def _fmt(x) -> str:
@@ -114,10 +117,7 @@ def cmd_compare(args) -> int:
               _fmt(r.avg_snr_db)) for r in rows]
     if args.out:
         _write_csv(args.out, header, table)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in table:
-        writer.writerow(row)
+    _write_rows(sys.stdout, header, table)
     return 0
 
 
@@ -159,7 +159,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, required=True)
     p_build.add_argument("--k", type=int, required=True)
     p_build.add_argument("--alphabet", help="comma-separated amplitude levels")
-    p_build.add_argument("--config", help="key-value config file")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 

@@ -10,7 +10,6 @@ table.  Bit words are integers, most-significant bit first.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -39,10 +38,7 @@ def cc_rank(seq, counts: Counts,
             alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> int:
     """Amplitude sequence -> its lexicographic rank within the composition."""
     idx = _level_indices(seq, alphabet)
-    observed = [0] * alphabet.m
-    for i in idx:
-        observed[i] += 1
-    if tuple(observed) != tuple(counts):
+    if _composition(idx, alphabet.m) != tuple(counts):
         raise DecodeError("sequence composition does not match")
     return kernels.cc_rank(idx, tuple(counts))
 
@@ -53,6 +49,11 @@ def _level_indices(seq, alphabet: AmplitudeAlphabet) -> list[int]:
         return [lookup[float(x)] for x in seq]
     except KeyError as exc:
         raise DecodeError(f"amplitude {exc.args[0]} not in alphabet") from None
+
+
+def _composition(idx: list[int], m: int) -> Counts:
+    """Occurrence count of each of the m levels in a level-index sequence."""
+    return tuple(map(idx.count, range(m)))
 
 
 @dataclass
@@ -72,17 +73,11 @@ class EssTrellis:
     @classmethod
     def build(cls, n: int, e_max: float,
               alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> "EssTrellis":
-        units, scale = alphabet.integer_energies()
-        e_int = round(e_max / float(scale))
-        budget = e_int - n * units[0]
+        _, scale = alphabet.integer_energies()
+        u0, g, deltas = alphabet.energy_grid()
+        budget = round(e_max / float(scale)) - n * u0
         if budget < 0:
             raise DecodeError("energy radius below the minimum block energy")
-        deltas = [u - units[0] for u in units]
-        g = 0
-        for d in deltas[1:]:
-            g = math.gcd(g, d)
-        g = g or 1
-        deltas = tuple(d // g for d in deltas)
         width = budget // g
         table = kernels.trellis_build(n, deltas, width)
         return cls(n=n, alphabet=alphabet, deltas=deltas, width=width,
@@ -150,10 +145,7 @@ class SchemeCodec:
         idx = _level_indices(seq, self.set.alphabet)
         if len(idx) != self.set.n:
             raise DecodeError("sequence length does not match the scheme")
-        observed = [0] * self.set.alphabet.m
-        for i in idx:
-            observed[i] += 1
-        entry = self._by_counts.get(tuple(observed))
+        entry = self._by_counts.get(_composition(idx, self.set.alphabet.m))
         if entry is None:
             raise DecodeError("sequence composition is not in the scheme")
         leaf_i, start = entry

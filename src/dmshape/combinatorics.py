@@ -69,6 +69,12 @@ class AmplitudeAlphabet:
         units = tuple(int(f * den) for f in fracs)
         return units, Fraction(1, den)
 
+    def energy_grid(self) -> tuple[int, int, tuple[int, ...]]:
+        """(u0, g, deltas): units_i = u0 + g * deltas_i, g = gcd of units_i - u0."""
+        units, _ = self.integer_energies()
+        g = math.gcd(*(u - units[0] for u in units))
+        return units[0], g, tuple((u - units[0]) // g for u in units)
+
 
 DEFAULT_ALPHABET = AmplitudeAlphabet()
 

@@ -24,7 +24,6 @@ where the running slot sum first reaches 2^k.
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -59,10 +58,8 @@ RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
 
 @functools.lru_cache(maxsize=64)
 def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
-    units, _ = alphabet.integer_energies()
-    offsets = [u - units[0] for u in units]
-    g = math.gcd(*offsets)
-    n_slots = n * offsets[-1] // g + 1
+    u0, g, deltas = alphabet.energy_grid()
+    n_slots = n * deltas[-1] + 1
     # a slot holds up to m^n <= 2^(n * bitlen(m-1)); refuse packed grids too
     # large to hold (a scheme file may name any alphabet and n)
     if n_slots * n * (alphabet.m - 1).bit_length() > RADIUS_GRID_BITS:
@@ -70,13 +67,13 @@ def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
             f"energy grid of {n_slots} levels at n={n} is too large")
     need = 1 << k
     width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
-    poly = sum(1 << (8 * width * (d // g)) for d in offsets)
+    poly = sum(1 << (8 * width * d) for d in deltas)
     packed = (poly ** n).to_bytes(width * n_slots, "little")
     cum = 0
     for j in range(n_slots):
         cum += int.from_bytes(packed[j * width:(j + 1) * width], "little")
         if cum >= need:
-            return n * units[0] + g * j
+            return n * u0 + g * j
     raise RateInfeasibleError(
         f"alphabet admits only {cum} sequences at n={n}, need 2^{k}")
 

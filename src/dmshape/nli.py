@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import AmplitudeAlphabet, block_moments, pmf_of
+from .combinatorics import AmplitudeAlphabet, Counts, block_moments, pmf_of
 from .errors import CalibrationError, ModelDomainError
 from .schemes import CompositionSet
 
@@ -165,12 +165,16 @@ def calibrate(anchors: Sequence[tuple[float, float]], ase_variance_w: float,
                     ase_variance_w=ase_variance_w, launch_power_w=p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnrEntry:
-    composition_id: str
+    counts: Counts
     kurtosis: float
     weight: float
     snr_db: float
+
+    @property
+    def composition_id(self) -> str:
+        return composition_id(self.counts)
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,7 @@ def analyze(built: CompositionSet, model: NliModel,
         chunk = carried[start:start + ANALYZE_CHUNK]
         kurts, snrs = _chunk_snr([leaf.counts for leaf in chunk],
                                  built.alphabet, model)
-        entries += [SnrEntry(composition_id(leaf.counts), q, leaf.weight, s)
+        entries += [SnrEntry(leaf.counts, q, leaf.weight, s)
                     for leaf, q, s in zip(chunk, kurts, snrs)]
     snrs = [e.snr_db for e in entries]
     weights = [e.weight for e in entries]

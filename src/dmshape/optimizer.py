@@ -27,7 +27,7 @@ from .combinatorics import (
 )
 from .ess import build_ess
 from .mpdm import build_mpdm
-from .nli import NliModel, SnrReport, analyze
+from .nli import NliModel, analyze
 from .schemes import CompositionSet, CoverItem, exact_cover, tree_scheme
 
 
@@ -78,16 +78,6 @@ class SchemeRow:
     avg_snr_db: float
 
 
-def scheme_row(built: CompositionSet, report: SnrReport) -> SchemeRow:
-    return SchemeRow(scheme=built.scheme,
-                     n_compositions=built.n_compositions,
-                     rate_loss=built.rate_loss,
-                     max_snr_db=report.max_db,
-                     min_snr_db=report.min_db,
-                     p2p_db=report.p2p_db,
-                     avg_snr_db=report.avg_db)
-
-
 def compare_schemes(n: int, k: int, model: NliModel,
                     alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET,
                     built: dict[str, CompositionSet] | None = None) -> list[SchemeRow]:
@@ -99,5 +89,12 @@ def compare_schemes(n: int, k: int, model: NliModel,
     rows = []
     for tag, builder in BUILDERS.items():
         scheme = built.get(tag) or builder(n, k, alphabet)
-        rows.append(scheme_row(scheme, analyze(scheme, model)))
+        report = analyze(scheme, model)
+        rows.append(SchemeRow(scheme=scheme.scheme,
+                              n_compositions=scheme.n_compositions,
+                              rate_loss=scheme.rate_loss,
+                              max_snr_db=report.max_db,
+                              min_snr_db=report.min_db,
+                              p2p_db=report.p2p_db,
+                              avg_snr_db=report.avg_db))
     return rows

@@ -14,7 +14,7 @@ from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
 from .optimizer import BUILDERS
-from .schemes import AddressedComposition, CompositionSet
+from .schemes import AddressedComposition, CompositionSet, is_tree_scheme
 
 TOOL_VERSION = f"dmshape {__version__}"
 
@@ -40,9 +40,10 @@ def scheme_to_text(built: CompositionSet) -> str:
     if built.e_max is not None:
         lines.append(f"e_max={_format_number(built.e_max)}")
     lines.append(f"leaves={len(built.leaves)}")
+    tree = built.is_tree_addressed
     for leaf in built.leaves:
         counts = ",".join(str(c) for c in leaf.counts)
-        if leaf.payload_bits is not None:
+        if tree:
             mid = f"{leaf.payload_bits}|{leaf.depth}"
         else:
             mid = f"{leaf.used_count}|"
@@ -123,7 +124,7 @@ def read_scheme(path: str) -> CompositionSet:
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {len(leaf_lines)}")
     leaves = []
-    tree = scheme != "ess"
+    tree = is_tree_scheme(scheme)
     for j, ln in leaf_lines:
         parts = ln.split("|")
         if len(parts) != 4:

@@ -9,11 +9,12 @@ instead, and payload/depth are absent.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +27,11 @@ from .combinatorics import (
     rate_loss as _rate_loss,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
+
+
+def is_tree_scheme(scheme: str) -> bool:
+    """The tag decides the kind: every scheme but ess is a prefix tree."""
+    return scheme != "ess"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +64,7 @@ class CompositionSet:
 
     @property
     def is_tree_addressed(self) -> bool:
-        return all(leaf.payload_bits is not None for leaf in self.leaves)
+        return is_tree_scheme(self.scheme)
 
     def kurtosis_range(self) -> tuple[float, float]:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
@@ -71,11 +77,14 @@ class CompositionSet:
 
         Capacities are checked exactly with factorials: 2^p <= MC(C) as
         2^p * prod(c_i!) <= n!, and likewise for used counts.
-        The header fields must be what the leaves imply: avg_pmf and
-        rate_loss recomputed as the builders compute them, and e_max the
-        minimal ESS radius (tree schemes carry none).
+        Tree leaves carry payload and depth and no used count, ESS leaves
+        the reverse.  The header fields must be what the leaves imply:
+        avg_pmf and rate_loss recomputed as the builders compute them, and
+        e_max the minimal ESS radius (tree schemes carry none).
         """
         n, k, m = self.n, self.k, self.alphabet.m
+        tree = self.is_tree_addressed
+        fields = (not tree, not tree, tree)  # payload, depth, used_count is None
         seen = set()
         for leaf in self.leaves:
             counts = leaf.counts
@@ -85,17 +94,20 @@ class CompositionSet:
             if len(counts) != m or sum(counts) != n or min(counts) < 0:
                 raise ConstructionBugError(
                     f"leaf {counts} is not a composition of {n} into {m} levels")
+            if (leaf.payload_bits is None, leaf.depth is None,
+                    leaf.used_count is None) != fields:
+                raise ConstructionBugError(
+                    f"leaf {counts} does not fit scheme {self.scheme!r}")
         # 2^k <= m^n sequences exist; checked before 1 << k is formed
         if not 0 <= k <= n * math.log2(m):
             raise ConstructionBugError(f"k={k} outside [0, n*log2(m)]")
         need = 1 << k
-        fact = _Factorials()
-        factorial_of = fact.__getitem__
-        n_fact = fact[n] if self.leaves else 1
-        tree = self.is_tree_addressed
+        # a scheme's leaves share few distinct counts
+        factorial = functools.cache(math.factorial)
+        n_fact = factorial(n) if self.leaves else 1
         total = 0
         for leaf in self.leaves:
-            denom = math.prod(map(factorial_of, leaf.counts))
+            denom = math.prod(map(factorial, leaf.counts))
             if tree:
                 p, d = leaf.payload_bits, leaf.depth
                 if p < 0 or p > k or d != k - p:
@@ -145,14 +157,6 @@ class CompositionSet:
                 f"rate_loss {self.rate_loss!r} is not the leaves' {loss!r}")
 
 
-class _Factorials(dict):
-    """c -> c!, computed on first use; a scheme's leaves share few distinct c."""
-
-    def __missing__(self, c: int) -> int:
-        self[c] = value = math.factorial(c)
-        return value
-
-
 AVG_CHUNK = 4096  # leaves per numpy batch in average_pmf
 
 
@@ -174,14 +178,11 @@ def average_pmf(leaves: Sequence[AddressedComposition], n: int, m: int) -> Pmf:
     return tuple(avg[0].tolist())
 
 
-class CoverItem:
+class CoverItem(NamedTuple):
     """One unit offered to an exact cover: a single composition or a full pair."""
 
-    __slots__ = ("comps", "payload")
-
-    def __init__(self, comps: tuple[Counts, ...], payload: int):
-        self.comps = comps
-        self.payload = payload
+    comps: tuple[Counts, ...]
+    payload: int
 
     @property
     def multiplicity(self) -> int:

@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dmshape as d
-from dmshape.errors import DecodeError
+from dmshape.errors import DecodeError, RateInfeasibleError
 from dmshape.ess import shell_index
+from dmshape.optimizer import BUILDERS
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -168,3 +170,42 @@ class TestSchemeCodec:
         for leaf in built.leaves:
             assert start % (1 << leaf.payload_bits) == 0
             start += 1 << leaf.payload_bits
+
+
+# -- codec properties over small schemes ----------------------------------------
+
+EXHAUSTIVE_BITS = 12  # every word is checked up to 2^12 words, a sample above
+
+
+@pytest.mark.parametrize("tag", list(BUILDERS))
+@settings(max_examples=60, deadline=None)
+@given(alphabet=st.sampled_from([A2, A3, A4, d.AmplitudeAlphabet((0.5, 1.5))]),
+       n=st.integers(1, 14),
+       data=st.data())
+def test_codec_round_trips_onto_scheme_leaves(tag, alphabet, n, data):
+    k = data.draw(st.integers(0, math.floor(n * math.log2(alphabet.m))),
+                  label="k")
+    try:
+        built = BUILDERS[tag](n, k, alphabet)
+    except RateInfeasibleError:
+        assume(False)
+    codec = d.SchemeCodec(built)
+    weights = {leaf.counts: leaf.weight for leaf in built.leaves}
+    exhaustive = k <= EXHAUSTIVE_BITS
+    if exhaustive:
+        words = range(1 << k)
+    else:
+        words = data.draw(st.lists(st.integers(0, (1 << k) - 1),
+                                   min_size=1, max_size=64), label="words")
+    usage = dict.fromkeys(weights, 0)
+    for w in words:
+        seq = codec.encode(w)
+        assert codec.decode(seq) == w
+        counts = tuple(seq.count(level) for level in alphabet.levels)
+        assert counts in weights
+        usage[counts] += 1
+    # a tree leaf owns exactly weight * 2^k words; the ESS codec walks the
+    # ball in lexicographic order, not the shells' energy order, so its
+    # words may land on zero-weight shells
+    if exhaustive and built.is_tree_addressed:
+        assert all(usage[c] == w * (1 << k) for c, w in weights.items())

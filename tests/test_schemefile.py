@@ -1,11 +1,17 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmshape as d
-from dmshape.errors import SchemeFileError
+from dmshape.errors import ConstructionBugError, SchemeFileError
+from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
+from dmshape.schemes import AddressedComposition, is_tree_scheme
 
 A2 = d.AmplitudeAlphabet((1, 3))
+# TestRoundtrip covers every tag: the tree tags here, ess on its own
+TREE_TAGS = [tag for tag in BUILDERS if is_tree_scheme(tag)]
 
 
 def roundtrip(built, tmp_path, name="s.scheme"):
@@ -15,9 +21,10 @@ def roundtrip(built, tmp_path, name="s.scheme"):
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("builder,k", [(d.build_ccdm, 2), (d.build_mpdm, 4)])
+    @pytest.mark.parametrize("builder,k", [
+        (BUILDERS[tag], 2 if tag == "ccdm" else 4) for tag in TREE_TAGS])
     def test_tree_schemes(self, builder, k, tmp_path):
-        built = builder(6, k, A2) if builder is d.build_mpdm else builder(4, k, A2)
+        built = builder(4, k, A2) if builder is d.build_ccdm else builder(6, k, A2)
         back = roundtrip(built, tmp_path)
         assert back.scheme == built.scheme
         assert back.n == built.n and back.k == built.k
@@ -43,6 +50,28 @@ class TestRoundtrip:
         b = scheme_to_text(d.build_mpdm(8, 5, A2))
         assert a == b
         assert "tool_version=dmshape" in a
+
+
+class TestKindRule:
+    """The tag alone decides a scheme's kind; leaves must fit it."""
+
+    @pytest.mark.parametrize("builder,tag", [(d.build_mpdm, "ess"),
+                                             (d.build_ess, "mpdm")])
+    def test_retagged_set_is_rejected(self, builder, tag):
+        retagged = dataclasses.replace(builder(6, 4, A2), scheme=tag)
+        with pytest.raises(ConstructionBugError, match="does not fit scheme"):
+            retagged.validate()
+
+    def test_tree_leaf_among_ess_leaves_is_rejected(self):
+        built = d.build_ess(6, 4, A2)
+        first = built.leaves[0]
+        tree_leaf = AddressedComposition(counts=first.counts,
+                                         weight=first.weight,
+                                         payload_bits=0, depth=4)
+        mixed = dataclasses.replace(built,
+                                    leaves=(tree_leaf,) + built.leaves[1:])
+        with pytest.raises(ConstructionBugError, match="does not fit scheme"):
+            mixed.validate()
 
 
 class TestErrors:
