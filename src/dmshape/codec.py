@@ -1,17 +1,22 @@
 """Bit-exact encoders and decoders.
 
-Tree-addressed sets (CCDM, MPDM, optimised MPDM) interpret the leading
-depth-many input bits as the leaf prefix (leaves in stored order, canonical
-prefix assignment) and the remaining payload bits as a lexicographic rank
-inside the leaf's composition.  Sphere-shaped sets index the first 2^k
-sequences of the energy ball in lexicographic order through a suffix-count
-table.  Bit words are integers, most-significant bit first.
+Every scheme follows one addressing rule.  Leaf i, in stored order, owns the
+next n_words of the 2^k input words: 2^payload_bits for a tree leaf (CCDM,
+MPDM, optimised MPDM), whose leading depth bits are then its canonical
+prefix, and the used count for an ESS leaf, whose shells are stored in
+(energy, colex) order.  Inside that block a word is the lexicographic rank
+of the sequence within the leaf's composition, so every word lands on a
+leaf in proportion to its weight.  Bit words are integers, most-significant
+bit first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import attrgetter
 
 from . import kernels
 from .combinatorics import (
@@ -21,6 +26,8 @@ from .combinatorics import (
 )
 from .errors import DecodeError
 from .schemes import CompositionSet
+
+START_STRIDE = 64  # leaves per stored block start; encode walks at most 63
 
 
 def cc_unrank(index: int, counts: Counts,
@@ -62,11 +69,9 @@ class EssTrellis:
 
     counts[i][w] is the exact number of length-(n-i) suffixes whose energy
     offset (in grid units above the all-minimum-level floor) is at most w.
+    Its total counts the energy ball independently of the shell table.
     """
 
-    n: int
-    alphabet: AmplitudeAlphabet
-    deltas: tuple[int, ...]
     width: int
     counts: list = field(repr=False)
 
@@ -79,31 +84,12 @@ class EssTrellis:
         if budget < 0:
             raise DecodeError("energy radius below the minimum block energy")
         width = budget // g
-        table = kernels.trellis_build(n, deltas, width)
-        return cls(n=n, alphabet=alphabet, deltas=deltas, width=width,
-                   counts=table)
+        return cls(width=width, counts=kernels.trellis_build(n, deltas, width))
 
     @property
     def total(self) -> int:
         """Number of sequences inside the ball: counts[0][width]."""
         return self.counts[0][self.width]
-
-    def unrank(self, index: int) -> tuple[float, ...]:
-        if not 0 <= index < self.total:
-            raise DecodeError(f"index {index} outside the energy ball")
-        seq = kernels.ess_unrank(index, self.n, self.deltas, self.width,
-                                 self.counts)
-        levels = self.alphabet.levels
-        return tuple(levels[i] for i in seq)
-
-    def rank(self, seq) -> int:
-        idx = _level_indices(seq, self.alphabet)
-        if len(idx) != self.n:
-            raise DecodeError("sequence length does not match the scheme")
-        if sum(self.deltas[i] for i in idx) > self.width:
-            raise DecodeError("sequence exceeds the energy radius")
-        return kernels.ess_rank(idx, self.n, self.deltas, self.width,
-                                self.counts)
 
 
 class SchemeCodec:
@@ -111,47 +97,45 @@ class SchemeCodec:
 
     def __init__(self, built: CompositionSet):
         self.set = built
-        if built.is_tree_addressed:
-            starts = []
-            acc = 0
-            for leaf in built.leaves:
-                starts.append(acc)
-                acc += 1 << leaf.payload_bits
-            self._starts = starts
-            self._by_counts = {leaf.counts: (i, starts[i])
-                               for i, leaf in enumerate(built.leaves)}
-            self._trellis = None
-        else:
-            self._trellis = EssTrellis.build(built.n, built.e_max,
-                                             built.alphabet)
+        leaves = built.leaves
+        # the first word of every START_STRIDE-th leaf, and leaf indices
+        # sorted by composition in a machine-int array: a start per leaf or
+        # a counts -> index dict would hold ~16 MB for the n=216 ESS scheme
+        self._starts = list(islice(
+            accumulate(map(attrgetter("n_words"), leaves), initial=0),
+            0, len(leaves), START_STRIDE))
+        counts = [leaf.counts for leaf in leaves]
+        self._by_counts = array("l", sorted(range(len(leaves)),
+                                            key=counts.__getitem__))
 
     def encode(self, word: int) -> tuple[float, ...]:
         k = self.set.k
         if not 0 <= word < (1 << k):
             raise DecodeError(f"word outside [0, 2^{k})")
-        if self._trellis is not None:
-            return self._trellis.unrank(word)
-        i = bisect_right(self._starts, word) - 1
-        leaf = self.set.leaves[i]
-        return cc_unrank(word - self._starts[i], leaf.counts,
-                         self.set.alphabet)
+        leaves = self.set.leaves
+        block = bisect_right(self._starts, word) - 1
+        i, start = block * START_STRIDE, self._starts[block]
+        # leaves that own no words are stepped over
+        while word >= start + leaves[i].n_words:
+            start += leaves[i].n_words
+            i += 1
+        return cc_unrank(word - start, leaves[i].counts, self.set.alphabet)
 
     def decode(self, seq) -> int:
-        if self._trellis is not None:
-            word = self._trellis.rank(seq)
-            if word >= 1 << self.set.k:
-                raise DecodeError("sequence beyond the used 2^k prefix")
-            return word
         idx = _level_indices(seq, self.set.alphabet)
         if len(idx) != self.set.n:
             raise DecodeError("sequence length does not match the scheme")
-        entry = self._by_counts.get(_composition(idx, self.set.alphabet.m))
-        if entry is None:
+        counts = _composition(idx, self.set.alphabet.m)
+        leaves = self.set.leaves
+        by_counts = self._by_counts
+        j = bisect_left(by_counts, counts, key=lambda i: leaves[i].counts)
+        if j == len(by_counts) or leaves[by_counts[j]].counts != counts:
             raise DecodeError("sequence composition is not in the scheme")
-        leaf_i, start = entry
-        leaf = self.set.leaves[leaf_i]
-        rank = kernels.cc_rank(idx, leaf.counts)
-        if rank >= 1 << leaf.payload_bits:
-            raise DecodeError("sequence rank beyond the leaf's payload space")
-        return start + rank
-
+        i = by_counts[j]
+        rank = kernels.cc_rank(idx, counts)
+        if rank >= leaves[i].n_words:
+            raise DecodeError("sequence rank beyond the leaf's used words")
+        block = i // START_STRIDE
+        first = block * START_STRIDE
+        return (self._starts[block] + rank
+                + sum(leaf.n_words for leaf in leaves[first:i]))

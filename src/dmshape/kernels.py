@@ -2,7 +2,7 @@
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
 full scans over the composition simplex, complement-pair scans and the
-energy-bounded suffix-count table used by sphere-shaping codecs.  All
+energy-bounded suffix-count table that counts the sphere-shaping ball.  All
 arithmetic that can overflow 64 bits is done with Python ints, so every
 kernel is exact.
 """
@@ -283,7 +283,8 @@ def trellis_build(n, deltas, width):
 
 
 def ess_unrank(index, n, deltas, width, table):
-    """Enumerative decoding: index -> level-index sequence within the ball."""
+    """Lexicographic index -> level-index sequence within the ball (unused by
+    the codec; perfbench times it)."""
     m = len(deltas)
     out = []
     w = width

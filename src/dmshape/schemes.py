@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +44,13 @@ class AddressedComposition:
     payload_bits: int | None = None
     depth: int | None = None
     used_count: int | None = None
+
+    @property
+    def n_words(self) -> int:
+        """Input words the leaf owns: 2^payload_bits, or the ESS used count."""
+        if self.used_count is None:
+            return 1 << self.payload_bits
+        return self.used_count
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,8 @@ class CompositionSet:
         Tree leaves carry payload and depth and no used count, ESS leaves
         the reverse.  The header fields must be what the leaves imply:
         avg_pmf and rate_loss recomputed as the builders compute them, and
-        e_max the minimal ESS radius (tree schemes carry none).
+        e_max the minimal ESS radius (tree schemes carry none), with every
+        ESS leaf inside it.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         tree = self.is_tree_addressed
@@ -118,7 +127,6 @@ class CompositionSet:
                     raise ConstructionBugError(
                         f"leaf {leaf.counts} weight {leaf.weight!r} is not "
                         f"2^({p}-{k})")
-                total += 1 << p
             else:
                 used = leaf.used_count
                 if used < 0 or used * denom > n_fact:
@@ -129,7 +137,7 @@ class CompositionSet:
                     raise ConstructionBugError(
                         f"leaf {leaf.counts} weight {leaf.weight!r} is not "
                         f"{used}/2^{k}")
-                total += used
+            total += leaf.n_words
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
@@ -142,11 +150,17 @@ class CompositionSet:
                     f"tree scheme carries e_max {self.e_max!r}")
         else:
             # imported here: ess builds on this module
-            from .ess import select_emax
+            from .ess import _integer_radius, select_emax
             radius = select_emax(n, k, self.alphabet)
             if self.e_max != radius:
                 raise ConstructionBugError(
                     f"e_max {self.e_max!r} is not the minimal radius {radius!r}")
+            units, _ = self.alphabet.integer_energies()
+            cap = _integer_radius(n, k, self.alphabet)
+            for leaf in self.leaves:
+                if sum(map(mul, leaf.counts, units)) > cap:
+                    raise ConstructionBugError(
+                        f"leaf {leaf.counts} lies outside the radius {radius!r}")
         avg = average_pmf(self.leaves, n, m)
         if avg != self.avg_pmf:
             raise ConstructionBugError(

@@ -250,6 +250,11 @@ class TestHostileInput:
         pytest.param("ess", [("rate_loss=0.1446114577924662", "rate_loss=0.5")],
                      "rate_loss 0.5 is not the leaves' 0.1446114577924662",
                      id="rate_loss"),
+        # a zero-weight shell of energy 30, outside the radius 22
+        pytest.param("ess", [("leaves=3", "leaves=4"),
+                             ("4,2|9||0.5625", "4,2|9||0.5625\n3,3|0||0.0")],
+                     "leaf (3, 3) lies outside the radius 22.0",
+                     id="ess-leaf-outside-radius"),
         # 2^k sequences cannot exceed m^n; checked before 2^k is formed
         pytest.param("ess", [("k=4", "k=99")], "k=99 outside [0, n*log2(m)]",
                      id="k-above-capacity"),
@@ -271,13 +276,13 @@ class TestHostileInput:
         assert not (tmp_path / "r_scatter.csv").exists()
 
     def test_codec_refuses_wrong_e_max(self, tmp_path, capsys):
-        # with e_max=1000 the codec's energy ball would hold every sequence,
-        # so word 0x5 would encode to 1,1,1,1,3,3 instead of 1,1,1,3,1,3
+        # word 0x5 is rank 4 of leaf 5,1 (leaf 6,0 owns word 0); e_max does
+        # not enter the mapping, so a file with a wrong one must be refused
         good = tmp_path / "good.scheme"
         assert main(["build", "--scheme", "ess", *TOY, "--out", str(good)]) == 0
         capsys.readouterr()
         assert main(["codec", "encode", str(good), "0x5"]) == 0
-        assert capsys.readouterr().out.strip() == "1,1,1,3,1,3"
+        assert capsys.readouterr().out.strip() == "1,3,1,1,1,1"
         bad = self.toy_scheme(tmp_path, capsys,
                               self.replace_line("e_max=22.0", "e_max=1000.0"),
                               scheme="ess")

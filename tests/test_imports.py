@@ -1,8 +1,11 @@
-"""Every import in the package is used.
+"""Every import and every top-level helper in the package is used.
 
 Parses each module of src/dmshape with ast and fails on a name that an
 import statement binds but the module never references.  The re-exports
 of dmshape/__init__.py and ``from __future__`` directives are exempt.
+Likewise every module-level function or class must be referenced somewhere
+in the package outside its own definition, or re-exported by __init__.py,
+unless DEAD_ALLOWED gives the reason it stays.
 """
 
 import ast
@@ -41,3 +44,54 @@ def test_gate_finds_a_dead_import():
     source = "import math\nimport os\nfrom .x import a, b\nprint(os, a)\n"
     assert unused_imports(source, False) == ["line 1: math", "line 3: b"]
     assert unused_imports(source, True) == ["line 1: math"]
+
+
+DEAD_ALLOWED = {
+    "kernels.energy_totals": "brute-force oracle of shells_upto in the tests",
+    "kernels.backend_name": "perfbench prints it in every result",
+    "kernels.ess_unrank": "perfbench's kernel bench times it",
+    "kernels.ess_rank": "perfbench's kernel bench times it",
+    "config.w_to_dbm": "the tests state launch powers in dBm with it",
+}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """module.name of each top-level def or class that nothing references.
+
+    sources maps module name to source; "__init__" re-exports by import.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            refs = referenced_names(stmt)
+            if module == "__init__" and isinstance(stmt, ast.ImportFrom):
+                refs |= {alias.asname or alias.name for alias in stmt.names}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append(f"{module}.{stmt.name}")
+                refs.discard(stmt.name)  # recursion is not a use
+            used |= refs
+    return [name for name in defined if name.partition(".")[2] not in used]
+
+
+def test_no_dead_helpers():
+    dead = dead_helpers({path.stem: path.read_text() for path in MODULES})
+    # an allowed name that came back into use is no longer an exception
+    assert sorted(dead) == sorted(DEAD_ALLOWED)
+
+
+def test_gate_finds_a_dead_helper():
+    sources = {
+        "__init__": "from .a import shown\n",
+        "a": "def shown(): pass\n"
+             "def loop(): return loop()\n"
+             "def _inner(): pass\n"
+             "class Used: pass\n",
+        "b": "from .a import Used\nx = Used()\ny = a._inner\n",
+    }
+    assert dead_helpers(sources) == ["a.loop"]
