@@ -34,3 +34,4 @@ from .nli import (  # noqa: F401
     snr_eff,
 )
 from .config import RunConfig, parse_config  # noqa: F401
+from .schemefile import read_scheme, scheme_to_text, write_scheme  # noqa: F401

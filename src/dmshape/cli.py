@@ -78,10 +78,13 @@ def cmd_build(args) -> int:
 
 
 def _write_report(prefix: str, report: SnrReport) -> None:
-    _write_csv(prefix + "_scatter.csv",
-               ["composition", "kurtosis", "snr_db", "weight"],
-               ((e.composition_id, _fmt(e.kurtosis), _fmt(e.snr_db),
-                 _fmt(e.weight)) for e in report.entries))
+    # formatted by whole columns, as _write_rows would write them: the ids
+    # ("c0:c1:...") and float reprs hold nothing the csv module quotes
+    ids = map(":".join, zip(*(map(str, col) for col in report.counts.T.tolist())))
+    with open(prefix + "_scatter.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("composition,kurtosis,snr_db,weight\n")
+        fh.writelines(map("{},{!r},{!r},{!r}\n".format, ids, report.kurtosis,
+                          report.snr_db, report.weights))
     _write_csv(prefix + "_histogram.csv", ["bin_center_db", "weight"],
                ((_fmt(c), _fmt(w)) for c, w in report.histogram))
     _write_csv(prefix + "_cdf.csv", ["snr_db", "cumulative_weight"],

@@ -12,11 +12,12 @@ bit first.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from operator import attrgetter
+from operator import mul
+
+import numpy as np
 
 from . import kernels
 from .combinatorics import (
@@ -25,7 +26,7 @@ from .combinatorics import (
     Counts,
 )
 from .errors import DecodeError
-from .schemes import CompositionSet
+from .schemes import CompositionSet, composition_keys, key_radix
 
 START_STRIDE = 64  # leaves per stored block start; encode walks at most 63
 
@@ -97,45 +98,48 @@ class SchemeCodec:
 
     def __init__(self, built: CompositionSet):
         self.set = built
-        leaves = built.leaves
-        # the first word of every START_STRIDE-th leaf, and leaf indices
-        # sorted by composition in a machine-int array: a start per leaf or
-        # a counts -> index dict would hold ~16 MB for the n=216 ESS scheme
-        self._starts = list(islice(
-            accumulate(map(attrgetter("n_words"), leaves), initial=0),
-            0, len(leaves), START_STRIDE))
-        counts = [leaf.counts for leaf in leaves]
-        self._by_counts = array("l", sorted(range(len(leaves)),
-                                            key=counts.__getitem__))
+        table = built.leaves
+        # the n_words column (for ESS the table's own used-count list), the
+        # first word of every START_STRIDE-th leaf, and the leaves' packed
+        # composition keys in sorted order with the leaf index of each: a
+        # start per leaf would hold ~10 MB for the n=216 ESS scheme
+        self._n_words = n_words = table.n_words
+        self._starts = list(islice(accumulate(n_words, initial=0),
+                                   0, len(n_words), START_STRIDE))
+        self._counts = table.counts
+        self._radix = key_radix(built.n, built.alphabet.m)
+        keys = composition_keys(table.counts, built.n)
+        self._by_key = np.argsort(keys, kind="stable")
+        self._keys = keys[self._by_key]
 
     def encode(self, word: int) -> tuple[float, ...]:
         k = self.set.k
         if not 0 <= word < (1 << k):
             raise DecodeError(f"word outside [0, 2^{k})")
-        leaves = self.set.leaves
+        n_words = self._n_words
         block = bisect_right(self._starts, word) - 1
         i, start = block * START_STRIDE, self._starts[block]
         # leaves that own no words are stepped over
-        while word >= start + leaves[i].n_words:
-            start += leaves[i].n_words
+        while word >= start + n_words[i]:
+            start += n_words[i]
             i += 1
-        return cc_unrank(word - start, leaves[i].counts, self.set.alphabet)
+        return cc_unrank(word - start, tuple(self._counts[i].tolist()),
+                         self.set.alphabet)
 
     def decode(self, seq) -> int:
         idx = _level_indices(seq, self.set.alphabet)
         if len(idx) != self.set.n:
             raise DecodeError("sequence length does not match the scheme")
         counts = _composition(idx, self.set.alphabet.m)
-        leaves = self.set.leaves
-        by_counts = self._by_counts
-        j = bisect_left(by_counts, counts, key=lambda i: leaves[i].counts)
-        if j == len(by_counts) or leaves[by_counts[j]].counts != counts:
+        key = sum(map(mul, counts, self._radix))  # its composition key
+        j = int(self._keys.searchsorted(key))
+        if j == len(self._keys) or self._keys[j] != key:
             raise DecodeError("sequence composition is not in the scheme")
-        i = by_counts[j]
+        i = int(self._by_key[j])
         rank = kernels.cc_rank(idx, counts)
-        if rank >= leaves[i].n_words:
+        n_words = self._n_words
+        if rank >= n_words[i]:
             raise DecodeError("sequence rank beyond the leaf's used words")
         block = i // START_STRIDE
-        first = block * START_STRIDE
         return (self._starts[block] + rank
-                + sum(leaf.n_words for leaf in leaves[first:i]))
+                + sum(n_words[block * START_STRIDE:i]))

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
+import numpy as np
+
 from . import kernels
 from .combinatorics import (
     DEFAULT_ALPHABET,
@@ -37,7 +39,7 @@ from .combinatorics import (
     rate_loss as _rate_loss,
 )
 from .errors import RateInfeasibleError
-from .schemes import AddressedComposition, CompositionSet, average_pmf
+from .schemes import CompositionSet, LeafTable, average_pmf
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,19 @@ def build_ess(n: int, k: int,
     # used in full, that one in part, the ones after it not at all
     cross = bisect_left(index.cumulative, need)
     before = index.cumulative[cross - 1] if cross else 0
-    leaves = [AddressedComposition(counts=counts, weight=mc / need,
-                                   used_count=mc)
-              for counts, _e, mc in index.shells[:cross]]
-    used = need - before
-    leaves.append(AddressedComposition(counts=index.shells[cross][0],
-                                       weight=used / need, used_count=used))
-    leaves += [AddressedComposition(counts=counts, weight=0.0, used_count=0)
-               for counts, _e, _mc in index.shells[cross + 1:]]
+    shells = index.shells
+    used = [mc for _c, _e, mc in shells[:cross]]
+    used.append(need - before)
+    used += [0] * (len(shells) - cross - 1)
+    leaves = LeafTable(
+        counts=np.array([counts for counts, _e, _mc in shells], dtype=np.int64),
+        weights=np.array([u / need for u in used], dtype=np.float64),
+        used_counts=used)
     e_max = index.e_max
-    del index  # the shell table is done with; validate runs without it
+    del index, shells  # the shell table is done with; validate runs without it
     avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
-                           leaves=tuple(leaves), avg_pmf=avg_pmf,
+                           leaves=leaves, avg_pmf=avg_pmf,
                            rate_loss=_rate_loss(avg_pmf, k, n),
                            e_max=e_max)
     built.validate()

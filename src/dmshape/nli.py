@@ -18,8 +18,9 @@ block is then
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
 
 import numpy as np
 
@@ -172,16 +173,19 @@ class SnrEntry:
     weight: float
     snr_db: float
 
-    @property
-    def composition_id(self) -> str:
-        return composition_id(self.counts)
-
 
 @dataclass(frozen=True)
 class SnrReport:
-    """Per-composition SNR records with weighted aggregates."""
+    """Per-composition SNR records with weighted aggregates.
 
-    entries: tuple[SnrEntry, ...]
+    The records are columns over the carried leaves in scheme order: counts
+    is an (E, m) int64 matrix, kurtosis, weights and snr_db lists of floats.
+    """
+
+    counts: np.ndarray
+    kurtosis: list[float]
+    weights: list[float]
+    snr_db: list[float]
     min_db: float
     max_db: float
     avg_db: float
@@ -189,12 +193,37 @@ class SnrReport:
     cdf: tuple[tuple[float, float], ...]        # (snr dB, cumulative weight)
 
     @property
+    def entries(self) -> SnrEntries:
+        """One SnrEntry per carried leaf, built on access."""
+        return SnrEntries(self)
+
+    @property
     def p2p_db(self) -> float:
         return self.max_db - self.min_db
 
 
-def composition_id(counts) -> str:
-    return ":".join(map(str, counts))
+class SnrEntries(Sequence):
+    """Read-only sequence view of a report's records as SnrEntry values."""
+
+    __slots__ = ("report",)
+
+    def __init__(self, report: SnrReport):
+        self.report = report
+
+    def __len__(self) -> int:
+        return len(self.report.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        r = self.report
+        return SnrEntry(tuple(r.counts[i].tolist()), r.kurtosis[i],
+                        r.weights[i], r.snr_db[i])
+
+    def __iter__(self):
+        r = self.report
+        return map(SnrEntry, map(tuple, r.counts.tolist()), r.kurtosis,
+                   r.weights, r.snr_db)
 
 
 ANALYZE_CHUNK = 4096  # leaves per numpy batch; bounds the arrays' memory
@@ -212,24 +241,23 @@ def _reference_chunk(counts, alphabet, model):
     return [q for q, _ in pairs], [s for _, s in pairs]
 
 
-def _chunk_snr(counts: Sequence, alphabet: AmplitudeAlphabet,
+def _chunk_snr(counts: np.ndarray, alphabet: AmplitudeAlphabet,
                model: NliModel) -> tuple[list[float], list[float]]:
-    """_leaf_snr over many compositions, bit-identical and leaf-parallel.
+    """_leaf_snr over the rows of a count matrix, bit-identical and
+    leaf-parallel.
 
     numpy replays block_moments's operations in the same order (IEEE
     multiply, divide and add round identically elementwise).  Three steps
     stay scalar Python because numpy rounds them differently: mu2**2
     (numpy squares as mu2*mu2), (2*mu2)**3 and math.log10.  A chunk that
-    would raise anywhere, or whose counts are too large to be exact in
-    float64, reruns through _leaf_snr, which raises at the same leaf with
-    the same error.
+    would raise anywhere, whose rows are not m counts wide, or whose counts
+    are too large to be exact in float64, reruns through _leaf_snr, which
+    raises at the same leaf with the same error.
     """
     m = alphabet.m
-    if any(len(c) != m for c in counts):
-        return _reference_chunk(counts, alphabet, model)
-    c = np.array(counts, dtype=np.float64)
-    if np.abs(c).max() * m >= 2.0**53:
-        return _reference_chunk(counts, alphabet, model)
+    c = counts.astype(np.float64)
+    if counts.shape[1] != m or np.abs(c).max() * m >= 2.0**53:
+        return _reference_chunk(counts.tolist(), alphabet, model)
     rows = c.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pmf = c / rows[:, None]
@@ -251,7 +279,7 @@ def _chunk_snr(counts: Sequence, alphabet: AmplitudeAlphabet,
         ratio = p_launch / denom
     if ((rows <= 0) | (np.abs(total - 1.0) > 1e-12) | (mu2 <= 0)
             | (denom <= 0)).any():
-        return _reference_chunk(counts, alphabet, model)
+        return _reference_chunk(counts.tolist(), alphabet, model)
     return kurt.tolist(), [10 * math.log10(r) for r in ratio.tolist()]
 
 
@@ -262,22 +290,24 @@ def analyze(built: CompositionSet, model: NliModel,
     Zero-weight leaves (unused boundary shells) are excluded; aggregates are
     weighted by leaf usage, min/max are unweighted extremes over the carried
     leaves.  Histogram bins have the given width; the CDF is cumulative
-    weight over ascending SNR.  Per-leaf moments and SNRs are computed in
-    numpy chunks that equal the per-leaf reference exactly; mu2**2,
-    (2*mu2)**3 and log10 stay scalar Python (see _chunk_snr).
+    weight over ascending SNR.  Per-leaf moments and SNRs are computed from
+    the count matrix in numpy chunks that equal the per-leaf reference
+    exactly; mu2**2, (2*mu2)**3 and log10 stay scalar Python (see
+    _chunk_snr).
     """
-    carried = [leaf for leaf in built.leaves if leaf.weight > 0]
-    entries = []
-    for start in range(0, len(carried), ANALYZE_CHUNK):
-        chunk = carried[start:start + ANALYZE_CHUNK]
-        kurts, snrs = _chunk_snr([leaf.counts for leaf in chunk],
-                                 built.alphabet, model)
-        entries += [SnrEntry(leaf.counts, q, leaf.weight, s)
-                    for leaf, q, s in zip(chunk, kurts, snrs)]
-    snrs = [e.snr_db for e in entries]
-    weights = [e.weight for e in entries]
+    table = built.leaves
+    carried = table.weights > 0
+    counts = table.counts[carried]
+    weights = table.weights[carried].tolist()
+    kurts: list[float] = []
+    snrs: list[float] = []
+    for start in range(0, len(weights), ANALYZE_CHUNK):
+        q, s = _chunk_snr(counts[start:start + ANALYZE_CHUNK],
+                          built.alphabet, model)
+        kurts += q
+        snrs += s
     mn, mx = min(snrs), max(snrs)
-    avg = sum(s * w for s, w in zip(snrs, weights))
+    avg = sum(map(mul, snrs, weights))
     bins: dict[int, float] = {}
     for s, w in zip(snrs, weights):
         b = math.floor(s / bin_width_db)
@@ -291,5 +321,6 @@ def analyze(built: CompositionSet, model: NliModel,
     for s in sorted(by_snr):
         cum += by_snr[s]
         cdf.append((s, cum))
-    return SnrReport(entries=tuple(entries), min_db=mn, max_db=mx, avg_db=avg,
+    return SnrReport(counts=counts, kurtosis=kurts, weights=weights,
+                     snr_db=snrs, min_db=mn, max_db=mx, avg_db=avg,
                      histogram=histogram, cdf=tuple(cdf))

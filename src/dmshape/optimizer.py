@@ -37,7 +37,7 @@ def build_opt_mpdm(n: int, k: int,
     base = build_mpdm(n, k + 1, alphabet)
     need = 1 << k
     ranked = sorted(
-        (leaf.counts for leaf in base.leaves),
+        map(tuple, base.leaves.counts.tolist()),
         key=lambda counts: (-kurtosis_of(counts, alphabet), colex_key(counts)))
     # Addressability of a freed leaf is its own multinomial capacity (the
     # pairwise coupling is gone), clipped at the full input width.

@@ -10,13 +10,19 @@ across runs and platforms.  No timestamps.
 
 from __future__ import annotations
 
+import functools
+from itertools import chain, islice, repeat
+
+import numpy as np
+
 from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
 from .optimizer import BUILDERS
-from .schemes import AddressedComposition, CompositionSet, is_tree_scheme
+from .schemes import CompositionSet, LeafTable, int_array, is_tree_scheme
 
 TOOL_VERSION = f"dmshape {__version__}"
+LEAF_CHUNK = 4096  # leaf lines per batch read or written; bounds the strings
 
 
 def _format_number(x: float) -> str:
@@ -27,8 +33,22 @@ def _format_level(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def scheme_to_text(built: CompositionSet) -> str:
-    lines = [
+def _leaf_lines(leaves: LeafTable, tree: bool):
+    """The leaf lines of a table, formatted column by column."""
+    counts = map(",".join, zip(*(map(str, col) for col in leaves.counts.T.tolist())))
+    if tree:
+        mid = map(str, leaves.payload_bits.tolist())
+        depth = map(str, leaves.depth.tolist())
+    else:
+        mid = map(str, leaves.used_counts)
+        depth = repeat("")
+    # repr is _format_number for the Python floats tolist returns
+    weights = map(repr, leaves.weights.tolist())
+    return map("|".join, zip(counts, mid, depth, weights))
+
+
+def _scheme_lines(built: CompositionSet):
+    header = [
         f"scheme={built.scheme}",
         f"n={built.n}",
         f"k={built.k}",
@@ -38,17 +58,20 @@ def scheme_to_text(built: CompositionSet) -> str:
         "avg_pmf=" + ",".join(_format_number(p) for p in built.avg_pmf),
     ]
     if built.e_max is not None:
-        lines.append(f"e_max={_format_number(built.e_max)}")
-    lines.append(f"leaves={len(built.leaves)}")
-    tree = built.is_tree_addressed
-    for leaf in built.leaves:
-        counts = ",".join(str(c) for c in leaf.counts)
-        if tree:
-            mid = f"{leaf.payload_bits}|{leaf.depth}"
-        else:
-            mid = f"{leaf.used_count}|"
-        lines.append(f"{counts}|{mid}|{_format_number(leaf.weight)}")
-    return "\n".join(lines) + "\n"
+        header.append(f"e_max={_format_number(built.e_max)}")
+    header.append(f"leaves={len(built.leaves)}")
+    return chain(header, _leaf_lines(built.leaves, built.is_tree_addressed))
+
+
+def scheme_to_text(built: CompositionSet) -> str:
+    return "\n".join(_scheme_lines(built)) + "\n"
+
+
+def _counts(m: int, text: str) -> tuple[int, ...]:
+    counts = tuple(int(x) for x in text.split(","))
+    if len(counts) != m:
+        raise ValueError(f"{len(counts)} levels, alphabet has {m}")
+    return counts
 
 
 def _leaf_count(text: str) -> int:
@@ -65,8 +88,11 @@ def _known_scheme(name: str) -> str:
 
 
 def write_scheme(built: CompositionSet, path: str) -> None:
+    """Write scheme_to_text(built), LEAF_CHUNK lines at a time."""
+    lines = _scheme_lines(built)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(scheme_to_text(built))
+        while chunk := list(islice(lines, LEAF_CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def read_scheme(path: str) -> CompositionSet:
@@ -119,36 +145,60 @@ def read_scheme(path: str) -> CompositionSet:
     rate_loss = field("rate_loss", float)
     avg_pmf = field("avg_pmf", lambda v: tuple(float(x) for x in v.split(",")))
     e_max = field("e_max", float) if "e_max" in header else None
-    leaf_lines = [(j, ln) for j, ln in enumerate(lines[i:], i + 1) if ln.strip()]
-    if len(leaf_lines) != n_leaves:
+    rows = list(filter(str.strip, lines[i:]))
+    if len(rows) != n_leaves:
         raise SchemeFileError(
-            f"{path}: expected {n_leaves} leaf lines, found {len(leaf_lines)}")
-    leaves = []
+            f"{path}: expected {n_leaves} leaf lines, found {len(rows)}")
     tree = is_tree_scheme(scheme)
-    for j, ln in leaf_lines:
-        parts = ln.split("|")
-        if len(parts) != 4:
-            raise SchemeFileError(f"{path}:{j}: malformed leaf line {ln!r}")
-        counts = parse(j, "counts", parts[0],
-                       lambda v: tuple(int(x) for x in v.split(",")))
-        if len(counts) != alphabet.m:
-            raise SchemeFileError(f"{path}:{j}: counts: {len(counts)} levels, "
-                                  f"alphabet has {alphabet.m}")
-        weight = parse(j, "weight", parts[3], float)
-        if tree:
-            leaves.append(AddressedComposition(
-                counts=counts, weight=weight,
-                payload_bits=parse(j, "payload_bits", parts[1], int),
-                depth=parse(j, "depth", parts[2], int)))
-        else:
-            leaves.append(AddressedComposition(
-                counts=counts, weight=weight,
-                used_count=parse(j, "used_count", parts[1], int)))
+    try:
+        leaves = _leaf_columns(rows, alphabet.m, tree)
+    except ValueError:
+        # some field is bad: name the first one as a line-by-line parse,
+        # field by field, finds it
+        mid = ("payload_bits", "depth") if tree else ("used_count",)
+        for j, ln in enumerate(lines[i:], i + 1):
+            parts = ln.split("|")
+            if not ln.strip():
+                continue
+            if len(parts) != 4:
+                raise SchemeFileError(f"{path}:{j}: malformed leaf line {ln!r}")
+            parse(j, "counts", parts[0], functools.partial(_counts, alphabet.m))
+            parse(j, "weight", parts[3], float)
+            for name, text in zip(mid, parts[1:3]):
+                parse(j, name, text, int)
+        raise
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
-                           leaves=tuple(leaves), avg_pmf=avg_pmf,
+                           leaves=leaves, avg_pmf=avg_pmf,
                            rate_loss=rate_loss, e_max=e_max)
     try:
         built.validate()
     except Exception as exc:
         raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
     return built
+
+
+def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:
+    """Parse leaf lines field by field into table columns.
+
+    The conversions are those read_scheme applies line by line to name a
+    bad field, so this raises ValueError exactly when some line fails there.
+    """
+    counts, mid, depth, weights = [], [], [], []
+    for start in range(0, len(rows), LEAF_CHUNK):
+        parts = [row.split("|") for row in rows[start:start + LEAF_CHUNK]]
+        if any(len(p) != 4 for p in parts):
+            raise ValueError("malformed leaf line")
+        c, u, d, w = zip(*parts)
+        if any(x.count(",") != m - 1 for x in c):
+            raise ValueError("counts of the wrong length")
+        counts += map(int, ",".join(c).split(","))
+        weights += map(float, w)
+        mid += map(int, u)
+        if tree:
+            depth += map(int, d)
+    counts = int_array(counts).reshape(len(rows), m)
+    weights = np.array(weights, dtype=np.float64)
+    if tree:
+        return LeafTable(counts, weights, payload_bits=int_array(mid),
+                         depth=int_array(depth))
+    return LeafTable(counts, weights, used_counts=mid)

@@ -1,21 +1,41 @@
-"""Shared scheme containers: addressed leaves, composition sets, exact covers.
+"""Shared scheme containers: the leaf table, composition sets, exact covers.
 
 A tree-addressed scheme (CCDM, MPDM, optimised MPDM) stores one leaf per
 composition with a dyadic payload: the leaf owns 2^payload_bits addresses of
 a k-bit input space and sits at prefix depth k - payload_bits.  Sphere-shaped
 (ESS) sets have no tree; their leaves carry exact used-sequence counts
 instead, and payload/depth are absent.
+
+A scheme holds its leaves as columns of a LeafTable, not as one object per
+leaf (the n=216 ESS scheme has 108,990 leaves):
+
+- counts, an (L, m) int64 matrix with one composition per row;
+- weights, a float64 array;
+- tree schemes: payload_bits and depth as int64 arrays.  A file states the
+  depth, so it is kept and validate checks depth == k - payload_bits;
+- ESS: used_counts, one list of exact Python ints (they reach 2^k).
+
+``CompositionSet.leaves`` is that table.  It is a read-only sequence: item i
+is an AddressedComposition built on access, a slice is a tuple of them, and
+two tables compare equal when their columns do.  Builders, the file reader,
+validate, analyze and the codec read and write the columns directly.  A
+count that does not fit int64 is out of range for any composition; the table
+then holds an object array, which validate refuses at that leaf.
+
+Capacities stay exact bigint factorial checks (2^p * prod(c_i!) <= n!, and
+likewise for used counts): a multinomial at n=216 has ~400 bits, far beyond
+a float's 53, and every interior ESS shell is used exactly to its capacity.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import eq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +49,11 @@ from .combinatorics import (
 )
 from .errors import ConstructionBugError, RateInfeasibleError
 
+# Largest block length a scheme may state.  validate forms n!, which has
+# about n*log2(n) bits (0.95M at the bound, formed in ~0.06 s); a file
+# naming n=10^6 would otherwise take seconds per read.
+MAX_BLOCK_LENGTH = 1 << 16
+
 
 def is_tree_scheme(scheme: str) -> bool:
     """The tag decides the kind: every scheme but ess is a prefix tree."""
@@ -37,7 +62,7 @@ def is_tree_scheme(scheme: str) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class AddressedComposition:
-    """One leaf of a shaping scheme."""
+    """One leaf of a shaping scheme: an item of a LeafTable."""
 
     counts: Counts
     weight: float
@@ -53,18 +78,160 @@ class AddressedComposition:
         return self.used_count
 
 
+def int_array(values) -> np.ndarray:
+    """values as int64, or as Python ints in an object array when one of
+    them does not fit int64 (such a value fails every range check)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def key_radix(n: int, m: int) -> list[int]:
+    """Digit weights of composition_keys: (n+1)^(m-1), ..., n+1, 1."""
+    return [(n + 1) ** i for i in range(m - 1, -1, -1)]
+
+
+def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
+    """One integer per row: the counts as the digits of a radix-(n+1) number.
+
+    Distinct compositions of n get distinct keys, ordered as the rows are
+    lexicographically.  The keys are int64 when (n+1)^m fits, else Python
+    ints in an object array.  Every count must lie in [0, n].
+    """
+    m = counts.shape[1]
+    exact = np.int64 if (n + 1) ** m <= 1 << 63 else object
+    return (counts.astype(exact, copy=False)
+            @ np.array(key_radix(n, m), dtype=exact))
+
+
+def _absent(column, size: int) -> np.ndarray:
+    """Per leaf, whether an optional column holds no value for it."""
+    if column is None:
+        return np.ones(size, dtype=bool)
+    if isinstance(column, list):
+        return np.array([x is None for x in column], dtype=bool)
+    return np.zeros(size, dtype=bool)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True, or len(mask) when there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+class LeafTable(Sequence):
+    """The leaves of a scheme as columns; see the module docstring.
+
+    payload_bits and depth (tree) and used_counts (ESS) are None when the
+    kind has no such field.  A table built from leaf objects that mix the
+    kinds keeps a list with None entries instead, which validate refuses.
+    """
+
+    __slots__ = ("counts", "weights", "payload_bits", "depth", "used_counts")
+
+    def __init__(self, counts: np.ndarray, weights: np.ndarray,
+                 payload_bits=None, depth=None, used_counts=None):
+        for column in (counts, weights, payload_bits, depth):
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        self.counts = counts
+        self.weights = weights
+        self.payload_bits = payload_bits
+        self.depth = depth
+        self.used_counts = used_counts
+
+    @classmethod
+    def from_leaves(cls, leaves: Iterable[AddressedComposition]) -> "LeafTable":
+        """Columns of leaf objects.  Raises ValueError on counts of unequal
+        length: a table row has one count per level."""
+        leaves = tuple(leaves)
+
+        def column(values, convert):
+            if all(v is None for v in values):
+                return None
+            if any(v is None for v in values):
+                return list(values)
+            return convert(values)
+
+        try:
+            counts = int_array([leaf.counts for leaf in leaves])
+        except ValueError:
+            raise ValueError("leaf counts of unequal length: a table row "
+                             "holds one count per level") from None
+        return cls(counts.reshape(len(leaves), -1) if leaves
+                   else np.zeros((0, 0), dtype=np.int64),
+                   np.array([leaf.weight for leaf in leaves], dtype=np.float64),
+                   column([leaf.payload_bits for leaf in leaves], int_array),
+                   column([leaf.depth for leaf in leaves], int_array),
+                   column([leaf.used_count for leaf in leaves], list))
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+
+        def item(column):
+            return None if column is None else column[i]
+
+        payload, depth = item(self.payload_bits), item(self.depth)
+        return AddressedComposition(
+            counts=tuple(self.counts[i].tolist()),
+            weight=float(self.weights[i]),
+            payload_bits=None if payload is None else int(payload),
+            depth=None if depth is None else int(depth),
+            used_count=item(self.used_counts))
+
+    def __iter__(self):
+        def values(column):
+            if column is None:
+                return repeat(None)
+            return column.tolist() if isinstance(column, np.ndarray) else column
+
+        return map(AddressedComposition, map(tuple, self.counts.tolist()),
+                   self.weights.tolist(), values(self.payload_bits),
+                   values(self.depth), values(self.used_counts))
+
+    def __eq__(self, other) -> bool:
+        """Leaf by leaf, as tuples of leaves compare."""
+        if not isinstance(other, LeafTable):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"LeafTable({len(self)} leaves)"
+
+    @property
+    def n_words(self) -> list[int]:
+        """Input words each leaf owns: 2^payload_bits, or the ESS used count."""
+        if self.used_counts is not None:
+            return self.used_counts
+        return [1 << p for p in self.payload_bits.tolist()]
+
+
 @dataclass(frozen=True)
 class CompositionSet:
-    """A complete shaping scheme at block length n and input width k."""
+    """A complete shaping scheme at block length n and input width k.
+
+    leaves is a LeafTable; any other iterable of AddressedComposition is
+    turned into one.
+    """
 
     scheme: str
     n: int
     k: int
     alphabet: AmplitudeAlphabet
-    leaves: tuple[AddressedComposition, ...]
+    leaves: LeafTable
     avg_pmf: Pmf
     rate_loss: float
     e_max: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.leaves, LeafTable):
+            object.__setattr__(self, "leaves",
+                               LeafTable.from_leaves(self.leaves))
 
     @property
     def n_compositions(self) -> int:
@@ -76,72 +243,118 @@ class CompositionSet:
 
     def kurtosis_range(self) -> tuple[float, float]:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
-        ks = [kurtosis_of(leaf.counts, self.alphabet)
-              for leaf in self.leaves if leaf.weight > 0]
+        table = self.leaves
+        ks = [kurtosis_of(c, self.alphabet)
+              for c in table.counts[table.weights > 0].tolist()]
         return min(ks), max(ks)
 
     def validate(self) -> None:
         """Raise ConstructionBugError on any violated scheme invariant.
 
-        Capacities are checked exactly with factorials: 2^p <= MC(C) as
-        2^p * prod(c_i!) <= n!, and likewise for used counts.
-        Tree leaves carry payload and depth and no used count, ESS leaves
-        the reverse.  The header fields must be what the leaves imply:
-        avg_pmf and rate_loss recomputed as the builders compute them, and
-        e_max the minimal ESS radius (tree schemes carry none), with every
-        ESS leaf inside it.
+        n may not exceed MAX_BLOCK_LENGTH.  Tree leaves carry payload and
+        depth and no used count, ESS leaves the reverse.  Capacities are
+        checked exactly with factorials: 2^p <= MC(C) as
+        2^p * prod(c_i!) <= n!, and likewise for used counts.  The header
+        fields must be what the leaves imply: avg_pmf and rate_loss
+        recomputed as the builders compute them, and e_max the minimal ESS
+        radius (tree schemes carry none), with every ESS leaf inside it.
+
+        The checks run column by column, and the error names the first leaf
+        at fault in stored order, as a leaf-by-leaf pass would: per leaf,
+        duplicate before composition before kind, then (once every leaf has
+        passed those) payload/depth, capacity and weight.
         """
         n, k, m = self.n, self.k, self.alphabet.m
+        if n > MAX_BLOCK_LENGTH:
+            raise ConstructionBugError(
+                f"n={n} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")
         tree = self.is_tree_addressed
-        fields = (not tree, not tree, tree)  # payload, depth, used_count is None
-        seen = set()
-        for leaf in self.leaves:
-            counts = leaf.counts
-            if counts in seen:
-                raise ConstructionBugError(f"duplicate leaf {counts}")
-            seen.add(counts)
-            if len(counts) != m or sum(counts) != n or min(counts) < 0:
+        table = self.leaves
+        size = len(table)
+        counts = table.counts
+        if size and counts.shape[1] == m:
+            not_comp = ((counts.sum(axis=1) != n) | (counts.min(axis=1) < 0)
+                        | (counts.max(axis=1) > n))
+        else:
+            not_comp = np.full(size, size > 0)
+        ok = ~not_comp
+        good = composition_keys(counts[ok].astype(np.int64), n)
+        # a row that is no composition takes a unique negative key: it is
+        # at fault before any later copy of it could be
+        keys = np.arange(-1, -size - 1, -1).astype(good.dtype)
+        keys[ok] = good
+        dup = np.ones(size, dtype=bool)
+        dup[np.unique(keys, return_index=True)[1]] = False  # first copies
+        misfit = ((_absent(table.payload_bits, size) != (not tree))
+                  | (_absent(table.depth, size) != (not tree))
+                  | (_absent(table.used_counts, size) != tree))
+        i = _first(dup | not_comp | misfit)
+        if i < size:
+            leaf = table[i].counts
+            if dup[i]:
+                raise ConstructionBugError(f"duplicate leaf {leaf}")
+            if not_comp[i]:
                 raise ConstructionBugError(
-                    f"leaf {counts} is not a composition of {n} into {m} levels")
-            if (leaf.payload_bits is None, leaf.depth is None,
-                    leaf.used_count is None) != fields:
-                raise ConstructionBugError(
-                    f"leaf {counts} does not fit scheme {self.scheme!r}")
+                    f"leaf {leaf} is not a composition of {n} into {m} levels")
+            raise ConstructionBugError(
+                f"leaf {leaf} does not fit scheme {self.scheme!r}")
         # 2^k <= m^n sequences exist; checked before 1 << k is formed
         if not 0 <= k <= n * math.log2(m):
             raise ConstructionBugError(f"k={k} outside [0, n*log2(m)]")
         need = 1 << k
-        # a scheme's leaves share few distinct counts
-        factorial = functools.cache(math.factorial)
-        n_fact = factorial(n) if self.leaves else 1
-        total = 0
-        for leaf in self.leaves:
-            denom = math.prod(map(factorial, leaf.counts))
-            if tree:
-                p, d = leaf.payload_bits, leaf.depth
-                if p < 0 or p > k or d != k - p:
-                    raise ConstructionBugError("inconsistent payload/depth")
-                if denom << p > n_fact:
-                    raise ConstructionBugError("payload exceeds composition capacity")
-                if leaf.weight != 2.0 ** (p - k):
+        weights = table.weights
+        if tree:
+            p = table.payload_bits
+            bad_pd = (p < 0) | (p > k) | (table.depth != k - p)
+            p = np.where(bad_pd, 0, p).astype(np.int64)
+            bad_w = weights != np.ldexp(1.0, p - k)
+            words = p.tolist()
+        else:
+            used = table.used_counts
+            bad_pd = np.zeros(size, dtype=bool)
+            bad_w = weights != np.array([u / need for u in used],
+                                        dtype=np.float64)
+            words = used
+        # capacities, exactly, before the first other fault and at it when
+        # that is a weight (a leaf's capacity is checked before its weight)
+        last = _first(bad_pd | bad_w)
+        checked = counts[:last + (last < size and not bad_pd[last])]
+        if len(checked):
+            n_fact = math.factorial(n)
+            # a scheme's leaves share few distinct counts
+            fact = {c: math.factorial(c) for c in np.unique(checked).tolist()}
+            prod = math.prod
+            for row, x in zip(checked.tolist(), words):
+                denom = prod(map(fact.__getitem__, row))
+                if tree:
+                    if denom << x > n_fact:
+                        raise ConstructionBugError(
+                            "payload exceeds composition capacity")
+                elif x < 0 or x * denom > n_fact:
                     raise ConstructionBugError(
-                        f"leaf {leaf.counts} weight {leaf.weight!r} is not "
-                        f"2^({p}-{k})")
-            else:
-                used = leaf.used_count
-                if used < 0 or used * denom > n_fact:
-                    raise ConstructionBugError(
-                        f"leaf {leaf.counts} used count {used} exceeds its "
+                        f"leaf {tuple(row)} used count {x} exceeds its "
                         "shell size")
-                if leaf.weight != used / need:
-                    raise ConstructionBugError(
-                        f"leaf {leaf.counts} weight {leaf.weight!r} is not "
-                        f"{used}/2^{k}")
-            total += leaf.n_words
+        if last < size:
+            leaf = table[last]
+            if bad_pd[last]:
+                raise ConstructionBugError("inconsistent payload/depth")
+            if tree:
+                raise ConstructionBugError(
+                    f"leaf {leaf.counts} weight {leaf.weight!r} is not "
+                    f"2^({leaf.payload_bits}-{k})")
+            raise ConstructionBugError(
+                f"leaf {leaf.counts} weight {leaf.weight!r} is not "
+                f"{leaf.used_count}/2^{k}")
+        if tree:
+            # leaves sharing a payload own alike: one shift per payload
+            total = sum(int(c) << int(x) for x, c in
+                        zip(*np.unique(p, return_counts=True)))
+        else:
+            total = sum(used)
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
-        wsum = sum(leaf.weight for leaf in self.leaves)
+        wsum = sum(weights.tolist())
         if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
         if tree:
@@ -157,11 +370,15 @@ class CompositionSet:
                     f"e_max {self.e_max!r} is not the minimal radius {radius!r}")
             units, _ = self.alphabet.integer_energies()
             cap = _integer_radius(n, k, self.alphabet)
-            for leaf in self.leaves:
-                if sum(map(mul, leaf.counts, units)) > cap:
-                    raise ConstructionBugError(
-                        f"leaf {leaf.counts} lies outside the radius {radius!r}")
-        avg = average_pmf(self.leaves, n, m)
+            # n * max(units) bounds every block energy
+            exact = np.int64 if n * max(units) < 1 << 63 else object
+            energies = (counts.astype(exact, copy=False)
+                        @ np.array(units, dtype=exact))
+            i = _first(energies > cap)
+            if i < size:
+                raise ConstructionBugError(
+                    f"leaf {table[i].counts} lies outside the radius {radius!r}")
+        avg = average_pmf(table, n, m)
         if avg != self.avg_pmf:
             raise ConstructionBugError(
                 f"avg_pmf {self.avg_pmf!r} is not the leaves' {avg!r}")
@@ -171,25 +388,20 @@ class CompositionSet:
                 f"rate_loss {self.rate_loss!r} is not the leaves' {loss!r}")
 
 
-AVG_CHUNK = 4096  # leaves per numpy batch in average_pmf
-
-
-def average_pmf(leaves: Sequence[AddressedComposition], n: int, m: int) -> Pmf:
+def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     """Weighted average PMF: sum over leaves of weight * c_i / n, per level.
 
-    Terms are added leaf by leaf in order, exactly as a Python loop would:
-    np.cumsum accumulates sequentially (np.sum would add pairwise), so the
-    result is bit for bit the loop's.  Zero-weight leaves add 0.0, which
-    changes nothing.
+    Terms are added leaf by leaf in order, exactly as a Python loop from 0.0
+    would: np.cumsum accumulates sequentially (np.sum would add pairwise),
+    so the result is bit for bit the loop's; the final + 0.0 turns the -0.0
+    that only an all-(-0.0) column could leave into the loop's 0.0.
+    Zero-weight leaves add 0.0, which changes nothing.
     """
-    avg = np.zeros((1, m))
-    for start in range(0, len(leaves), AVG_CHUNK):
-        chunk = leaves[start:start + AVG_CHUNK]
-        w = np.fromiter((leaf.weight for leaf in chunk), np.float64, len(chunk))
-        c = np.fromiter(chain.from_iterable(leaf.counts for leaf in chunk),
-                        np.float64, len(chunk) * m).reshape(-1, m)
-        avg = np.cumsum(np.vstack((avg, w[:, None] * c / n)), axis=0)[-1:]
-    return tuple(avg[0].tolist())
+    if not len(table):
+        return (0.0,) * m
+    terms = table.weights[:, None] * table.counts / n
+    np.cumsum(terms, axis=0, out=terms)
+    return tuple((terms[-1] + 0.0).tolist())
 
 
 class CoverItem(NamedTuple):
@@ -272,10 +484,12 @@ def smallest_feasible_cap(items: Sequence[CoverItem], k: int) -> int:
 def tree_scheme(scheme: str, n: int, k: int, alphabet: AmplitudeAlphabet,
                 cover: Sequence[tuple[Counts, int]]) -> CompositionSet:
     """Package an exact cover as a validated tree-addressed CompositionSet."""
-    leaves = tuple(
-        AddressedComposition(counts=c, weight=2.0 ** (p - k),
-                             payload_bits=p, depth=k - p)
-        for c, p in cover)
+    payload = np.array([p for _, p in cover], dtype=np.int64)
+    leaves = LeafTable(
+        counts=np.array([c for c, _ in cover],
+                        dtype=np.int64).reshape(len(cover), alphabet.m),
+        weights=np.ldexp(1.0, payload - k),  # 2^(p-k), exactly
+        payload_bits=payload, depth=k - payload)
     avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves, avg_pmf=avg_pmf,

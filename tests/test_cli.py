@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -170,9 +171,9 @@ class TestConfigErrors:
 class TestHostileInput:
     """Malformed files exit 3 with one ``path:line: field`` line, no traceback."""
 
-    def toy_scheme(self, tmp_path, capsys, edit, scheme="ccdm"):
+    def toy_scheme(self, tmp_path, capsys, edit, scheme="ccdm", args=TOY):
         good = tmp_path / "good.scheme"
-        assert main(["build", "--scheme", scheme, *TOY,
+        assert main(["build", "--scheme", scheme, *args,
                      "--out", str(good)]) == 0
         capsys.readouterr()
         lines = good.read_text().splitlines()
@@ -258,6 +259,28 @@ class TestHostileInput:
         # 2^k sequences cannot exceed m^n; checked before 2^k is formed
         pytest.param("ess", [("k=4", "k=99")], "k=99 outside [0, n*log2(m)]",
                      id="k-above-capacity"),
+        # two leaves at fault: the one stored first is named, as a
+        # leaf-by-leaf pass names it
+        pytest.param("mpdm", [("5,1|2|2|0.25", "4,2|2|2|0.25")],
+                     "duplicate leaf (4, 2)", id="duplicate-leaf"),
+        pytest.param("mpdm", [("4,2|3|1|0.5", "4,2|3|1|0.25"),
+                              ("3,3|2|2|0.25", "3,3|2|3|0.25")],
+                     "leaf (4, 2) weight 0.25 is not 2^(3-4)",
+                     id="weight-before-later-depth"),
+        pytest.param("mpdm", [("4,2|3|1|0.5", "4,2|3|2|0.5"),
+                              ("3,3|2|2|0.25", "3,3|2|2|0.5")],
+                     "inconsistent payload/depth", id="depth-before-later-weight"),
+        pytest.param("ess", [("6,0|1||0.0625", "6,0|2||0.0625"),
+                             ("4,2|9||0.5625", "4,2|9||0.5")],
+                     "leaf (6, 0) used count 2 exceeds its shell size",
+                     id="capacity-before-later-weight"),
+        pytest.param("ess", [("5,1|6||0.375", "6,0|6||0.375"),
+                             ("4,2|9||0.5625", "7,-1|9||0.5625")],
+                     "duplicate leaf (6, 0)", id="duplicate-before-later-sign"),
+        pytest.param("ess", [("5,1|6||0.375", "7,-1|6||0.375"),
+                             ("4,2|9||0.5625", "6,0|9||0.5625")],
+                     "leaf (7, -1) is not a composition of 6 into 2 levels",
+                     id="sign-before-later-duplicate"),
     ])
     def test_inconsistent_header_or_weights(self, tmp_path, capsys, scheme,
                                             edits, reason):
@@ -289,3 +312,46 @@ class TestHostileInput:
         assert main(["codec", "encode", bad, "0x5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"dmshape: {bad}: inconsistent scheme: e_max ")
+
+    BIG = 10**30
+
+    @pytest.mark.parametrize("scheme,args,old,new,reason", [
+        ("ccdm", TOY, "3,3|4|0|1.0", f"{BIG},3|4|0|1.0",
+         f"leaf ({BIG}, 3) is not a composition of 6 into 2 levels"),
+        ("ccdm", TOY, "3,3|4|0|1.0", f"-{BIG},{BIG + 6}|4|0|1.0",
+         f"leaf (-{BIG}, {BIG + 6}) is not a composition of 6 into 2 levels"),
+        # two int64 maxima and an 8 sum to 6 modulo 2^64
+        ("ccdm", ["--n", "6", "--k", "3", "--alphabet", "1,3,5"],
+         "4,2,0|3|0|1.0", f"{2**63 - 1},{2**63 - 1},8|3|0|1.0",
+         f"leaf ({2**63 - 1}, {2**63 - 1}, 8) is not a composition of 6 "
+         "into 3 levels"),
+        ("ccdm", TOY, "3,3|4|0|1.0", f"3,3|{BIG}|0|1.0",
+         "inconsistent payload/depth"),
+        ("ccdm", TOY, "3,3|4|0|1.0", f"3,3|4|-{BIG}|1.0",
+         "inconsistent payload/depth"),
+        ("ess", TOY, "4,2|9||0.5625", f"4,2|{BIG}||0.5625",
+         f"leaf (4, 2) used count {BIG} exceeds its shell size"),
+    ], ids=["count", "negative-count", "int64-wrap", "payload", "depth",
+            "used_count"])
+    def test_integers_beyond_int64(self, tmp_path, capsys, scheme, args, old,
+                                   new, reason):
+        bad = self.toy_scheme(tmp_path, capsys, self.replace_line(old, new),
+                              scheme=scheme, args=args)
+        rc = main(["codec", "encode", bad, "0x1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"dmshape: {bad}: inconsistent scheme: {reason}\n"
+
+    def test_block_length_above_bound_is_refused_fast(self, tmp_path, capsys):
+        # one leaf at n=10^6: forming 10^6! alone takes ~10 s
+        bad = self.toy_scheme(
+            tmp_path, capsys,
+            lambda ls: [ln.replace("n=6", "n=1000000") for ln in ls[:8]]
+            + ["500000,500000|4|0|1.0"])
+        t0 = time.perf_counter()
+        rc = main(["codec", "encode", bad, "0x1"])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
+                       "exceeds MAX_BLOCK_LENGTH=65536\n")

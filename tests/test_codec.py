@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -166,6 +167,50 @@ def test_codec_agrees_with_analyze(built_name, model216, request):
     se = statistics.stdev(snrs) / math.sqrt(len(snrs))
     z = (statistics.fmean(snrs) - report.avg_db) / se
     assert abs(z) <= 4, f"mean SNR {z:+.1f} standard errors from analyze"
+
+
+# sha256 of the sequences of 500 words from random.Random(7) per scheme,
+# one line of comma-separated amplitude reprs per word
+CODEC_MAP_SHA256 = {
+    "ccdm216": "c8d2673a82c26e24c26e9f013699657c03d6f57b27e21e3f61e4bc94cc347d0f",
+    "mpdm216": "3e1f00c7836c35e32ce2030ea898f74db440b7700ecca95a3f101382dc0304a9",
+    "ess216": "5a2d24d222a7c7fb3828ba57aca984cae5d123b1c3c6acac161e28931e7f7ee4",
+    "opt216": "3baaa4236a54671de0c76a39e4d75c243081814f0c2c6186388f73e58127dc09",
+}
+
+
+@pytest.mark.parametrize("built_name", sorted(CODEC_MAP_SHA256))
+def test_codec_maps_pinned(built_name, request):
+    built = request.getfixturevalue(built_name)
+    codec = d.SchemeCodec(built)
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        word = rng.getrandbits(built.k)
+        seq = codec.encode(word)
+        assert codec.decode(seq) == word
+        digest.update((",".join(map(repr, seq)) + "\n").encode())
+    assert digest.hexdigest() == CODEC_MAP_SHA256[built_name]
+
+
+def test_decode_refuses_zero_weight_shell(ess216):
+    codec = d.SchemeCodec(ess216)
+    unused = [leaf for leaf in ess216.leaves if leaf.used_count == 0]
+    assert unused
+    for leaf in (unused[0], unused[-1]):
+        seq = d.cc_unrank(0, leaf.counts, ess216.alphabet)
+        with pytest.raises(DecodeError,
+                           match="rank beyond the leaf's used words"):
+            codec.decode(seq)
+    # the crossing shell is used in part: its last used rank decodes, the
+    # next is refused
+    part = next(leaf for leaf in ess216.leaves
+                if 0 < leaf.used_count < d.multinomial_coefficient(leaf.counts))
+    last = d.cc_unrank(part.used_count - 1, part.counts, ess216.alphabet)
+    codec.decode(last)
+    with pytest.raises(DecodeError, match="rank beyond the leaf's used words"):
+        codec.decode(d.cc_unrank(part.used_count, part.counts,
+                                 ess216.alphabet))
 
 
 # -- codec properties over small schemes ----------------------------------------

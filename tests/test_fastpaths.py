@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import dmshape as d
 from dmshape import ccdm, ess, kernels, mpdm, nli
 from dmshape.ccdm import mb_composition_chain
-from dmshape.cli import main
+from dmshape.cli import _write_report, main
 from dmshape.combinatorics import enumerate_compositions, input_bits
 from dmshape.errors import (
     ConstructionBugError,
@@ -31,7 +31,12 @@ from dmshape.errors import (
 )
 from dmshape.ess import _integer_radius, shell_index
 from dmshape.schemefile import scheme_to_text
-from dmshape.schemes import CoverItem, average_pmf, smallest_feasible_cap
+from dmshape.schemes import (
+    CoverItem,
+    LeafTable,
+    average_pmf,
+    smallest_feasible_cap,
+)
 
 ALPHABETS = [
     d.AmplitudeAlphabet((1, 3)),
@@ -352,9 +357,9 @@ def test_average_pmf_equals_leaf_loop(alphabet, n, data):
 
 def ess_set(n, k, alphabet, used_by_counts):
     """An ESS set with the given used counts and consistent header fields."""
-    leaves = tuple(d.AddressedComposition(counts=c, weight=u / (1 << k),
-                                          used_count=u)
-                   for c, u in used_by_counts)
+    leaves = LeafTable.from_leaves(
+        d.AddressedComposition(counts=c, weight=u / (1 << k), used_count=u)
+        for c, u in used_by_counts)
     avg = average_pmf(leaves, n, alphabet.m)
     return d.CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                             leaves=leaves, avg_pmf=avg,
@@ -402,6 +407,42 @@ def test_reference_outputs_pinned(ess216, capsys):
         "282b98e69c8cac296382861ead452345"
     assert hashlib.sha256(scheme_to_text(ess216).encode()).hexdigest() == \
         "9b1e947b66885a39ec8c898723f78bf1286edcaee29ebed3ca5db94c635e5a8d"
+
+
+# md5 of the four analyze CSVs per reference scheme under model216:
+# scatter, histogram, cdf, aggregates
+ANALYZE_CSV_MD5 = {
+    "ccdm": ("12d95ae082a03627848f66f292bf777b",
+             "4287bdb27affb145c8ace9b572a1f703",
+             "da42e124c8c6355af8f1be5bd57dcddf",
+             "489fcfd1d7991c7b5604d21b57065e0d"),
+    "mpdm": ("10fddff59542a2911fe3551f7751564b",
+             "b74e6361db689fc47ebd994d3eedfbcd",
+             "9cf932ec65bbd5e4683825ea8d14923f",
+             "0c4f3e828220c0a1fe410ed5c5767cef"),
+    "ess": ("f03cf391e4f0a78ed7c60eec402a62ec",
+            "502c87a742f1a33eb98217fadfd0b5be",
+            "7364535412a5c76cae6df47330cf45f4",
+            "74147ede459962515606d68b329b5aaf"),
+    "opt-mpdm": ("fea649979ea24228154d7a8c665c7e19",
+                 "22f0196b4d439eaa1331860977361445",
+                 "6757c9e53437b437ca091d11edb56edc",
+                 "1dbee6da314fcc385aa182335b47edf2"),
+}
+REPORT_PARTS = ("scatter", "histogram", "cdf", "aggregates")
+
+
+@pytest.mark.parametrize("scheme,fixture", [
+    ("ccdm", "ccdm216"), ("mpdm", "mpdm216"), ("ess", "ess216"),
+    ("opt-mpdm", "opt216")])
+def test_analyze_csvs_pinned(scheme, fixture, model216, tmp_path, request):
+    built = request.getfixturevalue(fixture)
+    prefix = str(tmp_path / scheme)
+    _write_report(prefix, d.analyze(built, model216))
+    got = tuple(hashlib.md5((tmp_path / f"{scheme}_{part}.csv").read_bytes())
+                .hexdigest() for part in REPORT_PARTS)
+    assert dict(zip(REPORT_PARTS, got)) == \
+        dict(zip(REPORT_PARTS, ANALYZE_CSV_MD5[scheme]))
 
 
 # -- ESS radius ----------------------------------------------------------------
@@ -465,14 +506,14 @@ def reference_entries(built, model):
         if leaf.weight <= 0:
             continue
         mom = d.block_moments(d.pmf_of(leaf.counts), built.alphabet)
-        out.append((nli.composition_id(leaf.counts), mom.kurtosis_2d,
+        out.append((leaf.counts, mom.kurtosis_2d,
                     leaf.weight,
                     d.snr_eff(mom.kurtosis_2d, mom.psi_2d, model)))
     return out
 
 
 def observed_entries(report):
-    return [(e.composition_id, e.kurtosis, e.weight, e.snr_db)
+    return [(e.counts, e.kurtosis, e.weight, e.snr_db)
             for e in report.entries]
 
 
@@ -530,7 +571,14 @@ def test_analyze_domain_error_matches_per_leaf():
     assert "kurtosis 1.0" in str(chunked.value)
 
 
-def test_analyze_wrong_length_leaf_raises_like_per_leaf():
-    built = adhoc_set(d.AmplitudeAlphabet((1, 3)), [(2, 2), (1, 1, 2)])
+def test_leaf_table_refuses_unequal_length_leaves():
+    # a table row holds one count per level, so a set whose leaves differ
+    # in length cannot be formed, and analyze never sees one
+    with pytest.raises(ValueError, match="leaf counts of unequal length"):
+        adhoc_set(d.AmplitudeAlphabet((1, 3)), [(2, 2), (1, 1, 2)])
+
+
+def test_analyze_wrong_width_table_raises_like_per_leaf():
+    built = adhoc_set(d.AmplitudeAlphabet((1, 3)), [(2, 1, 1), (1, 1, 2)])
     with pytest.raises(ValueError, match="PMF length does not match alphabet"):
         d.analyze(built, MODEL)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmshape as d
+from dmshape import schemefile
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
@@ -44,6 +45,16 @@ class TestRoundtrip:
         built = d.build_ess(6, 5, A2)
         text = scheme_to_text(built)
         assert str(built.leaves[1].used_count) in text
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_written_file_is_the_text(self, tmp_path, monkeypatch, chunk):
+        # write_scheme streams LEAF_CHUNK lines at a time
+        monkeypatch.setattr(schemefile, "LEAF_CHUNK", chunk)
+        for built in (d.build_ess(6, 5, A2), d.build_mpdm(8, 5, A2)):
+            path = tmp_path / "s.scheme"
+            write_scheme(built, str(path))
+            assert path.read_text() == scheme_to_text(built)
+            assert read_scheme(str(path)) == built
 
     def test_byte_determinism(self, tmp_path):
         a = scheme_to_text(d.build_mpdm(8, 5, A2))
@@ -157,3 +168,77 @@ def test_line_edits_read_back_or_raise_scheme_file_error(fuzz_path, text):
     back.validate()
     fuzz_path.write_text(scheme_to_text(back))
     assert read_scheme(str(fuzz_path)) == back
+
+
+# -- one bad field names its line ----------------------------------------------
+
+LEAF_FIELDS = {True: ("counts", "payload_bits", "depth", "weight"),
+               False: ("counts", "used_count", None, "weight")}
+CONVERTERS = {"counts": lambda v: tuple(int(x) for x in v.split(",")),
+              "payload_bits": int, "depth": int, "used_count": int,
+              "weight": float}
+
+
+def converts(field, text):
+    try:
+        value = CONVERTERS[field](text)
+    except ValueError:
+        return False
+    return field != "counts" or len(value) == A2.m
+
+
+@st.composite
+def one_bad_field(draw):
+    name = draw(st.sampled_from(sorted(TOY_TEXTS)))
+    lines = TOY_TEXTS[name].splitlines()
+    first = lines.index(next(ln for ln in lines if ln.startswith("leaves="))) + 1
+    i = draw(st.integers(first, len(lines) - 1))
+    fields = LEAF_FIELDS[is_tree_scheme(name)]
+    slot = draw(st.sampled_from([j for j, f in enumerate(fields) if f]))
+    field = fields[slot]
+    bad = draw(st.text("0123456789,.-+_ xe", max_size=8)
+               .filter(lambda v: not converts(field, v)))
+    parts = lines[i].split("|")
+    parts[slot] = bad
+    lines[i] = "|".join(parts)
+    return "\n".join(lines) + "\n", i + 1, field
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=one_bad_field())
+def test_bad_leaf_field_names_line_and_field(fuzz_path, case):
+    text, lineno, field = case
+    fuzz_path.write_text(text)
+    with pytest.raises(SchemeFileError) as err:
+        read_scheme(str(fuzz_path))
+    assert str(err.value).startswith(f"{fuzz_path}:{lineno}: {field}: ")
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("ccdm", "3,3|4|0|1.0", "3,x|4|0|1.0",
+     "9: counts: invalid literal for int() with base 10: 'x'"),
+    ("ccdm", "3,3|4|0|1.0", "3,3,0|4|0|1.0",
+     "9: counts: 3 levels, alphabet has 2"),
+    # one count too many and one too few: the leaf section still holds
+    # 2 counts per line on average
+    ("mpdm", "4,2|3|1|0.5\n5,1|2|2|0.25", "4,2,1|3|1|0.5\n5|2|2|0.25",
+     "9: counts: 3 levels, alphabet has 2"),
+    ("mpdm", "5,1|2|2|0.25", "5,1|2|2|quarter",
+     "10: weight: could not convert string to float: 'quarter'"),
+    ("mpdm", "5,1|2|2|0.25", "5,1|2|2.0|0.25",
+     "10: depth: invalid literal for int() with base 10: '2.0'"),
+    ("ess", "5,1|6||0.375", "5,1|6e0||0.375",
+     "11: used_count: invalid literal for int() with base 10: '6e0'"),
+    ("ess", "5,1|6||0.375", "5,1|6|0.375",
+     "11: malformed leaf line '5,1|6|0.375'"),
+])
+def test_leaf_field_messages(tmp_path, name, old, new, message):
+    # the messages the line-by-line parser gave, kept by the column parser
+    # (it falls back to that parse to name the first bad line)
+    text = TOY_TEXTS[name]
+    assert old in text
+    path = tmp_path / "bad.scheme"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(SchemeFileError) as err:
+        read_scheme(str(path))
+    assert str(err.value) == f"{path}:{message}"
