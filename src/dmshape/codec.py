@@ -70,7 +70,7 @@ class EssTrellis:
 
     counts[i][w] is the exact number of length-(n-i) suffixes whose energy
     offset (in grid units above the all-minimum-level floor) is at most w.
-    Its total counts the energy ball independently of the shell table.
+    Its total counts the energy ball independently of the ESS build.
     """
 
     width: int
@@ -99,7 +99,7 @@ class SchemeCodec:
     def __init__(self, built: CompositionSet):
         self.set = built
         table = built.leaves
-        # the n_words column (for ESS the table's own used-count list), the
+        # the n_words column (for ESS the table's own used-count tuple), the
         # first word of every START_STRIDE-th leaf, and the leaves' packed
         # composition keys in sorted order with the leaf index of each: a
         # start per leaf would hold ~10 MB for the n=216 ESS scheme

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
@@ -35,25 +34,10 @@ from . import kernels
 from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
-    Counts,
     rate_loss as _rate_loss,
 )
 from .errors import RateInfeasibleError
 from .schemes import CompositionSet, LeafTable, average_pmf
-
-
-@dataclass(frozen=True)
-class EnergyShellIndex:
-    """Energy-sorted shell table inside the selected radius.
-
-    shells are (counts, energy, multinomial count) sorted by energy then
-    colex; cumulative[i] is the exact number of sequences in shells[:i+1].
-    """
-
-    e_max: float
-    shells: tuple[tuple[Counts, float, int], ...]
-    cumulative: tuple[int, ...]
-
 
 RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
 
@@ -89,24 +73,6 @@ def select_emax(n: int, k: int,
     return float(_integer_radius(n, k, alphabet) * scale)
 
 
-def shell_index(n: int, k: int,
-                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> EnergyShellIndex:
-    """Enumerate every shell inside the minimal radius, energy-sorted."""
-    units, scale = alphabet.integer_energies()
-    e_int = _integer_radius(n, k, alphabet)
-    raw = kernels.shells_upto(n, units, e_int)
-    # shells_upto returns colex order, so a stable sort on energy alone
-    # gives the (energy, colex) order
-    raw.sort(key=itemgetter(1))
-    # scale is 1/den and int/int division rounds correctly, so e / den is
-    # float(e * scale) without a Fraction per shell
-    den = scale.denominator
-    return EnergyShellIndex(
-        e_max=float(e_int * scale),
-        shells=tuple((counts, e / den, mc) for counts, e, mc in raw),
-        cumulative=tuple(accumulate(mc for _, _, mc in raw)))
-
-
 def build_ess(n: int, k: int,
               alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Weight every in-sphere shell by its used-sequence count.
@@ -116,22 +82,28 @@ def build_ess(n: int, k: int,
     is exactly 2^k.  Shells after the crossing keep zero weight but remain
     part of the scheme (they are inside the sphere).
     """
-    index = shell_index(n, k, alphabet)
-    need = 1 << k
+    e_max = select_emax(n, k, alphabet)
+    units, _ = alphabet.integer_energies()
+    shells = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
+    # shells_upto returns colex order, so a stable sort on energy alone
+    # gives the (energy, colex) order
+    shells.sort(key=itemgetter(1))
+    counts = np.array([c for c, _e, _mc in shells], dtype=np.int64)
+    used = [mc for _c, _e, mc in shells]
+    del shells
     # shells before the first one whose cumulative count reaches 2^k are
     # used in full, that one in part, the ones after it not at all
-    cross = bisect_left(index.cumulative, need)
-    before = index.cumulative[cross - 1] if cross else 0
-    shells = index.shells
-    used = [mc for _c, _e, mc in shells[:cross]]
-    used.append(need - before)
-    used += [0] * (len(shells) - cross - 1)
+    need = 1 << k
+    cumulative = list(accumulate(used))
+    cross = bisect_left(cumulative, need)
+    before = cumulative[cross - 1] if cross else 0
+    del cumulative
+    used[cross:] = [need - before] + [0] * (len(used) - cross - 1)
     leaves = LeafTable(
-        counts=np.array([counts for counts, _e, _mc in shells], dtype=np.int64),
+        counts=counts,
         weights=np.array([u / need for u in used], dtype=np.float64),
         used_counts=used)
-    e_max = index.e_max
-    del index, shells  # the shell table is done with; validate runs without it
+    del used  # the table holds its own tuple
     avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves, avg_pmf=avg_pmf,

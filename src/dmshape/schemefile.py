@@ -1,11 +1,12 @@
 """Line-oriented scheme files.
 
-Header ``key=value`` lines, then ``leaves=<count>`` followed by one line per
-leaf.  Tree-addressed leaves are ``counts|payload_bits|depth|weight``; for
-sphere-shaped sets the second field holds the exact used-sequence count and
-the depth field is empty (``counts|used_count||weight``).  All integers are
-decimal and arbitrary precision; floats use repr so files are byte-stable
-across runs and platforms.  No timestamps.
+Header ``key=value`` lines, each key one of HEADER_FIELDS and given once,
+then ``leaves=<count>`` followed by one line per leaf.  Tree-addressed
+leaves are ``counts|payload_bits|depth|weight``; for sphere-shaped sets the
+second field holds the exact used-sequence count and the depth field is
+empty (``counts|used_count||weight``).  All integers are decimal and
+arbitrary precision; floats use repr so files are byte-stable across runs
+and platforms.  No timestamps.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .optimizer import BUILDERS
 from .schemes import CompositionSet, LeafTable, int_array, is_tree_scheme
 
 TOOL_VERSION = f"dmshape {__version__}"
+HEADER_FIELDS = frozenset(("scheme", "n", "k", "alphabet", "tool_version",
+                           "rate_loss", "avg_pmf", "e_max"))
 LEAF_CHUNK = 4096  # leaf lines per batch read or written; bounds the strings
 
 
@@ -81,6 +84,12 @@ def _leaf_count(text: str) -> int:
     return count
 
 
+def _no_depth(text: str) -> str:
+    if text:
+        raise ValueError(f"an ess leaf has no depth, found {text!r}")
+    return text
+
+
 def _known_scheme(name: str) -> str:
     if name not in BUILDERS:
         raise ValueError(f"unknown scheme {name!r}")
@@ -127,6 +136,10 @@ def read_scheme(path: str) -> CompositionSet:
         if key == "leaves":
             n_leaves = parse(i, key, value, _leaf_count)
             break
+        if key not in HEADER_FIELDS:
+            raise SchemeFileError(f"{path}:{i}: {key}: unknown header field")
+        if key in header:
+            raise SchemeFileError(f"{path}:{i}: {key}: repeated header field")
         header[key] = (i, value)
     if n_leaves is None:
         raise SchemeFileError(f"{path}: missing leaves section")
@@ -155,7 +168,8 @@ def read_scheme(path: str) -> CompositionSet:
     except ValueError:
         # some field is bad: name the first one as a line-by-line parse,
         # field by field, finds it
-        mid = ("payload_bits", "depth") if tree else ("used_count",)
+        mid = ((("payload_bits", int), ("depth", int)) if tree
+               else (("used_count", int), ("depth", _no_depth)))
         for j, ln in enumerate(lines[i:], i + 1):
             parts = ln.split("|")
             if not ln.strip():
@@ -164,9 +178,10 @@ def read_scheme(path: str) -> CompositionSet:
                 raise SchemeFileError(f"{path}:{j}: malformed leaf line {ln!r}")
             parse(j, "counts", parts[0], functools.partial(_counts, alphabet.m))
             parse(j, "weight", parts[3], float)
-            for name, text in zip(mid, parts[1:3]):
-                parse(j, name, text, int)
+            for (name, convert), text in zip(mid, parts[1:3]):
+                parse(j, name, text, convert)
         raise
+    del lines, rows  # the file text is done with; validate runs without it
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves, avg_pmf=avg_pmf,
                            rate_loss=rate_loss, e_max=e_max)
@@ -196,6 +211,8 @@ def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:
         mid += map(int, u)
         if tree:
             depth += map(int, d)
+        elif any(d):
+            raise ValueError("depth field of an ess leaf")
     counts = int_array(counts).reshape(len(rows), m)
     weights = np.array(weights, dtype=np.float64)
     if tree:

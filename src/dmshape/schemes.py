@@ -13,14 +13,15 @@ leaf (the n=216 ESS scheme has 108,990 leaves):
 - weights, a float64 array;
 - tree schemes: payload_bits and depth as int64 arrays.  A file states the
   depth, so it is kept and validate checks depth == k - payload_bits;
-- ESS: used_counts, one list of exact Python ints (they reach 2^k).
+- ESS: used_counts, one tuple of exact Python ints (they reach 2^k).
 
-``CompositionSet.leaves`` is that table.  It is a read-only sequence: item i
-is an AddressedComposition built on access, a slice is a tuple of them, and
-two tables compare equal when their columns do.  Builders, the file reader,
-validate, analyze and the codec read and write the columns directly.  A
-count that does not fit int64 is out of range for any composition; the table
-then holds an object array, which validate refuses at that leaf.
+A column the kind has no use for is None.  ``CompositionSet.leaves`` is that
+table, built from columns by the builders and the file reader.  It is a
+read-only sequence: item i is an AddressedComposition built on access, and
+two tables compare equal when their columns do.  Validate, analyze and the
+codec read the columns directly.  A count that does not fit int64 is out of
+range for any composition; the table then holds an object array, which
+validate refuses at that leaf.
 
 Capacities stay exact bigint factorial checks (2^p * prod(c_i!) <= n!, and
 likewise for used counts): a multinomial at n=216 has ~400 bits, far beyond
@@ -70,13 +71,6 @@ class AddressedComposition:
     depth: int | None = None
     used_count: int | None = None
 
-    @property
-    def n_words(self) -> int:
-        """Input words the leaf owns: 2^payload_bits, or the ESS used count."""
-        if self.used_count is None:
-            return 1 << self.payload_bits
-        return self.used_count
-
 
 def int_array(values) -> np.ndarray:
     """values as int64, or as Python ints in an object array when one of
@@ -105,15 +99,6 @@ def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
             @ np.array(key_radix(n, m), dtype=exact))
 
 
-def _absent(column, size: int) -> np.ndarray:
-    """Per leaf, whether an optional column holds no value for it."""
-    if column is None:
-        return np.ones(size, dtype=bool)
-    if isinstance(column, list):
-        return np.array([x is None for x in column], dtype=bool)
-    return np.zeros(size, dtype=bool)
-
-
 def _first(mask: np.ndarray) -> int:
     """Index of the first True, or len(mask) when there is none."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -123,8 +108,7 @@ class LeafTable(Sequence):
     """The leaves of a scheme as columns; see the module docstring.
 
     payload_bits and depth (tree) and used_counts (ESS) are None when the
-    kind has no such field.  A table built from leaf objects that mix the
-    kinds keeps a list with None entries instead, which validate refuses.
+    kind has no such field.
     """
 
     __slots__ = ("counts", "weights", "payload_bits", "depth", "used_counts")
@@ -138,51 +122,20 @@ class LeafTable(Sequence):
         self.weights = weights
         self.payload_bits = payload_bits
         self.depth = depth
-        self.used_counts = used_counts
-
-    @classmethod
-    def from_leaves(cls, leaves: Iterable[AddressedComposition]) -> "LeafTable":
-        """Columns of leaf objects.  Raises ValueError on counts of unequal
-        length: a table row has one count per level."""
-        leaves = tuple(leaves)
-
-        def column(values, convert):
-            if all(v is None for v in values):
-                return None
-            if any(v is None for v in values):
-                return list(values)
-            return convert(values)
-
-        try:
-            counts = int_array([leaf.counts for leaf in leaves])
-        except ValueError:
-            raise ValueError("leaf counts of unequal length: a table row "
-                             "holds one count per level") from None
-        return cls(counts.reshape(len(leaves), -1) if leaves
-                   else np.zeros((0, 0), dtype=np.int64),
-                   np.array([leaf.weight for leaf in leaves], dtype=np.float64),
-                   column([leaf.payload_bits for leaf in leaves], int_array),
-                   column([leaf.depth for leaf in leaves], int_array),
-                   column([leaf.used_count for leaf in leaves], list))
+        self.used_counts = None if used_counts is None else tuple(used_counts)
 
     def __len__(self) -> int:
         return len(self.weights)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+    def __getitem__(self, i: int) -> AddressedComposition:
         i = range(len(self))[i]
 
         def item(column):
-            return None if column is None else column[i]
+            return None if column is None else int(column[i])
 
-        payload, depth = item(self.payload_bits), item(self.depth)
         return AddressedComposition(
-            counts=tuple(self.counts[i].tolist()),
-            weight=float(self.weights[i]),
-            payload_bits=None if payload is None else int(payload),
-            depth=None if depth is None else int(depth),
-            used_count=item(self.used_counts))
+            tuple(self.counts[i].tolist()), float(self.weights[i]),
+            item(self.payload_bits), item(self.depth), item(self.used_counts))
 
     def __iter__(self):
         def values(column):
@@ -204,7 +157,7 @@ class LeafTable(Sequence):
         return f"LeafTable({len(self)} leaves)"
 
     @property
-    def n_words(self) -> list[int]:
+    def n_words(self) -> Sequence[int]:
         """Input words each leaf owns: 2^payload_bits, or the ESS used count."""
         if self.used_counts is not None:
             return self.used_counts
@@ -213,11 +166,7 @@ class LeafTable(Sequence):
 
 @dataclass(frozen=True)
 class CompositionSet:
-    """A complete shaping scheme at block length n and input width k.
-
-    leaves is a LeafTable; any other iterable of AddressedComposition is
-    turned into one.
-    """
+    """A complete shaping scheme at block length n and input width k."""
 
     scheme: str
     n: int
@@ -227,11 +176,6 @@ class CompositionSet:
     avg_pmf: Pmf
     rate_loss: float
     e_max: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.leaves, LeafTable):
-            object.__setattr__(self, "leaves",
-                               LeafTable.from_leaves(self.leaves))
 
     @property
     def n_compositions(self) -> int:
@@ -251,8 +195,8 @@ class CompositionSet:
     def validate(self) -> None:
         """Raise ConstructionBugError on any violated scheme invariant.
 
-        n may not exceed MAX_BLOCK_LENGTH.  Tree leaves carry payload and
-        depth and no used count, ESS leaves the reverse.  Capacities are
+        n may not exceed MAX_BLOCK_LENGTH.  A tree table carries payload and
+        depth and no used counts, an ESS table the reverse.  Capacities are
         checked exactly with factorials: 2^p <= MC(C) as
         2^p * prod(c_i!) <= n!, and likewise for used counts.  The header
         fields must be what the leaves imply: avg_pmf and rate_loss
@@ -261,8 +205,9 @@ class CompositionSet:
 
         The checks run column by column, and the error names the first leaf
         at fault in stored order, as a leaf-by-leaf pass would: per leaf,
-        duplicate before composition before kind, then (once every leaf has
-        passed those) payload/depth, capacity and weight.
+        duplicate before composition before kind (a table of the wrong kind
+        misfits at every leaf), then (once every leaf has passed those)
+        payload/depth, capacity and weight.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         if n > MAX_BLOCK_LENGTH:
@@ -285,9 +230,9 @@ class CompositionSet:
         keys[ok] = good
         dup = np.ones(size, dtype=bool)
         dup[np.unique(keys, return_index=True)[1]] = False  # first copies
-        misfit = ((_absent(table.payload_bits, size) != (not tree))
-                  | (_absent(table.depth, size) != (not tree))
-                  | (_absent(table.used_counts, size) != tree))
+        misfit = ((table.payload_bits is None) == tree
+                  or (table.depth is None) == tree
+                  or (table.used_counts is None) != tree)
         i = _first(dup | not_comp | misfit)
         if i < size:
             leaf = table[i].counts

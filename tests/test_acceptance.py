@@ -16,7 +16,7 @@ import pytest
 
 import dmshape as d
 from dmshape.codec import EssTrellis, SchemeCodec
-from dmshape.ess import shell_index
+from dmshape.kernels import mc_counts
 from dmshape.schemefile import scheme_to_text
 
 A4 = d.DEFAULT_ALPHABET
@@ -75,9 +75,10 @@ def test_criterion_3_ess_table1(ess216):
     t0 = time.time()
     assert abs(ess216.n_compositions - 108066) <= 0.01 * 108066
     assert ess216.rate_loss == pytest.approx(0.014, abs=0.003)
-    index = shell_index(216, 349, A4)
+    # the scheme holds every shell inside the radius, used or not
+    shell_sum = sum(map(mc_counts, ess216.leaves.counts.tolist()))
     trellis = EssTrellis.build(216, ess216.e_max, A4)
-    assert trellis.total == index.cumulative[-1]
+    assert trellis.total == shell_sum
     report(3, time.time() - t0, 900,
            f"{ess216.n_compositions} shells, rate loss "
            f"{ess216.rate_loss:.4f}, trellis total == shell sum exactly")

@@ -203,6 +203,21 @@ class TestHostileInput:
         self.assert_data_error(rc, capsys, f"{bad}:{lineno}", field)
         assert not (tmp_path / "r_scatter.csv").exists()
 
+    @pytest.mark.parametrize("lineno,key,reason,edit", [
+        (2, "foo", "unknown header field",
+         lambda ls: ls[:1] + ["foo=bar"] + ls[1:]),
+        # the last value would otherwise win silently
+        (4, "k", "repeated header field",
+         lambda ls: ls[:2] + ["k=99"] + ls[2:]),
+    ], ids=["unknown", "repeated"])
+    def test_bad_header_key(self, tmp_path, capsys, lineno, key, reason, edit):
+        bad = self.toy_scheme(tmp_path, capsys, edit, scheme="ess")
+        rc = main(["analyze", bad, "--config", eta_config(tmp_path),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"dmshape: {bad}:{lineno}: {key}: {reason}\n"
+
     def test_bad_config_integer(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# link\nn_spans=abc\n")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dmshape as d
 from dmshape.errors import DecodeError, RateInfeasibleError
-from dmshape.ess import shell_index
+from dmshape.kernels import mc_counts
 from dmshape.optimizer import BUILDERS
 
 A4 = d.DEFAULT_ALPHABET
@@ -62,9 +62,9 @@ class TestCcRankUnrank:
 class TestEssTrellis:
     def test_trellis_matches_shell_totals(self):
         for n, k in [(2, 1), (4, 3), (8, 6)]:
-            index = shell_index(n, k, A2)
-            t = d.EssTrellis.build(n, index.e_max, A2)
-            assert t.total == index.cumulative[-1]
+            built = d.build_ess(n, k, A2)
+            t = d.EssTrellis.build(n, built.e_max, A2)
+            assert t.total == sum(map(mc_counts, built.leaves.counts.tolist()))
 
 
 class TestSchemeCodec:
@@ -79,6 +79,13 @@ class TestSchemeCodec:
             assert codec.decode(seq) == w
             seen.add(seq)
         assert len(seen) == 4
+
+    def test_ess_used_counts_are_immutable(self):
+        built = d.build_ess(6, 4, A2)
+        codec = d.SchemeCodec(built)
+        with pytest.raises(TypeError):
+            built.leaves.used_counts[1] = 7
+        assert codec.encode(1) == (1, 1, 1, 1, 1, 3)
 
     def test_toy_mpdm_exhaustive(self):
         built = d.build_mpdm(6, 4, A2)

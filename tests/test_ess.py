@@ -5,7 +5,7 @@ import pytest
 
 import dmshape as d
 from dmshape.errors import RateInfeasibleError
-from dmshape.ess import shell_index
+from dmshape.kernels import mc_counts
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -47,21 +47,21 @@ class TestShells:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
     def test_match_brute_force(self, n):
         k = n  # full-rate-ish radius
-        index = shell_index(n, k, A2)
+        built = d.build_ess(n, k, A2)
         seqs = brute_force_sequences(n, A2)
         by_comp = Counter()
         for seq, e in seqs:
-            if e <= index.e_max:
+            if e <= built.e_max:
                 comp = (seq.count(1.0), seq.count(3.0))
                 by_comp[comp] += 1
-        assert {s[0]: s[2] for s in index.shells} == dict(by_comp)
-        # energy-sorted with colex tie-break, cumulative totals exact
-        energies = [s[1] for s in index.shells]
+        assert {l.counts: mc_counts(l.counts)
+                for l in built.leaves} == dict(by_comp)
+        # energy-sorted; at k = n every sequence is used, so every shell
+        # in full
+        energies = [d.energy(l.counts, A2) for l in built.leaves]
         assert energies == sorted(energies)
-        total = 0
-        for (comp, e, mc), cum in zip(index.shells, index.cumulative):
-            total += mc
-            assert cum == total
+        assert [l.used_count for l in built.leaves] == \
+            [mc_counts(l.counts) for l in built.leaves]
 
 
 class TestBuildEss:

@@ -29,7 +29,7 @@ from dmshape.errors import (
     ModelDomainError,
     RateInfeasibleError,
 )
-from dmshape.ess import _integer_radius, shell_index
+from dmshape.ess import _integer_radius
 from dmshape.schemefile import scheme_to_text
 from dmshape.schemes import (
     CoverItem,
@@ -288,7 +288,10 @@ def loop_ess(n, k, alphabet):
     rows = []
     avg = [0.0] * alphabet.m
     prev = 0
-    for counts, _e, mc in shell_index(n, k, alphabet).shells:
+    units, _ = alphabet.integer_energies()
+    shells = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
+    # colex order, stably sorted by energy
+    for counts, _e, mc in sorted(shells, key=lambda s: s[1]):
         used = min(mc, need - prev) if prev < need else 0
         prev += used
         w = used / need if used else 0.0
@@ -334,7 +337,8 @@ def test_shell_order_is_energy_then_colex(n, k):
         want = sorted((c for c in enumerate_compositions(n, alphabet)
                        if energy(c) <= radius),
                       key=lambda c: (energy(c), c[::-1]))
-        assert [c for c, _, _ in shell_index(n, k_a, alphabet).shells] == want
+        built = d.build_ess(n, k_a, alphabet)
+        assert [leaf.counts for leaf in built.leaves] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,9 +361,10 @@ def test_average_pmf_equals_leaf_loop(alphabet, n, data):
 
 def ess_set(n, k, alphabet, used_by_counts):
     """An ESS set with the given used counts and consistent header fields."""
-    leaves = LeafTable.from_leaves(
-        d.AddressedComposition(counts=c, weight=u / (1 << k), used_count=u)
-        for c, u in used_by_counts)
+    leaves = LeafTable(
+        counts=np.array([c for c, _ in used_by_counts], dtype=np.int64),
+        weights=np.array([u / (1 << k) for _, u in used_by_counts]),
+        used_counts=[u for _, u in used_by_counts])
     avg = average_pmf(leaves, n, alphabet.m)
     return d.CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                             leaves=leaves, avg_pmf=avg,
@@ -385,14 +390,18 @@ def test_factorial_check_is_the_multinomial(case):
     mc = kernels.mc_counts(c)
     k = mc.bit_length() - 1
     # a one-leaf tree scheme at payload k passes exactly when 2^k <= MC
+    def one_leaf(payload):
+        return LeafTable(np.array([c], dtype=np.int64), np.array([1.0]),
+                         payload_bits=np.array([payload]),
+                         depth=np.array([0]))
+
     ok = d.CompositionSet(scheme="ccdm", n=n, k=k, alphabet=alphabet,
-                          leaves=(d.AddressedComposition(c, 1.0, k, 0),),
-                          avg_pmf=d.pmf_of(c),
+                          leaves=one_leaf(k), avg_pmf=d.pmf_of(c),
                           rate_loss=d.rate_loss(d.pmf_of(c), k, n))
     ok.validate()
     over = d.CompositionSet(scheme="ccdm", n=n, k=k + 1, alphabet=alphabet,
-                            leaves=(d.AddressedComposition(c, 1.0, k + 1, 0),),
-                            avg_pmf=d.pmf_of(c), rate_loss=0.0)
+                            leaves=one_leaf(k + 1), avg_pmf=d.pmf_of(c),
+                            rate_loss=0.0)
     with pytest.raises(ConstructionBugError):
         over.validate()
 
@@ -485,15 +494,6 @@ def test_radius_refuses_oversized_grid(monkeypatch):
         _integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
 
 
-def test_shell_energies_match_fraction_arithmetic():
-    alphabet = d.AmplitudeAlphabet((0.5, 1.5, 3.25))
-    units, scale = alphabet.integer_energies()
-    index = d.ess.shell_index(9, 11, alphabet)
-    for counts, e, _ in index.shells:
-        exact = sum(c * u for c, u in zip(counts, units))
-        assert e == float(exact * scale)
-
-
 # -- analyze -------------------------------------------------------------------
 
 MODEL = d.NliModel(eta0=1.5e4, eta1=8e3, ase_variance_w=2e-5,
@@ -519,8 +519,8 @@ def observed_entries(report):
 
 def adhoc_set(alphabet, counts_list):
     n = sum(counts_list[0])
-    leaves = tuple(d.AddressedComposition(counts=c, weight=1 / len(counts_list))
-                   for c in counts_list)
+    leaves = LeafTable(np.array(counts_list, dtype=np.int64),
+                       np.full(len(counts_list), 1 / len(counts_list)))
     return d.CompositionSet(scheme="ess", n=n, k=0, alphabet=alphabet,
                             leaves=leaves, avg_pmf=(0.0,) * alphabet.m,
                             rate_loss=0.0)
@@ -569,13 +569,6 @@ def test_analyze_domain_error_matches_per_leaf():
         d.analyze(built, model)
     assert str(chunked.value) == str(per_leaf.value)
     assert "kurtosis 1.0" in str(chunked.value)
-
-
-def test_leaf_table_refuses_unequal_length_leaves():
-    # a table row holds one count per level, so a set whose leaves differ
-    # in length cannot be formed, and analyze never sees one
-    with pytest.raises(ValueError, match="leaf counts of unequal length"):
-        adhoc_set(d.AmplitudeAlphabet((1, 3)), [(2, 2), (1, 1, 2)])
 
 
 def test_analyze_wrong_width_table_raises_like_per_leaf():

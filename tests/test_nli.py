@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import dmshape as d
 from dmshape.config import w_to_dbm
 from dmshape.errors import CalibrationError, ModelDomainError
+from dmshape.schemes import LeafTable
 
 LINK = d.LinkConfig()
 WDM = d.WdmConfig()
@@ -177,10 +179,11 @@ class TestAnalyze:
     def test_order_independence(self):
         built = d.build_mpdm(8, 5, d.AmplitudeAlphabet((1, 3)))
         rep = d.analyze(built, self.toy_model())
-        shuffled = d.CompositionSet(
-            scheme=built.scheme, n=built.n, k=built.k, alphabet=built.alphabet,
-            leaves=tuple(reversed(built.leaves)), avg_pmf=built.avg_pmf,
-            rate_loss=built.rate_loss)
+        t = built.leaves
+        reversed_leaves = LeafTable(t.counts[::-1], t.weights[::-1],
+                                    payload_bits=t.payload_bits[::-1],
+                                    depth=t.depth[::-1])
+        shuffled = dataclasses.replace(built, leaves=reversed_leaves)
         rep2 = d.analyze(shuffled, self.toy_model())
         assert rep2.min_db == pytest.approx(rep.min_db, abs=1e-12)
         assert rep2.max_db == pytest.approx(rep.max_db, abs=1e-12)

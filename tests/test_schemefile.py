@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from dmshape import schemefile
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
-from dmshape.schemes import AddressedComposition, is_tree_scheme
+from dmshape.schemes import LeafTable, is_tree_scheme
 
 A2 = d.AmplitudeAlphabet((1, 3))
 # TestRoundtrip covers every tag: the tree tags here, ess on its own
@@ -73,16 +74,20 @@ class TestKindRule:
         with pytest.raises(ConstructionBugError, match="does not fit scheme"):
             retagged.validate()
 
-    def test_tree_leaf_among_ess_leaves_is_rejected(self):
+    def test_table_with_both_kinds_columns_is_rejected(self):
+        # the ESS toy table plus tree columns fits neither kind; the misfit
+        # is named at the first leaf
         built = d.build_ess(6, 4, A2)
-        first = built.leaves[0]
-        tree_leaf = AddressedComposition(counts=first.counts,
-                                         weight=first.weight,
-                                         payload_bits=0, depth=4)
-        mixed = dataclasses.replace(built,
-                                    leaves=(tree_leaf,) + built.leaves[1:])
-        with pytest.raises(ConstructionBugError, match="does not fit scheme"):
-            mixed.validate()
+        t = built.leaves
+        both = LeafTable(t.counts, t.weights,
+                         payload_bits=np.zeros(len(t), dtype=np.int64),
+                         depth=np.full(len(t), 4, dtype=np.int64),
+                         used_counts=t.used_counts)
+        for tag in ("mpdm", "ess"):
+            mixed = dataclasses.replace(built, scheme=tag, leaves=both)
+            with pytest.raises(ConstructionBugError,
+                               match=r"leaf \(6, 0\) does not fit scheme"):
+                mixed.validate()
 
 
 class TestErrors:
@@ -173,13 +178,15 @@ def test_line_edits_read_back_or_raise_scheme_file_error(fuzz_path, text):
 # -- one bad field names its line ----------------------------------------------
 
 LEAF_FIELDS = {True: ("counts", "payload_bits", "depth", "weight"),
-               False: ("counts", "used_count", None, "weight")}
+               False: ("counts", "used_count", "depth", "weight")}
 CONVERTERS = {"counts": lambda v: tuple(int(x) for x in v.split(",")),
               "payload_bits": int, "depth": int, "used_count": int,
               "weight": float}
 
 
-def converts(field, text):
+def converts(field, text, tree):
+    if field == "depth" and not tree:
+        return text == ""  # an ess leaf's depth field is empty
     try:
         value = CONVERTERS[field](text)
     except ValueError:
@@ -193,11 +200,12 @@ def one_bad_field(draw):
     lines = TOY_TEXTS[name].splitlines()
     first = lines.index(next(ln for ln in lines if ln.startswith("leaves="))) + 1
     i = draw(st.integers(first, len(lines) - 1))
-    fields = LEAF_FIELDS[is_tree_scheme(name)]
-    slot = draw(st.sampled_from([j for j, f in enumerate(fields) if f]))
+    tree = is_tree_scheme(name)
+    fields = LEAF_FIELDS[tree]
+    slot = draw(st.integers(0, len(fields) - 1))
     field = fields[slot]
     bad = draw(st.text("0123456789,.-+_ xe", max_size=8)
-               .filter(lambda v: not converts(field, v)))
+               .filter(lambda v: not converts(field, v, tree)))
     parts = lines[i].split("|")
     parts[slot] = bad
     lines[i] = "|".join(parts)
@@ -231,6 +239,10 @@ def test_bad_leaf_field_names_line_and_field(fuzz_path, case):
      "11: used_count: invalid literal for int() with base 10: '6e0'"),
     ("ess", "5,1|6||0.375", "5,1|6|0.375",
      "11: malformed leaf line '5,1|6|0.375'"),
+    ("ess", "5,1|6||0.375", "5,1|6|7|0.375",
+     "11: depth: an ess leaf has no depth, found '7'"),
+    ("ess", "5,1|6||0.375", "5,1|6|junk|0.375",
+     "11: depth: an ess leaf has no depth, found 'junk'"),
 ])
 def test_leaf_field_messages(tmp_path, name, old, new, message):
     # the messages the line-by-line parser gave, kept by the column parser
