@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from .codec import SchemeCodec
@@ -77,18 +78,19 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _write_report(prefix: str, report: SnrReport) -> None:
+def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
     # formatted by whole columns, as _write_rows would write them: the ids
-    # ("c0:c1:...") and float reprs hold nothing the csv module quotes
-    ids = map(":".join, zip(*(map(str, col) for col in report.counts.T.tolist())))
+    # ("c0:c1:...") and float reprs hold nothing the csv module quotes.  No
+    # name holds the id columns, so they are freed before the CDF is built.
     with open(prefix + "_scatter.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("composition,kurtosis,snr_db,weight\n")
-        fh.writelines(map("{},{!r},{!r},{!r}\n".format, ids, report.kurtosis,
-                          report.snr_db, report.weights))
+        fh.writelines(map("{},{!r},{!r},{!r}\n".format, map(":".join, zip(
+            *(map(str, col) for col in report.counts.T.tolist()))),
+            report.kurtosis, report.snr_db, report.weights))
     _write_csv(prefix + "_histogram.csv", ["bin_center_db", "weight"],
-               ((_fmt(c), _fmt(w)) for c, w in report.histogram))
+               ((_fmt(c), _fmt(w)) for c, w in report.histogram(bin_width_db)))
     _write_csv(prefix + "_cdf.csv", ["snr_db", "cumulative_weight"],
-               ((_fmt(s), _fmt(w)) for s, w in report.cdf))
+               ((_fmt(s), _fmt(w)) for s, w in report.cdf()))
     _write_csv(prefix + "_aggregates.csv",
                ["min_snr_db", "max_snr_db", "avg_snr_db", "p2p_db"],
                [(_fmt(report.min_db), _fmt(report.max_db),
@@ -99,8 +101,8 @@ def cmd_analyze(args) -> int:
     built = read_scheme(args.scheme_file)
     cfg = parse_config(args.config)
     model = _resolve_model(cfg, built)
-    report = analyze(built, model, bin_width_db=args.bins)
-    _write_report(args.out, report)
+    report = analyze(built, model)
+    _write_report(args.out, report, args.bins)
     print(f"{built.scheme}: min {report.min_db:.3f} max {report.max_db:.3f} "
           f"p2p {report.p2p_db:.3f} avg {report.avg_db:.3f} dB")
     return 0
@@ -150,8 +152,28 @@ def cmd_codec(args) -> int:
     return 0
 
 
+def _positive(convert, what: str):
+    """argparse type: convert, and refuse what is not finite and > 0."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
+        return value
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2, as the other errors do."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmshape",
         description="Build finite-blocklength distribution matchers and "
                     "evaluate their per-block effective SNR.")
@@ -159,7 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a scheme and write it to a file")
     p_build.add_argument("--scheme", required=True, choices=sorted(BUILDERS))
-    p_build.add_argument("--n", type=int, required=True)
+    p_build.add_argument("--n", type=_positive(int, "positive integer"),
+                         required=True)
     p_build.add_argument("--k", type=int, required=True)
     p_build.add_argument("--alphabet", help="comma-separated amplitude levels")
     p_build.add_argument("--out", required=True)
@@ -169,12 +192,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_an.add_argument("scheme_file")
     p_an.add_argument("--config", help="key-value config file")
     p_an.add_argument("--out", required=True, help="output CSV prefix")
-    p_an.add_argument("--bins", type=float, default=0.01,
+    p_an.add_argument("--bins", default=0.01,
+                      type=_positive(float, "finite positive number"),
                       help="histogram bin width in dB")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare", help="four-scheme comparison table")
-    p_cmp.add_argument("--n", type=int, required=True)
+    p_cmp.add_argument("--n", type=_positive(int, "positive integer"),
+                       required=True)
     p_cmp.add_argument("--k", type=int, required=True)
     p_cmp.add_argument("--alphabet")
     p_cmp.add_argument("--config")

@@ -13,7 +13,7 @@ from two independent amplitude draws:
     kurtosis_2d = E|X|^4 / E|X|^2^2 = (mu4/mu2^2 + 1) / 2
 
 which equals 2 for a circular Gaussian and 1 for any constant-modulus
-constellation.  The sixth-order term follows E|X|^6 = 2*mu6 + 6*mu4*mu2.
+constellation; ``kurtosis_of`` computes it for every row of a count matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from . import kernels
-from .errors import ConstructionBugError, DegeneratePmfError
+from .errors import ConstructionBugError, DegeneratePmfError, RateInfeasibleError
 
 Counts = tuple[int, ...]
 Pmf = tuple[float, ...]
@@ -65,7 +67,8 @@ class AmplitudeAlphabet:
         for f in fracs:
             den = den * f.denominator // math.gcd(den, f.denominator)
         if den > 1 << 20:
-            raise ValueError("amplitude energies need a modest common denominator")
+            raise RateInfeasibleError(
+                "amplitude energies need a modest common denominator")
         units = tuple(int(f * den) for f in fracs)
         return units, Fraction(1, den)
 
@@ -113,13 +116,11 @@ def energy(counts: Sequence[int], alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET
 
 @dataclass(frozen=True)
 class BlockMoments:
-    """Raw 1D amplitude moments and the derived 2D-symbol statistics."""
+    """Raw 1D amplitude moments and the derived 2D-symbol kurtosis."""
 
     mu2_1d: float
     mu4_1d: float
-    mu6_1d: float
     kurtosis_2d: float
-    psi_2d: float
 
     @property
     def kurtosis_1d(self) -> float:
@@ -132,28 +133,49 @@ def block_moments(pmf: Sequence[float],
     if len(pmf) != alphabet.m:
         raise ValueError("PMF length does not match alphabet")
     # plain left-to-right accumulation (not sum(), which compensates on
-    # Python >= 3.12), so nli.analyze can replay it leaf-parallel bit for bit
-    total = mu2 = mu4 = mu6 = 0.0
+    # Python >= 3.12), so kurtosis_of can replay it row-parallel bit for bit
+    total = mu2 = mu4 = 0.0
     for p, e in zip(pmf, alphabet.energies):
         total += p
         mu2 += p * e
         mu4 += p * e * e
-        mu6 += p * e * e * e
     if abs(total - 1.0) > 1e-12:
         raise DegeneratePmfError(f"PMF sums to {total!r}")
     if mu2 <= 0:
         raise DegeneratePmfError("zero second moment")
-    kurt2d = (mu4 / mu2**2 + 1.0) / 2.0
-    # E|X|^6 / E|X|^2^3 for X = A_I + j*A_Q
-    sixth = (2.0 * mu6 + 6.0 * mu4 * mu2) / (2.0 * mu2) ** 3
-    psi = sixth - 9.0 * kurt2d + 12.0
-    return BlockMoments(mu2, mu4, mu6, kurt2d, psi)
+    return BlockMoments(mu2, mu4, (mu4 / mu2**2 + 1.0) / 2.0)
 
 
-def kurtosis_of(counts: Sequence[int],
-                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> float:
-    """2D-symbol kurtosis of a composition's empirical PMF."""
-    return block_moments(pmf_of(counts), alphabet).kurtosis_2d
+def kurtosis_of(counts: np.ndarray,
+                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> list[float]:
+    """2D-symbol kurtosis of each row of an (L, m) count matrix:
+    block_moments(pmf_of(row)).kurtosis_2d, bit-identical and row-parallel.
+
+    numpy replays block_moments's operations in the same order (IEEE
+    multiply, divide and add round identically elementwise); mu2**2 stays
+    scalar, as numpy squares as mu2*mu2.  A matrix that would raise, is not
+    m wide or holds counts too large to be exact in float64 reruns row by
+    row through block_moments, which raises at the same row.
+    """
+    m = alphabet.m
+    if counts.dtype == np.int64 and counts.shape[1:] == (m,):
+        c = counts.astype(np.float64)
+        rows = c.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pmf = c / rows[:, None]
+            total = mu2 = mu4 = 0.0
+            for i, e in enumerate(alphabet.energies):
+                p = pmf[:, i]
+                total = total + p
+                mu2 = mu2 + p * e
+                mu4 = mu4 + p * e * e
+            kurt = (mu4 / np.array([x**2 for x in mu2.tolist()]) + 1.0) / 2.0
+        if not (np.abs(c).max(initial=0.0) * m >= 2.0**53
+                or ((rows <= 0) | (np.abs(total - 1.0) > 1e-12)
+                    | (mu2 <= 0)).any()):
+            return kurt.tolist()
+    return [block_moments(pmf_of(row), alphabet).kurtosis_2d
+            for row in counts.tolist()]
 
 
 def rate_loss(avg_pmf: Sequence[float], k: int, n: int) -> float:

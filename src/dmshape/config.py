@@ -11,7 +11,7 @@ Recognised keys (defaults are the reference link of the study):
 When eta0/eta1 are absent the model is calibrated from the two anchors;
 anchor2's kurtosis defaults to the minimum kurtosis of the pairwise scheme
 built at the same (n, k), which is how the second reference point is
-defined.  Unknown keys are rejected.
+defined.  Unknown and repeated keys are rejected.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ def parse_config(path: str | None) -> RunConfig:
                 convert = float
             else:
                 raise SchemeFileError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise SchemeFileError(f"{path}:{lineno}: {key}: repeated key")
             try:
                 raw[key] = convert(value)
             except ValueError as exc:

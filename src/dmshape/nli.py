@@ -1,16 +1,15 @@
 """Effective-SNR model for the WDM link: ASE + kurtosis-dependent NLI.
 
-The nonlinear interference power is eta(Phi, Psi) * P^3 with an affine
+The nonlinear interference power is eta(Phi) * P^3 with an affine
 modulation correction
 
-    eta = eta0 + eta1 * Phi + eta2 * Psi,      Phi = kurtosis - 2,
+    eta = eta0 + eta1 * Phi,      Phi = kurtosis - 2,
 
 so a circular-Gaussian constellation (Phi = 0) sees the baseline eta0 and
 sub-Gaussian constellations generate less NLI.  eta0 can come from the
 incoherent closed-form Gaussian-noise estimate below, or the (eta0, eta1)
-pair can be calibrated from per-scheme SNR anchor points; the sixth-order
-slope eta2 stays 0 unless explicitly set.  Effective SNR of one shaped
-block is then
+pair can be calibrated from per-scheme SNR anchor points.  Effective SNR
+of one shaped block is then
 
     SNR = P / (sigma_ase^2 + eta * P^3).
 """
@@ -20,11 +19,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
-from .combinatorics import AmplitudeAlphabet, Counts, block_moments, pmf_of
+from .combinatorics import Counts, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
 from .schemes import CompositionSet
 
@@ -82,7 +82,6 @@ class NliModel:
     eta1: float
     ase_variance_w: float
     launch_power_w: float
-    eta2: float = 0.0
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.eta1 < 0:
@@ -123,10 +122,10 @@ def gn_eta0(link: LinkConfig, wdm: WdmConfig) -> float:
     return link.n_spans * per_span * bracket
 
 
-def snr_eff(kurtosis: float, psi: float, model: NliModel) -> float:
-    """Effective SNR (dB) of a block with the given 2D-symbol moments."""
+def snr_eff(kurtosis: float, model: NliModel) -> float:
+    """Effective SNR (dB) of a block with the given 2D-symbol kurtosis."""
     phi = kurtosis - 2.0
-    eta = model.eta0 + model.eta1 * phi + model.eta2 * psi
+    eta = model.eta0 + model.eta1 * phi
     p = model.launch_power_w
     denom = model.ase_variance_w + eta * p**3
     if denom <= 0:
@@ -189,8 +188,6 @@ class SnrReport:
     min_db: float
     max_db: float
     avg_db: float
-    histogram: tuple[tuple[float, float], ...]  # (bin centre dB, weight)
-    cdf: tuple[tuple[float, float], ...]        # (snr dB, cumulative weight)
 
     @property
     def entries(self) -> SnrEntries:
@@ -200,6 +197,22 @@ class SnrReport:
     @property
     def p2p_db(self) -> float:
         return self.max_db - self.min_db
+
+    def histogram(self, bin_width_db: float) -> list[tuple[float, float]]:
+        """(bin centre dB, weight) over bins of the given width, ascending."""
+        bins: dict[int, float] = {}
+        for s, w in zip(self.snr_db, self.weights):
+            b = math.floor(s / bin_width_db)
+            bins[b] = bins.get(b, 0.0) + w
+        return [((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins)]
+
+    def cdf(self) -> list[tuple[float, float]]:
+        """(snr dB, cumulative weight) over ascending SNR."""
+        by_snr: dict[float, float] = {}
+        for s, w in zip(self.snr_db, self.weights):
+            by_snr[s] = by_snr.get(s, 0.0) + w
+        snrs = sorted(by_snr)
+        return list(zip(snrs, accumulate(map(by_snr.get, snrs))))
 
 
 class SnrEntries(Sequence):
@@ -213,9 +226,7 @@ class SnrEntries(Sequence):
     def __len__(self) -> int:
         return len(self.report.weights)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
+    def __getitem__(self, i: int) -> SnrEntry:
         r = self.report
         return SnrEntry(tuple(r.counts[i].tolist()), r.kurtosis[i],
                         r.weights[i], r.snr_db[i])
@@ -229,71 +240,26 @@ class SnrEntries(Sequence):
 ANALYZE_CHUNK = 4096  # leaves per numpy batch; bounds the arrays' memory
 
 
-def _leaf_snr(counts, alphabet: AmplitudeAlphabet,
-              model: NliModel) -> tuple[float, float]:
-    """(kurtosis, SNR dB) of one composition: the per-leaf reference."""
-    mom = block_moments(pmf_of(counts), alphabet)
-    return mom.kurtosis_2d, snr_eff(mom.kurtosis_2d, mom.psi_2d, model)
+def _snr_db(kurtoses: list[float], model: NliModel) -> list[float]:
+    """snr_eff over a list of kurtoses, bit-identical: the ratio in numpy,
+    log10 in scalar Python (numpy rounds it differently).  A non-positive
+    noise power reruns snr_eff per leaf, which raises at the same leaf."""
+    p = model.launch_power_w
+    eta = model.eta0 + model.eta1 * (np.array(kurtoses) - 2.0)
+    denom = model.ase_variance_w + eta * p**3
+    if (denom <= 0).any():
+        return [snr_eff(q, model) for q in kurtoses]
+    return [10 * math.log10(r) for r in (p / denom).tolist()]
 
 
-def _reference_chunk(counts, alphabet, model):
-    pairs = [_leaf_snr(c, alphabet, model) for c in counts]
-    return [q for q, _ in pairs], [s for _, s in pairs]
-
-
-def _chunk_snr(counts: np.ndarray, alphabet: AmplitudeAlphabet,
-               model: NliModel) -> tuple[list[float], list[float]]:
-    """_leaf_snr over the rows of a count matrix, bit-identical and
-    leaf-parallel.
-
-    numpy replays block_moments's operations in the same order (IEEE
-    multiply, divide and add round identically elementwise).  Three steps
-    stay scalar Python because numpy rounds them differently: mu2**2
-    (numpy squares as mu2*mu2), (2*mu2)**3 and math.log10.  A chunk that
-    would raise anywhere, whose rows are not m counts wide, or whose counts
-    are too large to be exact in float64, reruns through _leaf_snr, which
-    raises at the same leaf with the same error.
-    """
-    m = alphabet.m
-    c = counts.astype(np.float64)
-    if counts.shape[1] != m or np.abs(c).max() * m >= 2.0**53:
-        return _reference_chunk(counts.tolist(), alphabet, model)
-    rows = c.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmf = c / rows[:, None]
-        total = mu2 = mu4 = mu6 = 0.0
-        for i, e in enumerate(alphabet.energies):
-            p = pmf[:, i]
-            total = total + p
-            mu2 = mu2 + p * e
-            mu4 = mu4 + p * e * e
-            mu6 = mu6 + p * e * e * e
-        mu2_list = mu2.tolist()
-        kurt = (mu4 / np.array([x**2 for x in mu2_list]) + 1.0) / 2.0
-        sixth = (2.0 * mu6 + 6.0 * mu4 * mu2) / np.array(
-            [(2.0 * x) ** 3 for x in mu2_list])
-        psi = sixth - 9.0 * kurt + 12.0
-        eta = model.eta0 + model.eta1 * (kurt - 2.0) + model.eta2 * psi
-        p_launch = model.launch_power_w
-        denom = model.ase_variance_w + eta * p_launch**3
-        ratio = p_launch / denom
-    if ((rows <= 0) | (np.abs(total - 1.0) > 1e-12) | (mu2 <= 0)
-            | (denom <= 0)).any():
-        return _reference_chunk(counts.tolist(), alphabet, model)
-    return kurt.tolist(), [10 * math.log10(r) for r in ratio.tolist()]
-
-
-def analyze(built: CompositionSet, model: NliModel,
-            bin_width_db: float = 0.01) -> SnrReport:
+def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     """Weighted per-block SNR statistics of a scheme under the model.
 
     Zero-weight leaves (unused boundary shells) are excluded; aggregates are
     weighted by leaf usage, min/max are unweighted extremes over the carried
-    leaves.  Histogram bins have the given width; the CDF is cumulative
-    weight over ascending SNR.  Per-leaf moments and SNRs are computed from
-    the count matrix in numpy chunks that equal the per-leaf reference
-    exactly; mu2**2, (2*mu2)**3 and log10 stay scalar Python (see
-    _chunk_snr).
+    leaves.  Kurtoses and SNRs are computed over the count matrix in chunks
+    (kurtosis_of, _snr_db) that equal the per-leaf block_moments + snr_eff
+    reference exactly.
     """
     table = built.leaves
     carried = table.weights > 0
@@ -302,25 +268,10 @@ def analyze(built: CompositionSet, model: NliModel,
     kurts: list[float] = []
     snrs: list[float] = []
     for start in range(0, len(weights), ANALYZE_CHUNK):
-        q, s = _chunk_snr(counts[start:start + ANALYZE_CHUNK],
-                          built.alphabet, model)
+        q = kurtosis_of(counts[start:start + ANALYZE_CHUNK],
+                        built.alphabet)
         kurts += q
-        snrs += s
-    mn, mx = min(snrs), max(snrs)
-    avg = sum(map(mul, snrs, weights))
-    bins: dict[int, float] = {}
-    for s, w in zip(snrs, weights):
-        b = math.floor(s / bin_width_db)
-        bins[b] = bins.get(b, 0.0) + w
-    histogram = tuple(((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins))
-    by_snr: dict[float, float] = {}
-    for s, w in zip(snrs, weights):
-        by_snr[s] = by_snr.get(s, 0.0) + w
-    cdf = []
-    cum = 0.0
-    for s in sorted(by_snr):
-        cum += by_snr[s]
-        cdf.append((s, cum))
+        snrs += _snr_db(q, model)
     return SnrReport(counts=counts, kurtosis=kurts, weights=weights,
-                     snr_db=snrs, min_db=mn, max_db=mx, avg_db=avg,
-                     histogram=histogram, cdf=tuple(cdf))
+                     snr_db=snrs, min_db=min(snrs), max_db=max(snrs),
+                     avg_db=sum(map(mul, snrs, weights)))

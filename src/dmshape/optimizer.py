@@ -25,6 +25,7 @@ from .combinatorics import (
     input_bits,
     kurtosis_of,
 )
+from .errors import RateInfeasibleError
 from .ess import build_ess
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
@@ -34,11 +35,14 @@ from .schemes import CompositionSet, CoverItem, exact_cover, tree_scheme
 def build_opt_mpdm(n: int, k: int,
                    alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Prune a (k+1)-bit pairwise scheme down to k bits, worst kurtosis first."""
+    if k < 0:
+        raise RateInfeasibleError(f"k={k} outside [0, n*log2(m)]")
     base = build_mpdm(n, k + 1, alphabet)
     need = 1 << k
-    ranked = sorted(
-        map(tuple, base.leaves.counts.tolist()),
-        key=lambda counts: (-kurtosis_of(counts, alphabet), colex_key(counts)))
+    kurtosis = dict(zip(map(tuple, base.leaves.counts.tolist()),
+                        kurtosis_of(base.leaves.counts, alphabet)))
+    ranked = sorted(kurtosis,
+                    key=lambda counts: (-kurtosis[counts], colex_key(counts)))
     # Addressability of a freed leaf is its own multinomial capacity (the
     # pairwise coupling is gone), clipped at the full input width.
     payloads = [min(input_bits(counts), k) for counts in ranked]

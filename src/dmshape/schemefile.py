@@ -198,7 +198,10 @@ def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:
     The conversions are those read_scheme applies line by line to name a
     bad field, so this raises ValueError exactly when some line fails there.
     """
-    counts, mid, depth, weights = [], [], [], []
+    # counts and weights become arrays chunk by chunk, so no list of every
+    # count or weight is held beside the leaf lines
+    counts, weights = [np.zeros(0, np.int64)], [np.zeros(0)]
+    mid, depth = [], []
     for start in range(0, len(rows), LEAF_CHUNK):
         parts = [row.split("|") for row in rows[start:start + LEAF_CHUNK]]
         if any(len(p) != 4 for p in parts):
@@ -206,15 +209,15 @@ def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:
         c, u, d, w = zip(*parts)
         if any(x.count(",") != m - 1 for x in c):
             raise ValueError("counts of the wrong length")
-        counts += map(int, ",".join(c).split(","))
-        weights += map(float, w)
+        counts.append(int_array([int(x) for x in ",".join(c).split(",")]))
+        weights.append(np.array([float(x) for x in w]))
         mid += map(int, u)
         if tree:
             depth += map(int, d)
         elif any(d):
             raise ValueError("depth field of an ess leaf")
-    counts = int_array(counts).reshape(len(rows), m)
-    weights = np.array(weights, dtype=np.float64)
+    counts = np.concatenate(counts).reshape(len(rows), m)
+    weights = np.concatenate(weights)
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth))

@@ -115,14 +115,16 @@ class LeafTable(Sequence):
 
     def __init__(self, counts: np.ndarray, weights: np.ndarray,
                  payload_bits=None, depth=None, used_counts=None):
-        for column in (counts, weights, payload_bits, depth):
+        if used_counts is not None:
+            used_counts = tuple(used_counts)
+        columns = (counts, weights, payload_bits, depth, used_counts)
+        for name, column in zip(self.__slots__, columns):
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
-        self.counts = counts
-        self.weights = weights
-        self.payload_bits = payload_bits
-        self.depth = depth
-        self.used_counts = None if used_counts is None else tuple(used_counts)
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LeafTable is read-only: cannot set {name}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -188,8 +190,7 @@ class CompositionSet:
     def kurtosis_range(self) -> tuple[float, float]:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
         table = self.leaves
-        ks = [kurtosis_of(c, self.alphabet)
-              for c in table.counts[table.weights > 0].tolist()]
+        ks = kurtosis_of(table.counts[table.weights > 0], self.alphabet)
         return min(ks), max(ks)
 
     def validate(self) -> None:

@@ -173,7 +173,7 @@ def test_criterion_9_property_suite(ccdm216, mpdm216, ess216, opt216, model216):
         assert d.block_moments(pmf, scaled).kurtosis_2d == pytest.approx(
             base, rel=1e-12)
     # SNR monotone decreasing in kurtosis
-    snrs = [d.snr_eff(1.0 + 0.1 * i, 0.0, model216) for i in range(11)]
+    snrs = [d.snr_eff(1.0 + 0.1 * i, model216) for i in range(11)]
     assert all(a > b for a, b in zip(snrs, snrs[1:]))
     # weight conservation in every report
     for built in (ccdm216, mpdm216, ess216, opt216):

@@ -225,6 +225,57 @@ class TestHostileInput:
                    "--config", str(cfg)])
         self.assert_data_error(rc, capsys, f"{cfg}:2", "n_spans")
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # the last value would otherwise win silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("launch_power_dbm=0\nlaunch_power_dbm=5\n")
+        rc = main(["compare", "--n", "6", "--k", "3", "--alphabet", "1,3",
+                   "--config", str(cfg)])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            f"dmshape: {cfg}:2: launch_power_dbm: repeated key\n"
+
+    @pytest.mark.parametrize("args,rc,reason", [
+        (["analyze", "--bins", "0"], 2,
+         "argument --bins: '0' is not a finite positive number"),
+        (["analyze", "--bins", "nan"], 2,
+         "argument --bins: 'nan' is not a finite positive number"),
+        (["analyze", "--bins", "inf"], 2,
+         "argument --bins: 'inf' is not a finite positive number"),
+        (["analyze", "--bins", "-0.01"], 2,
+         "argument --bins: '-0.01' is not a finite positive number"),
+        (["build", "--scheme", "ccdm", "--n", "0", "--k", "3"], 2,
+         "argument --n: '0' is not a positive integer"),
+        (["compare", "--n", "0", "--k", "0"], 2,
+         "argument --n: '0' is not a positive integer"),
+        (["build", "--scheme", "ess", "--n", "4", "--k", "2",
+          "--alphabet", "0.1,0.3"], 1,
+         "amplitude energies need a modest common denominator"),
+        (["build", "--scheme", "opt-mpdm", "--n", "4", "--k", "-1",
+          "--alphabet", "1,3"], 1, "k=-1 outside [0, n*log2(m)]"),
+    ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative", "build-n-0",
+            "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k"])
+    def test_bad_cli_argument(self, tmp_path, capsys, args, rc, reason):
+        if args[0] == "analyze":
+            toy = tmp_path / "toy.scheme"
+            assert main(["build", "--scheme", "ccdm", "--n", "6", "--k", "3",
+                         "--alphabet", "1,3", "--out", str(toy)]) == 0
+            capsys.readouterr()
+            args = ["analyze", str(toy), "--config", eta_config(tmp_path),
+                    "--out", str(tmp_path / "r"), *args[1:]]
+        elif args[0] == "build":
+            args = [*args, "--out", str(tmp_path / "x.scheme")]
+        try:
+            got = main(args)
+        except SystemExit as exc:  # argparse refuses before main returns
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == rc
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.endswith(f": {reason}\n")
+        assert not (tmp_path / "r_scatter.csv").exists()
+        assert not (tmp_path / "x.scheme").exists()
+
     def test_swapped_leaf_weights(self, tmp_path, capsys):
         # leaves 4,2 (payload 3) and 5,1 (payload 2) of the toy MPDM trade
         # weights: the weights still sum to 1, but neither is 2^(payload-k)

@@ -85,6 +85,12 @@ class TestSchemeCodec:
         codec = d.SchemeCodec(built)
         with pytest.raises(TypeError):
             built.leaves.used_counts[1] = 7
+        for name in ("counts", "weights", "payload_bits", "depth",
+                     "used_counts"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(built.leaves, name, getattr(built.leaves, name))
+        with pytest.raises(AttributeError, match="read-only"):
+            built.leaves.used_counts = (16, 0, 0)
         assert codec.encode(1) == (1, 1, 1, 1, 1, 3)
 
     def test_toy_mpdm_exhaustive(self):

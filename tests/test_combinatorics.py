@@ -110,20 +110,12 @@ class TestBlockMoments:
         mom = d.block_moments((0.25,) * 4, A4)
         assert mom.kurtosis_1d == pytest.approx(mom.mu4_1d / mom.mu2_1d**2)
 
-    def test_gaussian_psi_reference(self):
-        # circular Gaussian: kurtosis 2, psi 0; check psi vanishes at the
-        # matching sixth-moment combination E|X|^6 = 6 E|X|^2^3
-        mom = d.block_moments((0.25,) * 4, A4)
-        sixth = (2 * mom.mu6_1d + 6 * mom.mu4_1d * mom.mu2_1d) / (2 * mom.mu2_1d) ** 3
-        assert mom.psi_2d == pytest.approx(sixth - 9 * mom.kurtosis_2d + 12)
-
     @pytest.mark.parametrize("scale", [0.5, 1.0, 7.3])
     def test_scale_invariance(self, scale):
         base = d.block_moments((0.4, 0.3, 0.2, 0.1), A4)
         scaled_alpha = d.AmplitudeAlphabet(tuple(scale * x for x in A4.levels))
         scaled = d.block_moments((0.4, 0.3, 0.2, 0.1), scaled_alpha)
         assert scaled.kurtosis_2d == pytest.approx(base.kurtosis_2d, rel=1e-12)
-        assert scaled.psi_2d == pytest.approx(base.psi_2d, rel=1e-9)
 
     @given(st.lists(st.floats(0.01, 1), min_size=4, max_size=4))
     @settings(max_examples=50)

@@ -74,15 +74,15 @@ class TestModelResolution:
     def test_anchor_calibration(self):
         cfg = parse_config(None)
         model = cfg.resolve_model(anchor2_kurtosis=1.6)
-        assert d.snr_eff(1.82, 0.0, model) == pytest.approx(14.26, abs=1e-9)
-        assert d.snr_eff(1.6, 0.0, model) == pytest.approx(14.44, abs=1e-9)
+        assert d.snr_eff(1.82, model) == pytest.approx(14.26, abs=1e-9)
+        assert d.snr_eff(1.6, model) == pytest.approx(14.44, abs=1e-9)
 
 
 class TestReferenceAnchors:
     def test_model_reproduces_both_anchors(self, mpdm216, model216):
         kmin, _ = mpdm216.kurtosis_range()
-        assert d.snr_eff(1.82, 0.0, model216) == pytest.approx(14.26, abs=1e-9)
-        assert d.snr_eff(kmin, 0.0, model216) == pytest.approx(14.44, abs=1e-9)
+        assert d.snr_eff(1.82, model216) == pytest.approx(14.26, abs=1e-9)
+        assert d.snr_eff(kmin, model216) == pytest.approx(14.44, abs=1e-9)
 
     def test_mpdm_average_snr(self, mpdm216, model216):
         rep = d.analyze(mpdm216, model216)

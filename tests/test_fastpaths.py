@@ -17,13 +17,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dmshape as d
 from dmshape import ccdm, ess, kernels, mpdm, nli
 from dmshape.ccdm import mb_composition_chain
 from dmshape.cli import _write_report, main
-from dmshape.combinatorics import enumerate_compositions, input_bits
+from dmshape.combinatorics import enumerate_compositions, input_bits, kurtosis_of
 from dmshape.errors import (
     ConstructionBugError,
     ModelDomainError,
@@ -447,7 +447,7 @@ REPORT_PARTS = ("scatter", "histogram", "cdf", "aggregates")
 def test_analyze_csvs_pinned(scheme, fixture, model216, tmp_path, request):
     built = request.getfixturevalue(fixture)
     prefix = str(tmp_path / scheme)
-    _write_report(prefix, d.analyze(built, model216))
+    _write_report(prefix, d.analyze(built, model216), 0.01)
     got = tuple(hashlib.md5((tmp_path / f"{scheme}_{part}.csv").read_bytes())
                 .hexdigest() for part in REPORT_PARTS)
     assert dict(zip(REPORT_PARTS, got)) == \
@@ -497,7 +497,7 @@ def test_radius_refuses_oversized_grid(monkeypatch):
 # -- analyze -------------------------------------------------------------------
 
 MODEL = d.NliModel(eta0=1.5e4, eta1=8e3, ase_variance_w=2e-5,
-                   launch_power_w=1e-3, eta2=3e2)
+                   launch_power_w=1e-3)
 
 
 def reference_entries(built, model):
@@ -505,11 +505,19 @@ def reference_entries(built, model):
     for leaf in built.leaves:
         if leaf.weight <= 0:
             continue
-        mom = d.block_moments(d.pmf_of(leaf.counts), built.alphabet)
-        out.append((leaf.counts, mom.kurtosis_2d,
-                    leaf.weight,
-                    d.snr_eff(mom.kurtosis_2d, mom.psi_2d, model)))
+        kurtosis = d.block_moments(d.pmf_of(leaf.counts),
+                                   built.alphabet).kurtosis_2d
+        out.append((leaf.counts, kurtosis, leaf.weight,
+                    d.snr_eff(kurtosis, model)))
     return out
+
+
+def outcome(f):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def observed_entries(report):
@@ -526,24 +534,52 @@ def adhoc_set(alphabet, counts_list):
                             rate_loss=0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(alphabet=alphabets, n=st.integers(1, 40), data=st.data(),
-       chunk=st.sampled_from([1, 3, nli.ANALYZE_CHUNK]))
-def test_chunked_analyze_equals_per_leaf(alphabet, n, data, chunk):
+       chunk=st.sampled_from([1, 3, nli.ANALYZE_CHUNK]),
+       hostile=st.sampled_from(
+           [None, "zero", "cancel", "negative", "huge", "wide"]))
+def test_chunked_analyze_equals_per_leaf(alphabet, n, data, chunk, hostile):
     comps = data.draw(st.lists(
         st.lists(st.integers(0, n), min_size=alphabet.m - 1,
                  max_size=alphabet.m - 1).map(sorted),
         min_size=1, max_size=12))
     counts_list = list(dict.fromkeys(
         tuple(b - a for a, b in zip([0] + c, c + [n])) for c in comps))
+    # rows that make kurtosis_of fall back: one the reference refuses (a
+    # zero row, a PMF that sums to 1 only within 6e-11, a negative second
+    # moment), copies of every row scaled past 2^53/m where float64 rounds
+    # them, or a zero column that makes every row too wide
+    where = data.draw(st.integers(0, len(counts_list)))
+    m = alphabet.m
+    if hostile == "zero":
+        counts_list.insert(where, (0,) * m)
+    elif hostile == "cancel":
+        assume(m >= 3)
+        counts_list.insert(where, (10**6 + 1, -2 * 10**6, 10**6 + 2)
+                           + (0,) * (m - 3))
+    elif hostile == "negative":
+        counts_list.insert(where, (2,) + (0,) * (m - 2) + (-1,))
+    elif hostile == "huge":
+        counts_list += [tuple((x << 52) + 1 for x in c) for c in counts_list]
+    elif hostile == "wide":
+        counts_list = [c + (0,) for c in counts_list]
+    want = outcome(lambda: [d.block_moments(d.pmf_of(c), alphabet).kurtosis_2d
+                            for c in counts_list])
+    matrix = np.array(counts_list, dtype=np.int64)
+    assert outcome(lambda: kurtosis_of(matrix, alphabet)) == want
     built = adhoc_set(alphabet, counts_list)
     old = nli.ANALYZE_CHUNK
     nli.ANALYZE_CHUNK = chunk
     try:
-        report = d.analyze(built, MODEL)
+        report = outcome(lambda: d.analyze(built, MODEL))
     finally:
         nli.ANALYZE_CHUNK = old
+    if isinstance(want, tuple):
+        assert report == want
+        return
     assert observed_entries(report) == reference_entries(built, MODEL)
+    assert built.kurtosis_range() == (min(want), max(want))
 
 
 def test_chunked_analyze_equals_per_leaf_ess216(ess216, model216):
@@ -561,10 +597,9 @@ def test_analyze_domain_error_matches_per_leaf():
     # negative at kurtosis 1 (constant-modulus leaf 4,0)
     model = d.NliModel(eta0=1.0, eta1=2.0, ase_variance_w=1e-12,
                        launch_power_w=1e-3)
-    a2 = d.AmplitudeAlphabet((1, 3))
-    built = adhoc_set(a2, [(3, 1), (4, 0), (0, 4)])
+    built = adhoc_set(d.AmplitudeAlphabet((1, 3)), [(3, 1), (4, 0), (0, 4)])
     with pytest.raises(ModelDomainError) as per_leaf:
-        nli._leaf_snr((4, 0), a2, model)
+        d.snr_eff(1.0, model)
     with pytest.raises(ModelDomainError) as chunked:
         d.analyze(built, model)
     assert str(chunked.value) == str(per_leaf.value)

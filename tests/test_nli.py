@@ -78,23 +78,24 @@ class TestSnrEff:
         m = self.model()
         p = m.launch_power_w
         baseline = 10 * math.log10(p / (m.ase_variance_w + m.eta0 * p ** 3))
-        assert d.snr_eff(2.0, 0.0, m) == pytest.approx(baseline, abs=1e-12)
+        assert d.snr_eff(2.0, m) == pytest.approx(baseline, abs=1e-12)
 
     def test_monotone_decreasing_in_kurtosis(self):
         m = self.model()
         grid = [1.0 + 0.05 * i for i in range(21)]
-        snrs = [d.snr_eff(q, 0.0, m) for q in grid]
+        snrs = [d.snr_eff(q, m) for q in grid]
         assert all(a > b for a, b in zip(snrs, snrs[1:]))
 
     def test_low_kurtosis_beats_high(self):
         m = self.model()
-        assert d.snr_eff(1.0, 0.0, m) > d.snr_eff(1.5, 0.0, m)
+        assert d.snr_eff(1.0, m) > d.snr_eff(1.5, m)
 
     def test_domain_error(self):
-        m = d.NliModel(eta0=1.5e4, eta1=0.0, eta2=-1e9,
+        # eta = 1.5e4 + 1e9 * (1.0 - 2) is negative at constant modulus
+        m = d.NliModel(eta0=1.5e4, eta1=1e9,
                        ase_variance_w=2e-5, launch_power_w=1e-3)
-        with pytest.raises(ModelDomainError):
-            d.snr_eff(2.0, 1.0, m)
+        with pytest.raises(ModelDomainError, match="kurtosis 1.0"):
+            d.snr_eff(1.0, m)
 
 
 class TestCalibrate:
@@ -102,8 +103,8 @@ class TestCalibrate:
         ase = d.ase_variance(LINK, WDM)
         power = d.optimal_power(ase, d.gn_eta0(LINK, WDM))
         m = d.calibrate([(1.82, 14.26), (1.60, 14.44)], ase, power)
-        assert d.snr_eff(1.82, 0.0, m) == pytest.approx(14.26, abs=1e-9)
-        assert d.snr_eff(1.60, 0.0, m) == pytest.approx(14.44, abs=1e-9)
+        assert d.snr_eff(1.82, m) == pytest.approx(14.26, abs=1e-9)
+        assert d.snr_eff(1.60, m) == pytest.approx(14.44, abs=1e-9)
 
     def test_duplicate_kurtosis_rejected(self):
         with pytest.raises(CalibrationError):
@@ -112,7 +113,7 @@ class TestCalibrate:
     def test_roundtrip_recovery(self):
         truth = d.NliModel(eta0=1.9e4, eta1=9e3, ase_variance_w=2.1e-5,
                            launch_power_w=9e-4)
-        anchors = [(q, d.snr_eff(q, 0.0, truth)) for q in (1.3, 1.7, 1.9, 2.2)]
+        anchors = [(q, d.snr_eff(q, truth)) for q in (1.3, 1.7, 1.9, 2.2)]
         fit = d.calibrate(anchors, truth.ase_variance_w, truth.launch_power_w)
         assert fit.eta0 == pytest.approx(truth.eta0, rel=1e-10)
         assert fit.eta1 == pytest.approx(truth.eta1, rel=1e-10)
@@ -164,17 +165,18 @@ class TestAnalyze:
         assert sum(e.weight for e in rep.entries) == pytest.approx(1.0, abs=1e-9)
         assert rep.min_db <= rep.avg_db <= rep.max_db
         assert rep.p2p_db == pytest.approx(rep.max_db - rep.min_db)
-        cdf_w = [w for _, w in rep.cdf]
+        cdf_w = [w for _, w in rep.cdf()]
         assert all(a <= b for a, b in zip(cdf_w, cdf_w[1:]))
         assert cdf_w[-1] == pytest.approx(1.0, abs=1e-9)
-        assert sum(w for _, w in rep.histogram) == pytest.approx(1.0, abs=1e-9)
+        assert sum(w for _, w in rep.histogram(0.01)) == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_single_leaf_degenerate(self):
         built = d.build_ccdm(4, 2, d.AmplitudeAlphabet((1, 3)))
         rep = d.analyze(built, self.toy_model())
         assert len(rep.entries) == 1
         assert rep.p2p_db == 0.0
-        assert len(rep.histogram) == 1
+        assert len(rep.histogram(0.01)) == 1
 
     def test_order_independence(self):
         built = d.build_mpdm(8, 5, d.AmplitudeAlphabet((1, 3)))
@@ -188,7 +190,8 @@ class TestAnalyze:
         assert rep2.min_db == pytest.approx(rep.min_db, abs=1e-12)
         assert rep2.max_db == pytest.approx(rep.max_db, abs=1e-12)
         assert rep2.avg_db == pytest.approx(rep.avg_db, abs=1e-12)
-        assert sorted(rep2.histogram) == pytest.approx(sorted(rep.histogram))
+        assert sorted(rep2.histogram(0.01)) == \
+            pytest.approx(sorted(rep.histogram(0.01)))
 
     def test_zero_weight_leaves_excluded(self, ess216, model216):
         rep = d.analyze(ess216, model216)
