@@ -21,6 +21,8 @@ from .combinatorics import (
     AmplitudeAlphabet,
     Counts,
     Pmf,
+    check_k_range,
+    float_sum,
     input_bits,
 )
 from .errors import RateInfeasibleError
@@ -36,7 +38,7 @@ def mb_pmf(lam: float, alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> Pmf:
         raise ValueError("shaping parameter must be >= 0")
     es = alphabet.energies
     w = [math.exp(-lam * (e - es[0])) for e in es]
-    z = sum(w)
+    z = float_sum(w)
     return tuple(x / z for x in w)
 
 
@@ -121,8 +123,7 @@ def mb_composition_chain(n: int, alphabet: AmplitudeAlphabet) -> tuple[tuple[flo
 def select_ccdm(n: int, k: int,
                 alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> Counts:
     """Lowest-entropy MB-family composition carrying at least k input bits."""
-    if k < 0 or k > n * math.log2(alphabet.m):
-        raise RateInfeasibleError(f"k={k} outside [0, n*log2(m)]")
+    check_k_range(n, k, alphabet.m)
     for _, comp in mb_composition_chain(n, alphabet):
         if input_bits(comp) >= k:
             return comp

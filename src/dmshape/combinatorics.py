@@ -18,10 +18,12 @@ constellation; ``kurtosis_of`` computes it for every row of a count matrix.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +47,9 @@ class AmplitudeAlphabet:
             raise ValueError("alphabet needs at least two levels")
         if any(x <= 0 for x in levels):
             raise ValueError("levels must be positive")
+        # mu4 and mu2^2 are fourth powers of the levels
+        if not all(math.isfinite(x * x * x * x) for x in levels):
+            raise ValueError("levels must have a finite fourth power")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly ascending")
 
@@ -82,6 +87,26 @@ class AmplitudeAlphabet:
 DEFAULT_ALPHABET = AmplitudeAlphabet()
 
 
+def check_k_range(n: int, k: int, m: int,
+                  error: type[Exception] = RateInfeasibleError) -> None:
+    """Refuse k outside [0, n*log2(m)]: 2^k words need 2^k <= m^n sequences.
+
+    Called before 2^k is formed; a builder raises RateInfeasibleError,
+    validate ConstructionBugError.
+    """
+    if not 0 <= k <= n * math.log2(m):
+        raise error(f"k={k} outside [0, n*log2(m)]")
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0: sum() before Python 3.12.
+
+    From 3.12 sum() compensates float additions, which would change the last
+    bits of entropies and SNR averages, and so scheme file and compare bytes.
+    """
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def colex_key(counts: Sequence[int]) -> tuple[int, ...]:
     """Sort key realising colexicographic order (last coordinate first)."""
     return tuple(reversed(counts))
@@ -106,7 +131,7 @@ def pmf_of(counts: Sequence[int]) -> Pmf:
 
 def entropy(pmf: Sequence[float]) -> float:
     """Shannon entropy in bits per 1D symbol, with 0*log(0) = 0."""
-    return -sum(p * math.log2(p) for p in pmf if p > 0)
+    return -float_sum(p * math.log2(p) for p in pmf if p > 0)
 
 
 def energy(counts: Sequence[int], alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> float:

@@ -31,19 +31,16 @@ from operator import itemgetter
 import numpy as np
 
 from . import kernels
-from .combinatorics import (
-    DEFAULT_ALPHABET,
-    AmplitudeAlphabet,
-    rate_loss as _rate_loss,
-)
+from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet, check_k_range
 from .errors import RateInfeasibleError
-from .schemes import CompositionSet, LeafTable, average_pmf
+from .schemes import CompositionSet, LeafTable
 
 RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
 
 
 @functools.lru_cache(maxsize=64)
 def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
+    check_k_range(n, k, alphabet.m)  # before 2^k is formed
     u0, g, deltas = alphabet.energy_grid()
     n_slots = n * deltas[-1] + 1
     # a slot holds up to m^n <= 2^(n * bitlen(m-1)); refuse packed grids too
@@ -67,8 +64,6 @@ def _integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
 def select_emax(n: int, k: int,
                 alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> float:
     """Smallest achievable energy radius admitting at least 2^k sequences."""
-    if k < 0:
-        raise RateInfeasibleError("k must be >= 0")
     _, scale = alphabet.integer_energies()
     return float(_integer_radius(n, k, alphabet) * scale)
 
@@ -82,7 +77,6 @@ def build_ess(n: int, k: int,
     is exactly 2^k.  Shells after the crossing keep zero weight but remain
     part of the scheme (they are inside the sphere).
     """
-    e_max = select_emax(n, k, alphabet)
     units, _ = alphabet.integer_energies()
     shells = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
     # shells_upto returns colex order, so a stable sort on energy alone
@@ -104,10 +98,7 @@ def build_ess(n: int, k: int,
         weights=np.array([u / need for u in used], dtype=np.float64),
         used_counts=used)
     del used  # the table holds its own tuple
-    avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
-                           leaves=leaves, avg_pmf=avg_pmf,
-                           rate_loss=_rate_loss(avg_pmf, k, n),
-                           e_max=e_max)
+                           leaves=leaves)
     built.validate()
     return built

@@ -42,6 +42,7 @@ from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
     Counts,
+    check_k_range,
     input_bits,
 )
 from .errors import RateInfeasibleError
@@ -142,8 +143,7 @@ def select_mpdm_target(n: int, k: int,
     the payload window supply at least 2^k addresses.  Candidates that the
     bounds in the module docstring prove short are never scanned.
     """
-    if k < 0 or k > n * math.log2(alphabet.m):
-        raise RateInfeasibleError(f"k={k} outside [0, n*log2(m)]")
+    check_k_range(n, k, alphabet.m)
     need = 1 << k
     for _, comp in mb_composition_chain(n, alphabet):
         singleton = 1 << min(input_bits(comp), k)

@@ -24,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .combinatorics import Counts, kurtosis_of
+from .combinatorics import Counts, float_sum, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
 from .schemes import CompositionSet
 
@@ -274,4 +274,4 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
         snrs += _snr_db(q, model)
     return SnrReport(counts=counts, kurtosis=kurts, weights=weights,
                      snr_db=snrs, min_db=min(snrs), max_db=max(snrs),
-                     avg_db=sum(map(mul, snrs, weights)))
+                     avg_db=float_sum(map(mul, snrs, weights)))

@@ -21,11 +21,11 @@ from .ccdm import build_ccdm
 from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
+    check_k_range,
     colex_key,
     input_bits,
     kurtosis_of,
 )
-from .errors import RateInfeasibleError
 from .ess import build_ess
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
@@ -35,8 +35,7 @@ from .schemes import CompositionSet, CoverItem, exact_cover, tree_scheme
 def build_opt_mpdm(n: int, k: int,
                    alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Prune a (k+1)-bit pairwise scheme down to k bits, worst kurtosis first."""
-    if k < 0:
-        raise RateInfeasibleError(f"k={k} outside [0, n*log2(m)]")
+    check_k_range(n, k, alphabet.m)
     base = build_mpdm(n, k + 1, alphabet)
     need = 1 << k
     kurtosis = dict(zip(map(tuple, base.leaves.counts.tolist()),

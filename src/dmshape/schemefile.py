@@ -63,7 +63,7 @@ def _scheme_lines(built: CompositionSet):
     if built.e_max is not None:
         header.append(f"e_max={_format_number(built.e_max)}")
     header.append(f"leaves={len(built.leaves)}")
-    return chain(header, _leaf_lines(built.leaves, built.is_tree_addressed))
+    return chain(header, _leaf_lines(built.leaves, is_tree_scheme(built.scheme)))
 
 
 def scheme_to_text(built: CompositionSet) -> str:
@@ -108,7 +108,9 @@ def read_scheme(path: str) -> CompositionSet:
     """Parse and validate a scheme file.
 
     Every malformed field is reported as a one-line SchemeFileError of the
-    form ``path:line: field: reason``.
+    form ``path:line: field: reason``.  After validate, the header values the
+    file states (e_max, avg_pmf, rate_loss, in that order) must equal the
+    ones the scheme computes from its leaves.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,13 +185,23 @@ def read_scheme(path: str) -> CompositionSet:
         raise
     del lines, rows  # the file text is done with; validate runs without it
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
-                           leaves=leaves, avg_pmf=avg_pmf,
-                           rate_loss=rate_loss, e_max=e_max)
+                           leaves=leaves)
     try:
         built.validate()
     except Exception as exc:
         raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
-    return built
+    # the header must state what the leaves imply
+    if e_max != built.e_max:
+        fault = (f"tree scheme carries e_max {e_max!r}" if built.e_max is None
+                 else f"e_max {e_max!r} is not the minimal radius "
+                 f"{built.e_max!r}")
+    elif avg_pmf != built.avg_pmf:
+        fault = f"avg_pmf {avg_pmf!r} is not the leaves' {built.avg_pmf!r}"
+    elif rate_loss != built.rate_loss:
+        fault = f"rate_loss {rate_loss!r} is not the leaves' {built.rate_loss!r}"
+    else:
+        return built
+    raise SchemeFileError(f"{path}: inconsistent scheme: {fault}")
 
 
 def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:

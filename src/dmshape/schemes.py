@@ -23,6 +23,11 @@ codec read the columns directly.  A count that does not fit int64 is out of
 range for any composition; the table then holds an object array, which
 validate refuses at that leaf.
 
+A CompositionSet stores only what a builder chooses: the tag, n, k, the
+alphabet and the leaves.  avg_pmf, rate_loss and e_max have one valid value
+each given those, so they are computed from them; read_scheme checks that a
+file's header states those values.
+
 Capacities stay exact bigint factorial checks (2^p * prod(c_i!) <= n!, and
 likewise for used counts): a multinomial at n=216 has ~400 bits, far beyond
 a float's 53, and every interior ESS shell is used exactly to its capacity.
@@ -30,6 +35,7 @@ a float's 53, and every interior ESS shell is used exactly to its capacity.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -44,6 +50,7 @@ from .combinatorics import (
     AmplitudeAlphabet,
     Counts,
     Pmf,
+    check_k_range,
     colex_key,
     kurtosis_of,
     rate_loss as _rate_loss,
@@ -175,17 +182,25 @@ class CompositionSet:
     k: int
     alphabet: AmplitudeAlphabet
     leaves: LeafTable
-    avg_pmf: Pmf
-    rate_loss: float
-    e_max: float | None = None
 
     @property
     def n_compositions(self) -> int:
         return len(self.leaves)
 
+    @functools.cached_property
+    def avg_pmf(self) -> Pmf:
+        return average_pmf(self.leaves, self.n, self.alphabet.m)
+
     @property
-    def is_tree_addressed(self) -> bool:
-        return is_tree_scheme(self.scheme)
+    def rate_loss(self) -> float:
+        return _rate_loss(self.avg_pmf, self.k, self.n)
+
+    @property
+    def e_max(self) -> float | None:
+        """The minimal ESS radius; None for a tree scheme."""
+        from .ess import select_emax  # imported here: ess builds on this module
+        return (None if is_tree_scheme(self.scheme)
+                else select_emax(self.n, self.k, self.alphabet))
 
     def kurtosis_range(self) -> tuple[float, float]:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
@@ -197,12 +212,11 @@ class CompositionSet:
         """Raise ConstructionBugError on any violated scheme invariant.
 
         n may not exceed MAX_BLOCK_LENGTH.  A tree table carries payload and
-        depth and no used counts, an ESS table the reverse.  Capacities are
-        checked exactly with factorials: 2^p <= MC(C) as
-        2^p * prod(c_i!) <= n!, and likewise for used counts.  The header
-        fields must be what the leaves imply: avg_pmf and rate_loss
-        recomputed as the builders compute them, and e_max the minimal ESS
-        radius (tree schemes carry none), with every ESS leaf inside it.
+        depth and no used counts, an ESS table the reverse.  Leaf i owns
+        words[i] input words (2^payload_bits, or the ESS used count), as the
+        codec addresses them: words[i] * prod(c_i!) <= n! exactly, its weight
+        is words[i] / 2^k, and the words sum to 2^k.  Every ESS leaf lies
+        inside the minimal radius, and the rate loss is not negative.
 
         The checks run column by column, and the error names the first leaf
         at fault in stored order, as a leaf-by-leaf pass would: per leaf,
@@ -214,7 +228,7 @@ class CompositionSet:
         if n > MAX_BLOCK_LENGTH:
             raise ConstructionBugError(
                 f"n={n} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")
-        tree = self.is_tree_addressed
+        tree = is_tree_scheme(self.scheme)
         table = self.leaves
         size = len(table)
         counts = table.counts
@@ -244,23 +258,16 @@ class CompositionSet:
                     f"leaf {leaf} is not a composition of {n} into {m} levels")
             raise ConstructionBugError(
                 f"leaf {leaf} does not fit scheme {self.scheme!r}")
-        # 2^k <= m^n sequences exist; checked before 1 << k is formed
-        if not 0 <= k <= n * math.log2(m):
-            raise ConstructionBugError(f"k={k} outside [0, n*log2(m)]")
+        check_k_range(n, k, m, ConstructionBugError)
         need = 1 << k
-        weights = table.weights
         if tree:
             p = table.payload_bits
             bad_pd = (p < 0) | (p > k) | (table.depth != k - p)
-            p = np.where(bad_pd, 0, p).astype(np.int64)
-            bad_w = weights != np.ldexp(1.0, p - k)
-            words = p.tolist()
+            words = [1 << x for x in np.where(bad_pd, 0, p).tolist()]
         else:
-            used = table.used_counts
             bad_pd = np.zeros(size, dtype=bool)
-            bad_w = weights != np.array([u / need for u in used],
-                                        dtype=np.float64)
-            words = used
+            words = table.used_counts
+        bad_w = table.weights != np.array([x / need for x in words])
         # capacities, exactly, before the first other fault and at it when
         # that is a weight (a leaf's capacity is checked before its weight)
         last = _first(bad_pd | bad_w)
@@ -271,49 +278,28 @@ class CompositionSet:
             fact = {c: math.factorial(c) for c in np.unique(checked).tolist()}
             prod = math.prod
             for row, x in zip(checked.tolist(), words):
-                denom = prod(map(fact.__getitem__, row))
-                if tree:
-                    if denom << x > n_fact:
-                        raise ConstructionBugError(
-                            "payload exceeds composition capacity")
-                elif x < 0 or x * denom > n_fact:
+                if x < 0 or x * prod(map(fact.__getitem__, row)) > n_fact:
                     raise ConstructionBugError(
+                        "payload exceeds composition capacity" if tree else
                         f"leaf {tuple(row)} used count {x} exceeds its "
                         "shell size")
         if last < size:
-            leaf = table[last]
             if bad_pd[last]:
                 raise ConstructionBugError("inconsistent payload/depth")
-            if tree:
-                raise ConstructionBugError(
-                    f"leaf {leaf.counts} weight {leaf.weight!r} is not "
-                    f"2^({leaf.payload_bits}-{k})")
+            leaf = table[last]
+            share = (f"2^({leaf.payload_bits}-{k})" if tree
+                     else f"{leaf.used_count}/2^{k}")
             raise ConstructionBugError(
-                f"leaf {leaf.counts} weight {leaf.weight!r} is not "
-                f"{leaf.used_count}/2^{k}")
-        if tree:
-            # leaves sharing a payload own alike: one shift per payload
-            total = sum(int(c) << int(x) for x, c in
-                        zip(*np.unique(p, return_counts=True)))
-        else:
-            total = sum(used)
+                f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}")
+        total = sum(words)
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
-        wsum = sum(weights.tolist())
+        wsum = sum(table.weights.tolist())
         if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
-        if tree:
-            if self.e_max is not None:
-                raise ConstructionBugError(
-                    f"tree scheme carries e_max {self.e_max!r}")
-        else:
-            # imported here: ess builds on this module
-            from .ess import _integer_radius, select_emax
-            radius = select_emax(n, k, self.alphabet)
-            if self.e_max != radius:
-                raise ConstructionBugError(
-                    f"e_max {self.e_max!r} is not the minimal radius {radius!r}")
+        if not tree:
+            from .ess import _integer_radius  # as in e_max
             units, _ = self.alphabet.integer_energies()
             cap = _integer_radius(n, k, self.alphabet)
             # n * max(units) bounds every block energy
@@ -322,16 +308,9 @@ class CompositionSet:
                         @ np.array(units, dtype=exact))
             i = _first(energies > cap)
             if i < size:
-                raise ConstructionBugError(
-                    f"leaf {table[i].counts} lies outside the radius {radius!r}")
-        avg = average_pmf(table, n, m)
-        if avg != self.avg_pmf:
-            raise ConstructionBugError(
-                f"avg_pmf {self.avg_pmf!r} is not the leaves' {avg!r}")
-        loss = _rate_loss(avg, k, n)
-        if loss != self.rate_loss:
-            raise ConstructionBugError(
-                f"rate_loss {self.rate_loss!r} is not the leaves' {loss!r}")
+                raise ConstructionBugError(f"leaf {table[i].counts} lies "
+                                           f"outside the radius {self.e_max!r}")
+        self.rate_loss  # evaluated for its check: a negative rate loss raises
 
 
 def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
@@ -436,9 +415,7 @@ def tree_scheme(scheme: str, n: int, k: int, alphabet: AmplitudeAlphabet,
                         dtype=np.int64).reshape(len(cover), alphabet.m),
         weights=np.ldexp(1.0, payload - k),  # 2^(p-k), exactly
         payload_bits=payload, depth=k - payload)
-    avg_pmf = average_pmf(leaves, n, alphabet.m)
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
-                           leaves=leaves, avg_pmf=avg_pmf,
-                           rate_loss=_rate_loss(avg_pmf, k, n))
+                           leaves=leaves)
     built.validate()
     return built

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from dmshape.cli import main
+from dmshape.combinatorics import AmplitudeAlphabet
+from dmshape.mpdm import build_mpdm
 
 TOY = ["--n", "6", "--k", "4", "--alphabet", "1,3"]
 
@@ -109,6 +111,25 @@ class TestAnalyze:
         assert rc == 1
         assert "dmshape:" in capsys.readouterr().err
 
+    def test_default_model_rebuilds_the_mpdm(self, tmp_path, capsys):
+        # without --config a non-mpdm file takes its second anchor from the
+        # mpdm built at the same (n, k, alphabet)
+        scheme = tmp_path / "e.scheme"
+        assert main(["build", "--scheme", "ess", *TOY, "--out", str(scheme)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(scheme), "--out",
+                     str(tmp_path / "default")]) == 0
+        out = capsys.readouterr().out
+        assert out == "ess: min 14.261 max 14.559 p2p 0.298 avg 14.338 dB\n"
+        kmin, _ = build_mpdm(6, 4, AmplitudeAlphabet((1, 3))).kurtosis_range()
+        cfg = tmp_path / "anchor.cfg"
+        cfg.write_text(f"anchor2_kurtosis={kmin!r}\n")
+        assert main(["analyze", str(scheme), "--config", str(cfg), "--out",
+                     str(tmp_path / "anchored")]) == 0
+        assert capsys.readouterr().out == out
+        assert read_csv(tmp_path / "default_aggregates.csv") == \
+            read_csv(tmp_path / "anchored_aggregates.csv")
+
 
 class TestCompare:
     def test_toy_table(self, tmp_path, capsys):
@@ -195,6 +216,10 @@ class TestHostileInput:
         ("scheme", 1, lambda ls: ["scheme=zzz"] + ls[1:]),
         pytest.param("leaves", 8, lambda ls: ls[:7] + ["leaves=-3"] + ls[8:],
                      id="leaves-8-negative"),
+        # analyze would overflow at the fourth power of the levels
+        pytest.param("alphabet", 4,
+                     lambda ls: ls[:3] + ["alphabet=1e100,3e100"] + ls[4:],
+                     id="alphabet-4-huge-levels"),
     ])
     def test_bad_scheme_field(self, tmp_path, capsys, field, lineno, edit):
         bad = self.toy_scheme(tmp_path, capsys, edit)
@@ -253,8 +278,25 @@ class TestHostileInput:
          "amplitude energies need a modest common denominator"),
         (["build", "--scheme", "opt-mpdm", "--n", "4", "--k", "-1",
           "--alphabet", "1,3"], 1, "k=-1 outside [0, n*log2(m)]"),
+        # every builder refuses k by one rule, before 2^k is formed
+        (["build", "--scheme", "ess", "--n", "6", "--k", "-1",
+          "--alphabet", "1,3"], 1, "k=-1 outside [0, n*log2(m)]"),
+        (["build", "--scheme", "ess", "--n", "6", "--k", "9",
+          "--alphabet", "1,3"], 1, "k=9 outside [0, n*log2(m)]"),
+        (["build", "--scheme", "opt-mpdm", "--n", "6", "--k", "9",
+          "--alphabet", "1,3"], 1, "k=9 outside [0, n*log2(m)]"),
+        # a fourth power of 1e200 overflows a float
+        (["build", "--scheme", "ccdm", "--n", "6", "--k", "3",
+          "--alphabet", "1,1e200"], 3,
+         "bad alphabet '1,1e200': levels must have a finite fourth power"),
+        (["build", "--scheme", "ess", "--n", "6", "--k", "3",
+          "--alphabet", "1,1e200"], 3,
+         "bad alphabet '1,1e200': levels must have a finite fourth power"),
     ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative", "build-n-0",
-            "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k"])
+            "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k",
+            "ess-negative-k", "ess-k-above-capacity",
+            "opt-mpdm-k-above-capacity", "ccdm-huge-level",
+            "ess-huge-level"])
     def test_bad_cli_argument(self, tmp_path, capsys, args, rc, reason):
         if args[0] == "analyze":
             toy = tmp_path / "toy.scheme"
@@ -322,6 +364,23 @@ class TestHostileInput:
                              ("4,2|9||0.5625", "4,2|9||0.5625\n3,3|0||0.0")],
                      "leaf (3, 3) lies outside the radius 22.0",
                      id="ess-leaf-outside-radius"),
+        # validate runs before the stated header values are compared
+        pytest.param("ess", [("e_max=22.0", "e_max=1000.0"),
+                             ("leaves=3", "leaves=4"),
+                             ("4,2|9||0.5625", "4,2|9||0.5625\n3,3|0||0.0")],
+                     "leaf (3, 3) lies outside the radius 22.0",
+                     id="ess-e_max-and-leaf-outside-radius"),
+        # 5,1 at payload 3 exceeds MC(5,1) = 6, after the weight at fault
+        pytest.param("mpdm", [("4,2|3|1|0.5", "4,2|3|1|0.25"),
+                              ("5,1|2|2|0.25", "5,1|3|1|0.5")],
+                     "leaf (4, 2) weight 0.25 is not 2^(3-4)",
+                     id="weight-before-later-capacity"),
+        pytest.param("mpdm", [("5,1|2|2|0.25", "5,1|3|1|0.5")],
+                     "payload exceeds composition capacity",
+                     id="tree-capacity"),
+        # every leaf is consistent on its own: 8 + 2 * 2^2 != 2^4
+        pytest.param("mpdm", [("4,2|3|1|0.5", "4,2|2|2|0.25")],
+                     "address space is 12, expected 2^4", id="tree-total"),
         # 2^k sequences cannot exceed m^n; checked before 2^k is formed
         pytest.param("ess", [("k=4", "k=99")], "k=99 outside [0, n*log2(m)]",
                      id="k-above-capacity"),
@@ -378,6 +437,17 @@ class TestHostileInput:
         assert main(["codec", "encode", bad, "0x5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"dmshape: {bad}: inconsistent scheme: e_max ")
+
+    @pytest.mark.parametrize("direction,payload,reason", [
+        ("encode", "0x10", "word outside [0, 2^4)"),
+        ("decode", "1,3,1,1,1,2", "amplitude 2.0 not in alphabet"),
+    ], ids=["word-above-2k", "foreign-amplitude"])
+    def test_codec_range(self, tmp_path, capsys, direction, payload, reason):
+        toy = tmp_path / "toy.scheme"
+        assert main(["build", "--scheme", "mpdm", *TOY, "--out", str(toy)]) == 0
+        capsys.readouterr()
+        assert main(["codec", direction, str(toy), payload]) == 3
+        assert capsys.readouterr().err == f"dmshape: {reason}\n"
 
     BIG = 10**30
 

@@ -11,6 +11,7 @@ the per-leaf block_moments + snr_eff reference (compared with ==, not
 approx).  The reference outputs at n=216, k=349 are pinned by digest.
 """
 
+import builtins
 import hashlib
 import itertools
 import math
@@ -365,11 +366,8 @@ def ess_set(n, k, alphabet, used_by_counts):
         counts=np.array([c for c, _ in used_by_counts], dtype=np.int64),
         weights=np.array([u / (1 << k) for _, u in used_by_counts]),
         used_counts=[u for _, u in used_by_counts])
-    avg = average_pmf(leaves, n, alphabet.m)
     return d.CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
-                            leaves=leaves, avg_pmf=avg,
-                            rate_loss=d.rate_loss(avg, k, n),
-                            e_max=d.select_emax(n, k, alphabet))
+                            leaves=leaves)
 
 
 def test_factorial_check_rejects_used_above_shell_size():
@@ -396,12 +394,10 @@ def test_factorial_check_is_the_multinomial(case):
                          depth=np.array([0]))
 
     ok = d.CompositionSet(scheme="ccdm", n=n, k=k, alphabet=alphabet,
-                          leaves=one_leaf(k), avg_pmf=d.pmf_of(c),
-                          rate_loss=d.rate_loss(d.pmf_of(c), k, n))
+                          leaves=one_leaf(k))
     ok.validate()
     over = d.CompositionSet(scheme="ccdm", n=n, k=k + 1, alphabet=alphabet,
-                            leaves=one_leaf(k + 1), avg_pmf=d.pmf_of(c),
-                            rate_loss=0.0)
+                            leaves=one_leaf(k + 1))
     with pytest.raises(ConstructionBugError):
         over.validate()
 
@@ -416,6 +412,34 @@ def test_reference_outputs_pinned(ess216, capsys):
         "282b98e69c8cac296382861ead452345"
     assert hashlib.sha256(scheme_to_text(ess216).encode()).hexdigest() == \
         "9b1e947b66885a39ec8c898723f78bf1286edcaee29ebed3ca5db94c635e5a8d"
+
+
+SUM = builtins.sum
+
+
+def compensated_sum(values, /, start=0):
+    """sum() with compensated float additions, as from Python 3.12; ints
+    stay exact."""
+    values = list(values)
+    if any(isinstance(v, float) for v in [start, *values]):
+        return math.fsum([start, *values])
+    return SUM(values, start)
+
+
+def test_outputs_do_not_depend_on_sum(monkeypatch, ccdm216, mpdm216, ess216,
+                                      opt216, model216):
+    # compare's rate_loss and avg_snr_db columns at n=216, k=349
+    want = {"ccdm": (0.055091438223286104, 14.277152592779931),
+            "ess": (0.013967131053320259, 14.267701118245865),
+            "mpdm": (0.02412381183033352, 14.255201072678991),
+            "opt-mpdm": (0.02682779086710929, 14.386134543935402)}
+    lams = [i / 64 for i in range(129)]
+    pmfs = [ccdm.mb_pmf(lam) for lam in lams]
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    got = {built.scheme: (built.rate_loss, nli.analyze(built, model216).avg_db)
+           for built in (ccdm216, ess216, mpdm216, opt216)}
+    assert got == want
+    assert [ccdm.mb_pmf(lam) for lam in lams] == pmfs
 
 
 # md5 of the four analyze CSVs per reference scheme under model216:
@@ -530,8 +554,7 @@ def adhoc_set(alphabet, counts_list):
     leaves = LeafTable(np.array(counts_list, dtype=np.int64),
                        np.full(len(counts_list), 1 / len(counts_list)))
     return d.CompositionSet(scheme="ess", n=n, k=0, alphabet=alphabet,
-                            leaves=leaves, avg_pmf=(0.0,) * alphabet.m,
-                            rate_loss=0.0)
+                            leaves=leaves)
 
 
 @settings(max_examples=100, deadline=None)

@@ -104,6 +104,25 @@ class TestAssemble:
         cover = exact_cover(items, 2, payload_cap=smallest_feasible_cap(items, 2))
         assert cover == [((2, 2), 2)]
 
+    def test_cover_cuts_an_overshooting_pair(self):
+        # (2,2) takes 4 of 2^3; the pair at payload 2 would add 8, so both
+        # members drop to payload 1
+        items = [CoverItem(((2, 2),), 2), CoverItem(((1, 3), (3, 1)), 2)]
+        assert exact_cover(items, 3) == [((2, 2), 2), ((1, 3), 1), ((3, 1), 1)]
+
+    def test_cover_skips_a_pair_that_cannot_fit(self):
+        # one address is left when the pair comes up: it is skipped, and
+        # the single (0,4) after it takes that address
+        items = [CoverItem(((2, 2),), 1), CoverItem(((4, 0),), 0),
+                 CoverItem(((3, 1), (1, 3)), 0), CoverItem(((0, 4),), 0)]
+        assert exact_cover(items, 2) == [((2, 2), 1), ((4, 0), 0), ((0, 4), 0)]
+
+    def test_cover_short_of_2k_is_infeasible(self):
+        items = [CoverItem(((2, 2),), 1), CoverItem(((4, 0),), 0)]
+        with pytest.raises(RateInfeasibleError,
+                           match=r"items supply 3 addresses, need 2\^2"):
+            exact_cover(items, 2)
+
     def test_toy_exact_cover_brute_force(self):
         # n=6, maximal k on {1,3}: hand-checked cover 8 + 4 + 4 = 2^4
         target = d.select_mpdm_target(6, 4, A2)
