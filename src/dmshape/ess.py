@@ -24,6 +24,7 @@ where the running slot sum first reaches 2^k.
 from __future__ import annotations
 
 import functools
+import gc
 from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter
@@ -101,4 +102,9 @@ def build_ess(n: int, k: int,
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
     built.validate()
+    # CPython keeps up to 2000 freed tuples of each size for reuse.  The
+    # shells' are spread over the pools that hold the used counts, and would
+    # keep ~170 of those pools (2.7 MB) from serving the next stage, such
+    # as analyze's floats; a full collection empties the free lists.
+    gc.collect()
     return built

@@ -1,13 +1,21 @@
 """Exact combinatorial kernels.
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
-full scans over the composition simplex, complement-pair scans and the
-energy-bounded suffix-count table that counts the sphere-shaping ball.  All
+full scans over the composition simplex, complement-pair scans, the
+energy-bounded suffix-count table that counts the sphere-shaping ball, and
+the column kernel ``multinomials``, which gives the exact multinomial of
+every row of a count matrix (validate's capacities) with each distinct
+binomial formed once and the products taken in numpy's object loops.  All
 arithmetic that can overflow 64 bits is done with Python ints, so every
 kernel is exact.
 """
 
 from math import comb
+
+import numpy as np
+
+# Rows per block of multinomials: a block holds this many bigints at once.
+MULTINOMIAL_CHUNK = 4096
 
 
 def backend_name():
@@ -24,6 +32,38 @@ def mc_counts(counts):
         r *= comb(rest, x)
         rest -= x
     return r
+
+
+def multinomials(counts, n):
+    """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
+
+    Yields them as object arrays of Python ints, MULTINOMIAL_CHUNK rows at a
+    time in row order, so no array of L bigints is held.  Row i's value is
+    the product over j < m-1 of comb(rest_j, c_j), with rest_j = n minus the
+    earlier counts, as in mc_counts; each distinct (rest_j, c_j) binomial is
+    formed once for the whole matrix.  Every count must lie in [0, n] and
+    each row must sum to n, with (n+1)^2 inside int64.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    binomials = {}
+
+    def binomial(key):
+        value = binomials.get(key)
+        if value is None:
+            value = binomials[key] = comb(*divmod(key, n + 1))
+        return value
+
+    for start in range(0, len(counts), MULTINOMIAL_CHUNK):
+        head = counts[start:start + MULTINOMIAL_CHUNK, :-1]
+        # one int64 key rest_j * (n+1) + c_j per binomial, built in place
+        keys = np.cumsum(head, axis=1)
+        keys -= head
+        np.subtract(n, keys, out=keys)
+        keys *= n + 1
+        keys += head
+        pairs, index = np.unique(keys, return_inverse=True)
+        values = np.array(list(map(binomial, pairs.tolist())), dtype=object)
+        yield np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
 
 
 def cc_unrank(index, counts):

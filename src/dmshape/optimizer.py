@@ -26,6 +26,7 @@ from .combinatorics import (
     input_bits,
     kurtosis_of,
 )
+from .errors import RateInfeasibleError
 from .ess import build_ess
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
@@ -36,7 +37,12 @@ def build_opt_mpdm(n: int, k: int,
                    alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Prune a (k+1)-bit pairwise scheme down to k bits, worst kurtosis first."""
     check_k_range(n, k, alphabet.m)
-    base = build_mpdm(n, k + 1, alphabet)
+    try:
+        base = build_mpdm(n, k + 1, alphabet)
+    except RateInfeasibleError as exc:  # it names k+1, not the caller's k
+        raise RateInfeasibleError(
+            f"opt-mpdm at k={k} needs room for k+1={k + 1} bits: {exc}"
+        ) from None
     need = 1 << k
     kurtosis = dict(zip(map(tuple, base.leaves.counts.tolist()),
                         kurtosis_of(base.leaves.counts, alphabet)))

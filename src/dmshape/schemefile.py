@@ -37,17 +37,21 @@ def _format_level(x: float) -> str:
 
 
 def _leaf_lines(leaves: LeafTable, tree: bool):
-    """The leaf lines of a table, formatted column by column."""
-    counts = map(",".join, zip(*(map(str, col) for col in leaves.counts.T.tolist())))
-    if tree:
-        mid = map(str, leaves.payload_bits.tolist())
-        depth = map(str, leaves.depth.tolist())
-    else:
-        mid = map(str, leaves.used_counts)
-        depth = repeat("")
-    # repr is _format_number for the Python floats tolist returns
-    weights = map(repr, leaves.weights.tolist())
-    return map("|".join, zip(counts, mid, depth, weights))
+    """The leaf lines of a table, formatted column by column, LEAF_CHUNK
+    leaves at a time."""
+    for start in range(0, len(leaves), LEAF_CHUNK):
+        rows = slice(start, start + LEAF_CHUNK)
+        counts = map(",".join, zip(*(map(str, col) for col
+                                     in leaves.counts[rows].T.tolist())))
+        if tree:
+            mid = map(str, leaves.payload_bits[rows].tolist())
+            depth = map(str, leaves.depth[rows].tolist())
+        else:
+            mid = map(str, leaves.used_counts[rows])
+            depth = repeat("")
+        # repr is _format_number for the Python floats tolist returns
+        weights = map(repr, leaves.weights[rows].tolist())
+        yield from map("|".join, zip(counts, mid, depth, weights))
 
 
 def _scheme_lines(built: CompositionSet):

@@ -28,15 +28,17 @@ alphabet and the leaves.  avg_pmf, rate_loss and e_max have one valid value
 each given those, so they are computed from them; read_scheme checks that a
 file's header states those values.
 
-Capacities stay exact bigint factorial checks (2^p * prod(c_i!) <= n!, and
-likewise for used counts): a multinomial at n=216 has ~400 bits, far beyond
-a float's 53, and every interior ESS shell is used exactly to its capacity.
+Capacities are checked exactly, by column: kernels.multinomials gives each
+leaf's multinomial MC as a product of binomials, each distinct binomial
+formed once, one block of leaves at a time, and a leaf's words (2^p, or its
+used count) must lie in [0, MC].  A multinomial at n=216 has ~400 bits,
+far beyond a float's 53, and every interior ESS shell is used exactly to its
+capacity, so no float bound could decide it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -56,10 +58,11 @@ from .combinatorics import (
     rate_loss as _rate_loss,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
+from .kernels import multinomials
 
-# Largest block length a scheme may state.  validate forms n!, which has
-# about n*log2(n) bits (0.95M at the bound, formed in ~0.06 s); a file
-# naming n=10^6 would otherwise take seconds per read.
+# Largest block length a scheme may state.  validate forms binomials
+# comb(n, c) of up to n bits (comb(2^16, 2^15) takes ~0.2 s on Python 3.11);
+# a file naming n=10^6 would take ~16 s for one such binomial.
 MAX_BLOCK_LENGTH = 1 << 16
 
 
@@ -214,7 +217,8 @@ class CompositionSet:
         n may not exceed MAX_BLOCK_LENGTH.  A tree table carries payload and
         depth and no used counts, an ESS table the reverse.  Leaf i owns
         words[i] input words (2^payload_bits, or the ESS used count), as the
-        codec addresses them: words[i] * prod(c_i!) <= n! exactly, its weight
+        codec addresses them: 0 <= words[i] <= MC(c_i), compared exactly with
+        the multinomials of kernels.multinomials, words[i] <= 2^k, its weight
         is words[i] / 2^k, and the words sum to 2^k.  Every ESS leaf lies
         inside the minimal radius, and the rate loss is not negative.
 
@@ -222,7 +226,8 @@ class CompositionSet:
         at fault in stored order, as a leaf-by-leaf pass would: per leaf,
         duplicate before composition before kind (a table of the wrong kind
         misfits at every leaf), then (once every leaf has passed those)
-        payload/depth, capacity and weight.
+        payload/depth, capacity and weight, each a mask over all leaves,
+        with the three checked in that order at the first leaf any marks.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         if n > MAX_BLOCK_LENGTH:
@@ -238,7 +243,7 @@ class CompositionSet:
         else:
             not_comp = np.full(size, size > 0)
         ok = ~not_comp
-        good = composition_keys(counts[ok].astype(np.int64), n)
+        good = composition_keys(counts[ok].astype(np.int64, copy=False), n)
         # a row that is no composition takes a unique negative key: it is
         # at fault before any later copy of it could be
         keys = np.arange(-1, -size - 1, -1).astype(good.dtype)
@@ -267,26 +272,34 @@ class CompositionSet:
         else:
             bad_pd = np.zeros(size, dtype=bool)
             words = table.used_counts
-        bad_w = table.weights != np.array([x / need for x in words])
-        # capacities, exactly, before the first other fault and at it when
-        # that is a weight (a leaf's capacity is checked before its weight)
-        last = _first(bad_pd | bad_w)
-        checked = counts[:last + (last < size and not bad_pd[last])]
-        if len(checked):
-            n_fact = math.factorial(n)
-            # a scheme's leaves share few distinct counts
-            fact = {c: math.factorial(c) for c in np.unique(checked).tolist()}
-            prod = math.prod
-            for row, x in zip(checked.tolist(), words):
-                if x < 0 or x * prod(map(fact.__getitem__, row)) > n_fact:
-                    raise ConstructionBugError(
-                        "payload exceeds composition capacity" if tree else
-                        f"leaf {tuple(row)} used count {x} exceeds its "
-                        "shell size")
-        if last < size:
-            if bad_pd[last]:
+        # capacity and weight by column, one block of multinomials at a time:
+        # words[i] <= MC(c_i) exactly, and the share words[i] / 2^k formed
+        # as a float only for a word in [0, 2^k]
+        bad_cap = np.zeros(size, dtype=bool)
+        bad_w = np.zeros(size, dtype=bool)
+        stop = 0
+        for mc in multinomials(counts, n):
+            rows = slice(stop, stop + len(mc))
+            stop = rows.stop
+            w = np.array(words[rows], dtype=object)
+            bad_cap[rows] = (w < 0) | (w > mc)
+            fits = ~bad_cap[rows] & (w <= need)
+            share = (np.where(fits, w, 0) / need).astype(np.float64)
+            bad_w[rows] = ~fits | (table.weights[rows] != share)
+        i = _first(bad_pd | bad_cap | bad_w)
+        if i < size:
+            if bad_pd[i]:
                 raise ConstructionBugError("inconsistent payload/depth")
-            leaf = table[last]
+            leaf = table[i]
+            if bad_cap[i]:
+                raise ConstructionBugError(
+                    "payload exceeds composition capacity" if tree else
+                    f"leaf {leaf.counts} used count {leaf.used_count} "
+                    "exceeds its shell size")
+            if words[i] > need:  # an ESS leaf: a tree's p > k fails above
+                raise ConstructionBugError(
+                    f"leaf {leaf.counts} used count {leaf.used_count} "
+                    f"exceeds 2^{k}")
             share = (f"2^({leaf.payload_bits}-{k})" if tree
                      else f"{leaf.used_count}/2^{k}")
             raise ConstructionBugError(
@@ -320,13 +333,17 @@ def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     would: np.cumsum accumulates sequentially (np.sum would add pairwise),
     so the result is bit for bit the loop's; the final + 0.0 turns the -0.0
     that only an all-(-0.0) column could leave into the loop's 0.0.
-    Zero-weight leaves add 0.0, which changes nothing.
+    Zero-weight leaves add 0.0, which changes nothing.  One level at a time
+    keeps the temporaries to one column.
     """
     if not len(table):
         return (0.0,) * m
-    terms = table.weights[:, None] * table.counts / n
-    np.cumsum(terms, axis=0, out=terms)
-    return tuple((terms[-1] + 0.0).tolist())
+    pmf = []
+    for column in table.counts.T:
+        terms = table.weights * column
+        terms /= n
+        pmf.append(float(np.cumsum(terms, out=terms)[-1]) + 0.0)
+    return tuple(pmf)
 
 
 class CoverItem(NamedTuple):

@@ -285,6 +285,15 @@ class TestHostileInput:
           "--alphabet", "1,3"], 1, "k=9 outside [0, n*log2(m)]"),
         (["build", "--scheme", "opt-mpdm", "--n", "6", "--k", "9",
           "--alphabet", "1,3"], 1, "k=9 outside [0, n*log2(m)]"),
+        # opt-mpdm builds on an MPDM at k+1, whose error names k+1
+        (["build", "--scheme", "opt-mpdm", "--n", "6", "--k", "6",
+          "--alphabet", "1,3"], 1,
+         "opt-mpdm at k=6 needs room for k+1=7 bits: "
+         "k=7 outside [0, n*log2(m)]"),
+        (["build", "--scheme", "opt-mpdm", "--n", "6", "--k", "5",
+          "--alphabet", "1,3"], 1,
+         "opt-mpdm at k=5 needs room for k+1=6 bits: "
+         "no MPDM target reaches k=6 at n=6"),
         # a fourth power of 1e200 overflows a float
         (["build", "--scheme", "ccdm", "--n", "6", "--k", "3",
           "--alphabet", "1,1e200"], 3,
@@ -295,7 +304,8 @@ class TestHostileInput:
     ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative", "build-n-0",
             "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k",
             "ess-negative-k", "ess-k-above-capacity",
-            "opt-mpdm-k-above-capacity", "ccdm-huge-level",
+            "opt-mpdm-k-above-capacity", "opt-mpdm-k-plus-one-above-capacity",
+            "opt-mpdm-k-plus-one-infeasible", "ccdm-huge-level",
             "ess-huge-level"])
     def test_bad_cli_argument(self, tmp_path, capsys, args, rc, reason):
         if args[0] == "analyze":
@@ -467,8 +477,16 @@ class TestHostileInput:
          "inconsistent payload/depth"),
         ("ess", TOY, "4,2|9||0.5625", f"4,2|{BIG}||0.5625",
          f"leaf (4, 2) used count {BIG} exceeds its shell size"),
+        # 10^400 / 2^4 is beyond a float: the share is never formed
+        ("ess", TOY, "4,2|9||0.5625", f"4,2|{10**400}||0.5625",
+         f"leaf (4, 2) used count {10**400} exceeds its shell size"),
+        # at n=6, k=3 the leaf 4,2 uses 1 of MC(4,2) = 15: 10 fits the shell
+        # but not 2^3, though its weight states the share 10/2^3
+        ("ess", ["--n", "6", "--k", "3", "--alphabet", "1,3"],
+         "4,2|1||0.125", "4,2|10||1.25",
+         "leaf (4, 2) used count 10 exceeds 2^3"),
     ], ids=["count", "negative-count", "int64-wrap", "payload", "depth",
-            "used_count"])
+            "used_count", "used_count-beyond-float", "used_count-above-2k"])
     def test_integers_beyond_int64(self, tmp_path, capsys, scheme, args, old,
                                    new, reason):
         bad = self.toy_scheme(tmp_path, capsys, self.replace_line(old, new),

@@ -6,15 +6,19 @@ unpruned pair-scan sweep, the half-box windowed pair scan against a
 brute-force box filter, the certified numpy MB chain against the scalar
 grid sweep, the histogram cap search against the direct sum, the ESS build
 against its per-shell loop, the generating-polynomial ESS radius against
-the cumulative kernels.energy_totals scan, and the chunked analyze against
-the per-leaf block_moments + snr_eff reference (compared with ==, not
-approx).  The reference outputs at n=216, k=349 are pinned by digest.
+the cumulative kernels.energy_totals scan, the column capacity check of
+validate against the leaf-by-leaf factorial product, and the chunked
+analyze against the per-leaf block_moments + snr_eff reference (compared
+with ==, not approx).  The reference outputs at n=216, k=349 are pinned by
+digest.
 """
 
 import builtins
+import functools
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +36,12 @@ from dmshape.errors import (
 )
 from dmshape.ess import _integer_radius
 from dmshape.schemefile import scheme_to_text
+from dmshape.optimizer import BUILDERS
 from dmshape.schemes import (
     CoverItem,
     LeafTable,
     average_pmf,
+    is_tree_scheme,
     smallest_feasible_cap,
 )
 
@@ -400,6 +406,114 @@ def test_factorial_check_is_the_multinomial(case):
                             leaves=one_leaf(k + 1))
     with pytest.raises(ConstructionBugError):
         over.validate()
+
+
+def factorial_verdict(built):
+    """What validate must say once every leaf is a distinct composition of
+    the right kind: the leaf-by-leaf factorial-product check, word * prod(
+    c_i!) <= n!, in the fault order payload/depth, capacity, weight per leaf,
+    then the totals.  A word above 2^k is its leaf's fault, in the weight's
+    place.  None when the scheme passes."""
+    n, k = built.n, built.k
+    need = 1 << k
+    tree = is_tree_scheme(built.scheme)
+    n_fact = math.factorial(n)
+    words = []
+    for leaf in built.leaves:
+        if tree:
+            p = leaf.payload_bits
+            if p < 0 or p > k or leaf.depth != k - p:
+                return "inconsistent payload/depth"
+            x = 1 << p
+        else:
+            x = leaf.used_count
+        if x < 0 or x * math.prod(map(math.factorial, leaf.counts)) > n_fact:
+            return ("payload exceeds composition capacity" if tree else
+                    f"leaf {leaf.counts} used count {x} exceeds its shell size")
+        if x > need:
+            return f"leaf {leaf.counts} used count {x} exceeds 2^{k}"
+        if leaf.weight != x / need:
+            share = f"2^({leaf.payload_bits}-{k})" if tree else f"{x}/2^{k}"
+            return f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}"
+        words.append(x)
+    if sum(words) != need:
+        what = "address space" if tree else "used sequences"
+        return f"{what} is {sum(words)}, expected 2^{k}"
+    wsum = sum(leaf.weight for leaf in built.leaves)
+    if not abs(wsum - 1.0) <= 1e-9:
+        return f"leaf weights sum to {wsum!r}"
+    return None
+
+
+A3 = d.AmplitudeAlphabet((1, 3, 5))
+# small valid schemes of each kind; ccdm 8/5, mpdm 8/6 and ess 6/3 hold a
+# leaf whose multinomial exceeds 2^k
+VALIDATE_BASES = [("ccdm", 8, 5, ALPHABETS[0]), ("mpdm", 8, 6, ALPHABETS[0]),
+                  ("ess", 8, 6, ALPHABETS[0]), ("ess", 6, 3, ALPHABETS[0]),
+                  ("mpdm", 6, 7, A3), ("ess", 6, 7, A3), ("opt-mpdm", 6, 6, A3),
+                  ("ess", 5, 7, d.DEFAULT_ALPHABET),
+                  ("mpdm", 5, 8, d.DEFAULT_ALPHABET)]
+EDITS = ("at-capacity", "over-capacity", "payload/depth", "weight",
+         "negative", "above-2^k")
+
+
+@functools.lru_cache(maxsize=None)
+def validate_base(i):
+    scheme, n, k, alphabet = VALIDATE_BASES[i]
+    return BUILDERS[scheme](n, k, alphabet)
+
+
+def edited(base, edits):
+    """base with each (leaf, kind) edit applied in turn; a word edit states
+    the share the new word would have, so only the edit is at fault."""
+    table, k = base.leaves, base.k
+    need = 1 << k
+    tree = is_tree_scheme(base.scheme)
+    weights = table.weights.copy()
+    if tree:
+        payload, depth = table.payload_bits.copy(), table.depth.copy()
+    else:
+        used = list(table.used_counts)
+    for leaf, kind in edits:
+        i = leaf % len(weights)
+        mc = kernels.mc_counts(tuple(table.counts[i].tolist()))
+        if kind == "weight":
+            weights[i] = weights[i] * 2 if weights[i] else 0.5
+        elif tree:
+            p = {"at-capacity": mc.bit_length() - 1,
+                 "over-capacity": mc.bit_length(),
+                 "payload/depth": int(payload[i]), "negative": -1,
+                 "above-2^k": k + 1}[kind]
+            payload[i] = p
+            depth[i] = k - p + (kind == "payload/depth")
+            weights[i] = math.ldexp(1.0, p - k)
+        else:  # an ESS leaf has no payload/depth: that edit fills the shell
+            x = {"at-capacity": mc, "over-capacity": mc + 1,
+                 "payload/depth": mc, "negative": -1,
+                 "above-2^k": need + 1}[kind]
+            used[i] = x
+            weights[i] = min(x, need) / need
+    columns = (dict(payload_bits=payload, depth=depth) if tree
+               else dict(used_counts=used))
+    return d.CompositionSet(scheme=base.scheme, n=base.n, k=k,
+                            alphabet=base.alphabet,
+                            leaves=LeafTable(table.counts, weights, **columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.integers(0, len(VALIDATE_BASES) - 1),
+       edits=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(EDITS)),
+                      max_size=4),
+       chunk=st.sampled_from([1, 2, 3, kernels.MULTINOMIAL_CHUNK]))
+def test_column_capacity_check_is_the_factorial_product(base, edits, chunk):
+    built = edited(validate_base(base), edits)
+    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+        try:
+            built.validate()
+            got = None
+        except ConstructionBugError as exc:
+            got = str(exc)
+    assert got == factorial_verdict(built)
 
 
 # -- reference bytes -----------------------------------------------------------

@@ -3,16 +3,21 @@
 Each kernel is checked against an independent enumeration by
 ``itertools.product``: of all m^n level sequences (which it yields in
 lexicographic order), or of all count vectors in a box, for alphabets of
-m = 2 to 4 levels.
+m = 2 to 4 levels.  The column kernel multinomials is checked against the
+scalar mc_counts row by row.
 """
 
 import itertools
 import math
 from collections import defaultdict
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dmshape import kernels
+from dmshape.schemes import MAX_BLOCK_LENGTH
 
 # (n, m) with m^n <= 4096, so every sequence can be listed
 SIZES = [(1, 2), (5, 2), (10, 2), (1, 3), (4, 3), (7, 3), (1, 4), (3, 4),
@@ -55,6 +60,44 @@ def test_backend_name():
 def test_mc_counts(n, m):
     for counts in compositions(n, m):
         assert kernels.mc_counts(counts) == multinomial(counts)
+
+
+@st.composite
+def count_matrices(draw):
+    """(n, m, rows): compositions of n into m levels, among them rows with
+    zero counts and rows holding all of n in one level."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 60))
+
+    def composition():
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1,
+                                    max_size=m - 1)))
+        return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+    def one_level():
+        level = draw(st.integers(0, m - 1))
+        return [n if j == level else 0 for j in range(m)]
+
+    picks = draw(st.lists(st.booleans(), max_size=12))
+    return n, m, [one_level() if pick else composition() for pick in picks]
+
+
+HALF = MAX_BLOCK_LENGTH // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_matrices(), st.sampled_from([1, 2, 5, kernels.MULTINOMIAL_CHUNK]))
+# the largest binomial a valid scheme can ask for, comb(2^16, 2^15)
+@example((MAX_BLOCK_LENGTH, 2, [[HALF, HALF], [0, MAX_BLOCK_LENGTH]]), 1)
+def test_multinomials_equal_mc_counts(case, chunk):
+    n, m, rows = case
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+        blocks = list(kernels.multinomials(matrix, n))
+    assert all(0 < len(block) <= chunk for block in blocks)
+    got = [x for block in blocks for x in block.tolist()]
+    assert all(type(x) is int for x in got)
+    assert got == [kernels.mc_counts(row) for row in rows]
 
 
 @pytest.mark.parametrize("n,m", SIZES)
