@@ -79,6 +79,8 @@ def cmd_build(args) -> int:
 
 
 def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
+    # the histogram first: a bin width it refuses leaves no file behind
+    histogram = report.histogram(bin_width_db)
     # formatted by whole columns, as _write_rows would write them: the ids
     # ("c0:c1:...") and float reprs hold nothing the csv module quotes.  No
     # name holds the id columns, so they are freed before the CDF is built.
@@ -88,7 +90,7 @@ def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
             *(map(str, col) for col in report.counts.T.tolist()))),
             report.kurtosis, report.snr_db, report.weights))
     _write_csv(prefix + "_histogram.csv", ["bin_center_db", "weight"],
-               ((_fmt(c), _fmt(w)) for c, w in report.histogram(bin_width_db)))
+               ((_fmt(c), _fmt(w)) for c, w in histogram))
     _write_csv(prefix + "_cdf.csv", ["snr_db", "cumulative_weight"],
                ((_fmt(s), _fmt(w)) for s, w in report.cdf()))
     _write_csv(prefix + "_aggregates.csv",

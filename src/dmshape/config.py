@@ -11,7 +11,8 @@ Recognised keys (defaults are the reference link of the study):
 When eta0/eta1 are absent the model is calibrated from the two anchors;
 anchor2's kurtosis defaults to the minimum kurtosis of the pairwise scheme
 built at the same (n, k), which is how the second reference point is
-defined.  Unknown and repeated keys are rejected.
+defined.  Unknown and repeated keys, and values that are not finite
+numbers, are rejected.
 """
 
 from __future__ import annotations
@@ -19,8 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationError, SchemeFileError
-from .nli import LinkConfig, NliModel, WdmConfig, ase_variance, calibrate, gn_eta0, optimal_power
+from .errors import CalibrationError, ModelDomainError, SchemeFileError
+from .nli import (
+    LinkConfig,
+    NliModel,
+    WdmConfig,
+    ase_variance,
+    calibrate,
+    db_to_ratio,
+    gn_eta0,
+    optimal_power,
+)
 
 _FLOAT_KEYS = {
     "gamma_per_w_km", "beta2_ps2_per_km", "alpha_db_per_km", "span_km",
@@ -49,7 +59,8 @@ class RunConfig:
     def launch_power_w(self) -> float:
         """Configured launch power, or the GN-optimal power at Gaussian kurtosis."""
         if self.launch_power_dbm is not None:
-            return 10 ** (self.launch_power_dbm / 10) * 1e-3
+            return db_to_ratio(self.launch_power_dbm, "launch_power_dbm",
+                               ModelDomainError) * 1e-3
         ase = ase_variance(self.link, self.wdm)
         eta0 = self.eta0 if self.eta0 is not None else gn_eta0(self.link, self.wdm)
         return optimal_power(ase, eta0)
@@ -103,6 +114,9 @@ def parse_config(path: str | None) -> RunConfig:
                 raw[key] = convert(value)
             except ValueError as exc:
                 raise SchemeFileError(f"{path}:{lineno}: {key}: {exc}") from None
+            if not math.isfinite(raw[key]):
+                raise SchemeFileError(
+                    f"{path}:{lineno}: {key}: not a finite number")
     link_kwargs = {k: raw.pop(k) for k in list(raw)
                    if k in LinkConfig.__dataclass_fields__}
     wdm_kwargs = {k: raw.pop(k) for k in list(raw)

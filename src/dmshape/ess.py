@@ -5,7 +5,8 @@ admits 2^k sequences form the scheme; shells are consumed lowest energy
 first (colex within equal energy), with the boundary-energy shells
 truncated so that exactly 2^k sequences are used.  Shell weights are exact
 used-count ratios rather than dyadic payloads: sphere-shaped sets carry no
-prefix tree.
+prefix tree.  The shells are one (L, m) count matrix from the scan to the
+leaf table, with no object per shell.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -24,17 +25,15 @@ where the running slot sum first reaches 2^k.
 from __future__ import annotations
 
 import functools
-import gc
 from bisect import bisect_left
 from itertools import accumulate
-from operator import itemgetter
 
 import numpy as np
 
 from . import kernels
 from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet, check_k_range
 from .errors import RateInfeasibleError
-from .schemes import CompositionSet, LeafTable
+from .schemes import CompositionSet, LeafTable, block_energies
 
 RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
 
@@ -79,13 +78,14 @@ def build_ess(n: int, k: int,
     part of the scheme (they are inside the sphere).
     """
     units, _ = alphabet.integer_energies()
-    shells = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
+    counts = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
     # shells_upto returns colex order, so a stable sort on energy alone
     # gives the (energy, colex) order
-    shells.sort(key=itemgetter(1))
-    counts = np.array([c for c, _e, _mc in shells], dtype=np.int64)
-    used = [mc for _c, _e, mc in shells]
-    del shells
+    counts = counts[np.argsort(block_energies(counts, n, units),
+                               kind="stable")]
+    used = []
+    for mc in kernels.multinomials(counts, n):
+        used += mc.tolist()
     # shells before the first one whose cumulative count reaches 2^k are
     # used in full, that one in part, the ones after it not at all
     need = 1 << k
@@ -96,15 +96,10 @@ def build_ess(n: int, k: int,
     used[cross:] = [need - before] + [0] * (len(used) - cross - 1)
     leaves = LeafTable(
         counts=counts,
-        weights=np.array([u / need for u in used], dtype=np.float64),
+        weights=(np.array(used, dtype=object) / need).astype(np.float64),
         used_counts=used)
     del used  # the table holds its own tuple
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
     built.validate()
-    # CPython keeps up to 2000 freed tuples of each size for reuse.  The
-    # shells' are spread over the pools that hold the used counts, and would
-    # keep ~170 of those pools (2.7 MB) from serving the next stage, such
-    # as analyze's floats; a full collection empties the free lists.
-    gc.collect()
     return built

@@ -1,10 +1,10 @@
 """Exact combinatorial kernels.
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
-full scans over the composition simplex, complement-pair scans, the
+the energy-capped shell scan (one count matrix), complement-pair scans, the
 energy-bounded suffix-count table that counts the sphere-shaping ball, and
-the column kernel ``multinomials``, which gives the exact multinomial of
-every row of a count matrix (validate's capacities) with each distinct
+the column kernel ``multinomials``: the exact multinomial of every row of a
+count matrix (validate's capacities, build_ess's shell sizes), each distinct
 binomial formed once and the products taken in numpy's object loops.  All
 arithmetic that can overflow 64 bits is done with Python ints, so every
 kernel is exact.
@@ -182,42 +182,41 @@ def energy_totals(n, int_energies):
 def shells_upto(n, int_energies, e_cap):
     """All compositions with integer energy <= e_cap, in colex order.
 
-    Returns a list of (counts tuple, energy, multinomial count).  The inner
-    sweep (level 0 -> level 1 moves) has monotonically increasing energy, so
-    each sweep is abandoned as soon as it leaves the cap; the scan then costs
-    O(#sweeps + #shells) rather than a full simplex pass.
+    Returns them as the rows of an (L, m) int64 matrix.  The scan walks the
+    sweeps (runs of level 0 -> level 1 moves); along one the energy rises by
+    the fixed step d01, so the part inside the cap is a prefix of known
+    length.  One start row and one length per sweep are kept and expanded
+    into rows at the end: O(#sweeps) Python steps, numpy work per shell.
     """
     m = len(int_energies)
     d01 = int_energies[1] - int_energies[0]
-    out = []
+    starts, lengths = [], []
     counts = _scan_state(n, m)
     while True:
-        # innermost sweep over counts[1], fed from the reservoir counts[0]
+        # a sweep starts at counts[1] == 0, fed from the reservoir counts[0]
         e = sum(c * w for c, w in zip(counts, int_energies))
         if e <= e_cap:
-            mc = mc_counts(counts)
-            while True:
-                out.append((tuple(counts), e, mc))
-                if counts[0] == 0:
-                    break
-                counts[0] -= 1
-                counts[1] += 1
-                mc = mc * (counts[0] + 1) // counts[1]
-                e += d01
-                if e > e_cap:
-                    break
-        # finish the sweep positionally and carry
-        counts[1] += counts[0]
-        counts[0] = 0
+            starts.append(counts[:])
+            lengths.append(min(counts[0], (e_cap - e) // d01) + 1)
+        # jump to the sweep's end (all of counts[0] in counts[1]) and carry
+        counts[0], counts[1] = 0, counts[0]
         for j in range(1, m - 1):
             if counts[j] > 0:
-                t = counts[j]
+                counts[0] = counts[j] - 1
                 counts[j] = 0
                 counts[j + 1] += 1
-                counts[0] = t - 1
                 break
         else:
-            return out
+            break
+    lengths = np.array(lengths, dtype=np.int64)
+    rows = np.repeat(np.array(starts, dtype=np.int64).reshape(-1, m),
+                     lengths, axis=0)
+    # position of each row within its sweep
+    steps = np.arange(len(rows)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths)
+    rows[:, 0] -= steps
+    rows[:, 1] += steps
+    return rows
 
 
 def pair_capacity(c0, min_payload):

@@ -85,9 +85,12 @@ class NliModel:
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.eta1 < 0:
-            raise ValueError("need eta0 > 0 and eta1 >= 0")
+            raise ModelDomainError(
+                f"need eta0 > 0 and eta1 >= 0, got {self.eta0!r}, {self.eta1!r}")
         if self.ase_variance_w <= 0 or self.launch_power_w <= 0:
-            raise ValueError("ASE variance and launch power must be positive")
+            raise ModelDomainError(
+                "ASE variance and launch power must be positive, got "
+                f"{self.ase_variance_w!r} W and {self.launch_power_w!r} W")
 
 
 def ase_variance(link: LinkConfig, wdm: WdmConfig) -> float:
@@ -141,6 +144,18 @@ def optimal_power(ase_variance_w: float, eta: float) -> float:
     return (ase_variance_w / (2 * eta)) ** (1 / 3)
 
 
+def db_to_ratio(value_db: float, name: str, error: type[Exception]) -> float:
+    """10^(value_db/10); raises error, naming the value, when that is not a
+    finite positive float."""
+    try:
+        ratio = 10 ** (value_db / 10)
+    except OverflowError:
+        ratio = math.inf
+    if not 0 < ratio < math.inf:
+        raise error(f"{name}={value_db!r} is outside the float range as a ratio")
+    return ratio
+
+
 def calibrate(anchors: Sequence[tuple[float, float]], ase_variance_w: float,
               launch_power_w: float) -> NliModel:
     """Fit (eta0, eta1) to (kurtosis, snr_db) anchor points, least squares.
@@ -155,8 +170,9 @@ def calibrate(anchors: Sequence[tuple[float, float]], ase_variance_w: float,
         raise CalibrationError("anchors must have distinct kurtosis")
     p = launch_power_w
     a = np.array([[1.0, q - 2.0] for q, _ in anchors])
-    y = np.array([(p / 10 ** (s / 10) - ase_variance_w) / p**3
-                  for _, s in anchors])
+    y = np.array([(p / db_to_ratio(s, f"anchor{i}_snr_db", CalibrationError)
+                   - ase_variance_w) / p**3
+                  for i, (_, s) in enumerate(anchors, 1)])
     (eta0, eta1), *_ = np.linalg.lstsq(a, y, rcond=None)
     if eta0 <= 0 or eta1 < 0:
         raise CalibrationError(
@@ -202,7 +218,12 @@ class SnrReport:
         """(bin centre dB, weight) over bins of the given width, ascending."""
         bins: dict[int, float] = {}
         for s, w in zip(self.snr_db, self.weights):
-            b = math.floor(s / bin_width_db)
+            try:
+                b = math.floor(s / bin_width_db)
+            except OverflowError:
+                raise ModelDomainError(
+                    f"histogram bin width {bin_width_db!r} dB is too small "
+                    f"for an SNR of {s!r} dB") from None
             bins[b] = bins.get(b, 0.0) + w
         return [((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins)]
 

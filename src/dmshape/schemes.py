@@ -42,7 +42,7 @@ import functools
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq
 from typing import NamedTuple
 
@@ -89,6 +89,14 @@ def int_array(values) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def block_energies(counts: np.ndarray, n: int,
+                   units: Sequence[int]) -> np.ndarray:
+    """Each row's integer block energy: int64 when n * max(units), which
+    bounds them all, fits, else Python ints in an object array."""
+    exact = np.int64 if n * max(units) < 1 << 63 else object
+    return counts.astype(exact, copy=False) @ np.array(units, dtype=exact)
 
 
 def key_radix(n: int, m: int) -> list[int]:
@@ -155,7 +163,11 @@ class LeafTable(Sequence):
                 return repeat(None)
             return column.tolist() if isinstance(column, np.ndarray) else column
 
-        return map(AddressedComposition, map(tuple, self.counts.tolist()),
+        # rows become lists a block at a time: one tolist() of the n=216
+        # ESS table would hold 108,990 lists (~10 MB) at once
+        rows = chain.from_iterable(self.counts[i:i + 4096].tolist()
+                                   for i in range(0, len(self), 4096))
+        return map(AddressedComposition, map(tuple, rows),
                    self.weights.tolist(), values(self.payload_bits),
                    values(self.depth), values(self.used_counts))
 
@@ -315,11 +327,7 @@ class CompositionSet:
             from .ess import _integer_radius  # as in e_max
             units, _ = self.alphabet.integer_energies()
             cap = _integer_radius(n, k, self.alphabet)
-            # n * max(units) bounds every block energy
-            exact = np.int64 if n * max(units) < 1 << 63 else object
-            energies = (counts.astype(exact, copy=False)
-                        @ np.array(units, dtype=exact))
-            i = _first(energies > cap)
+            i = _first(block_energies(counts, n, units) > cap)
             if i < size:
                 raise ConstructionBugError(f"leaf {table[i].counts} lies "
                                            f"outside the radius {self.e_max!r}")

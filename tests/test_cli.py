@@ -260,6 +260,45 @@ class TestHostileInput:
         assert capsys.readouterr().err == \
             f"dmshape: {cfg}:2: launch_power_dbm: repeated key\n"
 
+    def analyze_with_config(self, tmp_path, capsys, text):
+        scheme = tmp_path / "toy.scheme"
+        assert main(["build", "--scheme", "mpdm", "--n", "8", "--k", "5",
+                     "--alphabet", "1,3", "--out", str(scheme)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        rc = main(["analyze", str(scheme), "--config", str(cfg),
+                   "--out", str(tmp_path / "r")])
+        return rc, str(cfg)
+
+    # a link, a run and an anchor key: each once led to a traceback
+    @pytest.mark.parametrize("key,value", [
+        ("launch_power_dbm", "nan"), ("gamma_per_w_km", "inf"),
+        ("anchor1_kurtosis", "nan"), ("eta0", "-inf")])
+    def test_non_finite_config_value(self, tmp_path, capsys, key, value):
+        rc, cfg = self.analyze_with_config(tmp_path, capsys,
+                                           f"# model\n{key}={value}\n")
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            f"dmshape: {cfg}:2: {key}: not a finite number\n"
+        assert not (tmp_path / "r_scatter.csv").exists()
+
+    @pytest.mark.parametrize("text,reason", [
+        ("launch_power_dbm=1e308\n",
+         "launch_power_dbm=1e+308 is outside the float range as a ratio"),
+        ("anchor1_snr_db=1e308\n",
+         "anchor1_snr_db=1e+308 is outside the float range as a ratio"),
+        ("eta0=1e308\neta1=1e308\n",
+         "ASE variance and launch power must be positive, got "),
+    ], ids=["launch-power", "anchor-snr", "eta"])
+    def test_model_overflow_is_one_line(self, tmp_path, capsys, text, reason):
+        rc, _ = self.analyze_with_config(tmp_path, capsys, text)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"dmshape: {reason}")
+        assert not (tmp_path / "r_scatter.csv").exists()
+
     @pytest.mark.parametrize("args,rc,reason", [
         (["analyze", "--bins", "0"], 2,
          "argument --bins: '0' is not a finite positive number"),
@@ -269,6 +308,10 @@ class TestHostileInput:
          "argument --bins: 'inf' is not a finite positive number"),
         (["analyze", "--bins", "-0.01"], 2,
          "argument --bins: '-0.01' is not a finite positive number"),
+        # every SNR over the width overflows a float
+        (["analyze", "--bins", "1e-320"], 1,
+         "histogram bin width 1e-320 dB is too small for an SNR of "
+         "14.885800543635108 dB"),
         (["build", "--scheme", "ccdm", "--n", "0", "--k", "3"], 2,
          "argument --n: '0' is not a positive integer"),
         (["compare", "--n", "0", "--k", "0"], 2,
@@ -301,7 +344,8 @@ class TestHostileInput:
         (["build", "--scheme", "ess", "--n", "6", "--k", "3",
           "--alphabet", "1,1e200"], 3,
          "bad alphabet '1,1e200': levels must have a finite fourth power"),
-    ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative", "build-n-0",
+    ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative",
+            "bins-subnormal", "build-n-0",
             "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k",
             "ess-negative-k", "ess-k-above-capacity",
             "opt-mpdm-k-above-capacity", "opt-mpdm-k-plus-one-above-capacity",

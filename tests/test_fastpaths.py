@@ -290,15 +290,25 @@ def test_histogram_cap_at_reference(mpdm216):
 # -- ESS build -----------------------------------------------------------------
 
 def loop_ess(n, k, alphabet):
-    """The per-shell loop: (counts, weight, used) per leaf and avg_pmf."""
+    """The per-shell loop: (counts, weight, used) per leaf and avg_pmf.
+
+    The shells come from enumerate_compositions, not from the kernel scan
+    build_ess uses, with each shell's size from the scalar mc_counts.
+    """
     need = 1 << k
     rows = []
     avg = [0.0] * alphabet.m
     prev = 0
     units, _ = alphabet.integer_energies()
-    shells = kernels.shells_upto(n, units, _integer_radius(n, k, alphabet))
+    radius = _integer_radius(n, k, alphabet)
+
+    def energy(c):
+        return sum(x * u for x, u in zip(c, units))
+
+    shells = enumerate_compositions(n, alphabet, lambda c: energy(c) <= radius)
     # colex order, stably sorted by energy
-    for counts, _e, mc in sorted(shells, key=lambda s: s[1]):
+    for counts in sorted(shells, key=energy):
+        mc = kernels.mc_counts(counts)
         used = min(mc, need - prev) if prev < need else 0
         prev += used
         w = used / need if used else 0.0

@@ -136,14 +136,34 @@ def test_simplex_totals_are_m_to_n():
     assert sum(ncomp) == 36  # C(9, 2)
 
 
+def in_cap(n, units, cap):
+    return [list(c) for c in compositions(n, len(units))
+            if energy(c, units) <= cap]
+
+
 @pytest.mark.parametrize("n,m", SIZES)
 def test_shells_upto(n, m):
     for units in ENERGIES[m]:
         levels = {energy(c, units) for c in compositions(n, m)}
         for cap in sorted(levels | {n * min(units) - 1}):
-            want = [(c, energy(c, units), multinomial(c))
-                    for c in compositions(n, m) if energy(c, units) <= cap]
-            assert kernels.shells_upto(n, units, cap) == want
+            got = kernels.shells_upto(n, units, cap)
+            assert got.dtype == np.int64
+            assert got.tolist() == in_cap(n, units, cap)
+        below = kernels.shells_upto(n, units, n * min(units) - 1)
+        assert below.shape == (0, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(units=st.sampled_from([2, 4]).flatmap(
+           lambda m: st.lists(st.integers(0, 60), min_size=m, max_size=m,
+                              unique=True).map(sorted)),
+       n=st.integers(0, 9), data=st.data())
+def test_shells_upto_any_levels(units, n, data):
+    cap = data.draw(st.integers(n * units[0] - 3, n * units[-1] + 3))
+    want = in_cap(n, units, cap)
+    got = kernels.shells_upto(n, units, cap)
+    assert got.shape == (len(want), len(units))
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("c0", [(4, 2), (3, 3), (3, 2, 1), (2, 2, 2),

@@ -97,6 +97,18 @@ class TestSnrEff:
         with pytest.raises(ModelDomainError, match="kurtosis 1.0"):
             d.snr_eff(1.0, m)
 
+    @pytest.mark.parametrize("fields,reason", [
+        (dict(eta1=-1.0), "need eta0 > 0 and eta1 >= 0, got 15000.0, -1.0"),
+        (dict(launch_power_w=0.0), "ASE variance and launch power must be "
+                                   "positive, got 2e-05 W and 0.0 W"),
+    ])
+    def test_model_outside_domain_is_refused(self, fields, reason):
+        values = dict(eta0=1.5e4, eta1=8e3, ase_variance_w=2e-5,
+                      launch_power_w=1e-3) | fields
+        with pytest.raises(ModelDomainError) as info:
+            d.NliModel(**values)
+        assert str(info.value) == reason
+
 
 class TestCalibrate:
     def test_two_point_exact(self):
@@ -122,6 +134,13 @@ class TestCalibrate:
         # anchors demanding negative NLI power
         with pytest.raises(CalibrationError):
             d.calibrate([(1.8, 40.0), (1.6, 41.0)], 2e-5, 1e-3)
+
+    @pytest.mark.parametrize("snr_db", [1e308, -1e308])
+    def test_anchor_snr_outside_float_range(self, snr_db):
+        with pytest.raises(CalibrationError) as info:
+            d.calibrate([(1.8, 14.0), (1.6, snr_db)], 2e-5, 1e-3)
+        assert str(info.value) == \
+            f"anchor2_snr_db={snr_db!r} is outside the float range as a ratio"
 
 
 class TestOptimalPower:
