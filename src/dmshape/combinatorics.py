@@ -130,8 +130,11 @@ def pmf_of(counts: Sequence[int]) -> Pmf:
 
 
 def entropy(pmf: Sequence[float]) -> float:
-    """Shannon entropy in bits per 1D symbol, with 0*log(0) = 0."""
-    return -float_sum(p * math.log2(p) for p in pmf if p > 0)
+    """Shannon entropy in bits per 1D symbol, with 0*log(0) = 0.
+
+    0.0 - sum rather than -sum: a point mass sums to +0.0, which would negate
+    to -0.0; every other sum negates exactly either way."""
+    return 0.0 - float_sum(p * math.log2(p) for p in pmf if p > 0)
 
 
 def energy(counts: Sequence[int], alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> float:

@@ -61,18 +61,26 @@ class RunConfig:
         if self.launch_power_dbm is not None:
             return db_to_ratio(self.launch_power_dbm, "launch_power_dbm",
                                ModelDomainError) * 1e-3
-        ase = ase_variance(self.link, self.wdm)
-        eta0 = self.eta0 if self.eta0 is not None else gn_eta0(self.link, self.wdm)
-        return optimal_power(ase, eta0)
+        ase = _computed("ASE variance", ase_variance, self.link, self.wdm)
+        return optimal_power(ase, self._eta0())
+
+    def _eta0(self) -> float:
+        if self.eta0 is not None:
+            return self.eta0
+        return _computed("GN eta0", gn_eta0, self.link, self.wdm)
 
     def resolve_model(self, anchor2_kurtosis: float | None = None) -> NliModel:
-        """Build the SNR model: eta overrides win, otherwise anchor calibration."""
-        ase = ase_variance(self.link, self.wdm)
-        power = self.launch_power_w()
+        """Build the SNR model: eta overrides win, otherwise anchor calibration.
+
+        A float overflow or a division by zero while computing the ASE
+        variance, eta0, the launch power or the calibration is refused as one
+        ModelDomainError that names the quantity.
+        """
+        ase = _computed("ASE variance", ase_variance, self.link, self.wdm)
+        power = _computed("launch power", self.launch_power_w)
         if self.eta0 is not None or self.eta1 is not None:
-            eta0 = self.eta0 if self.eta0 is not None else gn_eta0(self.link, self.wdm)
             eta1 = self.eta1 if self.eta1 is not None else 0.0
-            return NliModel(eta0=eta0, eta1=eta1, ase_variance_w=ase,
+            return NliModel(eta0=self._eta0(), eta1=eta1, ase_variance_w=ase,
                             launch_power_w=power)
         a2k = self.anchor2_kurtosis if self.anchor2_kurtosis is not None \
             else anchor2_kurtosis
@@ -81,7 +89,17 @@ class RunConfig:
                 "calibration requires anchor2_kurtosis (or eta0/eta1 overrides)")
         anchors = [(self.anchor1_kurtosis, self.anchor1_snr_db),
                    (a2k, self.anchor2_snr_db)]
-        return calibrate(anchors, ase, power)
+        return _computed("calibration", calibrate, anchors, ase, power)
+
+
+def _computed(quantity: str, fn, *args):
+    """fn(*args), with an ArithmeticError inside it (a float overflow or a
+    division by zero) turned into one ModelDomainError naming the quantity."""
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        raise ModelDomainError(f"the {quantity} of this configuration is "
+                               "outside the float range") from None
 
 
 def parse_config(path: str | None) -> RunConfig:

@@ -1,15 +1,17 @@
 """Exact combinatorial kernels.
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
-the energy-capped shell scan (one count matrix), complement-pair scans, the
-energy-bounded suffix-count table that counts the sphere-shaping ball, and
-the column kernel ``multinomials``: the exact multinomial of every row of a
-count matrix (validate's capacities, build_ess's shell sizes), each distinct
-binomial formed once and the products taken in numpy's object loops.  All
-arithmetic that can overflow 64 bits is done with Python ints, so every
-kernel is exact.
+the energy-capped shell scan (one count matrix), the complement-pair walk
+(pair_list; scanned_pairs keeps its last list for pair_capacity and MPDM),
+the energy-bounded suffix-count table that counts the sphere-shaping ball,
+and the column kernel ``multinomials``: the exact multinomial of every row
+of a count matrix (validate's capacities, build_ess's shell sizes), each
+distinct binomial formed once and the products taken in numpy's object
+loops.  All arithmetic that can overflow 64 bits is done with Python ints,
+so every kernel is exact.
 """
 
+import functools
 from math import comb
 
 import numpy as np
@@ -219,18 +221,6 @@ def shells_upto(n, int_energies, e_cap):
     return rows
 
 
-def pair_capacity(c0, min_payload):
-    """Total address space of complement pairs around c0.
-
-    Returns sum over unordered pairs {C, 2*c0 - C} with payload >= min_payload
-    of 2 * 2^payload, where payload = min(input_bits(C), input_bits(C_bar)).
-    """
-    total = 0
-    for _, _, p in _iter_pairs(c0, min_payload):
-        total += 2 << p
-    return total
-
-
 def pair_list(c0, min_payload):
     """All complement pairs around c0 with payload >= min_payload.
 
@@ -238,15 +228,12 @@ def pair_list(c0, min_payload):
     canonical member the colexicographically smaller one; each unordered pair
     appears exactly once, the pair {c0, c0} never.
     """
-    return list(_iter_pairs(c0, min_payload))
-
-
-def _iter_pairs(c0, min_payload):
     m = len(c0)
     n = sum(c0)
     c0t = tuple(c0)
     box = [min(2 * a, n) for a in c0t]
     floor = 1 << min_payload
+    pairs = []
 
     # Outer loops run over coordinates m-1 .. 2 in colex order; coordinate 1
     # varies along the inner line and coordinate 0 is the remainder.  C is the
@@ -255,12 +242,11 @@ def _iter_pairs(c0, min_payload):
     # one is capped at c0's value, and a tight line stops below c0[1].
     def rec(i, rem, suffix, tight):
         if i == 1:
-            yield from line(rem, suffix, tight)
+            line(rem, suffix, tight)
             return
         hi = min(box[i], rem, c0t[i]) if tight else min(box[i], rem)
         for ci in range(hi + 1):
-            yield from rec(i - 1, rem - ci, (ci,) + suffix,
-                           tight and ci == c0t[i])
+            rec(i - 1, rem - ci, (ci,) + suffix, tight and ci == c0t[i])
 
     def line(rem, suffix, tight):
         # Along the line one unit moves level 0 -> 1 per step, so MC(C) and
@@ -288,11 +274,30 @@ def _iter_pairs(c0, min_payload):
             if mc >= floor and mcb >= floor:
                 inside = True
                 p = min(mc.bit_length(), mcb.bit_length()) - 1
-                yield ((a, b) + suffix, (ab, bb) + rest, p)
+                pairs.append(((a, b) + suffix, (ab, bb) + rest, p))
             elif inside:
                 return
 
-    yield from rec(m - 1, n, (), True)
+    rec(m - 1, n, (), True)
+    return pairs
+
+
+# The last pair box walked, as a list.  MPDM's winning target is the last
+# candidate its selection scans, so enumerate_pairs finds the list here.
+scanned_pairs = functools.lru_cache(maxsize=1)(pair_list)
+
+
+def pair_capacity(c0, min_payload):
+    """Total address space of complement pairs around c0.
+
+    Returns sum over unordered pairs {C, 2*c0 - C} with payload >= min_payload
+    of 2 * 2^payload, where payload = min(input_bits(C), input_bits(C_bar)).
+    The walk's list replaces the last one in scanned_pairs, which is dropped
+    first: two lists alive at once fragment the heap (+12 MB peak RSS in
+    compare at n=432, where five candidates are scanned).
+    """
+    scanned_pairs.cache_clear()
+    return sum(2 << p for _, _, p in scanned_pairs(tuple(c0), min_payload))
 
 
 def trellis_build(n, deltas, width):

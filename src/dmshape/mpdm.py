@@ -70,11 +70,6 @@ def min_pair_payload(c0: Counts) -> int:
     return max(0, input_bits(c0) - PAIR_WINDOW_BITS)
 
 
-@functools.lru_cache(maxsize=4)
-def _pair_list_cached(c0: Counts, min_payload: int):
-    return kernels.pair_list(c0, min_payload)
-
-
 def enumerate_pairs(c0: Counts, min_payload: int) -> list[CompositionPair]:
     """Every complement pair {C, 2*C0-C} with payload >= min_payload.
 
@@ -82,7 +77,7 @@ def enumerate_pairs(c0: Counts, min_payload: int) -> list[CompositionPair]:
     colex-smaller member canonical; payload = min of the members' input bits.
     """
     return [CompositionPair(c, cb, p)
-            for c, cb, p in _pair_list_cached(tuple(c0), min_payload)]
+            for c, cb, p in kernels.scanned_pairs(tuple(c0), min_payload)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -130,7 +125,8 @@ def _pair_space_gm_bound(c0: Counts) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _pair_space(c0: Counts) -> int:
-    """Total pair address space in the payload window around c0."""
+    """Total pair address space in the payload window around c0 (cached, so a
+    second build at k+1 scans no box again)."""
     return kernels.pair_capacity(c0, min_pair_payload(c0))
 
 

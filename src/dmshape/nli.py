@@ -56,6 +56,12 @@ class LinkConfig:
             raise ValueError("n_spans must be >= 1")
 
 
+# Most channels a comb may hold.  gn_eta0 sums one term per neighbour in
+# Python, so the count bounds its cost (10^7 channels took 1.5 s); a C+L
+# flex grid has under ~2,000 slots.
+MAX_CHANNELS = 10_001
+
+
 @dataclass(frozen=True)
 class WdmConfig:
     """Comb layout; the centre channel is the one evaluated."""
@@ -68,6 +74,9 @@ class WdmConfig:
     def __post_init__(self):
         if self.n_channels < 1 or self.n_channels % 2 == 0:
             raise ValueError("n_channels must be a positive odd integer")
+        if self.n_channels > MAX_CHANNELS:
+            raise ValueError(f"n_channels={self.n_channels} exceeds "
+                             f"MAX_CHANNELS={MAX_CHANNELS}")
         if not 0 <= self.rolloff <= 1:
             raise ValueError("rolloff must lie in [0, 1]")
         if self.spacing_ghz < self.symbol_rate_gbaud * (1 + self.rolloff):
@@ -84,6 +93,10 @@ class NliModel:
     launch_power_w: float
 
     def __post_init__(self):
+        for name in ("eta0", "eta1", "ase_variance_w", "launch_power_w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ModelDomainError(f"{name}={value!r} is not a finite number")
         if self.eta0 <= 0 or self.eta1 < 0:
             raise ModelDomainError(
                 f"need eta0 > 0 and eta1 >= 0, got {self.eta0!r}, {self.eta1!r}")

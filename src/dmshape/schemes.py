@@ -226,7 +226,7 @@ class CompositionSet:
     def validate(self) -> None:
         """Raise ConstructionBugError on any violated scheme invariant.
 
-        n may not exceed MAX_BLOCK_LENGTH.  A tree table carries payload and
+        n lies in [1, MAX_BLOCK_LENGTH].  A tree table carries payload and
         depth and no used counts, an ESS table the reverse.  Leaf i owns
         words[i] input words (2^payload_bits, or the ESS used count), as the
         codec addresses them: 0 <= words[i] <= MC(c_i), compared exactly with
@@ -242,6 +242,8 @@ class CompositionSet:
         with the three checked in that order at the first leaf any marks.
         """
         n, k, m = self.n, self.k, self.alphabet.m
+        if n < 1:
+            raise ConstructionBugError(f"n={n} is not a positive block length")
         if n > MAX_BLOCK_LENGTH:
             raise ConstructionBugError(
                 f"n={n} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")

@@ -1,5 +1,6 @@
 import csv
 import time
+import warnings
 
 import pytest
 
@@ -36,6 +37,15 @@ class TestBuild:
             assert main(["build", "--scheme", "mpdm", *TOY,
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["ccdm", "mpdm", "ess"])
+    def test_zero_rate_loss_has_no_sign(self, tmp_path, capsys, scheme):
+        # a k=0 scheme is one point mass, whose entropy is +0.0
+        out = tmp_path / "k0.scheme"
+        assert main(["build", "--scheme", scheme, "--n", "4", "--k", "0",
+                     "--alphabet", "1,3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(" rate_loss=0.0000\n")
+        assert "rate_loss=0.0\n" in out.read_text()
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x.scheme"
@@ -290,7 +300,29 @@ class TestHostileInput:
          "anchor1_snr_db=1e+308 is outside the float range as a ratio"),
         ("eta0=1e308\neta1=1e308\n",
          "ASE variance and launch power must be positive, got "),
-    ], ids=["launch-power", "anchor-snr", "eta"])
+        ("nf_db=1e308\n", "the ASE variance of this configuration is "
+         "outside the float range"),
+        ("span_km=1e308\n", "the ASE variance of this configuration is "
+         "outside the float range"),
+        ("span_km=1e6\n", "the ASE variance of this configuration is "
+         "outside the float range"),
+        ("alpha_db_per_km=1e308\n", "the GN eta0 of this configuration is "
+         "outside the float range"),
+        ("gamma_per_w_km=1e308\n", "the calibration of this configuration "
+         "is outside the float range"),
+        ("symbol_rate_gbaud=1e-308\n", "the GN eta0 of this configuration "
+         "is outside the float range"),
+        ("beta2_ps2_per_km=1e-308\n", "the GN eta0 of this configuration "
+         "is outside the float range"),
+        ("launch_power_dbm=3000\n", "the calibration of this configuration "
+         "is outside the float range"),
+        ("launch_power_dbm=-3205\n", "the calibration of this configuration "
+         "is outside the float range"),
+        # gn_eta0 returns nan: inf spacing over inf spacing
+        ("spacing_ghz=1e308\n", "eta0=nan is not a finite number"),
+    ], ids=["launch-power", "anchor-snr", "eta", "nf", "span", "span-1e6",
+            "alpha", "gamma", "symbol-rate", "beta2", "launch-power-high",
+            "launch-power-low", "spacing"])
     def test_model_overflow_is_one_line(self, tmp_path, capsys, text, reason):
         rc, _ = self.analyze_with_config(tmp_path, capsys, text)
         err = capsys.readouterr().err
@@ -298,6 +330,16 @@ class TestHostileInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"dmshape: {reason}")
         assert not (tmp_path / "r_scatter.csv").exists()
+
+    @pytest.mark.parametrize("count", [10003, 1000001])
+    def test_channel_count_is_bounded(self, tmp_path, capsys, count):
+        # gn_eta0 loops over every neighbour: 10^7 channels took 1.5 s
+        rc, _ = self.analyze_with_config(tmp_path, capsys,
+                                         f"n_channels={count}\n")
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"dmshape: invalid configuration: n_channels={count} exceeds "
+            "MAX_CHANNELS=10001\n")
 
     @pytest.mark.parametrize("args,rc,reason", [
         (["analyze", "--bins", "0"], 2,
@@ -539,6 +581,22 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert rc == 3
         assert err == f"dmshape: {bad}: inconsistent scheme: {reason}\n"
+
+    def test_block_length_zero_is_one_line(self, tmp_path, capsys):
+        # a k=0 file at n=0 once reached average_pmf's division by n
+        bad = self.toy_scheme(
+            tmp_path, capsys,
+            lambda ls: [ln.replace("n=4", "n=0") for ln in ls[:8]]
+            + ["0,0|0|0|1.0"],
+            args=["--n", "4", "--k", "0", "--alphabet", "1,3"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["analyze", bad, "--config", eta_config(tmp_path),
+                       "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"dmshape: {bad}: inconsistent scheme: n=0 is not a positive "
+            "block length\n")
 
     def test_block_length_above_bound_is_refused_fast(self, tmp_path, capsys):
         # one leaf at n=10^6: forming 10^6! alone takes ~10 s

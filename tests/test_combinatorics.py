@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmshape as d
-from dmshape.combinatorics import colex_key
+from dmshape.combinatorics import colex_key, float_sum
 from dmshape.errors import ConstructionBugError
 
 A4 = d.DEFAULT_ALPHABET
@@ -69,6 +69,12 @@ class TestPmfEntropy:
         assert d.entropy((0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0)
         assert d.entropy((0, 0, 1, 0)) == 0.0
         assert d.entropy((0.5, 0.25, 0.125, 0.125)) == pytest.approx(1.75)
+
+    def test_point_mass_has_no_sign(self):
+        # the rate loss of a k=0 scheme would otherwise print as -0.0
+        assert math.copysign(1.0, d.entropy((0.0, 1.0))) == 1.0
+        for pmf in ((0.5, 0.5), (0.1, 0.2, 0.3, 0.4), (1 / 3, 2 / 3)):
+            assert d.entropy(pmf) == -float_sum(p * math.log2(p) for p in pmf)
 
     def test_pmf_of(self):
         assert d.pmf_of((1, 1, 2)) == (0.25, 0.25, 0.5)

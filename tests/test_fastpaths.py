@@ -137,6 +137,39 @@ def test_reference_scale_scans_at_most_two(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_two_builds_walk_two_pair_boxes(monkeypatch):
+    # compare builds MPDM at k and, under opt-mpdm, at k+1: the winner's scan
+    # leaves its list for enumerate_pairs, and the k+1 selection scans no box
+    mpdm._pair_space.cache_clear()
+    walks, calls = [], []
+    real_walk, real_capacity = kernels.pair_list, kernels.pair_capacity
+
+    def walk(c0, min_payload):
+        walks.append(c0)
+        return real_walk(c0, min_payload)
+
+    def capacity(c0, min_payload):
+        calls.append(c0)
+        return real_capacity(c0, min_payload)
+
+    # every walk is counted, and the one-slot cache over it starts cold
+    monkeypatch.setattr(kernels, "pair_list", walk)
+    monkeypatch.setattr(kernels, "scanned_pairs", functools.lru_cache(
+        maxsize=1)(lambda c0, min_payload: kernels.pair_list(c0, min_payload)))
+    monkeypatch.setattr(kernels, "pair_capacity", capacity)
+    for k in (349, 350):
+        d.build_mpdm(216, k)
+    assert len(walks) == 2
+    assert len(calls) == 2
+    c0 = (105, 70, 31, 10)
+    pmin = mpdm.min_pair_payload(c0)
+    got = [(p.c, p.c_bar, p.payload_bits)
+           for p in mpdm.enumerate_pairs(c0, pmin)]
+    assert len(walks) == 2
+    assert len(got) == 20731
+    assert got == real_walk(c0, pmin)
+
+
 # -- pair scan -----------------------------------------------------------------
 
 def brute_pairs(c0, min_payload):
