@@ -26,7 +26,7 @@ from .combinatorics import (
     input_bits,
 )
 from .errors import RateInfeasibleError
-from .schemes import CompositionSet, CoverItem, exact_cover, tree_scheme
+from .schemes import CompositionSet, tree_scheme
 
 LAMBDA_MAX = 2.0
 LAMBDA_GRID = 1 << 16
@@ -134,6 +134,5 @@ def select_ccdm(n: int, k: int,
 def build_ccdm(n: int, k: int,
                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Single-leaf scheme on the selected target, operated at exactly k bits."""
-    target = select_ccdm(n, k, alphabet)
-    cover = exact_cover([CoverItem((target,), min(input_bits(target), k))], k)
-    return tree_scheme("ccdm", n, k, alphabet, cover)
+    target = select_ccdm(n, k, alphabet)  # it carries at least k bits
+    return tree_scheme("ccdm", n, k, alphabet, [(target, k)])

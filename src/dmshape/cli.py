@@ -29,7 +29,7 @@ from .mpdm import build_mpdm
 from .nli import NliModel, SnrReport, analyze
 from .optimizer import BUILDERS, compare_schemes
 from .schemefile import read_scheme, write_scheme
-from .schemes import CompositionSet
+from .schemes import MAX_BLOCK_LENGTH, CompositionSet
 
 
 def _parse_alphabet(text: str | None) -> AmplitudeAlphabet:
@@ -167,6 +167,15 @@ def _positive(convert, what: str):
     return parse
 
 
+def _block_length(text: str) -> int:
+    """argparse type of --n: a positive integer up to MAX_BLOCK_LENGTH."""
+    n = _positive(int, "positive integer")(text)
+    if n > MAX_BLOCK_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line and exit 2, as the other errors do."""
 
@@ -183,8 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a scheme and write it to a file")
     p_build.add_argument("--scheme", required=True, choices=sorted(BUILDERS))
-    p_build.add_argument("--n", type=_positive(int, "positive integer"),
-                         required=True)
+    p_build.add_argument("--n", type=_block_length, required=True)
     p_build.add_argument("--k", type=int, required=True)
     p_build.add_argument("--alphabet", help="comma-separated amplitude levels")
     p_build.add_argument("--out", required=True)
@@ -200,8 +208,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare", help="four-scheme comparison table")
-    p_cmp.add_argument("--n", type=_positive(int, "positive integer"),
-                       required=True)
+    p_cmp.add_argument("--n", type=_block_length, required=True)
     p_cmp.add_argument("--k", type=int, required=True)
     p_cmp.add_argument("--alphabet")
     p_cmp.add_argument("--config")

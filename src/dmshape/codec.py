@@ -13,7 +13,6 @@ bit first.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from operator import mul
 
@@ -62,35 +61,6 @@ def _level_indices(seq, alphabet: AmplitudeAlphabet) -> list[int]:
 def _composition(idx: list[int], m: int) -> Counts:
     """Occurrence count of each of the m levels in a level-index sequence."""
     return tuple(map(idx.count, range(m)))
-
-
-@dataclass
-class EssTrellis:
-    """Cumulative suffix counts over the discrete energy grid.
-
-    counts[i][w] is the exact number of length-(n-i) suffixes whose energy
-    offset (in grid units above the all-minimum-level floor) is at most w.
-    Its total counts the energy ball independently of the ESS build.
-    """
-
-    width: int
-    counts: list = field(repr=False)
-
-    @classmethod
-    def build(cls, n: int, e_max: float,
-              alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> "EssTrellis":
-        _, scale = alphabet.integer_energies()
-        u0, g, deltas = alphabet.energy_grid()
-        budget = round(e_max / float(scale)) - n * u0
-        if budget < 0:
-            raise DecodeError("energy radius below the minimum block energy")
-        width = budget // g
-        return cls(width=width, counts=kernels.trellis_build(n, deltas, width))
-
-    @property
-    def total(self) -> int:
-        """Number of sequences inside the ball: counts[0][width]."""
-        return self.counts[0][self.width]
 
 
 class SchemeCodec:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -50,6 +51,10 @@ class AmplitudeAlphabet:
         # mu4 and mu2^2 are fourth powers of the levels
         if not all(math.isfinite(x * x * x * x) for x in levels):
             raise ValueError("levels must have a finite fourth power")
+        # and a normal one, so that mu2^2 >= level^4 stays positive
+        if not all(x * x * x * x >= sys.float_info.min for x in levels):
+            raise ValueError("levels must have a fourth power of at least "
+                             f"{sys.float_info.min!r}")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly ascending")
 

@@ -145,7 +145,3 @@ def parse_config(path: str | None) -> RunConfig:
         return RunConfig(link=link, wdm=wdm, **raw)
     except ValueError as exc:
         raise SchemeFileError(f"invalid configuration: {exc}") from exc
-
-
-def w_to_dbm(power_w: float) -> float:
-    return 10 * math.log10(power_w * 1e3)

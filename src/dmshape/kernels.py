@@ -279,6 +279,9 @@ def pair_list(c0, min_payload):
                 return
 
     rec(m - 1, n, (), True)
+    # rec reaches itself through its closure cell; emptying the cell breaks
+    # that cycle, so pairs is freed with its last reference, not by gc
+    del rec
     return pairs
 
 

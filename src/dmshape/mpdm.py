@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import kernels
 from .ccdm import mb_composition_chain
@@ -48,7 +47,6 @@ from .combinatorics import (
 from .errors import RateInfeasibleError
 from .schemes import (
     CompositionSet,
-    CoverItem,
     exact_cover,
     smallest_feasible_cap,
     tree_scheme,
@@ -57,27 +55,20 @@ from .schemes import (
 PAIR_WINDOW_BITS = 40
 
 
-@dataclass(frozen=True)
-class CompositionPair:
-    """An unordered complement pair; c is the colex-smaller canonical member."""
-
-    c: Counts
-    c_bar: Counts
-    payload_bits: int
-
-
 def min_pair_payload(c0: Counts) -> int:
     return max(0, input_bits(c0) - PAIR_WINDOW_BITS)
 
 
-def enumerate_pairs(c0: Counts, min_payload: int) -> list[CompositionPair]:
+def enumerate_pairs(c0: Counts,
+                    min_payload: int) -> list[tuple[Counts, Counts, int]]:
     """Every complement pair {C, 2*C0-C} with payload >= min_payload.
 
-    Both members non-negative, C != C0, each unordered pair once with the
-    colex-smaller member canonical; payload = min of the members' input bits.
+    (C, 2*C0-C, payload) triples: both members non-negative, C != C0, each
+    unordered pair once with the colex-smaller member C; payload = min of
+    the members' input bits.  The list is kernels.scanned_pairs' own, shared
+    with pair_capacity and not copied: read it, never change it.
     """
-    return [CompositionPair(c, cb, p)
-            for c, cb, p in kernels.scanned_pairs(tuple(c0), min_payload)]
+    return kernels.scanned_pairs(tuple(c0), min_payload)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -152,14 +143,15 @@ def select_mpdm_target(n: int, k: int,
 
 
 def assemble_tree(target: Counts, pairs, k: int) -> list[tuple[Counts, int]]:
-    """Depth-balanced exact cover over the singleton and its pairs.
+    """Depth-balanced exact cover over the singleton and its pairs, the
+    (c, c_bar, payload) triples of enumerate_pairs.
 
     Returns (counts, payload) leaves in take order; the target keeps a leaf
     whenever anything is taken, and every retained pair keeps both members
     at equal payload, so the average PMF equals the target's exactly.
     """
-    items = [CoverItem((tuple(target),), min(input_bits(target), k))]
-    items += [CoverItem((p.c, p.c_bar), p.payload_bits) for p in pairs]
+    items = [((tuple(target),), min(input_bits(target), k))]
+    items += [((c, c_bar), p) for c, c_bar, p in pairs]
     cap = smallest_feasible_cap(items, k)
     return exact_cover(items, k, payload_cap=cap)
 

@@ -30,7 +30,7 @@ from .errors import RateInfeasibleError
 from .ess import build_ess
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
-from .schemes import CompositionSet, CoverItem, exact_cover, tree_scheme
+from .schemes import CompositionSet, exact_cover, tree_scheme
 
 
 def build_opt_mpdm(n: int, k: int,
@@ -59,7 +59,7 @@ def build_opt_mpdm(n: int, k: int,
             break
         capacity -= drop
         first_kept += 1
-    items = [CoverItem((counts,), p)
+    items = [((counts,), p)
              for counts, p in zip(ranked[first_kept:], payloads[first_kept:])]
     cover = exact_cover(items, k)
     return tree_scheme("opt-mpdm", n, k, alphabet, cover)

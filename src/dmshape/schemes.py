@@ -44,7 +44,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq
-from typing import NamedTuple
 
 import numpy as np
 
@@ -356,47 +355,36 @@ def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     return tuple(pmf)
 
 
-class CoverItem(NamedTuple):
-    """One unit offered to an exact cover: a single composition or a full pair."""
-
-    comps: tuple[Counts, ...]
-    payload: int
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.comps)
-
-
-def exact_cover(items: Iterable[CoverItem], k: int,
+def exact_cover(items: Iterable[tuple[tuple[Counts, ...], int]], k: int,
                 payload_cap: int | None = None) -> list[tuple[Counts, int]]:
     """Greedy exact cover of the 2^k address space.
 
-    Items are sorted by operating payload descending (ties broken by the
-    colex order of the first composition) and taken until the space is full;
-    an overshooting item has its payload reduced (equally across its members)
+    Each item is (members, payload): one composition or a full pair.  Items
+    are sorted by operating payload descending (ties broken by the colex
+    order of the first member) and taken until the space is full; an
+    overshooting item has its payload reduced (equally across its members)
     to whatever still fits, and is dropped when nothing fits.  Raises when
     the items cannot fill the space exactly.
 
     Returns (counts, payload) in take order, pair members adjacent.
     """
     need = 1 << k
-    todo = sorted(items, key=lambda it: (-min(it.payload, k if payload_cap is None
-                                              else payload_cap),
-                                         colex_key(it.comps[0])))
+    cap = k if payload_cap is None else payload_cap
+    todo = sorted(items, key=lambda item: (-min(item[1], cap),
+                                           colex_key(item[0][0])))
     leaves: list[tuple[Counts, int]] = []
     total = 0
-    for item in todo:
+    for members, payload in todo:
         if total >= need:
             break
-        p = item.payload if payload_cap is None else min(item.payload, payload_cap)
-        p = min(p, k)
-        mult = item.multiplicity
+        p = min(payload, cap, k)
+        mult = len(members)
         remaining = need - total
         if (mult << p) > remaining:
             p = (remaining // mult).bit_length() - 1
             if p < 0:
                 continue
-        for c in item.comps:
+        for c in members:
             leaves.append((c, p))
         total += mult << p
     if total < need:
@@ -407,7 +395,8 @@ def exact_cover(items: Iterable[CoverItem], k: int,
     return leaves
 
 
-def smallest_feasible_cap(items: Sequence[CoverItem], k: int) -> int:
+def smallest_feasible_cap(items: Iterable[tuple[tuple[Counts, ...], int]],
+                          k: int) -> int:
     """Smallest payload cap whose capped address space still reaches 2^k.
 
     Capping every item's payload at the returned value keeps the cover
@@ -415,8 +404,8 @@ def smallest_feasible_cap(items: Sequence[CoverItem], k: int) -> int:
     possible (a depth-balanced tree).
     """
     need = 1 << k
-    # items sharing (multiplicity, payload) contribute alike at every cap
-    hist = Counter((it.multiplicity, it.payload) for it in items)
+    # items sharing (member count, payload) contribute alike at every cap
+    hist = Counter((len(members), p) for members, p in items)
 
     def capped_total(cap: int) -> int:
         return sum((cnt * mult) << min(p, cap) for (mult, p), cnt in hist.items())

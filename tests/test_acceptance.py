@@ -15,9 +15,11 @@ from collections import Counter
 import pytest
 
 import dmshape as d
-from dmshape.codec import EssTrellis, SchemeCodec
+from dmshape.codec import SchemeCodec
 from dmshape.kernels import mc_counts
 from dmshape.schemefile import scheme_to_text
+
+from oracles import EssTrellis
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))

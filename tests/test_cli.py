@@ -230,6 +230,10 @@ class TestHostileInput:
         pytest.param("alphabet", 4,
                      lambda ls: ls[:3] + ["alphabet=1e100,3e100"] + ls[4:],
                      id="alphabet-4-huge-levels"),
+        # analyze's anchor kurtosis would divide by an underflowed mu2^2
+        pytest.param("alphabet", 4,
+                     lambda ls: ls[:3] + ["alphabet=1e-160,3"] + ls[4:],
+                     id="alphabet-4-tiny-levels"),
     ])
     def test_bad_scheme_field(self, tmp_path, capsys, field, lineno, edit):
         bad = self.toy_scheme(tmp_path, capsys, edit)
@@ -386,13 +390,30 @@ class TestHostileInput:
         (["build", "--scheme", "ess", "--n", "6", "--k", "3",
           "--alphabet", "1,1e200"], 3,
          "bad alphabet '1,1e200': levels must have a finite fourth power"),
+        # a fourth power of 1e-300 underflows to 0, of 1e-160 to a subnormal
+        # whose square (mu2^2 in the anchor kurtosis) underflows
+        (["build", "--scheme", "ccdm", "--n", "2", "--k", "0",
+          "--alphabet", "1e-300,3"], 3,
+         "bad alphabet '1e-300,3': levels must have a fourth power of at "
+         "least 2.2250738585072014e-308"),
+        (["build", "--scheme", "ccdm", "--n", "2", "--k", "0",
+          "--alphabet", "1e-160,3"], 3,
+         "bad alphabet '1e-160,3': levels must have a fourth power of at "
+         "least 2.2250738585072014e-308"),
+        # refused before any build: MPDM at n=70000 runs for minutes
+        (["build", "--scheme", "mpdm", "--n", "70000", "--k", "10"], 2,
+         "argument --n: '70000' exceeds MAX_BLOCK_LENGTH=65536"),
+        (["compare", "--n", "70000", "--k", "10"], 2,
+         "argument --n: '70000' exceeds MAX_BLOCK_LENGTH=65536"),
     ], ids=["bins-0", "bins-nan", "bins-inf", "bins-negative",
             "bins-subnormal", "build-n-0",
             "compare-n-0", "ess-no-energy-grid", "opt-mpdm-negative-k",
             "ess-negative-k", "ess-k-above-capacity",
             "opt-mpdm-k-above-capacity", "opt-mpdm-k-plus-one-above-capacity",
             "opt-mpdm-k-plus-one-infeasible", "ccdm-huge-level",
-            "ess-huge-level"])
+            "ess-huge-level", "ccdm-zero-fourth-power",
+            "ccdm-subnormal-fourth-power", "build-n-above-max",
+            "compare-n-above-max"])
     def test_bad_cli_argument(self, tmp_path, capsys, args, rc, reason):
         if args[0] == "analyze":
             toy = tmp_path / "toy.scheme"
@@ -611,3 +632,12 @@ class TestHostileInput:
         assert rc == 3
         assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
                        "exceeds MAX_BLOCK_LENGTH=65536\n")
+
+    def test_tiny_levels_with_a_normal_fourth_power(self, tmp_path, capsys):
+        # (1e-70)^4 = 1e-280 is a normal float: built and analyzed as before,
+        # under the default calibrated model
+        out = tmp_path / "tiny.scheme"
+        assert main(["build", "--scheme", "ccdm", "--n", "2", "--k", "0",
+                     "--alphabet", "1e-70,3", "--out", str(out)]) == 0
+        assert main(["analyze", str(out), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == ""

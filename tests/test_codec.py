@@ -13,6 +13,8 @@ from dmshape.errors import DecodeError, RateInfeasibleError
 from dmshape.kernels import mc_counts
 from dmshape.optimizer import BUILDERS
 
+from oracles import EssTrellis
+
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
 A3 = d.AmplitudeAlphabet((1, 2, 3))
@@ -63,7 +65,7 @@ class TestEssTrellis:
     def test_trellis_matches_shell_totals(self):
         for n, k in [(2, 1), (4, 3), (8, 6)]:
             built = d.build_ess(n, k, A2)
-            t = d.EssTrellis.build(n, built.e_max, A2)
+            t = EssTrellis.build(n, built.e_max, A2)
             assert t.total == sum(map(mc_counts, built.leaves.counts.tolist()))
 
 

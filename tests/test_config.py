@@ -1,8 +1,10 @@
 import pytest
 
 import dmshape as d
-from dmshape.config import parse_config, w_to_dbm
+from dmshape.config import parse_config
 from dmshape.errors import CalibrationError, SchemeFileError
+
+from oracles import w_to_dbm
 
 
 class TestParsing:

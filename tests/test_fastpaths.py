@@ -38,7 +38,6 @@ from dmshape.ess import _integer_radius
 from dmshape.schemefile import scheme_to_text
 from dmshape.optimizer import BUILDERS
 from dmshape.schemes import (
-    CoverItem,
     LeafTable,
     average_pmf,
     is_tree_scheme,
@@ -163,8 +162,7 @@ def test_two_builds_walk_two_pair_boxes(monkeypatch):
     assert len(calls) == 2
     c0 = (105, 70, 31, 10)
     pmin = mpdm.min_pair_payload(c0)
-    got = [(p.c, p.c_bar, p.payload_bits)
-           for p in mpdm.enumerate_pairs(c0, pmin)]
+    got = mpdm.enumerate_pairs(c0, pmin)
     assert len(walks) == 2
     assert len(got) == 20731
     assert got == real_walk(c0, pmin)
@@ -284,8 +282,8 @@ def direct_cap(items, k):
     The capped total grows with the cap, so a bisection finds the smallest.
     """
     def reaches(cap):
-        return sum(it.multiplicity << min(it.payload, cap)
-                   for it in items) >= 1 << k
+        return sum(len(members) << min(p, cap)
+                   for members, p in items) >= 1 << k
 
     if not reaches(k):
         return None
@@ -302,7 +300,7 @@ def test_histogram_cap_equals_direct_sum(k, data):
     shapes = data.draw(st.lists(st.tuples(st.integers(1, 2),
                                           st.integers(0, k + 2)),
                                 max_size=40))
-    items = [CoverItem(((i,),) * mult, p) for i, (mult, p) in enumerate(shapes)]
+    items = [(((i,),) * mult, p) for i, (mult, p) in enumerate(shapes)]
     want = direct_cap(items, k)
     if want is None:
         with pytest.raises(RateInfeasibleError):
@@ -314,8 +312,8 @@ def test_histogram_cap_equals_direct_sum(k, data):
 def test_histogram_cap_at_reference(mpdm216):
     target = mpdm.select_mpdm_target(216, 349)
     pairs = mpdm.enumerate_pairs(target, mpdm.min_pair_payload(target))
-    items = [CoverItem((target,), input_bits(target))]
-    items += [CoverItem((p.c, p.c_bar), p.payload_bits) for p in pairs]
+    items = [((target,), input_bits(target))]
+    items += [((c, c_bar), p) for c, c_bar, p in pairs]
     assert len(items) == 20732
     assert smallest_feasible_cap(items, 349) == direct_cap(items, 349)
 
@@ -561,7 +559,7 @@ def test_column_capacity_check_is_the_factorial_product(base, edits, chunk):
 
 # -- reference bytes -----------------------------------------------------------
 
-def test_reference_outputs_pinned(ess216, capsys):
+def test_reference_outputs_pinned(ccdm216, mpdm216, ess216, opt216, capsys):
     capsys.readouterr()
     assert main(["compare", "--n", "216", "--k", "349"]) == 0
     out = capsys.readouterr().out
@@ -569,6 +567,16 @@ def test_reference_outputs_pinned(ess216, capsys):
         "282b98e69c8cac296382861ead452345"
     assert hashlib.sha256(scheme_to_text(ess216).encode()).hexdigest() == \
         "9b1e947b66885a39ec8c898723f78bf1286edcaee29ebed3ca5db94c635e5a8d"
+    trees = {built.scheme: hashlib.sha256(
+        scheme_to_text(built).encode()).hexdigest()
+        for built in (ccdm216, mpdm216, opt216)}
+    assert trees == {
+        "ccdm": "955e09373f71940e95f9872933d6d538"
+                "481c0393c178407e11f44791a27372a8",
+        "mpdm": "2153b6bea7ec1ae66cc6aaf48748b4b9"
+                "fa781b99456a8bbc52e90824ef572081",
+        "opt-mpdm": "ff7c07ed583278a2e8bd4e2df8ce7ec3"
+                    "5e153b518690f3658ce6d8a97054effa"}
 
 
 SUM = builtins.sum

@@ -51,7 +51,7 @@ DEAD_ALLOWED = {
     "kernels.backend_name": "perfbench prints it in every result",
     "kernels.ess_unrank": "perfbench's kernel bench times it",
     "kernels.ess_rank": "perfbench's kernel bench times it",
-    "config.w_to_dbm": "the tests state launch powers in dBm with it",
+    "kernels.trellis_build": "perfbench's kernel bench times it",
 }
 
 

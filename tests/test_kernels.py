@@ -7,6 +7,7 @@ m = 2 to 4 levels.  The column kernel multinomials is checked against the
 scalar mc_counts row by row.
 """
 
+import gc
 import itertools
 import math
 from collections import defaultdict
@@ -181,6 +182,21 @@ def test_pair_list_and_capacity(c0, pmin):
             want.append((c, cb, p))
     assert kernels.pair_list(c0, pmin) == want
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
+
+
+def test_pair_walk_frees_its_list():
+    # a walk leaves nothing for the cyclic collector: its list is freed when
+    # the last reference goes, and pair_capacity's cleared list at once
+    gc.collect()
+    gc.disable()
+    try:
+        kernels.pair_list((5, 3, 2, 1), 0)
+        assert gc.collect() == 0
+        kernels.pair_capacity((5, 3, 2, 1), 0)
+        kernels.pair_capacity((4, 4, 2, 1), 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n,deltas", [(10, (0, 4)), (5, (0, 1)),

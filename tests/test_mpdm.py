@@ -6,7 +6,7 @@ import dmshape as d
 from dmshape.combinatorics import colex_key
 from dmshape.errors import RateInfeasibleError
 from dmshape.mpdm import assemble_tree, min_pair_payload
-from dmshape.schemes import CoverItem, exact_cover, smallest_feasible_cap
+from dmshape.schemes import exact_cover, smallest_feasible_cap
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -37,32 +37,30 @@ def brute_force_pairs(c0, min_payload):
 
 class TestEnumeratePairs:
     def test_examples(self):
-        pairs = {(p.c, p.c_bar): p.payload_bits
-                 for p in d.enumerate_pairs((2, 1, 1), 0)}
+        pairs = {(c, c_bar): p
+                 for c, c_bar, p in d.enumerate_pairs((2, 1, 1), 0)}
         assert ((3, 1, 0), (1, 1, 2)) in pairs
         assert ((4, 0, 0), (0, 2, 2)) in pairs
 
     def test_min_payload_example(self):
         pairs = d.enumerate_pairs((1, 0, 1), 0)
-        entry = [p for p in pairs if p.c == (2, 0, 0)]
-        assert entry and entry[0].c_bar == (0, 0, 2)
-        assert entry[0].payload_bits == 0
+        entry = [(c_bar, p) for c, c_bar, p in pairs if c == (2, 0, 0)]
+        assert entry and entry[0] == ((0, 0, 2), 0)
 
     @pytest.mark.parametrize("c0", [(2, 1, 1), (3, 2, 1), (4, 2), (5, 3, 2, 1)])
     def test_against_brute_force(self, c0):
         for pmin in (0, 1):
-            got = sorted((p.c, p.c_bar, p.payload_bits)
-                         for p in d.enumerate_pairs(c0, pmin))
+            got = sorted((c, c_bar, p)
+                         for c, c_bar, p in d.enumerate_pairs(c0, pmin))
             assert got == brute_force_pairs(c0, pmin)
 
     def test_pair_arithmetic(self):
         c0 = (5, 3, 2, 1)
-        for p in d.enumerate_pairs(c0, 0):
-            assert tuple(a + b for a, b in zip(p.c, p.c_bar)) == \
+        for c, c_bar, p in d.enumerate_pairs(c0, 0):
+            assert tuple(a + b for a, b in zip(c, c_bar)) == \
                 tuple(2 * x for x in c0)
-            assert colex_key(p.c) < colex_key(p.c_bar)
-            assert p.payload_bits == min(d.input_bits(p.c),
-                                         d.input_bits(p.c_bar))
+            assert colex_key(c) < colex_key(c_bar)
+            assert p == min(d.input_bits(c), d.input_bits(c_bar))
 
 
 class TestSelectTarget:
@@ -72,8 +70,8 @@ class TestSelectTarget:
         target = d.select_mpdm_target(4, 2, A2)
         assert target == (3, 1)
         space = 1 << d.input_bits(target)
-        for p in d.enumerate_pairs(target, min_pair_payload(target)):
-            space += 2 << p.payload_bits
+        for _, _, p in d.enumerate_pairs(target, min_pair_payload(target)):
+            space += 2 << p
         assert space >= 4
 
     def test_k0_degenerate(self):
@@ -92,7 +90,7 @@ class TestSelectTarget:
 
 class TestAssemble:
     def test_toy_cover_depths(self):
-        items = [CoverItem(((2, 2),), 2), CoverItem(((3, 1), (1, 3)), 1)]
+        items = [(((2, 2),), 2), (((3, 1), (1, 3)), 1)]
         cap = smallest_feasible_cap(items, 3)
         cover = exact_cover(items, 3, payload_cap=cap)
         assert sum(1 << p for _, p in cover) == 8
@@ -100,25 +98,25 @@ class TestAssemble:
         assert depths == [1, 2, 2]
 
     def test_singleton_alone_depth_zero(self):
-        items = [CoverItem(((2, 2),), 2)]
+        items = [(((2, 2),), 2)]
         cover = exact_cover(items, 2, payload_cap=smallest_feasible_cap(items, 2))
         assert cover == [((2, 2), 2)]
 
     def test_cover_cuts_an_overshooting_pair(self):
         # (2,2) takes 4 of 2^3; the pair at payload 2 would add 8, so both
         # members drop to payload 1
-        items = [CoverItem(((2, 2),), 2), CoverItem(((1, 3), (3, 1)), 2)]
+        items = [(((2, 2),), 2), (((1, 3), (3, 1)), 2)]
         assert exact_cover(items, 3) == [((2, 2), 2), ((1, 3), 1), ((3, 1), 1)]
 
     def test_cover_skips_a_pair_that_cannot_fit(self):
         # one address is left when the pair comes up: it is skipped, and
         # the single (0,4) after it takes that address
-        items = [CoverItem(((2, 2),), 1), CoverItem(((4, 0),), 0),
-                 CoverItem(((3, 1), (1, 3)), 0), CoverItem(((0, 4),), 0)]
+        items = [(((2, 2),), 1), (((4, 0),), 0),
+                 (((3, 1), (1, 3)), 0), (((0, 4),), 0)]
         assert exact_cover(items, 2) == [((2, 2), 1), ((4, 0), 0), ((0, 4), 0)]
 
     def test_cover_short_of_2k_is_infeasible(self):
-        items = [CoverItem(((2, 2),), 1), CoverItem(((4, 0),), 0)]
+        items = [(((2, 2),), 1), (((4, 0),), 0)]
         with pytest.raises(RateInfeasibleError,
                            match=r"items supply 3 addresses, need 2\^2"):
             exact_cover(items, 2)

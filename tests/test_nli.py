@@ -4,9 +4,10 @@ import math
 import pytest
 
 import dmshape as d
-from dmshape.config import w_to_dbm
 from dmshape.errors import CalibrationError, ModelDomainError
 from dmshape.schemes import LeafTable
+
+from oracles import w_to_dbm
 
 LINK = d.LinkConfig()
 WDM = d.WdmConfig()
