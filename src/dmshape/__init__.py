@@ -14,11 +14,12 @@ from .combinatorics import (  # noqa: F401
     multinomial_coefficient,
     pmf_of,
     rate_loss,
+    select_emax,
 )
 from .schemes import AddressedComposition, CompositionSet  # noqa: F401
 from .ccdm import build_ccdm, mb_pmf, quantize_pmf, select_ccdm  # noqa: F401
 from .mpdm import build_mpdm, enumerate_pairs, select_mpdm_target  # noqa: F401
-from .ess import build_ess, select_emax  # noqa: F401
+from .ess import build_ess  # noqa: F401
 from .optimizer import build_opt_mpdm, compare_schemes  # noqa: F401
 from .codec import SchemeCodec, cc_rank, cc_unrank  # noqa: F401
 from .nli import (  # noqa: F401

@@ -4,7 +4,7 @@ Subcommands: ``build`` writes a scheme file, ``analyze`` turns one into
 scatter/histogram/CDF/aggregate CSVs, ``compare`` emits the four-scheme
 comparison table, ``codec`` encodes hex words to amplitude sequences and
 back.  Exit codes: 0 success, 1 infeasible or model error, 2 usage error,
-3 data error.
+3 data or file error.
 """
 
 from __future__ import annotations
@@ -233,7 +233,8 @@ def main(argv=None) -> int:
     except (RateInfeasibleError, ModelDomainError, CalibrationError) as exc:
         print(f"dmshape: {exc}", file=sys.stderr)
         return 1
-    except (SchemeFileError, DecodeError) as exc:
+    # reads wrap OSError as SchemeFileError, so a bare one comes from a write
+    except (SchemeFileError, DecodeError, OSError) as exc:
         print(f"dmshape: {exc}", file=sys.stderr)
         return 3
     except DmShapeError as exc:

@@ -103,6 +103,51 @@ def check_k_range(n: int, k: int, m: int,
         raise error(f"k={k} outside [0, n*log2(m)]")
 
 
+RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
+
+
+@functools.lru_cache(maxsize=64)
+def integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
+    """Smallest integer block energy (in integer_energies units) whose ball
+    holds at least 2^k length-n sequences.
+
+    The radius comes from the generating polynomial rather than a simplex
+    scan: the number of length-n sequences of integer energy e is the
+    coefficient of x^e in (sum_i x^u_i)^n.  With offsets d_i = (u_i - u_0) / g,
+    g the gcd of the u_i - u_0, that is the coefficient of y^j,
+    j = (e - n*u_0) / g, in (sum_i y^d_i)^n.  No coefficient exceeds m^n, so
+    evaluating at y = 2^B with B > bitlen(m^n) packs every coefficient in its
+    own B-bit slot without carries; one exact bigint power then yields all of
+    them, and the radius is where the running slot sum first reaches 2^k.
+    """
+    check_k_range(n, k, alphabet.m)  # before 2^k is formed
+    u0, g, deltas = alphabet.energy_grid()
+    n_slots = n * deltas[-1] + 1
+    # a slot holds up to m^n <= 2^(n * bitlen(m-1)); refuse packed grids too
+    # large to hold (a scheme file may name any alphabet and n)
+    if n_slots * n * (alphabet.m - 1).bit_length() > RADIUS_GRID_BITS:
+        raise RateInfeasibleError(
+            f"energy grid of {n_slots} levels at n={n} is too large")
+    need = 1 << k
+    width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
+    poly = sum(1 << (8 * width * d) for d in deltas)
+    packed = (poly ** n).to_bytes(width * n_slots, "little")
+    cum = 0
+    for j in range(n_slots):
+        cum += int.from_bytes(packed[j * width:(j + 1) * width], "little")
+        if cum >= need:
+            return n * u0 + g * j
+    raise RateInfeasibleError(
+        f"alphabet admits only {cum} sequences at n={n}, need 2^{k}")
+
+
+def select_emax(n: int, k: int,
+                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> float:
+    """Smallest achievable energy radius admitting at least 2^k sequences."""
+    _, scale = alphabet.integer_energies()
+    return float(integer_radius(n, k, alphabet) * scale)
+
+
 def float_sum(values: Iterable[float]) -> float:
     """Left-to-right float sum from 0.0: sum() before Python 3.12.
 

@@ -109,7 +109,7 @@ def parse_config(path: str | None) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemeFileError(f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()

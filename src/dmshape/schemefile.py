@@ -11,7 +11,6 @@ and platforms.  No timestamps.
 
 from __future__ import annotations
 
-import functools
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -74,24 +73,11 @@ def scheme_to_text(built: CompositionSet) -> str:
     return "\n".join(_scheme_lines(built)) + "\n"
 
 
-def _counts(m: int, text: str) -> tuple[int, ...]:
-    counts = tuple(int(x) for x in text.split(","))
-    if len(counts) != m:
-        raise ValueError(f"{len(counts)} levels, alphabet has {m}")
-    return counts
-
-
 def _leaf_count(text: str) -> int:
     count = int(text)
     if count < 0:
         raise ValueError(f"negative leaf count {count}")
     return count
-
-
-def _no_depth(text: str) -> str:
-    if text:
-        raise ValueError(f"an ess leaf has no depth, found {text!r}")
-    return text
 
 
 def _known_scheme(name: str) -> str:
@@ -111,16 +97,39 @@ def write_scheme(built: CompositionSet, path: str) -> None:
 def read_scheme(path: str) -> CompositionSet:
     """Parse and validate a scheme file.
 
-    Every malformed field is reported as a one-line SchemeFileError of the
-    form ``path:line: field: reason``.  After validate, the header values the
+    The file is read as a stream: the header line by line, then the leaf
+    section twice, once to count its lines and once to parse them.  Every
+    malformed field is reported as a one-line SchemeFileError of the form
+    ``path:line: field: reason``.  After validate, the header values the
     file states (e_max, avg_pmf, rate_loss, in that order) must equal the
     ones the scheme computes from its leaves.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            built, (e_max, avg_pmf, rate_loss) = _parse(fh, path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
+    try:
+        built.validate()
+    except Exception as exc:
+        raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
+    # the header must state what the leaves imply
+    if e_max != built.e_max:
+        fault = (f"tree scheme carries e_max {e_max!r}" if built.e_max is None
+                 else f"e_max {e_max!r} is not the minimal radius "
+                 f"{built.e_max!r}")
+    elif avg_pmf != built.avg_pmf:
+        fault = f"avg_pmf {avg_pmf!r} is not the leaves' {built.avg_pmf!r}"
+    elif rate_loss != built.rate_loss:
+        fault = f"rate_loss {rate_loss!r} is not the leaves' {built.rate_loss!r}"
+    else:
+        return built
+    raise SchemeFileError(f"{path}: inconsistent scheme: {fault}")
+
+
+def _parse(fh, path: str):
+    """The unvalidated scheme an open scheme file holds, and the (e_max,
+    avg_pmf, rate_loss) its header states."""
 
     def parse(lineno: int, field: str, text: str, convert):
         try:
@@ -129,11 +138,10 @@ def read_scheme(path: str) -> CompositionSet:
             raise SchemeFileError(f"{path}:{lineno}: {field}: {exc}") from None
 
     header: dict[str, tuple[int, str]] = {}
-    i = 0
     n_leaves = None
-    while i < len(lines):
-        line = lines[i]
-        i += 1
+    # readline, as iterating fh would make the tell() below fail
+    for i, line in enumerate(iter(fh.readline, ""), 1):
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         if "=" not in line:
@@ -164,76 +172,64 @@ def read_scheme(path: str) -> CompositionSet:
     rate_loss = field("rate_loss", float)
     avg_pmf = field("avg_pmf", lambda v: tuple(float(x) for x in v.split(",")))
     e_max = field("e_max", float) if "e_max" in header else None
-    rows = list(filter(str.strip, lines[i:]))
-    if len(rows) != n_leaves:
+    # the line count is checked before any leaf field
+    start = fh.tell()
+    found = sum(1 for line in fh if line.strip())
+    if found != n_leaves:
         raise SchemeFileError(
-            f"{path}: expected {n_leaves} leaf lines, found {len(rows)}")
-    tree = is_tree_scheme(scheme)
-    try:
-        leaves = _leaf_columns(rows, alphabet.m, tree)
-    except ValueError:
-        # some field is bad: name the first one as a line-by-line parse,
-        # field by field, finds it
-        mid = ((("payload_bits", int), ("depth", int)) if tree
-               else (("used_count", int), ("depth", _no_depth)))
-        for j, ln in enumerate(lines[i:], i + 1):
-            parts = ln.split("|")
-            if not ln.strip():
-                continue
-            if len(parts) != 4:
-                raise SchemeFileError(f"{path}:{j}: malformed leaf line {ln!r}")
-            parse(j, "counts", parts[0], functools.partial(_counts, alphabet.m))
-            parse(j, "weight", parts[3], float)
-            for (name, convert), text in zip(mid, parts[1:3]):
-                parse(j, name, text, convert)
-        raise
-    del lines, rows  # the file text is done with; validate runs without it
+            f"{path}: expected {n_leaves} leaf lines, found {found}")
+    fh.seek(start)
+    leaves = _leaf_table(enumerate(fh, i + 1), path, alphabet.m,
+                         is_tree_scheme(scheme))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
-    try:
-        built.validate()
-    except Exception as exc:
-        raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
-    # the header must state what the leaves imply
-    if e_max != built.e_max:
-        fault = (f"tree scheme carries e_max {e_max!r}" if built.e_max is None
-                 else f"e_max {e_max!r} is not the minimal radius "
-                 f"{built.e_max!r}")
-    elif avg_pmf != built.avg_pmf:
-        fault = f"avg_pmf {avg_pmf!r} is not the leaves' {built.avg_pmf!r}"
-    elif rate_loss != built.rate_loss:
-        fault = f"rate_loss {rate_loss!r} is not the leaves' {built.rate_loss!r}"
-    else:
-        return built
-    raise SchemeFileError(f"{path}: inconsistent scheme: {fault}")
+    return built, (e_max, avg_pmf, rate_loss)
 
 
-def _leaf_columns(rows: list[str], m: int, tree: bool) -> LeafTable:
-    """Parse leaf lines field by field into table columns.
+def _leaf_table(lines, path: str, m: int, tree: bool) -> LeafTable:
+    """Parse numbered leaf lines into table columns, each line once.
 
-    The conversions are those read_scheme applies line by line to name a
-    bad field, so this raises ValueError exactly when some line fails there.
+    Per line the fields are converted counts, weight, payload_bits or
+    used_count, then depth; the first that fails is the one named.  Counts
+    and weights become arrays LEAF_CHUNK lines at a time, so no list of
+    every count or weight is held.
     """
-    # counts and weights become arrays chunk by chunk, so no list of every
-    # count or weight is held beside the leaf lines
     counts, weights = [np.zeros(0, np.int64)], [np.zeros(0)]
     mid, depth = [], []
-    for start in range(0, len(rows), LEAF_CHUNK):
-        parts = [row.split("|") for row in rows[start:start + LEAF_CHUNK]]
-        if any(len(p) != 4 for p in parts):
-            raise ValueError("malformed leaf line")
-        c, u, d, w = zip(*parts)
-        if any(x.count(",") != m - 1 for x in c):
-            raise ValueError("counts of the wrong length")
-        counts.append(int_array([int(x) for x in ",".join(c).split(",")]))
-        weights.append(np.array([float(x) for x in w]))
-        mid += map(int, u)
-        if tree:
-            depth += map(int, d)
-        elif any(d):
-            raise ValueError("depth field of an ess leaf")
-    counts = np.concatenate(counts).reshape(len(rows), m)
+    while chunk := list(islice(lines, LEAF_CHUNK)):
+        chunk_counts, chunk_weights = [], []
+        for lineno, line in chunk:
+            if not line.strip():
+                continue
+            line = line.rstrip("\n")
+            parts = line.split("|")
+            if len(parts) != 4:
+                raise SchemeFileError(
+                    f"{path}:{lineno}: malformed leaf line {line!r}")
+            counts_text, mid_text, depth_text, weight_text = parts
+            field = "counts"
+            try:
+                row = list(map(int, counts_text.split(",")))
+                if len(row) != m:
+                    raise ValueError(f"{len(row)} levels, alphabet has {m}")
+                field = "weight"
+                chunk_weights.append(float(weight_text))
+                field = "payload_bits" if tree else "used_count"
+                mid.append(int(mid_text))
+                field = "depth"
+                if tree:
+                    depth.append(int(depth_text))
+                elif depth_text:
+                    raise ValueError(
+                        f"an ess leaf has no depth, found {depth_text!r}")
+            except ValueError as exc:
+                raise SchemeFileError(
+                    f"{path}:{lineno}: {field}: {exc}") from None
+            chunk_counts += row
+        counts.append(int_array(chunk_counts))
+        weights.append(np.array(chunk_weights))
     weights = np.concatenate(weights)
+    counts = np.concatenate(counts).reshape(len(weights), m)
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth))

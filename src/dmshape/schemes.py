@@ -53,8 +53,10 @@ from .combinatorics import (
     Pmf,
     check_k_range,
     colex_key,
+    integer_radius,
     kurtosis_of,
     rate_loss as _rate_loss,
+    select_emax,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
 from .kernels import multinomials
@@ -212,7 +214,6 @@ class CompositionSet:
     @property
     def e_max(self) -> float | None:
         """The minimal ESS radius; None for a tree scheme."""
-        from .ess import select_emax  # imported here: ess builds on this module
         return (None if is_tree_scheme(self.scheme)
                 else select_emax(self.n, self.k, self.alphabet))
 
@@ -325,9 +326,8 @@ class CompositionSet:
         if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
         if not tree:
-            from .ess import _integer_radius  # as in e_max
             units, _ = self.alphabet.integer_energies()
-            cap = _integer_radius(n, k, self.alphabet)
+            cap = integer_radius(n, k, self.alphabet)
             i = _first(block_energies(counts, n, units) > cap)
             if i < size:
                 raise ConstructionBugError(f"leaf {table[i].counts} lies "

@@ -274,6 +274,42 @@ class TestHostileInput:
         assert capsys.readouterr().err == \
             f"dmshape: {cfg}:2: launch_power_dbm: repeated key\n"
 
+    @pytest.mark.parametrize("which", ["scheme file", "config"])
+    def test_undecodable_file(self, tmp_path, capsys, which):
+        # a byte that is not UTF-8 once ended in a UnicodeDecodeError traceback
+        scheme = self.toy_scheme(tmp_path, capsys, lambda ls: ls)
+        cfg = eta_config(tmp_path)
+        bad = scheme if which == "scheme file" else cfg
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff\n")
+        rc = main(["analyze", scheme, "--config", cfg,
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"dmshape: cannot read {which} {bad}: 'utf-8' "
+                              "codec can't decode byte 0xff")
+        assert not (tmp_path / "r_scatter.csv").exists()
+
+    @pytest.mark.parametrize("command", ["build", "analyze", "compare"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        # a write into a missing directory once ended in a traceback
+        if command == "build":
+            args = ["build", "--scheme", "ccdm", *TOY]
+        elif command == "analyze":
+            args = ["analyze", self.toy_scheme(tmp_path, capsys, lambda ls: ls),
+                    "--config", eta_config(tmp_path)]
+        else:
+            args = ["compare", *TOY]
+        missing = tmp_path / "missing"
+        rc = main([*args, "--out", str(missing / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(
+            f"dmshape: [Errno 2] No such file or directory: '{missing}")
+        assert not missing.exists()
+
     def analyze_with_config(self, tmp_path, capsys, text):
         scheme = tmp_path / "toy.scheme"
         assert main(["build", "--scheme", "mpdm", "--n", "8", "--k", "5",

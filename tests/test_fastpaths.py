@@ -25,16 +25,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dmshape as d
-from dmshape import ccdm, ess, kernels, mpdm, nli
+from dmshape import ccdm, combinatorics, kernels, mpdm, nli
 from dmshape.ccdm import mb_composition_chain
 from dmshape.cli import _write_report, main
-from dmshape.combinatorics import enumerate_compositions, input_bits, kurtosis_of
+from dmshape.combinatorics import (
+    enumerate_compositions,
+    input_bits,
+    integer_radius,
+    kurtosis_of,
+)
 from dmshape.errors import (
     ConstructionBugError,
     ModelDomainError,
     RateInfeasibleError,
 )
-from dmshape.ess import _integer_radius
 from dmshape.schemefile import scheme_to_text
 from dmshape.optimizer import BUILDERS
 from dmshape.schemes import (
@@ -331,7 +335,7 @@ def loop_ess(n, k, alphabet):
     avg = [0.0] * alphabet.m
     prev = 0
     units, _ = alphabet.integer_energies()
-    radius = _integer_radius(n, k, alphabet)
+    radius = integer_radius(n, k, alphabet)
 
     def energy(c):
         return sum(x * u for x, u in zip(c, units))
@@ -377,7 +381,7 @@ def test_shell_order_is_energy_then_colex(n, k):
     for alphabet in ALPHABETS:
         k_a = min(k, max_k(n, alphabet))
         units, _ = alphabet.integer_energies()
-        radius = _integer_radius(n, k_a, alphabet)
+        radius = integer_radius(n, k_a, alphabet)
 
         def energy(c):
             return sum(x * u for x, u in zip(c, units))
@@ -661,7 +665,7 @@ def scanned_radius(n, k, alphabet):
 def test_polynomial_radius_equals_energy_scan(alphabet, n, data):
     k = data.draw(st.integers(0, max_k(n, alphabet) + 1))
     try:
-        got = _integer_radius(n, k, alphabet)
+        got = integer_radius(n, k, alphabet)
     except RateInfeasibleError:
         got = None
     assert got == scanned_radius(n, k, alphabet)
@@ -669,18 +673,18 @@ def test_polynomial_radius_equals_energy_scan(alphabet, n, data):
 
 @pytest.mark.parametrize("n,k", [(24, 36), (40, 70)])
 def test_polynomial_radius_at_scale(n, k):
-    assert _integer_radius(n, k, d.DEFAULT_ALPHABET) == \
+    assert integer_radius(n, k, d.DEFAULT_ALPHABET) == \
         scanned_radius(n, k, d.DEFAULT_ALPHABET)
 
 
 def test_radius_refuses_oversized_grid(monkeypatch):
     # n=24 over {1,3,5,7} packs 145 slots of about 48 bits: 6960 bits
-    monkeypatch.setattr(ess, "RADIUS_GRID_BITS", 6960)
-    assert _integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET) == \
+    monkeypatch.setattr(combinatorics, "RADIUS_GRID_BITS", 6960)
+    assert integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET) == \
         scanned_radius(24, 36, d.DEFAULT_ALPHABET)
-    monkeypatch.setattr(ess, "RADIUS_GRID_BITS", 6959)
+    monkeypatch.setattr(combinatorics, "RADIUS_GRID_BITS", 6959)
     with pytest.raises(RateInfeasibleError, match="energy grid of 145 levels"):
-        _integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
+        integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
 
 
 # -- analyze -------------------------------------------------------------------

@@ -47,15 +47,25 @@ class TestRoundtrip:
         text = scheme_to_text(built)
         assert str(built.leaves[1].used_count) in text
 
-    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
     def test_written_file_is_the_text(self, tmp_path, monkeypatch, chunk):
-        # write_scheme streams LEAF_CHUNK lines at a time
+        # write_scheme and read_scheme stream LEAF_CHUNK lines at a time
         monkeypatch.setattr(schemefile, "LEAF_CHUNK", chunk)
-        for built in (d.build_ess(6, 5, A2), d.build_mpdm(8, 5, A2)):
+        for built in (d.build_ccdm(6, 4, A2), d.build_ess(6, 5, A2),
+                      d.build_mpdm(8, 5, A2)):
             path = tmp_path / "s.scheme"
             write_scheme(built, str(path))
-            assert path.read_text() == scheme_to_text(built)
+            text = path.read_text()
+            assert text == scheme_to_text(built)
             assert read_scheme(str(path)) == built
+            # a fault in the last chunk still names its line
+            lines = text.splitlines()
+            lines[-1] = lines[-1].rpartition("|")[0] + "|x"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SchemeFileError) as err:
+                read_scheme(str(path))
+            assert str(err.value) == (f"{path}:{len(lines)}: weight: could "
+                                      "not convert string to float: 'x'")
 
     def test_byte_determinism(self, tmp_path):
         a = scheme_to_text(d.build_mpdm(8, 5, A2))
@@ -243,10 +253,14 @@ def test_bad_leaf_field_names_line_and_field(fuzz_path, case):
      "11: depth: an ess leaf has no depth, found '7'"),
     ("ess", "5,1|6||0.375", "5,1|6|junk|0.375",
      "11: depth: an ess leaf has no depth, found 'junk'"),
+    # lines end only at \n, \r and \r\n: a form feed is whitespace inside
+    # its line, so the line numbers after it do not move
+    ("mpdm", "4,2|3|1|0.5\n5,1|2|2|0.25", "4,2|3|\f1|0.5\n5,1|2|2|quarter",
+     "10: weight: could not convert string to float: 'quarter'"),
 ])
 def test_leaf_field_messages(tmp_path, name, old, new, message):
-    # the messages the line-by-line parser gave, kept by the column parser
-    # (it falls back to that parse to name the first bad line)
+    # one pass over each line converts its fields in order and names the
+    # first that fails
     text = TOY_TEXTS[name]
     assert old in text
     path = tmp_path / "bad.scheme"
