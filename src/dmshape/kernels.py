@@ -1,14 +1,18 @@
 """Exact combinatorial kernels.
 
 These are the hot inner loops of the package: multiset rank/unrank walks,
-the energy-capped shell scan (one count matrix), the complement-pair walk
-(pair_list; scanned_pairs keeps its last list for pair_capacity and MPDM),
-the energy-bounded suffix-count table that counts the sphere-shaping ball,
-and the column kernel ``multinomials``: the exact multinomial of every row
-of a count matrix (validate's capacities, build_ess's shell sizes), each
-distinct binomial formed once and the products taken in numpy's object
-loops.  All arithmetic that can overflow 64 bits is done with Python ints,
-so every kernel is exact.
+the ESS shell walk (shells_upto: one count matrix, from a depth-first walk
+that stops each level at the energy radius, so its cost follows its
+output, and that refuses a ball of more than MAX_ESS_SHELLS shells before
+forming any row), the complement-pair walk (pair_list; scanned_pairs keeps
+its last list for pair_capacity and MPDM), and the column kernel
+``multinomials``: the exact multinomial of every row of a count matrix
+(validate's capacities, build_ess's shell sizes), each distinct binomial
+formed once and the products taken in numpy's object loops.  The energy
+ball's suffix-count table and its walks (trellis_build, ess_unrank,
+ess_rank) serve only perfbench's kernel bench and the test oracle, as
+energy_totals does.  All arithmetic that can overflow 64 bits is done with
+Python ints, so every kernel is exact.
 """
 
 import functools
@@ -16,8 +20,15 @@ from math import comb
 
 import numpy as np
 
+from .errors import RateInfeasibleError
+
 # Rows per block of multinomials: a block holds this many bigints at once.
 MULTINOMIAL_CHUNK = 4096
+
+# Rows one shells_upto walk may return.  An ESS build peaks near 300 bytes
+# of RSS per shell (297 MB for 989,150 shells at n=464), so this bounds it
+# near 320 MB and still holds compare at n=432 (802,188 shells).
+MAX_ESS_SHELLS = 1 << 20
 
 
 def backend_name():
@@ -122,13 +133,6 @@ def cc_rank(seq, counts):
     return index
 
 
-def _scan_state(n, m):
-    # colex-first composition: everything in the reservoir level 0
-    counts = [0] * m
-    counts[0] = n
-    return counts
-
-
 def _advance(counts, m):
     """Step to the next composition in colexicographic order.
 
@@ -161,7 +165,7 @@ def energy_totals(n, int_energies):
     emax = n * max(int_energies)
     totals = [0] * (emax + 1)
     ncomp = [0] * (emax + 1)
-    counts = _scan_state(n, m)
+    counts = [n] + [0] * (m - 1)  # colex-first: all of n in level 0
     mc = 1
     e = n * int_energies[0]
     while True:
@@ -184,32 +188,37 @@ def energy_totals(n, int_energies):
 def shells_upto(n, int_energies, e_cap):
     """All compositions with integer energy <= e_cap, in colex order.
 
-    Returns them as the rows of an (L, m) int64 matrix.  The scan walks the
-    sweeps (runs of level 0 -> level 1 moves); along one the energy rises by
-    the fixed step d01, so the part inside the cap is a prefix of known
-    length.  One start row and one length per sweep are kept and expanded
-    into rows at the end: O(#sweeps) Python steps, numpy work per shell.
+    Returns them as the rows of an (L, m) int64 matrix.  The walk goes
+    depth first over levels m-1 .. 2, outermost first; level 1 is the sweep
+    and level 0 holds the rest.  The levels ascend, so the energy e with the
+    rest in level 0 is the least below that point, and each level stops at
+    (e_cap - e) // (u_i - u_0).  A sweep inside the cap keeps one start row
+    and one length, expanded into rows at the end.  A running count of the
+    rows refuses more than MAX_ESS_SHELLS before any row is formed.  The
+    walk keeps its own stack, so any number of levels is walked.
     """
     m = len(int_energies)
-    d01 = int_energies[1] - int_energies[0]
+    u0 = int_energies[0]
     starts, lengths = [], []
-    counts = _scan_state(n, m)
-    while True:
-        # a sweep starts at counts[1] == 0, fed from the reservoir counts[0]
-        e = sum(c * w for c, w in zip(counts, int_energies))
-        if e <= e_cap:
-            starts.append(counts[:])
-            lengths.append(min(counts[0], (e_cap - e) // d01) + 1)
-        # jump to the sweep's end (all of counts[0] in counts[1]) and carry
-        counts[0], counts[1] = 0, counts[0]
-        for j in range(1, m - 1):
-            if counts[j] > 0:
-                counts[0] = counts[j] - 1
-                counts[j] = 0
-                counts[j + 1] += 1
-                break
-        else:
-            break
+    total = 0
+    # (level, rest of n, counts of the levels above, e with the rest in 0)
+    stack = [(m - 1, n, (), n * u0)]
+    while stack:
+        i, rem, suffix, e = stack.pop()
+        step = int_energies[i] - u0
+        hi = min(rem, (e_cap - e) // step)
+        if i > 1:
+            # pushed last first, so the walk pops them in colex order
+            stack += [(i - 1, rem - ci, (ci,) + suffix, e + ci * step)
+                      for ci in range(hi, -1, -1)]
+        elif hi >= 0:
+            total += hi + 1
+            if total > MAX_ESS_SHELLS:
+                raise RateInfeasibleError(
+                    f"the ESS ball at n={n} over {m} levels holds more than "
+                    f"MAX_ESS_SHELLS={MAX_ESS_SHELLS} shells")
+            starts += (rem, 0) + suffix  # flat: no object per row
+            lengths.append(hi + 1)
     lengths = np.array(lengths, dtype=np.int64)
     rows = np.repeat(np.array(starts, dtype=np.int64).reshape(-1, m),
                      lengths, axis=0)

@@ -669,6 +669,20 @@ class TestHostileInput:
         assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
                        "exceeds MAX_BLOCK_LENGTH=65536\n")
 
+    def test_ess_shell_budget_is_one_line(self, tmp_path, capsys):
+        # 256-QAM amplitudes at n=216, k=400: the ball holds ~8.8e7 shells,
+        # and the walk refuses it once its count passes the budget
+        out = tmp_path / "ess8.scheme"
+        t0 = time.perf_counter()
+        rc = main(["build", "--scheme", "ess", "--n", "216", "--k", "400",
+                   "--alphabet", "1,3,5,7,9,11,13,15", "--out", str(out)])
+        assert time.perf_counter() - t0 < 10.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dmshape: the ESS ball at n=216 over 8 levels holds more than "
+            "MAX_ESS_SHELLS=1048576 shells\n")
+        assert not out.exists()
+
     def test_tiny_levels_with_a_normal_fourth_power(self, tmp_path, capsys):
         # (1e-70)^4 = 1e-280 is a normal float: built and analyzed as before,
         # under the default calibrated model

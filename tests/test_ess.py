@@ -9,6 +9,7 @@ from dmshape.kernels import mc_counts
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
+A8 = d.AmplitudeAlphabet((1, 3, 5, 7, 9, 11, 13, 15))
 
 
 def brute_force_sequences(n, alphabet):
@@ -103,13 +104,20 @@ class TestBuildEss:
         assert sum(l.used_count for l in ess216.leaves) == 1 << 349
 
     def test_pruned_scan_matches_full_scan(self, ess216):
-        # the sweep-pruned shell enumeration must agree with the exhaustive
+        # the radius-pruned shell walk must agree with the exhaustive
         # per-energy composition counts
         from dmshape import kernels
         units, scale = A4.integer_energies()
         e_int = round(ess216.e_max / float(scale))
         _totals, ncomp = kernels.energy_totals(216, units)
         assert ess216.n_compositions == sum(ncomp[: e_int + 1])
+
+    def test_eight_levels(self):
+        # 256-QAM amplitudes: the walk visits only the sweeps inside the
+        # radius, not the 9.4M sweeps of the whole simplex
+        built = d.build_ess(40, 75, A8)
+        assert built.n_compositions == 16536
+        assert sum(l.used_count for l in built.leaves) == 1 << 75
 
     def test_wider_than_mpdm(self, ess216, mpdm216):
         ek = ess216.kurtosis_range()

@@ -3,8 +3,9 @@
 Each kernel is checked against an independent enumeration by
 ``itertools.product``: of all m^n level sequences (which it yields in
 lexicographic order), or of all count vectors in a box, for alphabets of
-m = 2 to 4 levels.  The column kernel multinomials is checked against the
-scalar mc_counts row by row.
+m = 2 to 4 levels.  Compositions without a box come from stars and bars,
+so the shell walk is also checked at m = 5 and 8.  The column kernel
+multinomials is checked against the scalar mc_counts row by row.
 """
 
 import gc
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmshape import kernels
+from dmshape.errors import RateInfeasibleError
 from dmshape.schemes import MAX_BLOCK_LENGTH
 
 # (n, m) with m^n <= 4096, so every sequence can be listed
@@ -36,10 +38,19 @@ def composition(seq, m):
 
 
 def compositions(n, m, box=None):
-    """All compositions of n into m parts inside the box, colex order."""
-    box = box or (n,) * m
-    comps = itertools.product(*(range(b + 1) for b in box))
-    return sorted((c for c in comps if sum(c) == n), key=lambda c: c[::-1])
+    """All compositions of n into m parts inside the box, colex order.
+
+    With no box they come from stars and bars (m-1 bars among n+m-1 slots),
+    not from the (n+1)^m product, so m=8 stays cheap.
+    """
+    if box is None:
+        comps = (tuple(b - a - 1 for a, b in zip((-1,) + bars,
+                                                  bars + (n + m - 1,)))
+                 for bars in itertools.combinations(range(n + m - 1), m - 1))
+    else:
+        comps = (c for c in itertools.product(*(range(b + 1) for b in box))
+                 if sum(c) == n)
+    return sorted(comps, key=lambda c: c[::-1])
 
 
 def multinomial(counts):
@@ -155,7 +166,7 @@ def test_shells_upto(n, m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(units=st.sampled_from([2, 4]).flatmap(
+@given(units=st.sampled_from([2, 3, 4, 5, 8]).flatmap(
            lambda m: st.lists(st.integers(0, 60), min_size=m, max_size=m,
                               unique=True).map(sorted)),
        n=st.integers(0, 9), data=st.data())
@@ -184,9 +195,24 @@ def test_pair_list_and_capacity(c0, pmin):
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
 
 
-def test_pair_walk_frees_its_list():
+def test_shells_upto_budget(monkeypatch):
+    # the running count refuses the row past MAX_ESS_SHELLS, not the last one
+    units = (1, 9, 25, 49)
+    want = in_cap(6, units, 150)
+    monkeypatch.setattr(kernels, "MAX_ESS_SHELLS", len(want))
+    assert kernels.shells_upto(6, units, 150).tolist() == want
+    monkeypatch.setattr(kernels, "MAX_ESS_SHELLS", len(want) - 1)
+    with pytest.raises(RateInfeasibleError) as info:
+        kernels.shells_upto(6, units, 150)
+    assert str(info.value) == (
+        "the ESS ball at n=6 over 4 levels holds more than "
+        f"MAX_ESS_SHELLS={len(want) - 1} shells")
+
+
+def test_pair_walk_frees_its_list(monkeypatch):
     # a walk leaves nothing for the cyclic collector: its list is freed when
-    # the last reference goes, and pair_capacity's cleared list at once
+    # the last reference goes, and pair_capacity's cleared list at once; the
+    # shell walk frees its lists whether it returns or is refused
     gc.collect()
     gc.disable()
     try:
@@ -194,6 +220,16 @@ def test_pair_walk_frees_its_list():
         assert gc.collect() == 0
         kernels.pair_capacity((5, 3, 2, 1), 0)
         kernels.pair_capacity((4, 4, 2, 1), 0)
+        assert gc.collect() == 0
+        kernels.shells_upto(12, (1, 9, 25, 49), 200)
+        assert gc.collect() == 0
+        monkeypatch.setattr(kernels, "MAX_ESS_SHELLS", 3)
+        try:
+            kernels.shells_upto(12, (1, 9, 25, 49), 200)
+        except RateInfeasibleError:
+            pass
+        else:
+            pytest.fail("the budget did not refuse the walk")
         assert gc.collect() == 0
     finally:
         gc.enable()
