@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+from itertools import chain
 
 from .codec import SchemeCodec
 from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet
@@ -29,7 +30,12 @@ from .mpdm import build_mpdm
 from .nli import NliModel, SnrReport, analyze
 from .optimizer import BUILDERS, compare_schemes
 from .schemefile import read_scheme, write_scheme
-from .schemes import MAX_BLOCK_LENGTH, CompositionSet
+from .schemes import (
+    MAX_BLOCK_LENGTH,
+    CompositionSet,
+    row_chunks,
+    row_values,
+)
 
 
 def _parse_alphabet(text: str | None) -> AmplitudeAlphabet:
@@ -81,14 +87,18 @@ def cmd_build(args) -> int:
 def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
     # the histogram first: a bin width it refuses leaves no file behind
     histogram = report.histogram(bin_width_db)
-    # formatted by whole columns, as _write_rows would write them: the ids
-    # ("c0:c1:...") and float reprs hold nothing the csv module quotes.  No
-    # name holds the id columns, so they are freed before the CDF is built.
+    # formatted as _write_rows would write them: the ids ("c0:c1:...") and
+    # float reprs hold nothing the csv module quotes.  Every column is read
+    # one chunk at a time, so no list of a whole column is formed.
+    ids = chain.from_iterable(
+        map(":".join, zip(*(map(str, col) for col in chunk.T.tolist())))
+        for chunk in row_chunks(report.counts))
     with open(prefix + "_scatter.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("composition,kurtosis,snr_db,weight\n")
-        fh.writelines(map("{},{!r},{!r},{!r}\n".format, map(":".join, zip(
-            *(map(str, col) for col in report.counts.T.tolist()))),
-            report.kurtosis, report.snr_db, report.weights))
+        fh.writelines(map("{},{!r},{!r},{!r}\n".format, ids,
+                          row_values(report.kurtosis),
+                          row_values(report.snr_db),
+                          row_values(report.weights)))
     _write_csv(prefix + "_histogram.csv", ["bin_center_db", "weight"],
                ((_fmt(c), _fmt(w)) for c, w in histogram))
     _write_csv(prefix + "_cdf.csv", ["snr_db", "cumulative_weight"],

@@ -105,6 +105,14 @@ def check_k_range(n: int, k: int, m: int,
 
 RADIUS_GRID_BITS = 1 << 29  # 64 MiB packed polynomial
 
+# Largest packed power integer_radius forms.  Its cost grows as the bits to
+# the power ~1.6 (Karatsuba).  Whole integer_radius calls on a 2-core
+# x86-64 host with Python 3.11: 8.4M bits (n=834 over {1,3,5,7}) took
+# 1.8 s, the slowest measured under this bound, and 7.3M bits (n=3 over 390
+# odd levels) 1.2 s; 58M bits (n=3 over 1,100 odd levels) took 35 s, which
+# the bound refuses.
+RADIUS_POWER_BITS = 1 << 23
+
 
 @functools.lru_cache(maxsize=64)
 def integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
@@ -119,6 +127,8 @@ def integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
     evaluating at y = 2^B with B > bitlen(m^n) packs every coefficient in its
     own B-bit slot without carries; one exact bigint power then yields all of
     them, and the radius is where the running slot sum first reaches 2^k.
+    A grid whose packed form passes RADIUS_GRID_BITS (memory) or whose
+    power passes RADIUS_POWER_BITS (time) is refused before the power.
     """
     check_k_range(n, k, alphabet.m)  # before 2^k is formed
     u0, g, deltas = alphabet.energy_grid()
@@ -130,6 +140,11 @@ def integer_radius(n: int, k: int, alphabet: AmplitudeAlphabet) -> int:
             f"energy grid of {n_slots} levels at n={n} is too large")
     need = 1 << k
     width = ((alphabet.m ** n).bit_length() + 8) // 8  # bytes per slot
+    if 8 * width * n_slots > RADIUS_POWER_BITS:
+        raise RateInfeasibleError(
+            f"energy grid of {n_slots} levels at n={n} needs a "
+            f"{8 * width * n_slots}-bit power, more than "
+            f"RADIUS_POWER_BITS={RADIUS_POWER_BITS}")
     poly = sum(1 << (8 * width * d) for d in deltas)
     packed = (poly ** n).to_bytes(width * n_slots, "little")
     cum = 0

@@ -243,28 +243,29 @@ def pair_list(c0, min_payload):
     box = [min(2 * a, n) for a in c0t]
     floor = 1 << min_payload
     pairs = []
-
-    # Outer loops run over coordinates m-1 .. 2 in colex order; coordinate 1
-    # varies along the inner line and coordinate 0 is the remainder.  C is the
-    # colex-smaller member iff C_i < c0_i at the highest index where they
-    # differ, so while every outer coordinate equals c0's ("tight") the next
-    # one is capped at c0's value, and a tight line stops below c0[1].
-    def rec(i, rem, suffix, tight):
-        if i == 1:
-            line(rem, suffix, tight)
-            return
-        hi = min(box[i], rem, c0t[i]) if tight else min(box[i], rem)
-        for ci in range(hi + 1):
-            rec(i - 1, rem - ci, (ci,) + suffix, tight and ci == c0t[i])
-
-    def line(rem, suffix, tight):
+    # Outer levels run over coordinates m-1 .. 2 in colex order, on an
+    # explicit stack as in shells_upto, so any number of levels is walked;
+    # coordinate 1 varies along the inner line and coordinate 0 is the
+    # remainder.  C is the colex-smaller member iff C_i < c0_i at the highest
+    # index where they differ, so while every outer coordinate equals c0's
+    # ("tight") the next one is capped at c0's value, and a tight line stops
+    # below c0[1].
+    stack = [(m - 1, n, (), True)]
+    while stack:
+        i, rem, suffix, tight = stack.pop()
+        if i > 1:
+            hi = min(box[i], rem, c0t[i]) if tight else min(box[i], rem)
+            # pushed last first, so the walk pops them in colex order
+            stack += [(i - 1, rem - ci, (ci,) + suffix, tight and ci == c0t[i])
+                      for ci in range(hi, -1, -1)]
+            continue
         # Along the line one unit moves level 0 -> 1 per step, so MC(C) and
         # MC(2*c0 - C) are each a binomial in c1, hence log-concave: the
         # points where both reach 2^min_payload form one interval.
         lo = max(0, rem - box[0])
         hi = min(box[1], rem, c0t[1] - 1) if tight else min(box[1], rem)
         if lo > hi:
-            return
+            continue
         a, b = rem - lo, lo                    # C[0], C[1]
         ab, bb = 2 * c0t[0] - a, 2 * c0t[1] - b  # Cb[0], Cb[1]
         rest = tuple(2 * x - y for x, y in zip(c0t[2:], suffix))
@@ -285,12 +286,7 @@ def pair_list(c0, min_payload):
                 p = min(mc.bit_length(), mcb.bit_length()) - 1
                 pairs.append(((a, b) + suffix, (ab, bb) + rest, p))
             elif inside:
-                return
-
-    rec(m - 1, n, (), True)
-    # rec reaches itself through its closure cell; emptying the cell breaks
-    # that cycle, so pairs is freed with its last reference, not by gc
-    del rec
+                break
     return pairs
 
 

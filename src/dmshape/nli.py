@@ -20,13 +20,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
-from .combinatorics import Counts, float_sum, kurtosis_of
+from .combinatorics import Counts, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
-from .schemes import CompositionSet
+from .schemes import CompositionSet, row_values
 
 # Exact by the SI definition (m/s, J s).
 C_LIGHT = 299792458.0
@@ -206,17 +205,24 @@ class SnrEntry:
 class SnrReport:
     """Per-composition SNR records with weighted aggregates.
 
-    The records are columns over the carried leaves in scheme order: counts
-    is an (E, m) int64 matrix, kurtosis, weights and snr_db lists of floats.
+    The records are read-only columns over the carried leaves in scheme
+    order: counts is an (E, m) int64 matrix, kurtosis, weights and snr_db
+    are float64 arrays (8 bytes a leaf, where a list of Python floats takes
+    32).  histogram, cdf and entries read them one chunk at a time as
+    Python floats.
     """
 
     counts: np.ndarray
-    kurtosis: list[float]
-    weights: list[float]
-    snr_db: list[float]
+    kurtosis: np.ndarray
+    weights: np.ndarray
+    snr_db: np.ndarray
     min_db: float
     max_db: float
     avg_db: float
+
+    def __post_init__(self):
+        for column in (self.counts, self.kurtosis, self.weights, self.snr_db):
+            column.flags.writeable = False
 
     @property
     def entries(self) -> SnrEntries:
@@ -230,7 +236,7 @@ class SnrReport:
     def histogram(self, bin_width_db: float) -> list[tuple[float, float]]:
         """(bin centre dB, weight) over bins of the given width, ascending."""
         bins: dict[int, float] = {}
-        for s, w in zip(self.snr_db, self.weights):
+        for s, w in zip(row_values(self.snr_db), row_values(self.weights)):
             try:
                 b = math.floor(s / bin_width_db)
             except OverflowError:
@@ -243,7 +249,7 @@ class SnrReport:
     def cdf(self) -> list[tuple[float, float]]:
         """(snr dB, cumulative weight) over ascending SNR."""
         by_snr: dict[float, float] = {}
-        for s, w in zip(self.snr_db, self.weights):
+        for s, w in zip(row_values(self.snr_db), row_values(self.weights)):
             by_snr[s] = by_snr.get(s, 0.0) + w
         snrs = sorted(by_snr)
         return list(zip(snrs, accumulate(map(by_snr.get, snrs))))
@@ -262,13 +268,14 @@ class SnrEntries(Sequence):
 
     def __getitem__(self, i: int) -> SnrEntry:
         r = self.report
-        return SnrEntry(tuple(r.counts[i].tolist()), r.kurtosis[i],
-                        r.weights[i], r.snr_db[i])
+        return SnrEntry(tuple(r.counts[i].tolist()), float(r.kurtosis[i]),
+                        float(r.weights[i]), float(r.snr_db[i]))
 
     def __iter__(self):
         r = self.report
-        return map(SnrEntry, map(tuple, r.counts.tolist()), r.kurtosis,
-                   r.weights, r.snr_db)
+        return map(SnrEntry, map(tuple, row_values(r.counts)),
+                   row_values(r.kurtosis), row_values(r.weights),
+                   row_values(r.snr_db))
 
 
 ANALYZE_CHUNK = 4096  # leaves per numpy batch; bounds the arrays' memory
@@ -293,19 +300,27 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     weighted by leaf usage, min/max are unweighted extremes over the carried
     leaves.  Kurtoses and SNRs are computed over the count matrix in chunks
     (kurtosis_of, _snr_db) that equal the per-leaf block_moments + snr_eff
-    reference exactly.
+    reference exactly, into float64 columns: no Python float per leaf is
+    kept.
     """
     table = built.leaves
     carried = table.weights > 0
     counts = table.counts[carried]
-    weights = table.weights[carried].tolist()
-    kurts: list[float] = []
-    snrs: list[float] = []
+    weights = table.weights[carried]
+    kurts = np.empty(len(weights))
+    snrs = np.empty(len(weights))
+    avg = 0.0
     for start in range(0, len(weights), ANALYZE_CHUNK):
-        q = kurtosis_of(counts[start:start + ANALYZE_CHUNK],
-                        built.alphabet)
-        kurts += q
-        snrs += _snr_db(q, model)
+        rows = slice(start, start + ANALYZE_CHUNK)
+        q = kurtosis_of(counts[rows], built.alphabet)
+        kurts[rows] = q
+        snrs[rows] = _snr_db(q, model)
+        # avg is float_sum(snr * weight), left to right across the chunks:
+        # the running total is added to the first term (IEEE addition
+        # commutes) and cumsum adds sequentially, as np.sum would not
+        terms = snrs[rows] * weights[rows]
+        terms[0] += avg
+        avg = float(np.cumsum(terms, out=terms)[-1])
     return SnrReport(counts=counts, kurtosis=kurts, weights=weights,
-                     snr_db=snrs, min_db=min(snrs), max_db=max(snrs),
-                     avg_db=float_sum(map(mul, snrs, weights)))
+                     snr_db=snrs, min_db=float(snrs.min()),
+                     max_db=float(snrs.max()), avg_db=avg)

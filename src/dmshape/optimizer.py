@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .ccdm import build_ccdm
 from .combinatorics import (
     DEFAULT_ALPHABET,
@@ -43,6 +44,10 @@ def build_opt_mpdm(n: int, k: int,
         raise RateInfeasibleError(
             f"opt-mpdm at k={k} needs room for k+1={k + 1} bits: {exc}"
         ) from None
+    finally:
+        # the k+1 build is the last reader of the pair list an MPDM build at
+        # k leaves behind (its target is the same), so the list goes here
+        kernels.scanned_pairs.cache_clear()
     need = 1 << k
     kurtosis = dict(zip(map(tuple, base.leaves.counts.tolist()),
                         kurtosis_of(base.leaves.counts, alphabet)))
@@ -95,8 +100,21 @@ def compare_schemes(n: int, k: int, model: NliModel,
     ``built`` can supply pre-built schemes by tag to avoid rebuilding.
     """
     built = dict(built or {})
+    # The MPDM builds run first, k then k+1: the k+1 build reuses the pair
+    # list the k build leaves in kernels.scanned_pairs and then drops it, so
+    # no pair list is held through the ESS build and analyze.  A failure
+    # waits for its row's turn, so the first row at fault names the error.
+    failed = {}
+    for tag in ("mpdm", "opt-mpdm"):
+        if tag not in built:
+            try:
+                built[tag] = BUILDERS[tag](n, k, alphabet)
+            except Exception as exc:
+                failed[tag] = exc
     rows = []
     for tag, builder in BUILDERS.items():
+        if tag in failed:
+            raise failed[tag]
         scheme = built.get(tag) or builder(n, k, alphabet)
         report = analyze(scheme, model)
         rows.append(SchemeRow(scheme=scheme.scheme,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq
@@ -118,6 +118,24 @@ def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
             @ np.array(key_radix(n, m), dtype=exact))
 
 
+# Rows per tolist() when a column is read as Python values: one tolist() of
+# the n=216 ESS counts would hold 108,990 lists (~10 MB) at once.
+ROW_CHUNK = 4096
+
+
+def row_chunks(column: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive ROW_CHUNK-row slices of an array, in order."""
+    return (column[start:start + ROW_CHUNK]
+            for start in range(0, len(column), ROW_CHUNK))
+
+
+def row_values(column: np.ndarray) -> Iterator:
+    """An array's rows as Python values (floats, ints, or lists of a
+    matrix's rows), one chunk's tolist() at a time: no list of the whole
+    column is formed."""
+    return chain.from_iterable(c.tolist() for c in row_chunks(column))
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first True, or len(mask) when there is none."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -160,16 +178,12 @@ class LeafTable(Sequence):
 
     def __iter__(self):
         def values(column):
-            if column is None:
-                return repeat(None)
-            return column.tolist() if isinstance(column, np.ndarray) else column
+            if isinstance(column, np.ndarray):
+                return row_values(column)
+            return repeat(None) if column is None else column
 
-        # rows become lists a block at a time: one tolist() of the n=216
-        # ESS table would hold 108,990 lists (~10 MB) at once
-        rows = chain.from_iterable(self.counts[i:i + 4096].tolist()
-                                   for i in range(0, len(self), 4096))
-        return map(AddressedComposition, map(tuple, rows),
-                   self.weights.tolist(), values(self.payload_bits),
+        return map(AddressedComposition, map(tuple, row_values(self.counts)),
+                   row_values(self.weights), values(self.payload_bits),
                    values(self.depth), values(self.used_counts))
 
     def __eq__(self, other) -> bool:
@@ -322,7 +336,8 @@ class CompositionSet:
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
-        wsum = sum(table.weights.tolist())
+        # left to right, as sum() before 3.12, with no list of the column
+        wsum = float(np.cumsum(table.weights)[-1])
         if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
         if not tree:

@@ -683,6 +683,30 @@ class TestHostileInput:
             "MAX_ESS_SHELLS=1048576 shells\n")
         assert not out.exists()
 
+    def test_many_levels_mpdm_is_at_most_one_line(self, tmp_path, capsys):
+        # 1,100 odd levels: the pair walk once recursed once per level and
+        # ended in a RecursionError traceback
+        levels = ",".join(str(2 * i + 1) for i in range(1100))
+        rc = main(["build", "--scheme", "mpdm", "--n", "3", "--k", "2",
+                   "--alphabet", levels, "--out", str(tmp_path / "x.scheme")])
+        assert rc in (0, 1, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
+
+    def test_ess_radius_power_budget_is_one_line(self, tmp_path, capsys):
+        # n=3 over 1,100 odd levels packs a 58M-bit power, which took 34.9 s
+        # to form; it is refused before the power (0.5 s as a CLI process)
+        levels = ",".join(str(2 * i + 1) for i in range(1100))
+        out = tmp_path / "ess.scheme"
+        t0 = time.perf_counter()
+        rc = main(["build", "--scheme", "ess", "--n", "3", "--k", "2",
+                   "--alphabet", levels, "--out", str(out)])
+        assert time.perf_counter() - t0 < 5.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dmshape: energy grid of 1813351 levels at n=3 needs a "
+            "58027232-bit power, more than RADIUS_POWER_BITS=8388608\n")
+        assert not out.exists()
+
     def test_tiny_levels_with_a_normal_fourth_power(self, tmp_path, capsys):
         # (1e-70)^4 = 1e-280 is a normal float: built and analyzed as before,
         # under the default calibrated model

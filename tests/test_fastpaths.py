@@ -8,9 +8,9 @@ grid sweep, the histogram cap search against the direct sum, the ESS build
 against its per-shell loop, the generating-polynomial ESS radius against
 the cumulative kernels.energy_totals scan, the column capacity check of
 validate against the leaf-by-leaf factorial product, and the chunked
-analyze against the per-leaf block_moments + snr_eff reference (compared
-with ==, not approx).  The reference outputs at n=216, k=349 are pinned by
-digest.
+analyze, with its report's float64 columns read back as Python floats,
+against the per-leaf block_moments + snr_eff reference (compared with ==,
+not approx).  The reference outputs at n=216, k=349 are pinned by digest.
 """
 
 import builtins
@@ -18,6 +18,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dmshape as d
-from dmshape import ccdm, combinatorics, kernels, mpdm, nli
+from dmshape import ccdm, combinatorics, kernels, mpdm, nli, schemes
 from dmshape.ccdm import mb_composition_chain
 from dmshape.cli import _write_report, main
 from dmshape.combinatorics import (
@@ -687,6 +688,19 @@ def test_radius_refuses_oversized_grid(monkeypatch):
         integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
 
 
+def test_radius_refuses_a_costly_power(monkeypatch):
+    # the same grid packs into 145 slots of 7 bytes: an 8120-bit power
+    monkeypatch.setattr(combinatorics, "RADIUS_POWER_BITS", 8120)
+    assert integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET) == \
+        scanned_radius(24, 36, d.DEFAULT_ALPHABET)
+    monkeypatch.setattr(combinatorics, "RADIUS_POWER_BITS", 8119)
+    with pytest.raises(RateInfeasibleError) as info:
+        integer_radius.__wrapped__(24, 36, d.DEFAULT_ALPHABET)
+    assert str(info.value) == (
+        "energy grid of 145 levels at n=24 needs a 8120-bit power, more "
+        "than RADIUS_POWER_BITS=8119")
+
+
 # -- analyze -------------------------------------------------------------------
 
 MODEL = d.NliModel(eta0=1.5e4, eta1=8e3, ase_variance_w=2e-5,
@@ -802,3 +816,89 @@ def test_analyze_wrong_width_table_raises_like_per_leaf():
     built = adhoc_set(d.AmplitudeAlphabet((1, 3)), [(2, 1, 1), (1, 1, 2)])
     with pytest.raises(ValueError, match="PMF length does not match alphabet"):
         d.analyze(built, MODEL)
+
+
+def list_histogram(entries, bin_width_db):
+    """The histogram over per-leaf (counts, kurtosis, weight, snr) tuples,
+    as the report once built it from lists of Python floats."""
+    bins = {}
+    for _, _, w, s in entries:
+        b = math.floor(s / bin_width_db)
+        bins[b] = bins.get(b, 0.0) + w
+    return [((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins)]
+
+
+def list_cdf(entries):
+    by_snr = {}
+    for _, _, w, s in entries:
+        by_snr[s] = by_snr.get(s, 0.0) + w
+    snrs = sorted(by_snr)
+    return list(zip(snrs, itertools.accumulate(map(by_snr.get, snrs))))
+
+
+def assert_report_is_the_list_reference(report, built, model):
+    want = reference_entries(built, model)
+    got = observed_entries(report)
+    assert got == want
+    assert report.histogram(0.01) == list_histogram(want, 0.01)
+    assert report.cdf() == list_cdf(want)
+    # callers get Python floats, not numpy scalars, from every reader
+    floats = [x for e in got for x in e[1:]]
+    floats += [x for pair in report.histogram(0.01) + report.cdf()
+               for x in pair]
+    floats += [report.entries[0].kurtosis, report.entries[-1].snr_db,
+               report.min_db, report.max_db, report.avg_db]
+    assert {type(x) for x in floats} == {float}
+    snrs = [s for *_, s in want]
+    assert (report.min_db, report.max_db) == (min(snrs), max(snrs))
+    # the weighted mean is the left-to-right sum on every Python, 3.12's
+    # compensated sum() included
+    assert report.avg_db == combinatorics.float_sum(
+        s * w for _, _, w, s in want)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, nli.ANALYZE_CHUNK])
+def test_report_columns_read_as_the_list_reference(monkeypatch, chunk):
+    # a toy ESS scheme has a zero-weight shell; chunks of 1 and 3 leaves put
+    # the running sum and each column reader across chunk boundaries
+    monkeypatch.setattr(nli, "ANALYZE_CHUNK", chunk)
+    monkeypatch.setattr(schemes, "ROW_CHUNK", chunk)
+    for built in (d.build_ess(6, 4, d.AmplitudeAlphabet((1, 3))),
+                  d.build_mpdm(8, 5, d.AmplitudeAlphabet((1, 3)))):
+        assert_report_is_the_list_reference(d.analyze(built, MODEL), built,
+                                            MODEL)
+
+
+def test_report_columns_read_as_the_list_reference_ess216(ess216, model216):
+    report = d.analyze(ess216, model216)
+    assert_report_is_the_list_reference(report, ess216, model216)
+
+
+def test_report_columns_are_read_only():
+    built = d.build_mpdm(8, 5, d.AmplitudeAlphabet((1, 3)))
+    report = d.analyze(built, MODEL)
+    for name in ("counts", "kurtosis", "weights", "snr_db"):
+        column = getattr(report, name)
+        assert isinstance(column, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert report.kurtosis.dtype == report.snr_db.dtype == np.float64
+
+
+def test_analyze_and_report_memory_is_columnar(ess216, model216, tmp_path):
+    # float64 columns take 8 bytes a leaf for each of kurtosis, snr_db and
+    # weights; Python floats in lists took 32, which peaked at 7.0 times
+    # rows * 8 * 3 here.  The columnar report peaks at 4.2 times: the
+    # count matrix, the columns and the CDF's dict of distinct SNRs.
+    def analyze_then_write():
+        _write_report(str(tmp_path / "r"), d.analyze(ess216, model216), 0.01)
+
+    analyze_then_write()  # first-call allocations out of the way
+    rows = int((ess216.leaves.weights > 0).sum())
+    tracemalloc.start()
+    try:
+        analyze_then_write()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * rows * 8 * 3

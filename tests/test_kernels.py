@@ -195,6 +195,16 @@ def test_pair_list_and_capacity(c0, pmin):
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
 
 
+@pytest.mark.parametrize("c0", [(5, 3, 2, 1), (3, 2, 1)])
+def test_pair_list_walks_any_number_of_levels(c0):
+    # levels past the recursion limit: the walk keeps its own stack.  Zero
+    # levels on top box every member to zero there, so the pairs are c0's
+    # own, each padded with those zeros
+    pad = (0,) * 1100
+    assert kernels.pair_list(c0 + pad, 0) == [
+        (c + pad, cb + pad, p) for c, cb, p in kernels.pair_list(c0, 0)]
+
+
 def test_shells_upto_budget(monkeypatch):
     # the running count refuses the row past MAX_ESS_SHELLS, not the last one
     units = (1, 9, 25, 49)
