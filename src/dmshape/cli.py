@@ -102,7 +102,7 @@ def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
     _write_csv(prefix + "_histogram.csv", ["bin_center_db", "weight"],
                ((_fmt(c), _fmt(w)) for c, w in histogram))
     _write_csv(prefix + "_cdf.csv", ["snr_db", "cumulative_weight"],
-               ((_fmt(s), _fmt(w)) for s, w in report.cdf()))
+               ((_fmt(s), _fmt(w)) for s, w in report.cdf_rows()))
     _write_csv(prefix + "_aggregates.csv",
                ["min_snr_db", "max_snr_db", "avg_snr_db", "p2p_db"],
                [(_fmt(report.min_db), _fmt(report.max_db),

@@ -6,7 +6,11 @@ first (colex within equal energy), with the boundary-energy shells
 truncated so that exactly 2^k sequences are used.  Shell weights are exact
 used-count ratios rather than dyadic payloads: sphere-shaped sets carry no
 prefix tree.  The shells are one (L, m) count matrix from the scan to the
-leaf table, with no object per shell.
+leaf table, with no object per shell.  build_ess holds each of the table's
+columns once: the count matrix, the float64 weights and the used counts,
+the last two filled one block of multinomials (kernels.MULTINOMIAL_CHUNK
+shells) at a time.  Block totals locate the shell where the used total
+reaches 2^k, and only that block is accumulated.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -19,7 +23,7 @@ rather than a simplex scan.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -43,21 +47,27 @@ def build_ess(n: int, k: int,
     # gives the (energy, colex) order
     counts = counts[np.argsort(block_energies(counts, n, units),
                                kind="stable")]
-    used = []
-    for mc in kernels.multinomials(counts, n):
-        used += mc.tolist()
     # shells before the first one whose cumulative count reaches 2^k are
     # used in full, that one in part, the ones after it not at all
     need = 1 << k
-    cumulative = list(accumulate(used))
-    cross = bisect_left(cumulative, need)
-    before = cumulative[cross - 1] if cross else 0
-    del cumulative
-    used[cross:] = [need - before] + [0] * (len(used) - cross - 1)
-    leaves = LeafTable(
-        counts=counts,
-        weights=(np.array(used, dtype=object) / need).astype(np.float64),
-        used_counts=used)
+    short = need  # of 2^k, what the shells so far leave unused
+    used = []
+    weights = np.zeros(len(counts))
+    for mc in kernels.multinomials(counts, n):
+        size = mc.sum()
+        crossed = size >= short
+        if crossed:
+            cumulative = list(accumulate(mc.tolist()))
+            cross = bisect_left(cumulative, short)
+            mc = mc[:cross + 1]
+            mc[cross] = short - (cumulative[cross - 1] if cross else 0)
+        weights[len(used):len(used) + len(mc)] = mc / need
+        used += mc.tolist()
+        if crossed:
+            break
+        short -= size
+    used += repeat(0, len(counts) - len(used))
+    leaves = LeafTable(counts=counts, weights=weights, used_counts=used)
     del used  # the table holds its own tuple
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)

@@ -25,9 +25,10 @@ from .errors import RateInfeasibleError
 # Rows per block of multinomials: a block holds this many bigints at once.
 MULTINOMIAL_CHUNK = 4096
 
-# Rows one shells_upto walk may return.  An ESS build peaks near 300 bytes
-# of RSS per shell (297 MB for 989,150 shells at n=464), so this bounds it
-# near 320 MB and still holds compare at n=432 (802,188 shells).
+# Rows one shells_upto walk may return.  An ESS build peaks near 210 bytes
+# of RSS per shell in one process (47 MB for 108,990 shells at n=216,
+# 169 MB for 802,188 at n=432, 205 MB for 989,150 at n=464), so this bounds
+# it near 220 MB and still holds compare at n=432.
 MAX_ESS_SHELLS = 1 << 20
 
 

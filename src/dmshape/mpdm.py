@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
+from operator import add, sub
 
 from . import kernels
 from .ccdm import mb_composition_chain
@@ -78,10 +80,11 @@ def _box_count(c0: Counts) -> int:
     ways = [1] + [0] * n  # ways[s]: prefixes of the levels seen so far summing to s
     for a in c0:
         cap = min(2 * a, n)
-        prefix = [0]
-        for w in ways:
-            prefix.append(prefix[-1] + w)
-        ways = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(n + 1)]
+        # ways[s] becomes prefix[s + 1] - prefix[s - cap], where prefix[i]
+        # is the sum of ways[:i] and the second term is 0 while s <= cap
+        prefix = list(accumulate(ways, initial=0))
+        ways = list(map(sub, prefix[1:],
+                        [0] * (cap + 1) + prefix[1:n - cap + 1]))
     return ways[n]
 
 
@@ -95,22 +98,37 @@ _FIXED_BITS = 64  # fraction bits of each rounded-up sqrt(r_i(d)) factor
 
 @functools.lru_cache(maxsize=1024)
 def _pair_space_gm_bound(c0: Counts) -> int:
-    """Upper bound on _pair_space(c0): sum over the box of sqrt(MC(C)*MC(C'))."""
+    """Upper bound on _pair_space(c0): sum over the box of sqrt(MC(C)*MC(C')).
+
+    The sum over the d with sum(d) = 0 is the s = 0 entry of the levels'
+    convolution.  Levels 1 .. m-1 are convolved, one shifted row of products
+    per entry, and level 0's factors meet the result in one dot product at
+    s = 0, so the widest convolution is never formed.
+    """
     n = sum(c0)
     one_sq = 1 << (2 * _FIXED_BITS)
-    sums = {0: 1}  # partial sum of d -> fixed-point sum of factor products
-    for a in c0:
+
+    def factors(a: int) -> tuple[range, list[int]]:
+        """The d of a level with count a, and its fixed-point factors."""
         fa2 = math.factorial(a) ** 2
+        ds = range(-a, min(a, n - a) + 1)
         # isqrt(floor(x)) + 1 > sqrt(x), so each factor rounds up
-        factors = [(d, math.isqrt(one_sq * fa2 // (math.factorial(a + d)
-                                                   * math.factorial(a - d))) + 1)
-                   for d in range(-a, min(a, n - a) + 1)]
-        nxt: dict[int, int] = {}
-        for s, v in sums.items():
-            for d, u in factors:
-                nxt[s + d] = nxt.get(s + d, 0) + v * u
-        sums = nxt
-    total = kernels.mc_counts(tuple(c0)) * sums[0]
+        return ds, [math.isqrt(one_sq * fa2 // (math.factorial(a + d)
+                                                * math.factorial(a - d))) + 1
+                    for d in ds]
+
+    low, sums = 0, [1]  # sums[i]: fixed-point sum of products at s = low + i
+    for a in c0[1:]:
+        ds, us = factors(a)
+        nxt = [0] * (len(sums) + len(us) - 1)
+        for i, v in enumerate(sums):
+            row = slice(i, i + len(us))
+            nxt[row] = map(add, nxt[row], map(v.__mul__, us))
+        low, sums = low + ds.start, nxt
+    ds, us = factors(c0[0])
+    total = sum(u * sums[-d - low] for d, u in zip(ds, us)
+                if 0 <= -d - low < len(sums))
+    total *= kernels.mc_counts(tuple(c0))
     return -(-total >> (_FIXED_BITS * len(c0)))  # ceiling
 
 

@@ -17,15 +17,14 @@ of one shaped block is then
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .combinatorics import Counts, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
-from .schemes import CompositionSet, row_values
+from .schemes import CompositionSet, row_chunks, row_values, running_sum
 
 # Exact by the SI definition (m/s, J s).
 C_LIGHT = 299792458.0
@@ -208,8 +207,9 @@ class SnrReport:
     The records are read-only columns over the carried leaves in scheme
     order: counts is an (E, m) int64 matrix, kurtosis, weights and snr_db
     are float64 arrays (8 bytes a leaf, where a list of Python floats takes
-    32).  histogram, cdf and entries read them one chunk at a time as
-    Python floats.
+    32).  histogram and entries read them one chunk at a time as Python
+    floats; cdf_rows reads them in SNR order through one stable argsort of
+    snr_db (8 bytes a leaf), the only column it adds.
     """
 
     counts: np.ndarray
@@ -246,13 +246,34 @@ class SnrReport:
             bins[b] = bins.get(b, 0.0) + w
         return [((i + 0.5) * bin_width_db, bins[i]) for i in sorted(bins)]
 
+    def cdf_rows(self) -> Iterator[tuple[float, float]]:
+        """(snr dB, cumulative weight) over ascending SNR, one row per
+        distinct SNR, from one walk over the columns in SNR order.
+
+        The walk holds a stable argsort of snr_db (8 bytes a leaf) and reads
+        the SNRs and weights through it one chunk at a time.  Each SNR's
+        weight is summed from 0.0 in row order, and the cumulative weight
+        adds those sums in ascending SNR.
+        """
+        order = np.argsort(self.snr_db, kind="stable")
+        # -0.0 + x is x for every float x, so the first cumulative weight is
+        # the first SNR's sum itself
+        snr, share, total = None, 0.0, -0.0
+        for chunk in row_chunks(order):
+            for s, w in zip(self.snr_db[chunk].tolist(),
+                            self.weights[chunk].tolist()):
+                if s != snr:
+                    if snr is not None:
+                        total += share
+                        yield snr, total
+                    snr, share = s, 0.0
+                share += w
+        if snr is not None:
+            yield snr, total + share
+
     def cdf(self) -> list[tuple[float, float]]:
-        """(snr dB, cumulative weight) over ascending SNR."""
-        by_snr: dict[float, float] = {}
-        for s, w in zip(row_values(self.snr_db), row_values(self.weights)):
-            by_snr[s] = by_snr.get(s, 0.0) + w
-        snrs = sorted(by_snr)
-        return list(zip(snrs, accumulate(map(by_snr.get, snrs))))
+        """The rows of cdf_rows as a list."""
+        return list(self.cdf_rows())
 
 
 class SnrEntries(Sequence):
@@ -301,7 +322,9 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     leaves.  Kurtoses and SNRs are computed over the count matrix in chunks
     (kurtosis_of, _snr_db) that equal the per-leaf block_moments + snr_eff
     reference exactly, into float64 columns: no Python float per leaf is
-    kept.
+    kept.  The report holds the carried rows of the table's counts and
+    weights as its own copies, and the kurtosis and SNR columns; every
+    other per-leaf value lives for one ANALYZE_CHUNK.
     """
     table = built.leaves
     carried = table.weights > 0
@@ -315,12 +338,8 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
         q = kurtosis_of(counts[rows], built.alphabet)
         kurts[rows] = q
         snrs[rows] = _snr_db(q, model)
-        # avg is float_sum(snr * weight), left to right across the chunks:
-        # the running total is added to the first term (IEEE addition
-        # commutes) and cumsum adds sequentially, as np.sum would not
-        terms = snrs[rows] * weights[rows]
-        terms[0] += avg
-        avg = float(np.cumsum(terms, out=terms)[-1])
+        # avg is float_sum(snr * weight), left to right across the chunks
+        avg = running_sum(avg, snrs[rows] * weights[rows])
     return SnrReport(counts=counts, kurtosis=kurts, weights=weights,
                      snr_db=snrs, min_db=float(snrs.min()),
                      max_db=float(snrs.max()), avg_db=avg)

@@ -179,22 +179,28 @@ def _parse(fh, path: str):
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {found}")
     fh.seek(start)
-    leaves = _leaf_table(enumerate(fh, i + 1), path, alphabet.m,
+    leaves = _leaf_table(enumerate(fh, i + 1), n_leaves, path, alphabet.m,
                          is_tree_scheme(scheme))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
     return built, (e_max, avg_pmf, rate_loss)
 
 
-def _leaf_table(lines, path: str, m: int, tree: bool) -> LeafTable:
-    """Parse numbered leaf lines into table columns, each line once.
+def _leaf_table(lines, n_leaves: int, path: str, m: int,
+                tree: bool) -> LeafTable:
+    """Parse the n_leaves numbered leaf lines into table columns, each line
+    once.
 
     Per line the fields are converted counts, weight, payload_bits or
     used_count, then depth; the first that fails is the one named.  Counts
-    and weights become arrays LEAF_CHUNK lines at a time, so no list of
-    every count or weight is held.
+    and weights are written into their n_leaves-row arrays LEAF_CHUNK lines
+    at a time, so no list of every count or weight, and no second copy of
+    either column, is held.  A count beyond int64 turns the count matrix
+    into Python ints (int_array), which validate refuses at that leaf.
     """
-    counts, weights = [np.zeros(0, np.int64)], [np.zeros(0)]
+    counts = np.zeros((n_leaves, m), dtype=np.int64)
+    weights = np.zeros(n_leaves)
+    filled = 0
     mid, depth = [], []
     while chunk := list(islice(lines, LEAF_CHUNK)):
         chunk_counts, chunk_weights = [], []
@@ -226,10 +232,12 @@ def _leaf_table(lines, path: str, m: int, tree: bool) -> LeafTable:
                 raise SchemeFileError(
                     f"{path}:{lineno}: {field}: {exc}") from None
             chunk_counts += row
-        counts.append(int_array(chunk_counts))
-        weights.append(np.array(chunk_weights))
-    weights = np.concatenate(weights)
-    counts = np.concatenate(counts).reshape(len(weights), m)
+        block = int_array(chunk_counts).reshape(-1, m)
+        counts = counts.astype(np.result_type(counts, block), copy=False)
+        rows = slice(filled, filled + len(block))
+        counts[rows] = block
+        weights[rows] = chunk_weights
+        filled = rows.stop
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth))

@@ -105,15 +105,21 @@ def key_radix(n: int, m: int) -> list[int]:
     return [(n + 1) ** i for i in range(m - 1, -1, -1)]
 
 
+def key_dtype(n: int, m: int):
+    """dtype of composition_keys: int64 when (n+1)^m fits, else object."""
+    return np.int64 if (n + 1) ** m <= 1 << 63 else object
+
+
 def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
     """One integer per row: the counts as the digits of a radix-(n+1) number.
 
     Distinct compositions of n get distinct keys, ordered as the rows are
-    lexicographically.  The keys are int64 when (n+1)^m fits, else Python
-    ints in an object array.  Every count must lie in [0, n].
+    lexicographically, and none is 0 (a composition of n >= 1 has a nonzero
+    count).  The keys are int64 when (n+1)^m fits, else Python ints in an
+    object array.  Every count must lie in [0, n].
     """
     m = counts.shape[1]
-    exact = np.int64 if (n + 1) ** m <= 1 << 63 else object
+    exact = key_dtype(n, m)
     return (counts.astype(exact, copy=False)
             @ np.array(key_radix(n, m), dtype=exact))
 
@@ -134,6 +140,15 @@ def row_values(column: np.ndarray) -> Iterator:
     matrix's rows), one chunk's tolist() at a time: no list of the whole
     column is formed."""
     return chain.from_iterable(c.tolist() for c in row_chunks(column))
+
+
+def running_sum(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right as a Python
+    loop adds them (np.sum would add pairwise), so a column summed chunk by
+    chunk through it gives the loop's float bit for bit.  terms must not be
+    empty, and is overwritten."""
+    terms[0] += total
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 def _first(mask: np.ndarray) -> int:
@@ -254,6 +269,11 @@ class CompositionSet:
         misfits at every leaf), then (once every leaf has passed those)
         payload/depth, capacity and weight, each a mask over all leaves,
         with the three checked in that order at the first leaf any marks.
+
+        Besides those masks, validate holds one key per leaf and its stable
+        sort order for the duplicate check; everything else per leaf (row
+        sums, energies, multinomials, shares, the weight sum) is formed
+        ROW_CHUNK or MULTINOMIAL_CHUNK rows at a time.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         if n < 1:
@@ -265,19 +285,28 @@ class CompositionSet:
         table = self.leaves
         size = len(table)
         counts = table.counts
+        # ROW_CHUNK rows at a time: is the row a composition, and its key,
+        # or 0, which no composition has, when it is not one
+        not_comp = np.ones(size, dtype=bool)
+        keys = np.zeros(size, dtype=key_dtype(n, m))
         if size and counts.shape[1] == m:
-            not_comp = ((counts.sum(axis=1) != n) | (counts.min(axis=1) < 0)
-                        | (counts.max(axis=1) > n))
-        else:
-            not_comp = np.full(size, size > 0)
-        ok = ~not_comp
-        good = composition_keys(counts[ok].astype(np.int64, copy=False), n)
-        # a row that is no composition takes a unique negative key: it is
-        # at fault before any later copy of it could be
-        keys = np.arange(-1, -size - 1, -1).astype(good.dtype)
-        keys[ok] = good
-        dup = np.ones(size, dtype=bool)
-        dup[np.unique(keys, return_index=True)[1]] = False  # first copies
+            for start in range(0, size, ROW_CHUNK):
+                rows = slice(start, start + ROW_CHUNK)
+                chunk = counts[rows]
+                bad = ((chunk.sum(axis=1) != n) | (chunk.min(axis=1) < 0)
+                       | (chunk.max(axis=1) > n))
+                not_comp[rows] = bad
+                keys[rows][~bad] = composition_keys(
+                    chunk[~bad].astype(np.int64, copy=False), n)
+        # a stable sort puts the copies of a key together, earliest first:
+        # each one after the first is a duplicate, unless it is no
+        # composition (key 0) and so at fault as that
+        order = np.argsort(keys, kind="stable")
+        keys.sort()
+        dup = np.zeros(size, dtype=bool)
+        dup[order[1:]] = keys[1:] == keys[:-1]
+        dup &= ~not_comp
+        del order, keys  # freed before any multinomial is formed
         misfit = ((table.payload_bits is None) == tree
                   or (table.depth is None) == tree
                   or (table.used_counts is None) != tree)
@@ -336,17 +365,21 @@ class CompositionSet:
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
-        # left to right, as sum() before 3.12, with no list of the column
-        wsum = float(np.cumsum(table.weights)[-1])
+        wsum = 0.0  # left to right, as sum() before 3.12
+        for chunk in row_chunks(table.weights):
+            wsum = running_sum(wsum, chunk.copy())
         if not abs(wsum - 1.0) <= 1e-9:
             raise ConstructionBugError(f"leaf weights sum to {wsum!r}")
         if not tree:
             units, _ = self.alphabet.integer_energies()
             cap = integer_radius(n, k, self.alphabet)
-            i = _first(block_energies(counts, n, units) > cap)
-            if i < size:
-                raise ConstructionBugError(f"leaf {table[i].counts} lies "
-                                           f"outside the radius {self.e_max!r}")
+            for start in range(0, size, ROW_CHUNK):
+                outside = block_energies(counts[start:start + ROW_CHUNK], n,
+                                         units) > cap
+                if outside.any():
+                    leaf = table[start + int(outside.argmax())].counts
+                    raise ConstructionBugError(
+                        f"leaf {leaf} lies outside the radius {self.e_max!r}")
         self.rate_loss  # evaluated for its check: a negative rate loss raises
 
 
@@ -354,19 +387,17 @@ def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     """Weighted average PMF: sum over leaves of weight * c_i / n, per level.
 
     Terms are added leaf by leaf in order, exactly as a Python loop from 0.0
-    would: np.cumsum accumulates sequentially (np.sum would add pairwise),
-    so the result is bit for bit the loop's; the final + 0.0 turns the -0.0
-    that only an all-(-0.0) column could leave into the loop's 0.0.
-    Zero-weight leaves add 0.0, which changes nothing.  One level at a time
-    keeps the temporaries to one column.
+    would (running_sum), one level of ROW_CHUNK leaves at a time, so no
+    temporary is longer than a chunk.  Zero-weight leaves add 0.0, which
+    changes nothing.
     """
-    if not len(table):
-        return (0.0,) * m
-    pmf = []
-    for column in table.counts.T:
-        terms = table.weights * column
-        terms /= n
-        pmf.append(float(np.cumsum(terms, out=terms)[-1]) + 0.0)
+    pmf = [0.0] * m
+    for counts, weights in zip(row_chunks(table.counts),
+                               row_chunks(table.weights)):
+        for j in range(m):
+            terms = weights * counts[:, j]
+            terms /= n
+            pmf[j] = running_sum(pmf[j], terms)
     return tuple(pmf)
 
 

@@ -2,22 +2,28 @@
 
 Each fast path must return exactly what the straightforward computation
 returns: MPDM target selection with the log-convexity bound against the
-unpruned pair-scan sweep, the half-box windowed pair scan against a
-brute-force box filter, the certified numpy MB chain against the scalar
-grid sweep, the histogram cap search against the direct sum, the ESS build
-against its per-shell loop, the generating-polynomial ESS radius against
-the cumulative kernels.energy_totals scan, the column capacity check of
-validate against the leaf-by-leaf factorial product, and the chunked
-analyze, with its report's float64 columns read back as Python floats,
-against the per-leaf block_moments + snr_eff reference (compared with ==,
-not approx).  The reference outputs at n=216, k=349 are pinned by digest.
+unpruned pair-scan sweep, and its two bounds against plain references, the
+half-box windowed pair scan against a brute-force box filter, the certified
+numpy MB chain against the scalar grid sweep, the histogram cap search
+against the direct sum, the ESS build against its per-shell loop and its
+crossing shell against a bisection over every shell size, the
+generating-polynomial ESS radius against the cumulative
+kernels.energy_totals scan, the column capacity check of validate against
+the leaf-by-leaf factorial product, and the chunked analyze, with its
+report's float64 columns read back as Python floats and its CDF, against
+the per-leaf block_moments + snr_eff reference (compared with ==, not
+approx).  The reference outputs at n=216, k=349 are pinned by digest, and
+the memory each step of the n=216 ESS flow allocates above what it keeps
+is bounded per leaf.
 """
 
+import bisect
 import builtins
 import functools
 import hashlib
 import itertools
 import math
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -40,7 +46,7 @@ from dmshape.errors import (
     ModelDomainError,
     RateInfeasibleError,
 )
-from dmshape.schemefile import scheme_to_text
+from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
 from dmshape.optimizer import BUILDERS
 from dmshape.schemes import (
     LeafTable,
@@ -125,6 +131,60 @@ def test_box_count_brute_force(case):
     brute = sum(1 for c in enumerate_compositions(n, alphabet)
                 if all(x <= b for x, b in zip(c, box)))
     assert mpdm._box_count(c0) == brute
+
+
+def plain_box_count(c0):
+    """_box_count by its definition: per level, ways[s] sums the ways of the
+    levels before it over the counts 0 .. min(2*a, n) this level can add."""
+    n = sum(c0)
+    ways = [1] + [0] * n
+    for a in c0:
+        cap = min(2 * a, n)
+        ways = [sum(ways[max(0, s - cap):s + 1]) for s in range(n + 1)]
+    return ways[n]
+
+
+def plain_gm_bound(c0):
+    """_pair_space_gm_bound by the full convolution of every level's rounded
+    up fixed-point factors, read at s = 0."""
+    n = sum(c0)
+    bits = mpdm._FIXED_BITS
+    sums = {0: 1}
+    for a in c0:
+        fa2 = math.factorial(a) ** 2
+        nxt = {}
+        for s, v in sums.items():
+            for dd in range(-a, min(a, n - a) + 1):
+                u = math.isqrt((fa2 << 2 * bits) // (
+                    math.factorial(a + dd) * math.factorial(a - dd))) + 1
+                nxt[s + dd] = nxt.get(s + dd, 0) + v * u
+        sums = nxt
+    total = kernels.mc_counts(c0) * sums[0]
+    return -(-total >> (bits * len(c0)))
+
+
+@st.composite
+def targets(draw, max_n=30):
+    """A composition of n over m = 1 .. 5 levels."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1,
+                                max_size=m - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets())
+def test_mpdm_bounds_equal_plain_reference(c0):
+    assert mpdm._box_count(c0) == plain_box_count(c0)
+    assert mpdm._pair_space_gm_bound(c0) == plain_gm_bound(c0)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_mpdm_bounds_equal_plain_reference_on_chain(alphabet):
+    for _, c0 in mb_composition_chain(24, alphabet):
+        assert mpdm._box_count(c0) == plain_box_count(c0)
+        assert mpdm._pair_space_gm_bound(c0) == plain_gm_bound(c0)
 
 
 def test_reference_scale_scans_at_most_two(monkeypatch):
@@ -373,6 +433,31 @@ def test_build_ess_equals_shell_loop_at_reference(ess216):
     rows, avg = loop_ess(216, 349, d.DEFAULT_ALPHABET)
     assert ess_rows(ess216) == rows
     assert ess216.avg_pmf == avg
+
+
+def bisect_used(counts, k):
+    """Used counts by the whole-column rule: every shell's size accumulated,
+    and the shell where the total reaches 2^k found by bisection."""
+    need = 1 << k
+    sizes = [kernels.mc_counts(c) for c in counts.tolist()]
+    cumulative = list(itertools.accumulate(sizes))
+    cross = bisect.bisect_left(cumulative, need)
+    before = cumulative[cross - 1] if cross else 0
+    return sizes[:cross] + [need - before] + [0] * (len(sizes) - cross - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alphabet=alphabets, n=st.integers(1, 24), data=st.data(),
+       chunk=st.sampled_from([1, 3, 4096]))
+def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
+    # chunks of 1 and 3 shells put the crossing shell first, last and
+    # inside a chunk, and the total reaching 2^k exactly at a chunk's end
+    k = data.draw(st.integers(0, max_k(n, alphabet)))
+    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+        built = d.build_ess(n, k, alphabet)
+    used = bisect_used(built.leaves.counts, k)
+    assert built.leaves.used_counts == tuple(used)
+    assert built.leaves.weights.tolist() == [u / (1 << k) for u in used]
 
 
 @pytest.mark.parametrize("n,k", [(12, 14), (24, 36)])
@@ -902,3 +987,67 @@ def test_analyze_and_report_memory_is_columnar(ess216, model216, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5 * rows * 8 * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(snrs=st.lists(st.sampled_from([-0.5, 1.0, 2.5, 7.25]), min_size=1,
+                     max_size=12),
+       data=st.data(), chunk=st.sampled_from([1, 3, schemes.ROW_CHUNK]))
+def test_cdf_sums_repeated_snrs_as_the_list_reference(snrs, data, chunk):
+    # weights such as 0.1, 0.2 and 0.3 sum to different floats in different
+    # orders, so each SNR's sum must be taken in row order, across chunks
+    weights = data.draw(st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, 1e-17, 0.7, 1 / 3]),
+        min_size=len(snrs), max_size=len(snrs)))
+    report = nli.SnrReport(
+        counts=np.zeros((len(snrs), 2), dtype=np.int64),
+        kurtosis=np.ones(len(snrs)), weights=np.array(weights),
+        snr_db=np.array(snrs), min_db=min(snrs), max_db=max(snrs),
+        avg_db=0.0)
+    want = list_cdf(observed_entries(report))
+    with mock.patch.object(schemes, "ROW_CHUNK", chunk), \
+            tempfile.TemporaryDirectory() as tmp:
+        assert report.cdf() == want
+        _write_report(tmp + "/r", report, 0.01)
+        with open(tmp + "/r_cdf.csv", encoding="utf-8") as fh:
+            written = fh.read()
+    assert written == "snr_db,cumulative_weight\n" + "".join(
+        f"{s!r},{w!r}\n" for s, w in want)
+
+
+def peak_above_retained(step):
+    """tracemalloc peak of step() above what its result keeps allocated."""
+    step()  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        kept = step()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - retained
+
+
+# Bytes per leaf each step of the n=216 ESS flow may allocate above what it
+# keeps.  Each holds the table's columns once; what remains is validate's
+# binomial dict (~18 bytes a leaf) or its key column and sort order (16),
+# and analyze's report columns with the CDF's sort order (~64 a carried
+# leaf).  They take 26, 24, 24 and 68 bytes a leaf; with whole-column
+# copies beside the table they took 72, 60, 60 and 96.
+STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 40, "read_scheme": 40,
+                       "analyze_and_report": 85}
+
+
+@pytest.mark.parametrize("step", sorted(STEP_BYTES_PER_LEAF))
+def test_ess_steps_hold_each_column_once(step, ess216, model216, tmp_path):
+    path = str(tmp_path / "ess.scheme")
+    write_scheme(ess216, path)
+    steps = {
+        "build_ess": lambda: d.build_ess(216, 349),
+        "validate": ess216.validate,
+        "read_scheme": lambda: read_scheme(path),
+        "analyze_and_report": lambda: _write_report(
+            str(tmp_path / "r"), d.analyze(ess216, model216), 0.01),
+    }
+    extra = peak_above_retained(steps[step])
+    assert extra < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
