@@ -251,7 +251,7 @@ def kurtosis_of(counts: np.ndarray,
     row through block_moments, which raises at the same row.
     """
     m = alphabet.m
-    if counts.dtype == np.int64 and counts.shape[1:] == (m,):
+    if np.issubdtype(counts.dtype, np.integer) and counts.shape[1:] == (m,):
         c = counts.astype(np.float64)
         rows = c.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):

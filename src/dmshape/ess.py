@@ -6,11 +6,13 @@ first (colex within equal energy), with the boundary-energy shells
 truncated so that exactly 2^k sequences are used.  Shell weights are exact
 used-count ratios rather than dyadic payloads: sphere-shaped sets carry no
 prefix tree.  The shells are one (L, m) count matrix from the scan to the
-leaf table, with no object per shell.  build_ess holds each of the table's
-columns once: the count matrix, the float64 weights and the used counts,
-the last two filled one block of multinomials (kernels.MULTINOMIAL_CHUNK
-shells) at a time.  Block totals locate the shell where the used total
-reaches 2^k, and only that block is accumulated.
+leaf table, with no object per shell, narrowed to schemes.count_dtype(n)
+before it is put in (energy, colex) order.  build_ess holds each of the
+table's columns once: the count matrix, the float64 weights and the used
+counts, the last two filled one block of multinomials
+(kernels.MULTINOMIAL_CHUNK shells) at a time.  Block totals locate the
+shell where the used total reaches 2^k, and only that block is
+accumulated.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet, integer_radius
-from .schemes import CompositionSet, LeafTable, block_energies
+from .schemes import CompositionSet, LeafTable, block_energies, narrow_counts
 
 
 def build_ess(n: int, k: int,
@@ -44,9 +46,12 @@ def build_ess(n: int, k: int,
     units, _ = alphabet.integer_energies()
     counts = kernels.shells_upto(n, units, integer_radius(n, k, alphabet))
     # shells_upto returns colex order, so a stable sort on energy alone
-    # gives the (energy, colex) order
-    counts = counts[np.argsort(block_energies(counts, n, units),
-                               kind="stable")]
+    # gives the (energy, colex) order.  The energies are taken from the
+    # int64 rows, as a narrow matrix would be cast whole, and the rows are
+    # narrowed before the gather
+    order = np.argsort(block_energies(counts, n, units), kind="stable")
+    counts = narrow_counts(counts, n)[order]
+    del order
     # shells before the first one whose cumulative count reaches 2^k are
     # used in full, that one in part, the ones after it not at all
     need = 1 << k

@@ -25,10 +25,10 @@ from .errors import RateInfeasibleError
 # Rows per block of multinomials: a block holds this many bigints at once.
 MULTINOMIAL_CHUNK = 4096
 
-# Rows one shells_upto walk may return.  An ESS build peaks near 210 bytes
-# of RSS per shell in one process (47 MB for 108,990 shells at n=216,
-# 169 MB for 802,188 at n=432, 205 MB for 989,150 at n=464), so this bounds
-# it near 220 MB and still holds compare at n=432.
+# Rows one shells_upto walk may return.  An ESS build peaks near 190 bytes
+# of RSS per shell in one process (44 MB for 108,990 shells at n=216,
+# 151 MB for 802,188 at n=432, 183 MB for 989,150 at n=464), so this bounds
+# it near 200 MB and still holds compare at n=432.
 MAX_ESS_SHELLS = 1 << 20
 
 
@@ -56,9 +56,9 @@ def multinomials(counts, n):
     the product over j < m-1 of comb(rest_j, c_j), with rest_j = n minus the
     earlier counts, as in mc_counts; each distinct (rest_j, c_j) binomial is
     formed once for the whole matrix.  Every count must lie in [0, n] and
-    each row must sum to n, with (n+1)^2 inside int64.
+    each row must sum to n, with (n+1)^2 inside int64.  Each block is cast
+    to int64 on its own, so a narrow count matrix is never copied whole.
     """
-    counts = np.asarray(counts, dtype=np.int64)
     binomials = {}
 
     def binomial(key):
@@ -68,7 +68,8 @@ def multinomials(counts, n):
         return value
 
     for start in range(0, len(counts), MULTINOMIAL_CHUNK):
-        head = counts[start:start + MULTINOMIAL_CHUNK, :-1]
+        head = np.asarray(counts[start:start + MULTINOMIAL_CHUNK, :-1],
+                          dtype=np.int64)
         # one int64 key rest_j * (n+1) + c_j per binomial, built in place
         keys = np.cumsum(head, axis=1)
         keys -= head

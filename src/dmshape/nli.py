@@ -205,8 +205,9 @@ class SnrReport:
     """Per-composition SNR records with weighted aggregates.
 
     The records are read-only columns over the carried leaves in scheme
-    order: counts is an (E, m) int64 matrix, kurtosis, weights and snr_db
-    are float64 arrays (8 bytes a leaf, where a list of Python floats takes
+    order: counts is an (E, m) matrix of the table's count dtype (uint8 up
+    to n=255, schemes.count_dtype), kurtosis, weights and snr_db are
+    float64 arrays (8 bytes a leaf, where a list of Python floats takes
     32).  histogram and entries read them one chunk at a time as Python
     floats; cdf_rows reads them in SNR order through one stable argsort of
     snr_db (8 bytes a leaf), the only column it adds.

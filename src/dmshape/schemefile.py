@@ -19,7 +19,14 @@ from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
 from .optimizer import BUILDERS
-from .schemes import CompositionSet, LeafTable, int_array, is_tree_scheme
+from .schemes import (
+    CompositionSet,
+    LeafTable,
+    count_dtype,
+    int_array,
+    is_tree_scheme,
+    narrow_counts,
+)
 
 TOOL_VERSION = f"dmshape {__version__}"
 HEADER_FIELDS = frozenset(("scheme", "n", "k", "alphabet", "tool_version",
@@ -179,14 +186,14 @@ def _parse(fh, path: str):
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {found}")
     fh.seek(start)
-    leaves = _leaf_table(enumerate(fh, i + 1), n_leaves, path, alphabet.m,
+    leaves = _leaf_table(enumerate(fh, i + 1), n_leaves, path, n, alphabet.m,
                          is_tree_scheme(scheme))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
     return built, (e_max, avg_pmf, rate_loss)
 
 
-def _leaf_table(lines, n_leaves: int, path: str, m: int,
+def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
                 tree: bool) -> LeafTable:
     """Parse the n_leaves numbered leaf lines into table columns, each line
     once.
@@ -195,10 +202,12 @@ def _leaf_table(lines, n_leaves: int, path: str, m: int,
     used_count, then depth; the first that fails is the one named.  Counts
     and weights are written into their n_leaves-row arrays LEAF_CHUNK lines
     at a time, so no list of every count or weight, and no second copy of
-    either column, is held.  A count beyond int64 turns the count matrix
-    into Python ints (int_array), which validate refuses at that leaf.
+    either column, is held.  The count matrix is count_dtype(n) for the
+    header's n.  A block holding a count outside [0, n] turns it into int64,
+    or into Python ints (int_array) for a count beyond int64, and validate
+    refuses that leaf.
     """
-    counts = np.zeros((n_leaves, m), dtype=np.int64)
+    counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
     filled = 0
     mid, depth = [], []
@@ -232,7 +241,7 @@ def _leaf_table(lines, n_leaves: int, path: str, m: int,
                 raise SchemeFileError(
                     f"{path}:{lineno}: {field}: {exc}") from None
             chunk_counts += row
-        block = int_array(chunk_counts).reshape(-1, m)
+        block = narrow_counts(int_array(chunk_counts).reshape(-1, m), n)
         counts = counts.astype(np.result_type(counts, block), copy=False)
         rows = slice(filled, filled + len(block))
         counts[rows] = block

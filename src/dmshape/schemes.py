@@ -9,7 +9,9 @@ instead, and payload/depth are absent.
 A scheme holds its leaves as columns of a LeafTable, not as one object per
 leaf (the n=216 ESS scheme has 108,990 leaves):
 
-- counts, an (L, m) int64 matrix with one composition per row;
+- counts, an (L, m) matrix with one composition per row, stored as
+  count_dtype(n), the narrowest unsigned dtype that holds n (uint8 up to
+  n=255: 4 bytes a leaf at m=4, where int64 took 32);
 - weights, a float64 array;
 - tree schemes: payload_bits and depth as int64 arrays.  A file states the
   depth, so it is kept and validate checks depth == k - payload_bits;
@@ -19,9 +21,10 @@ A column the kind has no use for is None.  ``CompositionSet.leaves`` is that
 table, built from columns by the builders and the file reader.  It is a
 read-only sequence: item i is an AddressedComposition built on access, and
 two tables compare equal when their columns do.  Validate, analyze and the
-codec read the columns directly.  A count that does not fit int64 is out of
-range for any composition; the table then holds an object array, which
-validate refuses at that leaf.
+codec read the columns directly, and cast counts to int64 one chunk at a
+time before any arithmetic on them.  A column holding a count outside
+[0, n] keeps int64, or an object array of Python ints when a count does not
+fit int64; validate refuses either at the first such leaf.
 
 A CompositionSet stores only what a builder chooses: the tag, n, k, the
 alphabet and the leaves.  avg_pmf, rate_loss and e_max have one valid value
@@ -92,6 +95,24 @@ def int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def count_dtype(n: int) -> np.dtype:
+    """dtype of a count column whose counts all lie in [0, n]: the narrowest
+    of uint8, uint16 and uint32 that holds n (np.min_scalar_type), or int64
+    for an n outside [0, 2^32), which validate refuses."""
+    return np.min_scalar_type(n) if 0 <= n < 1 << 32 else np.dtype(np.int64)
+
+
+def narrow_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """counts as count_dtype(n) when that is unsigned and every count lies
+    in [0, n], else as given, so that no cast wraps or overflows a count
+    that validate must refuse."""
+    dtype = count_dtype(n)
+    if dtype.kind != "u" or (counts.size and not (counts.min() >= 0
+                                                  and counts.max() <= n)):
+        return counts
+    return counts.astype(dtype, copy=False)
+
+
 def block_energies(counts: np.ndarray, n: int,
                    units: Sequence[int]) -> np.ndarray:
     """Each row's integer block energy: int64 when n * max(units), which
@@ -116,12 +137,17 @@ def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
     Distinct compositions of n get distinct keys, ordered as the rows are
     lexicographically, and none is 0 (a composition of n >= 1 has a nonzero
     count).  The keys are int64 when (n+1)^m fits, else Python ints in an
-    object array.  Every count must lie in [0, n].
+    object array, formed ROW_CHUNK rows at a time, so a narrow count column
+    is cast one chunk at a time.  Every count must lie in [0, n].
     """
     m = counts.shape[1]
     exact = key_dtype(n, m)
-    return (counts.astype(exact, copy=False)
-            @ np.array(key_radix(n, m), dtype=exact))
+    radix = np.array(key_radix(n, m), dtype=exact)
+    keys = np.empty(len(counts), dtype=exact)
+    for start in range(0, len(counts), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        keys[rows] = counts[rows].astype(exact, copy=False) @ radix
+    return keys
 
 
 # Rows per tolist() when a column is read as Python values: one tolist() of
@@ -292,7 +318,9 @@ class CompositionSet:
         if size and counts.shape[1] == m:
             for start in range(0, size, ROW_CHUNK):
                 rows = slice(start, start + ROW_CHUNK)
-                chunk = counts[rows]
+                # int64 (object for a count beyond it): no sum wraps
+                chunk = counts[rows].astype(np.result_type(counts, np.int64),
+                                            copy=False)
                 bad = ((chunk.sum(axis=1) != n) | (chunk.min(axis=1) < 0)
                        | (chunk.max(axis=1) > n))
                 not_comp[rows] = bad
@@ -473,8 +501,8 @@ def tree_scheme(scheme: str, n: int, k: int, alphabet: AmplitudeAlphabet,
     """Package an exact cover as a validated tree-addressed CompositionSet."""
     payload = np.array([p for _, p in cover], dtype=np.int64)
     leaves = LeafTable(
-        counts=np.array([c for c, _ in cover],
-                        dtype=np.int64).reshape(len(cover), alphabet.m),
+        counts=narrow_counts(np.array([c for c, _ in cover], dtype=np.int64)
+                             .reshape(len(cover), alphabet.m), n),
         weights=np.ldexp(1.0, payload - k),  # 2^(p-k), exactly
         payload_bits=payload, depth=k - payload)
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,

@@ -559,6 +559,14 @@ class TestHostileInput:
                              ("4,2|9||0.5625", "6,0|9||0.5625")],
                      "leaf (7, -1) is not a composition of 6 into 2 levels",
                      id="sign-before-later-duplicate"),
+        # at n=6 the count column is uint8: a cast that wrapped modulo 2^8
+        # or 2^16 would read each of these leaves as the valid 3,3
+        pytest.param("ccdm", [("3,3|4|0|1.0", "259,3|4|0|1.0")],
+                     "leaf (259, 3) is not a composition of 6 into 2 levels",
+                     id="count-beyond-uint8"),
+        pytest.param("ccdm", [("3,3|4|0|1.0", "65539,3|4|0|1.0")],
+                     "leaf (65539, 3) is not a composition of 6 into 2 levels",
+                     id="count-beyond-uint16"),
     ])
     def test_inconsistent_header_or_weights(self, tmp_path, capsys, scheme,
                                             edits, reason):

@@ -13,8 +13,10 @@ the leaf-by-leaf factorial product, and the chunked analyze, with its
 report's float64 columns read back as Python floats and its CDF, against
 the per-leaf block_moments + snr_eff reference (compared with ==, not
 approx).  The reference outputs at n=216, k=349 are pinned by digest, and
-the memory each step of the n=216 ESS flow allocates above what it keeps
-is bounded per leaf.
+the memory each step of the n=216 ESS flow allocates above what it keeps,
+and what it keeps, is bounded per leaf.  Count columns are the narrowest
+unsigned dtype that holds n, and validate says the same of such a column
+as of its int64 twin.
 """
 
 import bisect
@@ -970,25 +972,6 @@ def test_report_columns_are_read_only():
     assert report.kurtosis.dtype == report.snr_db.dtype == np.float64
 
 
-def test_analyze_and_report_memory_is_columnar(ess216, model216, tmp_path):
-    # float64 columns take 8 bytes a leaf for each of kurtosis, snr_db and
-    # weights; Python floats in lists took 32, which peaked at 7.0 times
-    # rows * 8 * 3 here.  The columnar report peaks at 4.2 times: the
-    # count matrix, the columns and the CDF's dict of distinct SNRs.
-    def analyze_then_write():
-        _write_report(str(tmp_path / "r"), d.analyze(ess216, model216), 0.01)
-
-    analyze_then_write()  # first-call allocations out of the way
-    rows = int((ess216.leaves.weights > 0).sum())
-    tracemalloc.start()
-    try:
-        analyze_then_write()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * rows * 8 * 3
-
-
 @settings(max_examples=60, deadline=None)
 @given(snrs=st.lists(st.sampled_from([-0.5, 1.0, 2.5, 7.25]), min_size=1,
                      max_size=12),
@@ -1015,8 +998,9 @@ def test_cdf_sums_repeated_snrs_as_the_list_reference(snrs, data, chunk):
         f"{s!r},{w!r}\n" for s, w in want)
 
 
-def peak_above_retained(step):
-    """tracemalloc peak of step() above what its result keeps allocated."""
+def traced_memory(step):
+    """(retained, peak): the tracemalloc bytes step()'s result keeps
+    allocated, and the peak step() reaches."""
     step()  # first-call allocations out of the way
     tracemalloc.start()
     try:
@@ -1025,29 +1009,128 @@ def peak_above_retained(step):
     finally:
         tracemalloc.stop()
     del kept
+    return retained, peak
+
+
+def peak_above_retained(step):
+    """tracemalloc peak of step() above what its result keeps allocated."""
+    retained, peak = traced_memory(step)
     return peak - retained
 
 
 # Bytes per leaf each step of the n=216 ESS flow may allocate above what it
 # keeps.  Each holds the table's columns once; what remains is validate's
 # binomial dict (~18 bytes a leaf) or its key column and sort order (16),
-# and analyze's report columns with the CDF's sort order (~64 a carried
-# leaf).  They take 26, 24, 24 and 68 bytes a leaf; with whole-column
-# copies beside the table they took 72, 60, 60 and 96.
+# and analyze's report (4 bytes of uint8 counts and 24 of float64 columns a
+# carried leaf) with the CDF's sort order (8).  They take 28, 25, 25 and 40
+# bytes a leaf; with int64 counts the report took 68, with whole-column
+# copies beside the table the four took 72, 60, 60 and 96, and with the
+# report's columns as lists of Python floats analyze peaked near 170.
 STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 40, "read_scheme": 40,
-                       "analyze_and_report": 85}
+                       "analyze_and_report": 55}
+
+
+def ess_steps(ess216, model216, tmp_path):
+    """The steps of the n=216 ESS flow, by name, as calls."""
+    path = str(tmp_path / "ess.scheme")
+    write_scheme(ess216, path)
+    return {
+        "build_ess": lambda: d.build_ess(216, 349),
+        "validate": ess216.validate,
+        "read_scheme": lambda: read_scheme(path),
+        "analyze": lambda: d.analyze(ess216, model216),
+        "analyze_and_report": lambda: _write_report(
+            str(tmp_path / "r"), d.analyze(ess216, model216), 0.01),
+    }
 
 
 @pytest.mark.parametrize("step", sorted(STEP_BYTES_PER_LEAF))
 def test_ess_steps_hold_each_column_once(step, ess216, model216, tmp_path):
+    extra = peak_above_retained(ess_steps(ess216, model216, tmp_path)[step])
+    assert extra < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
+
+
+# Bytes per leaf the table or report each step returns keeps: uint8 counts
+# (4 a leaf at m=4), float64 weights (8) and, for a table, the used-count
+# tuple (~72).  With int64 counts they kept 110, 108 and 56.
+RETAINED_BYTES_PER_LEAF = {"build_ess": 90, "read_scheme": 90, "analyze": 35}
+
+
+@pytest.mark.parametrize("step", sorted(RETAINED_BYTES_PER_LEAF))
+def test_ess_steps_retain_narrow_columns(step, ess216, model216, tmp_path):
+    retained, _ = traced_memory(ess_steps(ess216, model216, tmp_path)[step])
+    assert retained < RETAINED_BYTES_PER_LEAF[step] * len(ess216.leaves)
+
+
+# -- narrow count columns ------------------------------------------------------
+
+def test_count_dtype_is_the_narrowest_unsigned_that_holds_n():
+    for n, dtype in [(0, np.uint8), (1, np.uint8), (255, np.uint8),
+                     (256, np.uint16), (65535, np.uint16),
+                     (65536, np.uint32), ((1 << 32) - 1, np.uint32),
+                     (1 << 32, np.int64), (-1, np.int64)]:
+        assert schemes.count_dtype(n) == dtype, n
+    # a count outside [0, n] keeps the column as it is: no cast wraps it
+    for row in ([259, 3], [-1, 7], [7, 0]):
+        column = np.array([[3, 3], row], dtype=np.int64)
+        assert schemes.narrow_counts(column, 6) is column
+    big = np.array([[10**30, 3]], dtype=object)
+    assert schemes.narrow_counts(big, 10**31) is big
+    assert schemes.narrow_counts(np.array([[6, 0]]), 6).dtype == np.uint8
+
+
+def test_built_and_read_tables_hold_narrow_counts(ess216, tmp_path):
     path = str(tmp_path / "ess.scheme")
     write_scheme(ess216, path)
-    steps = {
-        "build_ess": lambda: d.build_ess(216, 349),
-        "validate": ess216.validate,
-        "read_scheme": lambda: read_scheme(path),
-        "analyze_and_report": lambda: _write_report(
-            str(tmp_path / "r"), d.analyze(ess216, model216), 0.01),
-    }
-    extra = peak_above_retained(steps[step])
-    assert extra < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
+    assert ess216.leaves.counts.dtype == np.uint8
+    assert read_scheme(path).leaves.counts.dtype == np.uint8
+    for scheme in ("ccdm", "mpdm"):
+        built = BUILDERS[scheme](300, 480, d.DEFAULT_ALPHABET)
+        assert built.leaves.counts.dtype == np.uint16
+        path = str(tmp_path / f"{scheme}300.scheme")
+        write_scheme(built, path)
+        read = read_scheme(path)
+        assert read.leaves.counts.dtype == np.uint16
+        assert read.leaves == built.leaves
+        codec = d.SchemeCodec(read)
+        for word in (0, 12345678901234567890, (1 << 480) - 1):
+            seq = codec.encode(word)
+            assert d.SchemeCodec(built).encode(word) == seq
+            assert codec.decode(seq) == word
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.integers(0, len(VALIDATE_BASES) - 1), data=st.data())
+def test_validate_says_the_same_of_a_narrow_table_and_its_int64_twin(base,
+                                                                     data):
+    built = validate_base(base)
+    n, table = built.n, built.leaves
+    counts = table.counts.astype(np.int64)
+    # overwrite some rows with counts drawn from [-2, n + 300]: sums that
+    # wrap in a narrow dtype, values beyond uint8, duplicates, other leaves
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(counts) - 1))
+        counts[i] = data.draw(st.lists(st.integers(-2, n + 300),
+                                       min_size=counts.shape[1],
+                                       max_size=counts.shape[1]))
+
+    def verdict(column):
+        columns = (dict(payload_bits=table.payload_bits, depth=table.depth)
+                   if table.used_counts is None
+                   else dict(used_counts=table.used_counts))
+        twin = d.CompositionSet(
+            scheme=built.scheme, n=n, k=built.k, alphabet=built.alphabet,
+            leaves=LeafTable(column, table.weights, **columns))
+        try:
+            twin.validate()
+        except ConstructionBugError as exc:
+            return str(exc)
+        return None
+
+    want = verdict(counts)
+    # the rule's column, and one as narrow as its own largest count allows
+    # (values above n held unsigned, where a sum in that dtype would wrap)
+    assert verdict(schemes.narrow_counts(counts, n)) == want
+    if counts.min() >= 0:
+        tight = counts.astype(np.min_scalar_type(int(counts.max())))
+        assert verdict(tight) == want
