@@ -972,6 +972,25 @@ def test_report_columns_are_read_only():
     assert report.kurtosis.dtype == report.snr_db.dtype == np.float64
 
 
+def test_analyze_and_report_memory_is_columnar(ess216, model216, tmp_path):
+    # float64 columns take 8 bytes a leaf for each of kurtosis, snr_db and
+    # weights; Python floats in lists took 32, which peaked at 7.0 times
+    # rows * 8 * 3 here.  The columnar report peaks at 1.7 times: the three
+    # columns, the uint8 count matrix and the CDF's sort order.
+    def analyze_then_write():
+        _write_report(str(tmp_path / "r"), d.analyze(ess216, model216), 0.01)
+
+    analyze_then_write()  # first-call allocations out of the way
+    rows = int((ess216.leaves.weights > 0).sum())
+    tracemalloc.start()
+    try:
+        analyze_then_write()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * 8 * 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(snrs=st.lists(st.sampled_from([-0.5, 1.0, 2.5, 7.25]), min_size=1,
                      max_size=12),
