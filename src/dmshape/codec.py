@@ -4,10 +4,10 @@ Every scheme follows one addressing rule.  Leaf i, in stored order, owns the
 next n_words of the 2^k input words: 2^payload_bits for a tree leaf (CCDM,
 MPDM, optimised MPDM), whose leading depth bits are then its canonical
 prefix, and the used count for an ESS leaf, whose shells are stored in
-(energy, colex) order.  Inside that block a word is the lexicographic rank
-of the sequence within the leaf's composition, so every word lands on a
-leaf in proportion to its weight.  Bit words are integers, most-significant
-bit first.
+(energy, colex) order.  Inside that block a word is the rank of the
+sequence within the leaf's composition in kernels.cc_unrank's level-split
+order, so every word lands on a leaf in proportion to its weight.  Bit
+words are integers, most-significant bit first.
 """
 
 from __future__ import annotations
@@ -25,35 +25,37 @@ from .combinatorics import (
     Counts,
 )
 from .errors import DecodeError
-from .schemes import CompositionSet, composition_keys, key_radix
+from .schemes import CompositionSet, composition_keys, count_dtype, key_radix
 
 START_STRIDE = 64  # leaves per stored block start; encode walks at most 63
 
 
 def cc_unrank(index: int, counts: Counts,
               alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> tuple[float, ...]:
-    """index -> amplitude sequence, lexicographic over the level order."""
-    mc = kernels.mc_counts(tuple(counts))
-    if not 0 <= index < mc:
-        raise DecodeError(f"rank {index} outside [0, {mc})")
-    seq = kernels.cc_unrank(index, tuple(counts))
-    levels = alphabet.levels
-    return tuple(levels[i] for i in seq)
+    """index -> amplitude sequence: the arrangement of that rank in
+    kernels.cc_unrank's level-split order."""
+    try:
+        seq = kernels.cc_unrank(index, tuple(counts))
+    except ValueError:
+        raise DecodeError(f"rank {index} outside "
+                          f"[0, {kernels.mc_counts(counts)})") from None
+    return tuple(map(alphabet.levels.__getitem__, seq))
 
 
 def cc_rank(seq, counts: Counts,
             alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> int:
-    """Amplitude sequence -> its lexicographic rank within the composition."""
+    """Amplitude sequence -> its rank within the composition."""
     idx = _level_indices(seq, alphabet)
-    if _composition(idx, alphabet.m) != tuple(counts):
-        raise DecodeError("sequence composition does not match")
-    return kernels.cc_rank(idx, tuple(counts))
+    try:
+        return kernels.cc_rank(idx, tuple(counts))
+    except ValueError:
+        raise DecodeError("sequence composition does not match") from None
 
 
 def _level_indices(seq, alphabet: AmplitudeAlphabet) -> list[int]:
     lookup = {lvl: i for i, lvl in enumerate(alphabet.levels)}
     try:
-        return [lookup[float(x)] for x in seq]
+        return list(map(lookup.__getitem__, map(float, seq)))
     except KeyError as exc:
         raise DecodeError(f"amplitude {exc.args[0]} not in alphabet") from None
 
@@ -72,15 +74,25 @@ class SchemeCodec:
         # the n_words column (for ESS the table's own used-count tuple), the
         # first word of every START_STRIDE-th leaf, and the leaves' packed
         # composition keys in sorted order with the leaf index of each: a
-        # start per leaf would hold ~10 MB for the n=216 ESS scheme
+        # start per leaf would hold ~10 MB for the n=216 ESS scheme.  The
+        # leaf indices take count_dtype's rule (uint32 or narrower), and the
+        # keys are uint32 while (n+1)^m <= 2^32.  decode searches with a key
+        # of the column's own scalar type: searchsorted converts the whole
+        # column to match a Python int (23 us a call on uint32, 1 us with
+        # an np.uint32 key)
         self._n_words = n_words = table.n_words
         self._starts = list(islice(accumulate(n_words, initial=0),
                                    0, len(n_words), START_STRIDE))
         self._counts = table.counts
         self._radix = key_radix(built.n, built.alphabet.m)
         keys = composition_keys(table.counts, built.n)
-        self._by_key = np.argsort(keys, kind="stable")
-        self._keys = keys[self._by_key]
+        by_key = np.argsort(keys, kind="stable")
+        self._by_key = by_key.astype(count_dtype(len(keys)))
+        keys = keys[by_key]
+        if (built.n + 1) ** built.alphabet.m <= 1 << 32:
+            keys = keys.astype(np.uint32)
+        self._keys = keys
+        self._key = keys.dtype.type
 
     def encode(self, word: int) -> tuple[float, ...]:
         k = self.set.k
@@ -93,7 +105,7 @@ class SchemeCodec:
         while word >= start + n_words[i]:
             start += n_words[i]
             i += 1
-        return cc_unrank(word - start, tuple(self._counts[i].tolist()),
+        return cc_unrank(word - start, self._counts[i].tolist(),
                          self.set.alphabet)
 
     def decode(self, seq) -> int:
@@ -102,7 +114,7 @@ class SchemeCodec:
             raise DecodeError("sequence length does not match the scheme")
         counts = _composition(idx, self.set.alphabet.m)
         key = sum(map(mul, counts, self._radix))  # its composition key
-        j = int(self._keys.searchsorted(key))
+        j = int(self._keys.searchsorted(self._key(key)))
         if j == len(self._keys) or self._keys[j] != key:
             raise DecodeError("sequence composition is not in the scheme")
         i = int(self._by_key[j])

@@ -1,21 +1,26 @@
 """Exact combinatorial kernels.
 
-These are the hot inner loops of the package: multiset rank/unrank walks,
-the ESS shell walk (shells_upto: one count matrix, from a depth-first walk
-that stops each level at the energy radius, so its cost follows its
-output, and that refuses a ball of more than MAX_ESS_SHELLS shells before
-forming any row), the complement-pair walk (pair_list; scanned_pairs keeps
-its last list for pair_capacity and MPDM), and the column kernel
-``multinomials``: the exact multinomial of every row of a count matrix
-(validate's capacities, build_ess's shell sizes), each distinct binomial
-formed once and the products taken in numpy's object loops.  The energy
-ball's suffix-count table and its walks (trellis_build, ess_unrank,
-ess_rank) serve only perfbench's kernel bench and the test oracle, as
-energy_totals does.  All arithmetic that can overflow 64 bits is done with
-Python ints, so every kernel is exact.
+These are the hot inner loops of the package: the codec's rank and unrank
+of multiset permutations in one level-split order (cc_rank, cc_unrank),
+which read their binomials from one cached table (binomial_columns) up to
+MAX_TABLE_N and update one binomial per step above it; the ESS shell walk
+(shells_upto: one count matrix, from a depth-first walk that stops each
+level at the energy radius, so its cost follows its output, and that
+refuses a ball of more than MAX_ESS_SHELLS shells before forming any row);
+the complement-pair walk (pair_list; scanned_pairs keeps its last list for
+pair_capacity and MPDM); and the column kernel ``multinomials``: the exact
+multinomial of every row of a count matrix (validate's capacities,
+build_ess's shell sizes), each distinct binomial formed once and the
+products taken in numpy's object loops.  The energy ball's suffix-count
+table and its walks (trellis_build, ess_unrank, ess_rank) serve only
+perfbench's kernel bench and the test oracle, as energy_totals does.  All
+arithmetic that can overflow 64 bits is done with Python ints, so every
+kernel is exact.
 """
 
 import functools
+from bisect import bisect_right
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -81,57 +86,168 @@ def multinomials(counts, n):
         yield np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
 
 
+# Largest block length whose binomial table cc_unrank and cc_rank build.
+# binomial_columns takes 0.95 MB at n=216, 4.7 MB at n=432 and 7.1 MB here
+# (tracemalloc), built in ~6 ms; its digits grow as n^3, to an estimated
+# ~270 MB at n=2,048.  Above the bound the same order comes from a walk that
+# updates one binomial per step: ~1 ms a word each way at n=2,048 over two
+# levels.
+MAX_TABLE_N = 512
+
+
+@functools.lru_cache(maxsize=1)
+def binomial_columns(n):
+    """cols[a][p] = C(p, a) for 0 <= a <= n // 2 and 0 <= p <= n.
+
+    Each column is the running sum of the one before (Pascal's rule summed
+    along p), so the table costs additions only.  The last n asked for is
+    cached, and the four codecs of one block length share it.
+    """
+    col = [1] * (n + 1)
+    cols = [col]
+    for _ in range(n // 2):
+        col = [0, *accumulate(col[:n])]
+        cols.append(col)
+    return cols
+
+
+def _split(counts):
+    """(r, a, take) for every level t but the last, in level order.
+
+    r is the number of positions still free at level t, after the levels
+    below it took theirs.  take says whether level t's own c_t positions
+    form its subset (when c_t <= r - c_t) or the r - c_t positions of the
+    levels above it do; a is that subset's size, so a <= r // 2.
+    """
+    r = sum(counts)
+    split = []
+    for c in counts[:-1]:
+        take = 2 * c <= r
+        split.append((r, c if take else r - c, take))
+        r -= c
+    return split
+
+
+def _colex_unrank_table(d, r, a, cols):
+    """The a of r positions with colex rank d, highest first: each is the
+    largest p with C(p, i) <= what is left of d, found by bisection down
+    column i."""
+    sub = []
+    p = r
+    for col in reversed(cols[1:a + 1]):
+        p = bisect_right(col, d, 0, p) - 1
+        d -= col[p]
+        sub.append(p)
+    return sub
+
+
+def _colex_unrank_walk(d, r, a, size):
+    """_colex_unrank_table without a table: p walks down from r - 1 with
+    b = C(p, i) updated by one multiply and one divide a step; size is
+    C(r, a)."""
+    sub = []
+    i, p = a, r - 1
+    b = size * (r - a) // r if a else 0  # C(r - 1, a)
+    while i:
+        if b <= d:
+            d -= b
+            sub.append(p)
+            b = b * i // p if p else 0  # C(p - 1, i - 1)
+            i -= 1
+        else:
+            b = b * (p - i) // p  # C(p - 1, i)
+        p -= 1
+    return sub
+
+
+def _colex_rank_walk(pos):
+    """sum of C(p, i) over the ascending positions pos, i counted from 1,
+    with b = C(p, i) carried along p by one multiply and one divide a step."""
+    total, b, i, p = 0, 0, 1, 0
+    for q in pos:
+        while p < q:
+            # C(p + 1, i); b = 0 only at p = i - 1, where that is C(i, i)
+            b = b * (p + 1) // (p + 1 - i) if b else 1
+            p += 1
+        total += b
+        b = b * (p + 1) // (i + 1)  # C(p + 1, i + 1)
+        p += 1
+        i += 1
+    return total
+
+
 def cc_unrank(index, counts):
-    """Lexicographic unranking of multiset permutations.
+    """Level-split unranking of multiset permutations.
 
     Returns the sequence of level indices with the given rank among all
-    arrangements of ``counts``.  Index 0 is the lexicographically smallest
-    arrangement (lowest level indices first).
+    arrangements of ``counts``.  Level t's subset (see _split) among the
+    positions still free has a colex rank sum_i C(p_i, i); the rank of the
+    arrangement is the mixed-radix number of those m - 1 subset ranks, with
+    level 0 the most significant digit and C(r, a) the radix of each.  The
+    sequence is built from the top level down: each level's symbols are
+    inserted into the arrangement of the levels above it.  Up to
+    MAX_TABLE_N the binomials come from binomial_columns, above it from a
+    walk.
     """
-    m = len(counts)
-    rem = list(counts)
     n = sum(counts)
-    total = mc_counts(counts)
-    out = []
-    for pos in range(n):
-        r = n - pos
-        for i in range(m):
-            ci = rem[i]
-            if ci == 0:
-                continue
-            cnt = total * ci // r
-            if index < cnt:
-                out.append(i)
-                total = cnt
-                rem[i] = ci - 1
-                break
-            index -= cnt
+    m = len(counts)
+    cols = binomial_columns(n) if n <= MAX_TABLE_N else None
+    split = _split(counts)
+    cur = [m - 1] * counts[-1]
+    for t in range(m - 2, -1, -1):
+        r, a, take = split[t]
+        if cols:
+            index, d = divmod(index, cols[a][r])
+            sub = _colex_unrank_table(d, r, a, cols)
         else:
-            raise ValueError("index out of range for composition")
-    return out
+            size = comb(r, a)
+            index, d = divmod(index, size)
+            sub = _colex_unrank_walk(d, r, a, size)
+        if take:
+            for p in reversed(sub):
+                cur.insert(p, t)
+        else:
+            arranged = [t] * r
+            for p, s in zip(sub, reversed(cur)):
+                arranged[p] = s
+            cur = arranged
+    if index:
+        raise ValueError("index out of range for composition")
+    return cur
 
 
 def cc_rank(seq, counts):
     """Inverse of cc_unrank: rank of a level-index sequence."""
     m = len(counts)
-    rem = list(counts)
     n = sum(counts)
-    total = mc_counts(counts)
+    if len(seq) != n:
+        raise ValueError("sequence does not match composition")
+    cols = binomial_columns(n) if n <= MAX_TABLE_N else None
     index = 0
-    for pos, s in enumerate(seq):
-        r = n - pos
-        if rem[s] == 0:
+    cur = seq
+    for t, (r, a, take) in enumerate(_split(counts)):
+        pos, rest = [], []
+        if take:
+            for p, s in enumerate(cur):
+                if s == t:
+                    pos.append(p)
+                else:
+                    rest.append(s)
+        else:
+            for p, s in enumerate(cur):
+                if s != t:
+                    pos.append(p)
+                    rest.append(s)
+        if len(pos) != a:
             raise ValueError("sequence does not match composition")
-        for i in range(m):
-            ci = rem[i]
-            if ci == 0:
-                continue
-            cnt = total * ci // r
-            if i == s:
-                total = cnt
-                rem[i] = ci - 1
-                break
-            index += cnt
+        if cols:
+            index = (index * cols[a][r]
+                     + sum(map(list.__getitem__, cols[1:], pos)))
+        else:
+            index = index * comb(r, a) + _colex_rank_walk(pos)
+        cur = rest
+    if cur.count(m - 1) != len(cur):
+        raise ValueError("sequence does not match composition")
     return index
 
 

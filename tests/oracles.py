@@ -1,9 +1,13 @@
 """Test-side oracles: independent computations the package itself never needs.
 
 EssTrellis counts the ESS energy ball with kernels.trellis_build, apart from
-the shell scan the ESS build uses; w_to_dbm states launch powers in dBm.
+the shell scan the ESS build uses; level_split_arrangements lists a
+composition's arrangements in the codec's order, ranked from the order's
+definition with math.comb rather than the kernels' binomial table;
+w_to_dbm states launch powers in dBm.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +43,39 @@ class EssTrellis:
     def total(self) -> int:
         """Number of sequences inside the ball: counts[0][width]."""
         return self.counts[0][self.width]
+
+
+def level_split_rank(seq, counts):
+    """Rank of a level-index sequence in the level-split order, by definition.
+
+    At level t, among the positions that levels below t left free, the
+    subset is t's own positions, or those of the levels above t when they
+    are fewer; its colex rank is sum_i comb(p_i, i) over its ascending
+    positions.  The rank is the mixed-radix number of these ranks, level 0
+    the most significant digit, each of radix comb(free, subset size).
+    """
+    rank = 0
+    free = list(seq)
+    for t, c in enumerate(counts[:-1]):
+        if 2 * c <= len(free):
+            subset = [p for p, s in enumerate(free) if s == t]
+        else:
+            subset = [p for p, s in enumerate(free) if s != t]
+        rank = rank * math.comb(len(free), len(subset)) + sum(
+            math.comb(p, i) for i, p in enumerate(subset, 1))
+        free = [s for s in free if s != t]
+    return rank
+
+
+def level_split_arrangements(counts):
+    """Every arrangement of a composition as a tuple of level indices, in
+    level_split_rank order; the ranks are checked to be exactly 0 .. M-1."""
+    m = len(counts)
+    ranked = sorted((level_split_rank(seq, counts), seq)
+                    for seq in itertools.product(range(m), repeat=sum(counts))
+                    if tuple(map(seq.count, range(m))) == tuple(counts))
+    assert [rank for rank, _ in ranked] == list(range(len(ranked)))
+    return [seq for _, seq in ranked]
 
 
 def w_to_dbm(power_w: float) -> float:

@@ -585,13 +585,14 @@ class TestHostileInput:
         assert not (tmp_path / "r_scatter.csv").exists()
 
     def test_codec_refuses_wrong_e_max(self, tmp_path, capsys):
-        # word 0x5 is rank 4 of leaf 5,1 (leaf 6,0 owns word 0); e_max does
-        # not enter the mapping, so a file with a wrong one must be refused
+        # word 0x5 is rank 4 of leaf 5,1 (leaf 6,0 owns word 0), its lone 3
+        # at position 4; e_max does not enter the mapping, so a file with a
+        # wrong one must be refused
         good = tmp_path / "good.scheme"
         assert main(["build", "--scheme", "ess", *TOY, "--out", str(good)]) == 0
         capsys.readouterr()
         assert main(["codec", "encode", str(good), "0x5"]) == 0
-        assert capsys.readouterr().out.strip() == "1,3,1,1,1,1"
+        assert capsys.readouterr().out.strip() == "1,1,1,1,3,1"
         bad = self.toy_scheme(tmp_path, capsys,
                               self.replace_line("e_max=22.0", "e_max=1000.0"),
                               scheme="ess")

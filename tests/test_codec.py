@@ -13,35 +13,34 @@ from dmshape.errors import DecodeError, RateInfeasibleError
 from dmshape.kernels import mc_counts
 from dmshape.optimizer import BUILDERS
 
-from oracles import EssTrellis
+from oracles import EssTrellis, level_split_arrangements
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
 A3 = d.AmplitudeAlphabet((1, 2, 3))
 
 
-def lex_arrangements(counts, alphabet):
-    """Oracle: all arrangements of the composition in lexicographic order."""
-    pool = []
-    for lvl, c in zip(alphabet.levels, counts):
-        pool.extend([lvl] * c)
-    return sorted(set(itertools.permutations(pool)))
+def split_arrangements(counts, alphabet):
+    """Oracle: all arrangements of the composition in the level-split order."""
+    return [tuple(alphabet.levels[i] for i in seq)
+            for seq in level_split_arrangements(counts)]
 
 
 class TestCcRankUnrank:
     def test_toy_examples(self):
         assert d.cc_unrank(0, (1, 1), A2) == (1.0, 3.0)
         assert d.cc_unrank(1, (1, 1), A2) == (3.0, 1.0)
-        # brute-force lex enumeration of {(1,1,3),(1,3,1),(3,1,1)}
-        assert lex_arrangements((2, 1), A2)[2] == (3.0, 1.0, 1.0)
-        assert d.cc_unrank(2, (2, 1), A2) == (3.0, 1.0, 1.0)
+        # brute-force level-split enumeration of {(1,1,3),(1,3,1),(3,1,1)}:
+        # the lone 3 is the smaller subset, ranked by its position
+        assert split_arrangements((2, 1), A2)[2] == (1.0, 1.0, 3.0)
+        assert d.cc_unrank(2, (2, 1), A2) == (1.0, 1.0, 3.0)
 
     @pytest.mark.parametrize("alphabet,n", [(A2, 6), (A2, 8), (A3, 5), (A3, 7)])
     def test_exhaustive_bijection(self, alphabet, n):
         for counts in d.enumerate_compositions(n, alphabet):
             mc = d.multinomial_coefficient(counts)
             seqs = [d.cc_unrank(i, counts, alphabet) for i in range(mc)]
-            assert seqs == lex_arrangements(counts, alphabet)
+            assert seqs == split_arrangements(counts, alphabet)
             for i, seq in enumerate(seqs):
                 assert d.cc_rank(seq, counts, alphabet) == i
 
@@ -93,7 +92,8 @@ class TestSchemeCodec:
                 setattr(built.leaves, name, getattr(built.leaves, name))
         with pytest.raises(AttributeError, match="read-only"):
             built.leaves.used_counts = (16, 0, 0)
-        assert codec.encode(1) == (1, 1, 1, 1, 1, 3)
+        # word 1 is rank 0 of shell 5,1: its lone 3 at position 0
+        assert codec.encode(1) == (3, 1, 1, 1, 1, 1)
 
     def test_toy_mpdm_exhaustive(self):
         built = d.build_mpdm(6, 4, A2)
@@ -185,12 +185,13 @@ def test_codec_agrees_with_analyze(built_name, model216, request):
 
 
 # sha256 of the sequences of 500 words from random.Random(7) per scheme,
-# one line of comma-separated amplitude reprs per word
+# one line of comma-separated amplitude reprs per word; each word's rank in
+# its leaf equals oracles.level_split_rank of its sequence
 CODEC_MAP_SHA256 = {
-    "ccdm216": "c8d2673a82c26e24c26e9f013699657c03d6f57b27e21e3f61e4bc94cc347d0f",
-    "mpdm216": "3e1f00c7836c35e32ce2030ea898f74db440b7700ecca95a3f101382dc0304a9",
-    "ess216": "5a2d24d222a7c7fb3828ba57aca984cae5d123b1c3c6acac161e28931e7f7ee4",
-    "opt216": "3baaa4236a54671de0c76a39e4d75c243081814f0c2c6186388f73e58127dc09",
+    "ccdm216": "4b5cf96b552ef783588c612840df2a2ab0223524369bb48e84d6b61e1e76377b",
+    "mpdm216": "28d6cf4068dff81f136a1d187fe6ff75680dc7f9ed86acb51ba3b762472fdea3",
+    "ess216": "1010bbc5de9bee66d2748b535b26ac8556b08911b721150474fc3e317fe65b76",
+    "opt216": "49712db8e72405a71e9b509ac8277b7895b63d65e7a31f8ba2fccb1fe169b500",
 }
 
 

@@ -22,6 +22,7 @@ as of its int64 twin.
 import bisect
 import builtins
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -972,22 +973,13 @@ def test_report_columns_are_read_only():
     assert report.kurtosis.dtype == report.snr_db.dtype == np.float64
 
 
-def test_analyze_and_report_memory_is_columnar(ess216, model216, tmp_path):
+def test_analyze_and_report_memory_is_columnar(ess216, ess_step_memory):
     # float64 columns take 8 bytes a leaf for each of kurtosis, snr_db and
     # weights; Python floats in lists took 32, which peaked at 7.0 times
     # rows * 8 * 3 here.  The columnar report peaks at 1.7 times: the three
     # columns, the uint8 count matrix and the CDF's sort order.
-    def analyze_then_write():
-        _write_report(str(tmp_path / "r"), d.analyze(ess216, model216), 0.01)
-
-    analyze_then_write()  # first-call allocations out of the way
     rows = int((ess216.leaves.weights > 0).sum())
-    tracemalloc.start()
-    try:
-        analyze_then_write()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = ess_step_memory["analyze_and_report"]
     assert peak < 3 * rows * 8 * 3
 
 
@@ -1031,10 +1023,33 @@ def traced_memory(step):
     return retained, peak
 
 
-def peak_above_retained(step):
-    """tracemalloc peak of step() above what its result keeps allocated."""
-    retained, peak = traced_memory(step)
-    return peak - retained
+@pytest.fixture(scope="module")
+def ess_step_memory(ess216, model216, tmp_path_factory):
+    """traced_memory of each step of the n=216 ESS flow, by name.
+
+    Each step is traced once, on one scheme file, and every memory gate
+    below reads its bound off the same measurement: tracing is 15 to 40
+    times slower than the step itself.  The objects alive before the steps
+    are frozen out of the cyclic collector's passes meanwhile, which saves
+    time and changes no traced byte: tracemalloc counts only blocks
+    allocated after it starts.
+    """
+    tmp = tmp_path_factory.mktemp("ess_steps")
+    path = str(tmp / "ess.scheme")
+    write_scheme(ess216, path)
+    steps = {
+        "build_ess": lambda: d.build_ess(216, 349),
+        "validate": ess216.validate,
+        "read_scheme": lambda: read_scheme(path),
+        "analyze": lambda: d.analyze(ess216, model216),
+        "analyze_and_report": lambda: _write_report(
+            str(tmp / "r"), d.analyze(ess216, model216), 0.01),
+    }
+    gc.freeze()
+    try:
+        return {name: traced_memory(step) for name, step in steps.items()}
+    finally:
+        gc.unfreeze()
 
 
 # Bytes per leaf each step of the n=216 ESS flow may allocate above what it
@@ -1049,24 +1064,10 @@ STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 40, "read_scheme": 40,
                        "analyze_and_report": 55}
 
 
-def ess_steps(ess216, model216, tmp_path):
-    """The steps of the n=216 ESS flow, by name, as calls."""
-    path = str(tmp_path / "ess.scheme")
-    write_scheme(ess216, path)
-    return {
-        "build_ess": lambda: d.build_ess(216, 349),
-        "validate": ess216.validate,
-        "read_scheme": lambda: read_scheme(path),
-        "analyze": lambda: d.analyze(ess216, model216),
-        "analyze_and_report": lambda: _write_report(
-            str(tmp_path / "r"), d.analyze(ess216, model216), 0.01),
-    }
-
-
 @pytest.mark.parametrize("step", sorted(STEP_BYTES_PER_LEAF))
-def test_ess_steps_hold_each_column_once(step, ess216, model216, tmp_path):
-    extra = peak_above_retained(ess_steps(ess216, model216, tmp_path)[step])
-    assert extra < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
+def test_ess_steps_hold_each_column_once(step, ess216, ess_step_memory):
+    retained, peak = ess_step_memory[step]
+    assert peak - retained < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
 
 
 # Bytes per leaf the table or report each step returns keeps: uint8 counts
@@ -1076,8 +1077,8 @@ RETAINED_BYTES_PER_LEAF = {"build_ess": 90, "read_scheme": 90, "analyze": 35}
 
 
 @pytest.mark.parametrize("step", sorted(RETAINED_BYTES_PER_LEAF))
-def test_ess_steps_retain_narrow_columns(step, ess216, model216, tmp_path):
-    retained, _ = traced_memory(ess_steps(ess216, model216, tmp_path)[step])
+def test_ess_steps_retain_narrow_columns(step, ess216, ess_step_memory):
+    retained, _ = ess_step_memory[step]
     assert retained < RETAINED_BYTES_PER_LEAF[step] * len(ess216.leaves)
 
 

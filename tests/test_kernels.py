@@ -1,16 +1,17 @@
 """Oracle tests of the exact kernels against brute force at small n.
 
 Each kernel is checked against an independent enumeration by
-``itertools.product``: of all m^n level sequences (which it yields in
-lexicographic order), or of all count vectors in a box, for alphabets of
-m = 2 to 4 levels.  Compositions without a box come from stars and bars,
-so the shell walk is also checked at m = 5 and 8.  The column kernel
-multinomials is checked against the scalar mc_counts row by row.
+``itertools.product``: of all m^n level sequences (ranked for the rank
+walks by oracles.level_split_rank), or of all count vectors in a box, for
+alphabets of m = 2 to 4 levels.  Compositions without a box come from stars
+and bars, so the shell walk is also checked at m = 5 and 8.  The column
+kernel multinomials is checked against the scalar mc_counts row by row.
 """
 
 import gc
 import itertools
 import math
+import random
 from collections import defaultdict
 from unittest import mock
 
@@ -21,6 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from dmshape import kernels
 from dmshape.errors import RateInfeasibleError
 from dmshape.schemes import MAX_BLOCK_LENGTH
+
+from oracles import level_split_rank
 
 # (n, m) with m^n <= 4096, so every sequence can be listed
 SIZES = [(1, 2), (5, 2), (10, 2), (1, 3), (4, 3), (7, 3), (1, 4), (3, 4),
@@ -114,15 +117,63 @@ def test_multinomials_equal_mc_counts(case, chunk):
 
 @pytest.mark.parametrize("n,m", SIZES)
 def test_cc_rank_unrank_all_ranks(n, m):
-    perms = defaultdict(list)  # composition -> its arrangements, sorted
+    perms = defaultdict(list)  # composition -> its arrangements, ranked
     for seq in sequences(n, m):
         perms[composition(seq, m)].append(seq)
     for counts, arrangements in perms.items():
+        arrangements.sort(key=lambda seq: level_split_rank(seq, counts))
+        assert [level_split_rank(seq, counts) for seq in arrangements] == \
+            list(range(len(arrangements)))
         for rank, seq in enumerate(arrangements):
             assert kernels.cc_unrank(rank, counts) == list(seq)
             assert kernels.cc_rank(seq, counts) == rank
         with pytest.raises(ValueError):
             kernels.cc_unrank(len(arrangements), counts)
+
+
+@st.composite
+def ranked_compositions(draw):
+    """(counts, index): a composition over 2 to 5 levels and one of its
+    ranks."""
+    counts = tuple(draw(st.lists(st.integers(0, 15), min_size=2,
+                                 max_size=5)))
+    return counts, draw(st.integers(0, kernels.mc_counts(counts) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_compositions())
+def test_table_and_walk_give_one_order(case):
+    counts, index = case
+    seq = kernels.cc_unrank(index, counts)
+    assert kernels.cc_rank(seq, counts) == index
+    with mock.patch.object(kernels, "MAX_TABLE_N", 0):
+        assert kernels.cc_unrank(index, counts) == seq
+        assert kernels.cc_rank(seq, counts) == index
+
+
+def test_table_serves_up_to_its_bound(monkeypatch):
+    # n = MAX_TABLE_N ranks through the table, one more through the walk
+    # alone, and both agree with the oracle there
+    built = []
+    table = kernels.binomial_columns
+    monkeypatch.setattr(kernels, "binomial_columns",
+                        lambda n: built.append(n) or table(n))
+    rng = random.Random(21)
+    for n in (kernels.MAX_TABLE_N, kernels.MAX_TABLE_N + 1):
+        counts = (n - n // 3 - n // 5, n // 3, n // 5)
+        index = rng.randrange(kernels.mc_counts(counts))
+        seq = kernels.cc_unrank(index, counts)
+        assert level_split_rank(seq, counts) == index
+        assert kernels.cc_rank(seq, counts) == index
+    assert built == [kernels.MAX_TABLE_N] * 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_binomial_columns(n):
+    cols = kernels.binomial_columns(n)
+    assert len(cols) == n // 2 + 1
+    assert cols == [[math.comb(p, a) for p in range(n + 1)]
+                    for a in range(n // 2 + 1)]
 
 
 def test_cc_rank_rejects_foreign_sequence():
