@@ -9,9 +9,7 @@ from .combinatorics import (  # noqa: F401
     block_moments,
     energy,
     entropy,
-    enumerate_compositions,
     input_bits,
-    multinomial_coefficient,
     pmf_of,
     rate_loss,
     select_emax,

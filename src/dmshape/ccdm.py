@@ -26,6 +26,7 @@ from .combinatorics import (
     input_bits,
 )
 from .errors import RateInfeasibleError
+from .kernels import chunks
 from .schemes import CompositionSet, tree_scheme
 
 LAMBDA_MAX = 2.0
@@ -54,9 +55,6 @@ def quantize_pmf(pmf, n: int) -> Counts:
     for i in order[: n - sum(counts)]:
         counts[i] += 1
     return tuple(counts)
-
-
-CHAIN_CHUNK = 4096  # grid points per numpy batch; bounds the arrays' memory
 
 
 def _quantize_grid(lam, offsets, n: int):
@@ -98,15 +96,18 @@ def mb_composition_chain(n: int, alphabet: AmplitudeAlphabet) -> tuple[tuple[flo
     Each entry is (lambda, composition) for the largest grid lambda whose
     quantised PMF yields that composition.  The grid step (2 / 2^16) is far
     below the quantisation granularity at practical block lengths.  The grid
-    is evaluated in numpy chunks; rows numpy cannot certify go through
-    quantize_pmf(mb_pmf(lam)), so the chain equals the scalar sweep exactly.
+    is evaluated in numpy chunks of kernels.CHUNK points; rows numpy cannot
+    certify go through quantize_pmf(mb_pmf(lam)), so the chain equals the
+    scalar sweep exactly.
     """
     es = alphabet.energies
     offsets = np.array([e - es[0] for e in es])
     segs = []
     prev = None
-    for top in range(LAMBDA_GRID, -1, -CHAIN_CHUNK):
-        lam = LAMBDA_MAX * np.arange(top, max(top - CHAIN_CHUNK, -1), -1) / LAMBDA_GRID
+    for rows in chunks(LAMBDA_GRID + 1):
+        # row r is grid point LAMBDA_GRID - r: the most shaped end first
+        grid = LAMBDA_GRID - np.arange(rows.start, rows.stop)
+        lam = LAMBDA_MAX * grid / LAMBDA_GRID
         counts, certain = _quantize_grid(lam, offsets, n)
         for r in np.flatnonzero(~certain):
             counts[r] = quantize_pmf(mb_pmf(float(lam[r]), alphabet), n)

@@ -33,6 +33,7 @@ from .schemefile import read_scheme, write_scheme
 from .schemes import (
     MAX_BLOCK_LENGTH,
     CompositionSet,
+    joined_rows,
     row_chunks,
     row_values,
 )
@@ -91,8 +92,7 @@ def _write_report(prefix: str, report: SnrReport, bin_width_db: float) -> None:
     # float reprs hold nothing the csv module quotes.  Every column is read
     # one chunk at a time, so no list of a whole column is formed.
     ids = chain.from_iterable(
-        map(":".join, zip(*(map(str, col) for col in chunk.T.tolist())))
-        for chunk in row_chunks(report.counts))
+        joined_rows(chunk, ":") for chunk in row_chunks(report.counts))
     with open(prefix + "_scatter.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("composition,kurtosis,snr_db,weight\n")
         fh.writelines(map("{},{!r},{!r},{!r}\n".format, ids,

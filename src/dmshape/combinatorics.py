@@ -24,7 +24,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,11 +177,6 @@ def colex_key(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(counts))
 
 
-def multinomial_coefficient(counts: Sequence[int]) -> int:
-    """Number of distinct arrangements of the composition, exact."""
-    return kernels.mc_counts(tuple(counts))
-
-
 def input_bits(counts: Sequence[int]) -> int:
     """floor(log2(MC)) via the bit length of the exact count."""
     return kernels.mc_counts(tuple(counts)).bit_length() - 1
@@ -282,36 +277,3 @@ def rate_loss(avg_pmf: Sequence[float], k: int, n: int) -> float:
             "than its average distribution permits")
     return value
 
-
-def enumerate_compositions(
-    n: int,
-    alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET,
-    predicate: Callable[[Counts], bool] | None = None,
-) -> Iterator[Counts]:
-    """All compositions of n into alphabet.m parts, colexicographic order.
-
-    The stream is deterministic; the predicate filters (it does not prune),
-    e.g. ``lambda c: energy(c, a) <= e_max``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = alphabet.m
-    counts = [0] * m
-    counts[0] = n
-    while True:
-        c = tuple(counts)
-        if predicate is None or predicate(c):
-            yield c
-        if counts[0] > 0:
-            counts[0] -= 1
-            counts[1] += 1
-            continue
-        for j in range(1, m - 1):
-            if counts[j] > 0:
-                t = counts[j]
-                counts[j] = 0
-                counts[j + 1] += 1
-                counts[0] = t - 1
-                break
-        else:
-            return

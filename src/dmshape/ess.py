@@ -9,10 +9,9 @@ prefix tree.  The shells are one (L, m) count matrix from the scan to the
 leaf table, with no object per shell, narrowed to schemes.count_dtype(n)
 before it is put in (energy, colex) order.  build_ess holds each of the
 table's columns once: the count matrix, the float64 weights and the used
-counts, the last two filled one block of multinomials
-(kernels.MULTINOMIAL_CHUNK shells) at a time.  Block totals locate the
-shell where the used total reaches 2^k, and only that block is
-accumulated.
+counts, the last two filled one block of multinomials (kernels.CHUNK
+shells) at a time.  Block totals locate the shell where the used total
+reaches 2^k, and only that block is accumulated.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the

@@ -27,8 +27,19 @@ import numpy as np
 
 from .errors import RateInfeasibleError
 
-# Rows per block of multinomials: a block holds this many bigints at once.
-MULTINOMIAL_CHUNK = 4096
+# Rows per block of every column walk: multinomials, validate, analyze, the
+# scheme file's leaf lines and the MB lambda grid.  A block holds this many
+# bigints, floats or lines at once, where one tolist() of the n=216 ESS counts
+# would hold 108,990 lists (~10 MB).  Read at each walk, never copied.
+CHUNK = 4096
+
+
+def chunks(size):
+    """Consecutive slices of at most CHUNK rows that cover range(size)."""
+    step = CHUNK
+    for start in range(0, size, step):
+        yield slice(start, min(start + step, size))
+
 
 # Rows one shells_upto walk may return.  An ESS build peaks near 190 bytes
 # of RSS per shell in one process (44 MB for 108,990 shells at n=216,
@@ -56,11 +67,11 @@ def mc_counts(counts):
 def multinomials(counts, n):
     """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
 
-    Yields them as object arrays of Python ints, MULTINOMIAL_CHUNK rows at a
-    time in row order, so no array of L bigints is held.  Row i's value is
-    the product over j < m-1 of comb(rest_j, c_j), with rest_j = n minus the
-    earlier counts, as in mc_counts; each distinct (rest_j, c_j) binomial is
-    formed once for the whole matrix.  Every count must lie in [0, n] and
+    Yields them as object arrays of Python ints, CHUNK rows at a time in row
+    order, so no array of L bigints is held.  Row i's value is the product
+    over j < m-1 of comb(rest_j, c_j), with rest_j = n minus the earlier
+    counts, as in mc_counts; each distinct (rest_j, c_j) binomial is formed
+    once for the whole matrix.  Every count must lie in [0, n] and
     each row must sum to n, with (n+1)^2 inside int64.  Each block is cast
     to int64 on its own, so a narrow count matrix is never copied whole.
     """
@@ -72,9 +83,8 @@ def multinomials(counts, n):
             value = binomials[key] = comb(*divmod(key, n + 1))
         return value
 
-    for start in range(0, len(counts), MULTINOMIAL_CHUNK):
-        head = np.asarray(counts[start:start + MULTINOMIAL_CHUNK, :-1],
-                          dtype=np.int64)
+    for rows in chunks(len(counts)):
+        head = np.asarray(counts[rows, :-1], dtype=np.int64)
         # one int64 key rest_j * (n+1) + c_j per binomial, built in place
         keys = np.cumsum(head, axis=1)
         keys -= head

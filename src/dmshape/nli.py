@@ -24,6 +24,7 @@ import numpy as np
 
 from .combinatorics import Counts, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
+from .kernels import chunks
 from .schemes import CompositionSet, row_chunks, row_values, running_sum
 
 # Exact by the SI definition (m/s, J s).
@@ -300,9 +301,6 @@ class SnrEntries(Sequence):
                    row_values(r.snr_db))
 
 
-ANALYZE_CHUNK = 4096  # leaves per numpy batch; bounds the arrays' memory
-
-
 def _snr_db(kurtoses: list[float], model: NliModel) -> list[float]:
     """snr_eff over a list of kurtoses, bit-identical: the ratio in numpy,
     log10 in scalar Python (numpy rounds it differently).  A non-positive
@@ -325,7 +323,7 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     reference exactly, into float64 columns: no Python float per leaf is
     kept.  The report holds the carried rows of the table's counts and
     weights as its own copies, and the kurtosis and SNR columns; every
-    other per-leaf value lives for one ANALYZE_CHUNK.
+    other per-leaf value lives for one chunk of kernels.CHUNK leaves.
     """
     table = built.leaves
     carried = table.weights > 0
@@ -334,8 +332,7 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     kurts = np.empty(len(weights))
     snrs = np.empty(len(weights))
     avg = 0.0
-    for start in range(0, len(weights), ANALYZE_CHUNK):
-        rows = slice(start, start + ANALYZE_CHUNK)
+    for rows in chunks(len(weights)):
         q = kurtosis_of(counts[rows], built.alphabet)
         kurts[rows] = q
         snrs[rows] = _snr_db(q, model)

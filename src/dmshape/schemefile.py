@@ -11,13 +11,14 @@ and platforms.  No timestamps.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
 from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
+from .kernels import chunks
 from .optimizer import BUILDERS
 from .schemes import (
     CompositionSet,
@@ -25,13 +26,13 @@ from .schemes import (
     count_dtype,
     int_array,
     is_tree_scheme,
+    joined_rows,
     narrow_counts,
 )
 
 TOOL_VERSION = f"dmshape {__version__}"
 HEADER_FIELDS = frozenset(("scheme", "n", "k", "alphabet", "tool_version",
                            "rate_loss", "avg_pmf", "e_max"))
-LEAF_CHUNK = 4096  # leaf lines per batch read or written; bounds the strings
 
 
 def _format_number(x: float) -> str:
@@ -42,25 +43,9 @@ def _format_level(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def _leaf_lines(leaves: LeafTable, tree: bool):
-    """The leaf lines of a table, formatted column by column, LEAF_CHUNK
-    leaves at a time."""
-    for start in range(0, len(leaves), LEAF_CHUNK):
-        rows = slice(start, start + LEAF_CHUNK)
-        counts = map(",".join, zip(*(map(str, col) for col
-                                     in leaves.counts[rows].T.tolist())))
-        if tree:
-            mid = map(str, leaves.payload_bits[rows].tolist())
-            depth = map(str, leaves.depth[rows].tolist())
-        else:
-            mid = map(str, leaves.used_counts[rows])
-            depth = repeat("")
-        # repr is _format_number for the Python floats tolist returns
-        weights = map(repr, leaves.weights[rows].tolist())
-        yield from map("|".join, zip(counts, mid, depth, weights))
-
-
-def _scheme_lines(built: CompositionSet):
+def _scheme_text(built: CompositionSet):
+    """The file's text in pieces: the header, then the leaf lines of each
+    kernels.CHUNK block of leaves, formatted column by column."""
     header = [
         f"scheme={built.scheme}",
         f"n={built.n}",
@@ -73,11 +58,23 @@ def _scheme_lines(built: CompositionSet):
     if built.e_max is not None:
         header.append(f"e_max={_format_number(built.e_max)}")
     header.append(f"leaves={len(built.leaves)}")
-    return chain(header, _leaf_lines(built.leaves, is_tree_scheme(built.scheme)))
+    yield "\n".join(header) + "\n"
+    leaves, tree = built.leaves, is_tree_scheme(built.scheme)
+    for rows in chunks(len(leaves)):
+        counts = joined_rows(leaves.counts[rows], ",")
+        if tree:
+            mid = map(str, leaves.payload_bits[rows].tolist())
+            depth = map(str, leaves.depth[rows].tolist())
+        else:
+            mid = map(str, leaves.used_counts[rows])
+            depth = repeat("")
+        # repr is _format_number for the Python floats tolist returns
+        weights = map(repr, leaves.weights[rows].tolist())
+        yield "\n".join(map("|".join, zip(counts, mid, depth, weights))) + "\n"
 
 
 def scheme_to_text(built: CompositionSet) -> str:
-    return "\n".join(_scheme_lines(built)) + "\n"
+    return "".join(_scheme_text(built))
 
 
 def _leaf_count(text: str) -> int:
@@ -94,11 +91,10 @@ def _known_scheme(name: str) -> str:
 
 
 def write_scheme(built: CompositionSet, path: str) -> None:
-    """Write scheme_to_text(built), LEAF_CHUNK lines at a time."""
-    lines = _scheme_lines(built)
+    """Write scheme_to_text(built), one kernels.CHUNK block of leaves at a
+    time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while chunk := list(islice(lines, LEAF_CHUNK)):
-            fh.write("\n".join(chunk) + "\n")
+        fh.writelines(_scheme_text(built))
 
 
 def read_scheme(path: str) -> CompositionSet:
@@ -195,27 +191,25 @@ def _parse(fh, path: str):
 
 def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
                 tree: bool) -> LeafTable:
-    """Parse the n_leaves numbered leaf lines into table columns, each line
-    once.
+    """Parse the numbered leaf lines, of which n_leaves are not blank, into
+    table columns, each line once.
 
     Per line the fields are converted counts, weight, payload_bits or
     used_count, then depth; the first that fails is the one named.  Counts
-    and weights are written into their n_leaves-row arrays LEAF_CHUNK lines
-    at a time, so no list of every count or weight, and no second copy of
-    either column, is held.  The count matrix is count_dtype(n) for the
-    header's n.  A block holding a count outside [0, n] turns it into int64,
-    or into Python ints (int_array) for a count beyond int64, and validate
-    refuses that leaf.
+    and weights are written into their n_leaves-row arrays kernels.CHUNK
+    leaves at a time, so no list of every count or weight, and no second
+    copy of either column, is held.  The count matrix is count_dtype(n) for
+    the header's n.  A block holding a count outside [0, n] turns it into
+    int64, or into Python ints (int_array) for a count beyond int64, and
+    validate refuses that leaf.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
-    filled = 0
     mid, depth = [], []
-    while chunk := list(islice(lines, LEAF_CHUNK)):
+    lines = ((lineno, line) for lineno, line in lines if line.strip())
+    for rows in chunks(n_leaves):
         chunk_counts, chunk_weights = [], []
-        for lineno, line in chunk:
-            if not line.strip():
-                continue
+        for lineno, line in islice(lines, rows.stop - rows.start):
             line = line.rstrip("\n")
             parts = line.split("|")
             if len(parts) != 4:
@@ -243,10 +237,8 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
             chunk_counts += row
         block = narrow_counts(int_array(chunk_counts).reshape(-1, m), n)
         counts = counts.astype(np.result_type(counts, block), copy=False)
-        rows = slice(filled, filled + len(block))
         counts[rows] = block
         weights[rows] = chunk_weights
-        filled = rows.stop
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth))

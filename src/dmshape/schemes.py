@@ -62,7 +62,7 @@ from .combinatorics import (
     select_emax,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
-from .kernels import multinomials
+from .kernels import chunks, multinomials
 
 # Largest block length a scheme may state.  validate forms binomials
 # comb(n, c) of up to n bits (comb(2^16, 2^15) takes ~0.2 s on Python 3.11);
@@ -137,28 +137,27 @@ def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
     Distinct compositions of n get distinct keys, ordered as the rows are
     lexicographically, and none is 0 (a composition of n >= 1 has a nonzero
     count).  The keys are int64 when (n+1)^m fits, else Python ints in an
-    object array, formed ROW_CHUNK rows at a time, so a narrow count column
-    is cast one chunk at a time.  Every count must lie in [0, n].
+    object array, formed kernels.CHUNK rows at a time, so a narrow count
+    column is cast one chunk at a time.  Every count must lie in [0, n].
     """
     m = counts.shape[1]
     exact = key_dtype(n, m)
     radix = np.array(key_radix(n, m), dtype=exact)
     keys = np.empty(len(counts), dtype=exact)
-    for start in range(0, len(counts), ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
+    for rows in chunks(len(counts)):
         keys[rows] = counts[rows].astype(exact, copy=False) @ radix
     return keys
 
 
-# Rows per tolist() when a column is read as Python values: one tolist() of
-# the n=216 ESS counts would hold 108,990 lists (~10 MB) at once.
-ROW_CHUNK = 4096
-
-
 def row_chunks(column: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive ROW_CHUNK-row slices of an array, in order."""
-    return (column[start:start + ROW_CHUNK]
-            for start in range(0, len(column), ROW_CHUNK))
+    """Consecutive kernels.CHUNK-row slices of an array, in order."""
+    return (column[rows] for rows in chunks(len(column)))
+
+
+def joined_rows(block: np.ndarray, sep: str) -> Iterator[str]:
+    """Each row of a count block as its decimal counts joined by sep, formed
+    from one tolist() of the block's columns."""
+    return map(sep.join, zip(*(map(str, col) for col in block.T.tolist())))
 
 
 def row_values(column: np.ndarray) -> Iterator:
@@ -299,7 +298,7 @@ class CompositionSet:
         Besides those masks, validate holds one key per leaf and its stable
         sort order for the duplicate check; everything else per leaf (row
         sums, energies, multinomials, shares, the weight sum) is formed
-        ROW_CHUNK or MULTINOMIAL_CHUNK rows at a time.
+        kernels.CHUNK rows at a time.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         if n < 1:
@@ -311,13 +310,12 @@ class CompositionSet:
         table = self.leaves
         size = len(table)
         counts = table.counts
-        # ROW_CHUNK rows at a time: is the row a composition, and its key,
-        # or 0, which no composition has, when it is not one
+        # one chunk at a time: is the row a composition, and its key, or 0,
+        # which no composition has, when it is not one
         not_comp = np.ones(size, dtype=bool)
         keys = np.zeros(size, dtype=key_dtype(n, m))
         if size and counts.shape[1] == m:
-            for start in range(0, size, ROW_CHUNK):
-                rows = slice(start, start + ROW_CHUNK)
+            for rows in chunks(size):
                 # int64 (object for a count beyond it): no sum wraps
                 chunk = counts[rows].astype(np.result_type(counts, np.int64),
                                             copy=False)
@@ -362,10 +360,7 @@ class CompositionSet:
         # as a float only for a word in [0, 2^k]
         bad_cap = np.zeros(size, dtype=bool)
         bad_w = np.zeros(size, dtype=bool)
-        stop = 0
-        for mc in multinomials(counts, n):
-            rows = slice(stop, stop + len(mc))
-            stop = rows.stop
+        for rows, mc in zip(chunks(size), multinomials(counts, n)):
             w = np.array(words[rows], dtype=object)
             bad_cap[rows] = (w < 0) | (w > mc)
             fits = ~bad_cap[rows] & (w <= need)
@@ -401,11 +396,10 @@ class CompositionSet:
         if not tree:
             units, _ = self.alphabet.integer_energies()
             cap = integer_radius(n, k, self.alphabet)
-            for start in range(0, size, ROW_CHUNK):
-                outside = block_energies(counts[start:start + ROW_CHUNK], n,
-                                         units) > cap
+            for rows in chunks(size):
+                outside = block_energies(counts[rows], n, units) > cap
                 if outside.any():
-                    leaf = table[start + int(outside.argmax())].counts
+                    leaf = table[rows.start + int(outside.argmax())].counts
                     raise ConstructionBugError(
                         f"leaf {leaf} lies outside the radius {self.e_max!r}")
         self.rate_loss  # evaluated for its check: a negative rate loss raises
@@ -415,7 +409,7 @@ def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     """Weighted average PMF: sum over leaves of weight * c_i / n, per level.
 
     Terms are added leaf by leaf in order, exactly as a Python loop from 0.0
-    would (running_sum), one level of ROW_CHUNK leaves at a time, so no
+    would (running_sum), one level of kernels.CHUNK leaves at a time, so no
     temporary is longer than a chunk.  Zero-weight leaves add 0.0, which
     changes nothing.
     """

@@ -4,7 +4,10 @@ EssTrellis counts the ESS energy ball with kernels.trellis_build, apart from
 the shell scan the ESS build uses; level_split_arrangements lists a
 composition's arrangements in the codec's order, ranked from the order's
 definition with math.comb rather than the kernels' binomial table;
-w_to_dbm states launch powers in dBm.
+enumerate_compositions walks every composition of n apart from the kernels'
+shell scan, and multinomial_coefficient counts a composition's arrangements
+by factorials rather than by kernels.mc_counts' binomials; w_to_dbm states
+launch powers in dBm.
 """
 
 import itertools
@@ -76,6 +79,41 @@ def level_split_arrangements(counts):
                     if tuple(map(seq.count, range(m))) == tuple(counts))
     assert [rank for rank, _ in ranked] == list(range(len(ranked)))
     return [seq for _, seq in ranked]
+
+
+def multinomial_coefficient(counts):
+    """Number of distinct arrangements of the composition, exact."""
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def enumerate_compositions(n, alphabet=DEFAULT_ALPHABET, predicate=None):
+    """All compositions of n into alphabet.m parts, colexicographic order.
+
+    The stream is deterministic; the predicate filters (it does not prune),
+    e.g. ``lambda c: energy(c, a) <= e_max``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = alphabet.m
+    counts = [0] * m
+    counts[0] = n
+    while True:
+        c = tuple(counts)
+        if predicate is None or predicate(c):
+            yield c
+        if counts[0] > 0:
+            counts[0] -= 1
+            counts[1] += 1
+            continue
+        for j in range(1, m - 1):
+            if counts[j] > 0:
+                t = counts[j]
+                counts[j] = 0
+                counts[j + 1] += 1
+                counts[0] = t - 1
+                break
+        else:
+            return
 
 
 def w_to_dbm(power_w: float) -> float:

@@ -19,7 +19,7 @@ from dmshape.codec import SchemeCodec
 from dmshape.kernels import mc_counts
 from dmshape.schemefile import scheme_to_text
 
-from oracles import EssTrellis
+from oracles import EssTrellis, enumerate_compositions
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -36,8 +36,8 @@ def test_criterion_1_combinatorics_oracle():
         alphabet = d.AmplitudeAlphabet(range(1, m + 1))
         for n in range(1, 9):
             total = 0
-            for counts in d.enumerate_compositions(n, alphabet):
-                mc = d.multinomial_coefficient(counts)
+            for counts in enumerate_compositions(n, alphabet):
+                mc = mc_counts(counts)
                 hits = sum(
                     1 for seq in itertools.product(range(m), repeat=n)
                     if tuple(Counter(seq).get(i, 0) for i in range(m)) == counts)

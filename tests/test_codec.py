@@ -13,7 +13,12 @@ from dmshape.errors import DecodeError, RateInfeasibleError
 from dmshape.kernels import mc_counts
 from dmshape.optimizer import BUILDERS
 
-from oracles import EssTrellis, level_split_arrangements
+from oracles import (
+    EssTrellis,
+    enumerate_compositions,
+    level_split_arrangements,
+    multinomial_coefficient,
+)
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -37,8 +42,8 @@ class TestCcRankUnrank:
 
     @pytest.mark.parametrize("alphabet,n", [(A2, 6), (A2, 8), (A3, 5), (A3, 7)])
     def test_exhaustive_bijection(self, alphabet, n):
-        for counts in d.enumerate_compositions(n, alphabet):
-            mc = d.multinomial_coefficient(counts)
+        for counts in enumerate_compositions(n, alphabet):
+            mc = multinomial_coefficient(counts)
             seqs = [d.cc_unrank(i, counts, alphabet) for i in range(mc)]
             assert seqs == split_arrangements(counts, alphabet)
             for i, seq in enumerate(seqs):
@@ -55,7 +60,7 @@ class TestCcRankUnrank:
     @settings(max_examples=60)
     def test_random_roundtrip_medium_blocks(self, counts, seed):
         counts = tuple(counts)
-        index = seed % d.multinomial_coefficient(counts)
+        index = seed % multinomial_coefficient(counts)
         seq = d.cc_unrank(index, counts, A4)
         assert d.cc_rank(seq, counts, A4) == index
 
@@ -221,7 +226,7 @@ def test_decode_refuses_zero_weight_shell(ess216):
     # the crossing shell is used in part: its last used rank decodes, the
     # next is refused
     part = next(leaf for leaf in ess216.leaves
-                if 0 < leaf.used_count < d.multinomial_coefficient(leaf.counts))
+                if 0 < leaf.used_count < multinomial_coefficient(leaf.counts))
     last = d.cc_unrank(part.used_count - 1, part.counts, ess216.alphabet)
     codec.decode(last)
     with pytest.raises(DecodeError, match="rank beyond the leaf's used words"):

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import dmshape as d
 from dmshape.combinatorics import colex_key, float_sum
 from dmshape.errors import ConstructionBugError
+from dmshape.kernels import mc_counts
+
+from oracles import enumerate_compositions, multinomial_coefficient
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -28,37 +31,36 @@ def brute_force_mc(counts):
 
 
 def compositions(n, m):
-    return d.enumerate_compositions(n, d.AmplitudeAlphabet(range(1, m + 1)))
+    return enumerate_compositions(n, d.AmplitudeAlphabet(range(1, m + 1)))
 
 
 class TestMultinomial:
     def test_examples(self):
-        assert d.multinomial_coefficient((1, 1, 1)) == 6
-        assert d.multinomial_coefficient((3, 0, 0, 0)) == 1
+        assert mc_counts((1, 1, 1)) == 6
+        assert mc_counts((3, 0, 0, 0)) == 1
         # brute-force oracle for the derived example
         assert brute_force_mc((2, 1, 0, 0)) == 3
-        assert d.multinomial_coefficient((2, 1, 0, 0)) == 3
+        assert mc_counts((2, 1, 0, 0)) == 3
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 8) for m in (2, 3)])
     def test_against_brute_force(self, n, m):
         for c in compositions(n, m):
-            assert d.multinomial_coefficient(c) == brute_force_mc(c)
+            assert mc_counts(c) == brute_force_mc(c)
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 9) for m in (2, 3)])
     def test_total_is_m_to_n(self, n, m):
-        assert sum(d.multinomial_coefficient(c)
-                   for c in compositions(n, m)) == m ** n
+        assert sum(mc_counts(c) for c in compositions(n, m)) == m ** n
 
 
 class TestInputBits:
     def test_examples(self):
         assert d.input_bits((3, 0, 0, 0)) == 0
-        assert d.multinomial_coefficient((2, 2, 0, 0)) == 6
+        assert mc_counts((2, 2, 0, 0)) == 6
         assert d.input_bits((2, 2, 0, 0)) == 2
 
     @given(st.lists(st.integers(0, 30), min_size=2, max_size=5).filter(sum))
     def test_bit_identities(self, counts):
-        mc = d.multinomial_coefficient(counts)
+        mc = multinomial_coefficient(counts)
         b = d.input_bits(counts)
         assert b == mc.bit_length() - 1
         assert 2 ** b <= mc < 2 ** (b + 1)
@@ -164,7 +166,7 @@ class TestEnumeration:
         assert len(seen) == math.comb(n + m - 1, m - 1)
 
     def test_predicate_filter(self):
-        got = list(d.enumerate_compositions(
+        got = list(enumerate_compositions(
             2, A2, predicate=lambda c: d.energy(c, A2) <= 2))
         assert got == [(2, 0)]
 
@@ -172,7 +174,7 @@ class TestEnumeration:
         assert math.comb(219, 3) == 1726669
 
     def test_reference_scale_stream(self):
-        assert sum(1 for _ in d.enumerate_compositions(216, A4)) == 1726669
+        assert sum(1 for _ in enumerate_compositions(216, A4)) == 1726669
 
     def test_colex_key(self):
         assert sorted([(0, 2), (2, 0), (1, 1)], key=colex_key) == [

@@ -38,12 +38,7 @@ import dmshape as d
 from dmshape import ccdm, combinatorics, kernels, mpdm, nli, schemes
 from dmshape.ccdm import mb_composition_chain
 from dmshape.cli import _write_report, main
-from dmshape.combinatorics import (
-    enumerate_compositions,
-    input_bits,
-    integer_radius,
-    kurtosis_of,
-)
+from dmshape.combinatorics import input_bits, integer_radius, kurtosis_of
 from dmshape.errors import (
     ConstructionBugError,
     ModelDomainError,
@@ -57,6 +52,8 @@ from dmshape.schemes import (
     is_tree_scheme,
     smallest_feasible_cap,
 )
+
+from oracles import enumerate_compositions
 
 ALPHABETS = [
     d.AmplitudeAlphabet((1, 3)),
@@ -292,12 +289,12 @@ def scalar_chain(n, alphabet):
 @settings(max_examples=50, deadline=None)
 @given(alphabet=alphabets, n=st.integers(1, 400),
        grid=st.sampled_from([64, 1000, 1 << 11]),
-       chunk=st.sampled_from([1, 7, ccdm.CHAIN_CHUNK]))
+       chunk=st.sampled_from([1, 3, 7, kernels.CHUNK]))
 def test_chain_equals_scalar_sweep(alphabet, n, grid, chunk):
     # a coarser grid keeps the scalar oracle cheap; both read the same grid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ccdm, "LAMBDA_GRID", grid)
-        mp.setattr(ccdm, "CHAIN_CHUNK", chunk)
+        mp.setattr(kernels, "CHUNK", chunk)
         assert mb_composition_chain.__wrapped__(n, alphabet) == \
             scalar_chain(n, alphabet)
 
@@ -456,7 +453,7 @@ def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
     # chunks of 1 and 3 shells put the crossing shell first, last and
     # inside a chunk, and the total reaching 2^k exactly at a chunk's end
     k = data.draw(st.integers(0, max_k(n, alphabet)))
-    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+    with mock.patch.object(kernels, "CHUNK", chunk):
         built = d.build_ess(n, k, alphabet)
     used = bisect_used(built.leaves.counts, k)
     assert built.leaves.used_counts == tuple(used)
@@ -638,10 +635,10 @@ def edited(base, edits):
 @given(base=st.integers(0, len(VALIDATE_BASES) - 1),
        edits=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(EDITS)),
                       max_size=4),
-       chunk=st.sampled_from([1, 2, 3, kernels.MULTINOMIAL_CHUNK]))
+       chunk=st.sampled_from([1, 2, 3, kernels.CHUNK]))
 def test_column_capacity_check_is_the_factorial_product(base, edits, chunk):
     built = edited(validate_base(base), edits)
-    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+    with mock.patch.object(kernels, "CHUNK", chunk):
         try:
             built.validate()
             got = None
@@ -830,7 +827,7 @@ def adhoc_set(alphabet, counts_list):
 
 @settings(max_examples=100, deadline=None)
 @given(alphabet=alphabets, n=st.integers(1, 40), data=st.data(),
-       chunk=st.sampled_from([1, 3, nli.ANALYZE_CHUNK]),
+       chunk=st.sampled_from([1, 3, kernels.CHUNK]),
        hostile=st.sampled_from(
            [None, "zero", "cancel", "negative", "huge", "wide"]))
 def test_chunked_analyze_equals_per_leaf(alphabet, n, data, chunk, hostile):
@@ -863,12 +860,8 @@ def test_chunked_analyze_equals_per_leaf(alphabet, n, data, chunk, hostile):
     matrix = np.array(counts_list, dtype=np.int64)
     assert outcome(lambda: kurtosis_of(matrix, alphabet)) == want
     built = adhoc_set(alphabet, counts_list)
-    old = nli.ANALYZE_CHUNK
-    nli.ANALYZE_CHUNK = chunk
-    try:
+    with mock.patch.object(kernels, "CHUNK", chunk):
         report = outcome(lambda: d.analyze(built, MODEL))
-    finally:
-        nli.ANALYZE_CHUNK = old
     if isinstance(want, tuple):
         assert report == want
         return
@@ -945,12 +938,11 @@ def assert_report_is_the_list_reference(report, built, model):
         s * w for _, _, w, s in want)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, nli.ANALYZE_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, kernels.CHUNK])
 def test_report_columns_read_as_the_list_reference(monkeypatch, chunk):
     # a toy ESS scheme has a zero-weight shell; chunks of 1 and 3 leaves put
     # the running sum and each column reader across chunk boundaries
-    monkeypatch.setattr(nli, "ANALYZE_CHUNK", chunk)
-    monkeypatch.setattr(schemes, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
     for built in (d.build_ess(6, 4, d.AmplitudeAlphabet((1, 3))),
                   d.build_mpdm(8, 5, d.AmplitudeAlphabet((1, 3)))):
         assert_report_is_the_list_reference(d.analyze(built, MODEL), built,
@@ -986,7 +978,7 @@ def test_analyze_and_report_memory_is_columnar(ess216, ess_step_memory):
 @settings(max_examples=60, deadline=None)
 @given(snrs=st.lists(st.sampled_from([-0.5, 1.0, 2.5, 7.25]), min_size=1,
                      max_size=12),
-       data=st.data(), chunk=st.sampled_from([1, 3, schemes.ROW_CHUNK]))
+       data=st.data(), chunk=st.sampled_from([1, 3, kernels.CHUNK]))
 def test_cdf_sums_repeated_snrs_as_the_list_reference(snrs, data, chunk):
     # weights such as 0.1, 0.2 and 0.3 sum to different floats in different
     # orders, so each SNR's sum must be taken in row order, across chunks
@@ -999,7 +991,7 @@ def test_cdf_sums_repeated_snrs_as_the_list_reference(snrs, data, chunk):
         snr_db=np.array(snrs), min_db=min(snrs), max_db=max(snrs),
         avg_db=0.0)
     want = list_cdf(observed_entries(report))
-    with mock.patch.object(schemes, "ROW_CHUNK", chunk), \
+    with mock.patch.object(kernels, "CHUNK", chunk), \
             tempfile.TemporaryDirectory() as tmp:
         assert report.cdf() == want
         _write_report(tmp + "/r", report, 0.01)

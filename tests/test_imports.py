@@ -5,7 +5,9 @@ import statement binds but the module never references.  The re-exports
 of dmshape/__init__.py and ``from __future__`` directives are exempt.
 Likewise every module-level function or class must be referenced somewhere
 in the package outside its own definition, or re-exported by __init__.py,
-unless DEAD_ALLOWED gives the reason it stays.
+unless DEAD_ALLOWED gives the reason it stays.  And the block size of every
+column walk is one constant, kernels.CHUNK, which every module reads through
+kernels when it walks, so that patching it reaches every walk.
 """
 
 import ast
@@ -95,3 +97,50 @@ def test_gate_finds_a_dead_helper():
         "b": "from .a import Used\nx = Used()\ny = a._inner\n",
     }
     assert dead_helpers(sources) == ["a.loop"]
+
+
+def chunk_constants(sources: dict[str, str]) -> list[str]:
+    """module.name of every module-level assignment to a name containing
+    CHUNK."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            found += [f"{module}.{node.id}" for target in targets
+                      for node in ast.walk(target)
+                      if isinstance(node, ast.Name) and "CHUNK" in node.id]
+    return found
+
+
+def chunk_from_imports(sources: dict[str, str]) -> list[str]:
+    """Every ``from ... import CHUNK``: the name it binds keeps the value
+    kernels.CHUNK had at import, so a patched block size would miss it."""
+    return [f"{module} line {node.lineno}"
+            for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "CHUNK" for alias in node.names)]
+
+
+def test_one_chunk_constant_read_through_its_module():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert chunk_constants(sources) == ["kernels.CHUNK"]
+    assert chunk_from_imports(sources) == []
+
+
+def test_gate_finds_a_second_chunk_constant_and_a_chunk_import():
+    sources = {
+        "kernels": "CHUNK = 4096\ndef chunks(size): return CHUNK\n",
+        "ccdm": "from . import kernels\nfrom .kernels import CHUNK\n"
+                "ROW_CHUNK: int = 7\n",
+        "nli": "from .kernels import chunks, CHUNK as ROWS\n"
+               "A_CHUNK, b = 1, 2\nrows = kernels.CHUNK\n",
+    }
+    assert chunk_constants(sources) == [
+        "kernels.CHUNK", "ccdm.ROW_CHUNK", "nli.A_CHUNK"]
+    assert chunk_from_imports(sources) == ["ccdm line 2", "nli line 1"]

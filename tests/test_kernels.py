@@ -101,13 +101,13 @@ HALF = MAX_BLOCK_LENGTH // 2
 
 
 @settings(max_examples=200, deadline=None)
-@given(count_matrices(), st.sampled_from([1, 2, 5, kernels.MULTINOMIAL_CHUNK]))
+@given(count_matrices(), st.sampled_from([1, 2, 3, 5, kernels.CHUNK]))
 # the largest binomial a valid scheme can ask for, comb(2^16, 2^15)
 @example((MAX_BLOCK_LENGTH, 2, [[HALF, HALF], [0, MAX_BLOCK_LENGTH]]), 1)
 def test_multinomials_equal_mc_counts(case, chunk):
     n, m, rows = case
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-    with mock.patch.object(kernels, "MULTINOMIAL_CHUNK", chunk):
+    with mock.patch.object(kernels, "CHUNK", chunk):
         blocks = list(kernels.multinomials(matrix, n))
     assert all(0 < len(block) <= chunk for block in blocks)
     got = [x for block in blocks for x in block.tolist()]

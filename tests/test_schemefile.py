@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmshape as d
-from dmshape import schemefile
+from dmshape import kernels
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
@@ -49,8 +49,8 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
     def test_written_file_is_the_text(self, tmp_path, monkeypatch, chunk):
-        # write_scheme and read_scheme stream LEAF_CHUNK lines at a time
-        monkeypatch.setattr(schemefile, "LEAF_CHUNK", chunk)
+        # write_scheme and read_scheme stream kernels.CHUNK leaves at a time
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
         for built in (d.build_ccdm(6, 4, A2), d.build_ess(6, 5, A2),
                       d.build_mpdm(8, 5, A2)):
             path = tmp_path / "s.scheme"
