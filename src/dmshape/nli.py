@@ -76,6 +76,8 @@ class WdmConfig:
         if self.n_channels > MAX_CHANNELS:
             raise ValueError(f"n_channels={self.n_channels} exceeds "
                              f"MAX_CHANNELS={MAX_CHANNELS}")
+        if self.symbol_rate_gbaud <= 0:
+            raise ValueError("symbol_rate_gbaud must be positive")
         if not 0 <= self.rolloff <= 1:
             raise ValueError("rolloff must lie in [0, 1]")
         if self.spacing_ghz < self.symbol_rate_gbaud * (1 + self.rolloff):

@@ -381,6 +381,17 @@ class TestHostileInput:
             f"dmshape: invalid configuration: n_channels={count} exceeds "
             "MAX_CHANNELS=10001\n")
 
+    @pytest.mark.parametrize("rate", ["0", "-100.0"])
+    def test_symbol_rate_must_be_positive(self, tmp_path, capsys, rate):
+        # a negative rate once passed the spacing check and gn_eta0 took
+        # the log of a negative ratio
+        rc, _ = self.analyze_with_config(tmp_path, capsys,
+                                         f"symbol_rate_gbaud={rate}\n")
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "dmshape: invalid configuration: symbol_rate_gbaud must be "
+            "positive\n")
+
     @pytest.mark.parametrize("args,rc,reason", [
         (["analyze", "--bins", "0"], 2,
          "argument --bins: '0' is not a finite positive number"),
