@@ -136,4 +136,4 @@ def build_ccdm(n: int, k: int,
                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     """Single-leaf scheme on the selected target, operated at exactly k bits."""
     target = select_ccdm(n, k, alphabet)  # it carries at least k bits
-    return tree_scheme("ccdm", n, k, alphabet, [(target, k)])
+    return tree_scheme("ccdm", n, k, alphabet, np.array([target]), [k])

@@ -172,11 +172,6 @@ def float_sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def colex_key(counts: Sequence[int]) -> tuple[int, ...]:
-    """Sort key realising colexicographic order (last coordinate first)."""
-    return tuple(reversed(counts))
-
-
 def input_bits(counts: Sequence[int]) -> int:
     """floor(log2(MC)) via the bit length of the exact count."""
     return kernels.mc_counts(tuple(counts)).bit_length() - 1

@@ -7,7 +7,8 @@ MAX_TABLE_N and update one binomial per step above it; the ESS shell walk
 (shells_upto: one count matrix, from a depth-first walk that stops each
 level at the energy radius, so its cost follows its output, and that
 refuses a ball of more than MAX_ESS_SHELLS shells before forming any row);
-the complement-pair walk (pair_list; scanned_pairs keeps its last list for
+the complement-pair walk (pair_list: one array of canonical members and
+payloads, bounded by MAX_MPDM_PAIRS; scanned_pairs keeps the last for
 pair_capacity and MPDM); and the column kernel ``multinomials``: the exact
 multinomial of every row of a count matrix (validate's capacities,
 build_ess's shell sizes), each distinct binomial formed once and the
@@ -46,6 +47,12 @@ def chunks(size):
 # 151 MB for 802,188 at n=432, 183 MB for 989,150 at n=464), so this bounds
 # it near 200 MB and still holds compare at n=432.
 MAX_ESS_SHELLS = 1 << 20
+
+# Pairs one pair_list walk may return.  An MPDM build peaks near 55 bytes of
+# RSS per pair in one process over 8 levels (61 MB for 558,016 pairs at n=56,
+# 179 MB for 2,723,472 at n=64, 205 MB for that opt-mpdm), so this bounds it
+# near 200 MB, as MAX_ESS_SHELLS does the ESS build.
+MAX_MPDM_PAIRS = 3 << 20
 
 
 def backend_name():
@@ -313,6 +320,22 @@ def energy_totals(n, int_energies):
     return totals, ncomp
 
 
+def _sweep_rows(out, starts, lengths):
+    """Fill the (L, m) matrix out, and return it, with sweeps given as start
+    rows (m ints each, flat) and lengths: row j of a sweep is its start row
+    with j units moved from level 0 to level 1, formed CHUNK rows at a time."""
+    starts = np.array(starts, dtype=out.dtype).reshape(-1, out.shape[1])
+    firsts = np.cumsum([0, *lengths])  # each sweep's first row
+    for rows in chunks(len(out)):
+        at = np.arange(rows.start, rows.stop)
+        sweep = np.searchsorted(firsts, at, side="right") - 1
+        steps = (at - firsts[sweep]).astype(out.dtype, copy=False)
+        out[rows] = starts[sweep]
+        out[rows, 0] -= steps
+        out[rows, 1] += steps
+    return out
+
+
 def shells_upto(n, int_energies, e_cap):
     """All compositions with integer energy <= e_cap, in colex order.
 
@@ -347,30 +370,27 @@ def shells_upto(n, int_energies, e_cap):
                     f"MAX_ESS_SHELLS={MAX_ESS_SHELLS} shells")
             starts += (rem, 0) + suffix  # flat: no object per row
             lengths.append(hi + 1)
-    lengths = np.array(lengths, dtype=np.int64)
-    rows = np.repeat(np.array(starts, dtype=np.int64).reshape(-1, m),
-                     lengths, axis=0)
-    # position of each row within its sweep
-    steps = np.arange(len(rows)) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths)
-    rows[:, 0] -= steps
-    rows[:, 1] += steps
-    return rows
+    return _sweep_rows(np.empty((total, m), dtype=np.int64), starts, lengths)
 
 
 def pair_list(c0, min_payload):
     """All complement pairs around c0 with payload >= min_payload.
 
-    Returns a list of (canonical counts, complement counts, payload) with the
-    canonical member the colexicographically smaller one; each unordered pair
-    appears exactly once, the pair {c0, c0} never.
+    Returns one read-only structured array, a row per pair in colex order:
+    ``counts`` is the colexicographically smaller member in
+    np.min_scalar_type(n), whose complement 2*c0 - counts is never stored,
+    and ``payload`` the smaller member's input bits.  Each unordered pair
+    appears exactly once, the pair {c0, c0} never.  More than MAX_MPDM_PAIRS
+    pairs are refused before the array is formed.
     """
+    from array import array  # here, so ESS runs never map its ~0.3 MB
     m = len(c0)
     n = sum(c0)
     c0t = tuple(c0)
     box = [min(2 * a, n) for a in c0t]
     floor = 1 << min_payload
-    pairs = []
+    starts, lengths = [], []
+    payloads = array("i")  # 4 bytes a pair, no object per pair
     # Outer levels run over coordinates m-1 .. 2 in colex order, on an
     # explicit stack as in shells_upto, so any number of levels is walked;
     # coordinate 1 varies along the inner line and coordinate 0 is the
@@ -389,7 +409,7 @@ def pair_list(c0, min_payload):
             continue
         # Along the line one unit moves level 0 -> 1 per step, so MC(C) and
         # MC(2*c0 - C) are each a binomial in c1, hence log-concave: the
-        # points where both reach 2^min_payload form one interval.
+        # points where both reach 2^min_payload form one interval (a sweep).
         lo = max(0, rem - box[0])
         hi = min(box[1], rem, c0t[1] - 1) if tight else min(box[1], rem)
         if lo > hi:
@@ -399,7 +419,7 @@ def pair_list(c0, min_payload):
         rest = tuple(2 * x - y for x, y in zip(c0t[2:], suffix))
         mc = mc_counts((a, b) + suffix)
         mcb = mc_counts((ab, bb) + rest)
-        inside = False
+        first, held = None, len(payloads)
         for c1 in range(lo, hi + 1):
             if c1 > lo:
                 # one unit moved 0 -> 1 in C, and 1 -> 0 in Cb
@@ -410,16 +430,27 @@ def pair_list(c0, min_payload):
                 mc = mc * (a + 1) // b
                 mcb = mcb * (bb + 1) // ab
             if mc >= floor and mcb >= floor:
-                inside = True
-                p = min(mc.bit_length(), mcb.bit_length()) - 1
-                pairs.append(((a, b) + suffix, (ab, bb) + rest, p))
-            elif inside:
+                first = c1 if first is None else first
+                payloads.append(min(mc.bit_length(), mcb.bit_length()) - 1)
+            elif first is not None:
                 break
+        if first is not None:
+            if len(payloads) > MAX_MPDM_PAIRS:
+                raise RateInfeasibleError(
+                    f"the MPDM pairs around {c0t} number more than "
+                    f"MAX_MPDM_PAIRS={MAX_MPDM_PAIRS}")
+            starts += (rem - first, first) + suffix  # flat, as in shells_upto
+            lengths.append(len(payloads) - held)
+    pairs = np.empty(len(payloads), dtype=[
+        ("counts", np.min_scalar_type(n), (m,)), ("payload", np.int32)])
+    _sweep_rows(pairs["counts"], starts, lengths)
+    pairs["payload"] = payloads
+    pairs.flags.writeable = False
     return pairs
 
 
-# The last pair box walked, as a list.  MPDM's winning target is the last
-# candidate its selection scans, so enumerate_pairs finds the list here.
+# The last pair box walked.  MPDM's winning target is the last candidate its
+# selection scans, so enumerate_pairs finds its array here.
 scanned_pairs = functools.lru_cache(maxsize=1)(pair_list)
 
 
@@ -427,13 +458,10 @@ def pair_capacity(c0, min_payload):
     """Total address space of complement pairs around c0.
 
     Returns sum over unordered pairs {C, 2*c0 - C} with payload >= min_payload
-    of 2 * 2^payload, where payload = min(input_bits(C), input_bits(C_bar)).
-    The walk's list replaces the last one in scanned_pairs, which is dropped
-    first: two lists alive at once fragment the heap (+12 MB peak RSS in
-    compare at n=432, where five candidates are scanned).
-    """
-    scanned_pairs.cache_clear()
-    return sum(2 << p for _, _, p in scanned_pairs(tuple(c0), min_payload))
+    of 2 * 2^payload, payload = min(input_bits(C), input_bits(C_bar)), over
+    the histogram of the payloads of the array scanned_pairs keeps."""
+    held = np.bincount(scanned_pairs(tuple(c0), min_payload)["payload"])
+    return sum(count << (p + 1) for p, count in enumerate(held.tolist()))
 
 
 def trellis_build(n, deltas, width):

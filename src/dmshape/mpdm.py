@@ -37,6 +37,8 @@ import math
 from itertools import accumulate
 from operator import add, sub
 
+import numpy as np
+
 from . import kernels
 from .ccdm import mb_composition_chain
 from .combinatorics import (
@@ -61,14 +63,12 @@ def min_pair_payload(c0: Counts) -> int:
     return max(0, input_bits(c0) - PAIR_WINDOW_BITS)
 
 
-def enumerate_pairs(c0: Counts,
-                    min_payload: int) -> list[tuple[Counts, Counts, int]]:
+def enumerate_pairs(c0: Counts, min_payload: int) -> np.ndarray:
     """Every complement pair {C, 2*C0-C} with payload >= min_payload.
 
-    (C, 2*C0-C, payload) triples: both members non-negative, C != C0, each
-    unordered pair once with the colex-smaller member C; payload = min of
-    the members' input bits.  The list is kernels.scanned_pairs' own, shared
-    with pair_capacity and not copied: read it, never change it.
+    kernels.pair_list's read-only array, a row per unordered pair: the
+    colex-smaller member C != C0 in ``counts`` (2*C0-C is derived) and the
+    smaller member input bits in ``payload``; scanned_pairs' own array.
     """
     return kernels.scanned_pairs(tuple(c0), min_payload)
 
@@ -160,23 +160,32 @@ def select_mpdm_target(n: int, k: int,
     raise RateInfeasibleError(f"no MPDM target reaches k={k} at n={n}")
 
 
-def assemble_tree(target: Counts, pairs, k: int) -> list[tuple[Counts, int]]:
+def assemble_tree(target: Counts, pairs: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Depth-balanced exact cover over the singleton and its pairs, the
-    (c, c_bar, payload) triples of enumerate_pairs.
+    array of enumerate_pairs.
 
-    Returns (counts, payload) leaves in take order; the target keeps a leaf
-    whenever anything is taken, and every retained pair keeps both members
-    at equal payload, so the average PMF equals the target's exactly.
+    Returns the leaves' count matrix and payloads in take order, each pair's
+    canonical member before its complement; the target keeps a leaf whenever
+    anything is taken, and every retained pair keeps both members at equal
+    payload, so the average PMF equals the target's exactly.
     """
-    items = [((tuple(target),), min(input_bits(target), k))]
-    items += [((c, c_bar), p) for c, c_bar, p in pairs]
-    cap = smallest_feasible_cap(items, k)
-    return exact_cover(items, k, payload_cap=cap)
+    single = np.array([(target, min(input_bits(target), k))], pairs.dtype)
+    items = np.concatenate((single, pairs))
+    mult = np.repeat(np.uint8([1, 2]), [1, len(pairs)])  # members per item
+    cap = smallest_feasible_cap(items["payload"], mult, k)
+    taken, paid = exact_cover(items["counts"], items["payload"], mult, k,
+                              payload_cap=cap)
+    times = mult[taken]
+    counts = np.repeat(items["counts"][taken], times, axis=0)
+    second = np.cumsum(times)[times == 2] - 1  # each pair's complement row
+    counts[second] = 2 * np.array(target) - counts[second]
+    return counts, np.repeat(paid, times)
 
 
 def build_mpdm(n: int, k: int,
                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> CompositionSet:
     target = select_mpdm_target(n, k, alphabet)
     pairs = enumerate_pairs(target, min_pair_payload(target))
-    cover = assemble_tree(target, pairs, k)
-    return tree_scheme("mpdm", n, k, alphabet, cover)
+    return tree_scheme("mpdm", n, k, alphabet,
+                       *assemble_tree(target, pairs, k))

@@ -16,22 +16,23 @@ shrinks the composition count by an order of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, takewhile
 
-from . import kernels
+import numpy as np
+
 from .ccdm import build_ccdm
 from .combinatorics import (
     DEFAULT_ALPHABET,
     AmplitudeAlphabet,
     check_k_range,
-    colex_key,
-    input_bits,
     kurtosis_of,
 )
 from .errors import RateInfeasibleError
 from .ess import build_ess
+from .kernels import chunks, multinomials
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
-from .schemes import CompositionSet, exact_cover, tree_scheme
+from .schemes import CompositionSet, exact_cover, row_values, tree_scheme
 
 
 def build_opt_mpdm(n: int, k: int,
@@ -44,30 +45,24 @@ def build_opt_mpdm(n: int, k: int,
         raise RateInfeasibleError(
             f"opt-mpdm at k={k} needs room for k+1={k + 1} bits: {exc}"
         ) from None
-    finally:
-        # the k+1 build is the last reader of the pair list an MPDM build at
-        # k leaves behind (its target is the same), so the list goes here
-        kernels.scanned_pairs.cache_clear()
-    need = 1 << k
-    kurtosis = dict(zip(map(tuple, base.leaves.counts.tolist()),
-                        kurtosis_of(base.leaves.counts, alphabet)))
-    ranked = sorted(kurtosis,
-                    key=lambda counts: (-kurtosis[counts], colex_key(counts)))
+    counts = base.leaves.counts
+    kurtosis = np.fromiter(chain.from_iterable(
+        kurtosis_of(counts[rows], alphabet) for rows in chunks(len(counts))),
+        dtype=np.float64, count=len(counts))
+    # worst kurtosis first, ties in colex order: the last key is primary
+    counts = counts[np.lexsort((*counts.T, -kurtosis))]
     # Addressability of a freed leaf is its own multinomial capacity (the
     # pairwise coupling is gone), clipped at the full input width.
-    payloads = [min(input_bits(counts), k) for counts in ranked]
-    capacity = sum(1 << p for p in payloads)
-    first_kept = 0
-    while first_kept < len(ranked):
-        drop = 1 << payloads[first_kept]
-        if capacity - drop < need:
-            break
-        capacity -= drop
-        first_kept += 1
-    items = [((counts,), p)
-             for counts, p in zip(ranked[first_kept:], payloads[first_kept:])]
-    cover = exact_cover(items, k)
-    return tree_scheme("opt-mpdm", n, k, alphabet, cover)
+    payloads = np.fromiter((min(mc.bit_length() - 1, k)
+                            for mcs in multinomials(counts, n) for mc in mcs),
+                           dtype=np.int64, count=len(counts))
+    # drop leaves from the front while what is left still reaches 2^k
+    slack = sum(1 << p for p in row_values(payloads)) - (1 << k)
+    dropped = accumulate(1 << p for p in row_values(payloads))
+    first_kept = sum(1 for _ in takewhile(slack.__ge__, dropped))
+    counts, payloads = counts[first_kept:], payloads[first_kept:]
+    taken, paid = exact_cover(counts, payloads, np.ones_like(payloads), k)
+    return tree_scheme("opt-mpdm", n, k, alphabet, counts[taken], paid)
 
 
 # The one scheme registry, tag -> builder(n, k, alphabet), in compare-row order.
@@ -99,23 +94,9 @@ def compare_schemes(n: int, k: int, model: NliModel,
 
     ``built`` can supply pre-built schemes by tag to avoid rebuilding.
     """
-    built = dict(built or {})
-    # The MPDM builds run first, k then k+1: the k+1 build reuses the pair
-    # list the k build leaves in kernels.scanned_pairs and then drops it, so
-    # no pair list is held through the ESS build and analyze.  A failure
-    # waits for its row's turn, so the first row at fault names the error.
-    failed = {}
-    for tag in ("mpdm", "opt-mpdm"):
-        if tag not in built:
-            try:
-                built[tag] = BUILDERS[tag](n, k, alphabet)
-            except Exception as exc:
-                failed[tag] = exc
     rows = []
     for tag, builder in BUILDERS.items():
-        if tag in failed:
-            raise failed[tag]
-        scheme = built.get(tag) or builder(n, k, alphabet)
+        scheme = (built or {}).get(tag) or builder(n, k, alphabet)
         report = analyze(scheme, model)
         rows.append(SchemeRow(scheme=scheme.scheme,
                               n_compositions=scheme.n_compositions,

@@ -42,8 +42,8 @@ capacity, so no float bound could decide it.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq
@@ -55,7 +55,6 @@ from .combinatorics import (
     Counts,
     Pmf,
     check_k_range,
-    colex_key,
     integer_radius,
     kurtosis_of,
     rate_loss as _rate_loss,
@@ -423,80 +422,79 @@ def average_pmf(table: LeafTable, n: int, m: int) -> Pmf:
     return tuple(pmf)
 
 
-def exact_cover(items: Iterable[tuple[tuple[Counts, ...], int]], k: int,
-                payload_cap: int | None = None) -> list[tuple[Counts, int]]:
+def exact_cover(counts: np.ndarray, payloads: np.ndarray, mult: np.ndarray,
+                k: int, payload_cap: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy exact cover of the 2^k address space.
 
-    Each item is (members, payload): one composition or a full pair.  Items
-    are sorted by operating payload descending (ties broken by the colex
-    order of the first member) and taken until the space is full; an
+    Item i is row counts[i] at payload payloads[i] with mult[i] members: 1
+    for one composition, 2 for a full pair that the row stands for.  Items
+    are sorted by operating payload min(p, cap) descending, ties broken by
+    the colex order of the rows, and taken until the space is full; an
     overshooting item has its payload reduced (equally across its members)
     to whatever still fits, and is dropped when nothing fits.  Raises when
     the items cannot fill the space exactly.
 
-    Returns (counts, payload) in take order, pair members adjacent.
+    Returns the taken items' indices in take order and the payload of each.
     """
+    from array import array  # here, so ESS runs never map its ~0.3 MB
     need = 1 << k
     cap = k if payload_cap is None else payload_cap
-    todo = sorted(items, key=lambda item: (-min(item[1], cap),
-                                           colex_key(item[0][0])))
-    leaves: list[tuple[Counts, int]] = []
+    # the last key is primary: -min(p, cap), then c_{m-1} .. c_0 (colex)
+    order = np.lexsort((*counts.T, -np.minimum(payloads, cap)))
+    taken, paid = array("q"), array("q")  # no object per item
     total = 0
-    for members, payload in todo:
+    for i, payload, times in chain.from_iterable(
+            zip(block.tolist(), payloads[block].tolist(), mult[block].tolist())
+            for block in row_chunks(order)):
         if total >= need:
             break
         p = min(payload, cap, k)
-        mult = len(members)
         remaining = need - total
-        if (mult << p) > remaining:
-            p = (remaining // mult).bit_length() - 1
+        if (times << p) > remaining:
+            p = (remaining // times).bit_length() - 1
             if p < 0:
                 continue
-        for c in members:
-            leaves.append((c, p))
-        total += mult << p
+        taken.append(i)
+        paid.append(p)
+        total += times << p
     if total < need:
         raise RateInfeasibleError(
             f"items supply {total} addresses, need 2^{k}")
     if total != need:
         raise ConstructionBugError("exact cover missed 2^k after adjustment")
-    return leaves
+    return np.array(taken, dtype=np.int64), np.array(paid, dtype=np.int64)
 
 
-def smallest_feasible_cap(items: Iterable[tuple[tuple[Counts, ...], int]],
+def smallest_feasible_cap(payloads: np.ndarray, mult: np.ndarray,
                           k: int) -> int:
     """Smallest payload cap whose capped address space still reaches 2^k.
 
+    Item i holds mult[i] members at payload payloads[i], as in exact_cover.
     Capping every item's payload at the returned value keeps the cover
     feasible while spreading the address space over as many items as
     possible (a depth-balanced tree).
     """
     need = 1 << k
-    # items sharing (member count, payload) contribute alike at every cap
-    hist = Counter((len(members), p) for members, p in items)
+    # items at one payload contribute alike at every cap: units[p] members
+    units = np.zeros(int(payloads.max(initial=0)) + 1, dtype=np.int64)
+    np.add.at(units, payloads, mult)
+    held = [(p, u) for p, u in enumerate(units.tolist()) if u]
 
     def capped_total(cap: int) -> int:
-        return sum((cnt * mult) << min(p, cap) for (mult, p), cnt in hist.items())
+        return sum(u << min(p, cap) for p, u in held)
 
     if capped_total(k) < need:
         raise RateInfeasibleError(f"address space below 2^{k}")
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if capped_total(mid) >= need:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(range(k), need, key=capped_total)  # grows with cap
 
 
 def tree_scheme(scheme: str, n: int, k: int, alphabet: AmplitudeAlphabet,
-                cover: Sequence[tuple[Counts, int]]) -> CompositionSet:
-    """Package an exact cover as a validated tree-addressed CompositionSet."""
-    payload = np.array([p for _, p in cover], dtype=np.int64)
+                counts: np.ndarray, payloads: np.ndarray) -> CompositionSet:
+    """Package leaf counts and payloads as a validated tree CompositionSet."""
+    payload = np.asarray(payloads, dtype=np.int64)
     leaves = LeafTable(
-        counts=narrow_counts(np.array([c for c, _ in cover], dtype=np.int64)
-                             .reshape(len(cover), alphabet.m), n),
+        counts=narrow_counts(counts, n),
         weights=np.ldexp(1.0, payload - k),  # 2^(p-k), exactly
         payload_bits=payload, depth=k - payload)
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,

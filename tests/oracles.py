@@ -6,17 +6,28 @@ composition's arrangements in the codec's order, ranked from the order's
 definition with math.comb rather than the kernels' binomial table;
 enumerate_compositions walks every composition of n apart from the kernels'
 shell scan, and multinomial_coefficient counts a composition's arrangements
-by factorials rather than by kernels.mc_counts' binomials; w_to_dbm states
-launch powers in dBm.
+by factorials rather than by kernels.mc_counts' binomials; exact_cover is the
+tuple-item greedy cover, sorted by colex_key, that the column cover of
+dmshape.schemes replaced; w_to_dbm states launch powers in dBm.  Two
+converters let tests state pairs and cover items as tuples: pair_triples
+turns a pair array back into (C, 2*c0 - C, payload) triples, and
+cover_columns turns ((members), payload) items into exact_cover's columns.
 """
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from dmshape import kernels
-from dmshape.combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet
-from dmshape.errors import DecodeError
+from dmshape.combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet, Counts
+from dmshape.errors import (
+    ConstructionBugError,
+    DecodeError,
+    RateInfeasibleError,
+)
 
 
 @dataclass
@@ -118,3 +129,66 @@ def enumerate_compositions(n, alphabet=DEFAULT_ALPHABET, predicate=None):
 
 def w_to_dbm(power_w: float) -> float:
     return 10 * math.log10(power_w * 1e3)
+
+
+def colex_key(counts: Sequence[int]) -> tuple[int, ...]:
+    """Sort key realising colexicographic order (last coordinate first)."""
+    return tuple(reversed(counts))
+
+
+def exact_cover(items: Iterable[tuple[tuple[Counts, ...], int]], k: int,
+                payload_cap: int | None = None) -> list[tuple[Counts, int]]:
+    """Greedy exact cover of the 2^k address space.
+
+    Each item is (members, payload): one composition or a full pair.  Items
+    are sorted by operating payload descending (ties broken by the colex
+    order of the first member) and taken until the space is full; an
+    overshooting item has its payload reduced (equally across its members)
+    to whatever still fits, and is dropped when nothing fits.  Raises when
+    the items cannot fill the space exactly.
+
+    Returns (counts, payload) in take order, pair members adjacent.
+    """
+    need = 1 << k
+    cap = k if payload_cap is None else payload_cap
+    todo = sorted(items, key=lambda item: (-min(item[1], cap),
+                                           colex_key(item[0][0])))
+    leaves: list[tuple[Counts, int]] = []
+    total = 0
+    for members, payload in todo:
+        if total >= need:
+            break
+        p = min(payload, cap, k)
+        mult = len(members)
+        remaining = need - total
+        if (mult << p) > remaining:
+            p = (remaining // mult).bit_length() - 1
+            if p < 0:
+                continue
+        for c in members:
+            leaves.append((c, p))
+        total += mult << p
+    if total < need:
+        raise RateInfeasibleError(
+            f"items supply {total} addresses, need 2^{k}")
+    if total != need:
+        raise ConstructionBugError("exact cover missed 2^k after adjustment")
+    return leaves
+
+
+def pair_triples(c0, pairs):
+    """A pair array of kernels.pair_list as (C, 2*c0 - C, payload) triples of
+    Python ints, in the array's order."""
+    return [(tuple(c), tuple(2 * a - b for a, b in zip(c0, c)), p)
+            for c, p in zip(pairs["counts"].tolist(),
+                            pairs["payload"].tolist())]
+
+
+def cover_columns(items):
+    """exact_cover's (counts, payloads, mult) columns of ((members), payload)
+    items: each item's first member, its payload and its member count."""
+    rows = [members[0] for members, _ in items]
+    width = len(rows[0]) if rows else 0
+    return (np.array(rows, dtype=np.int64).reshape(len(rows), width),
+            np.array([p for _, p in items], dtype=np.int64),
+            np.array([len(members) for members, _ in items], dtype=np.int64))

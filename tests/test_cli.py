@@ -703,6 +703,21 @@ class TestHostileInput:
             "MAX_ESS_SHELLS=1048576 shells\n")
         assert not out.exists()
 
+    def test_mpdm_pair_budget_is_one_line(self, tmp_path, capsys):
+        # 256-QAM amplitudes at n=128, k=300: the first MPDM candidate's box
+        # holds 129,223,323 compositions, and the walk refuses its pairs once
+        # their count passes the budget (without one it grew past 7 GB here)
+        out = tmp_path / "table.csv"
+        t0 = time.perf_counter()
+        rc = main(["compare", "--n", "128", "--k", "300",
+                   "--alphabet", "1,3,5,7,9,11,13,15", "--out", str(out)])
+        assert time.perf_counter() - t0 < 30.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dmshape: the MPDM pairs around (40, 34, 25, 15, 8, 4, 1, 1) "
+            "number more than MAX_MPDM_PAIRS=3145728\n")
+        assert not out.exists()
+
     def test_many_levels_mpdm_is_at_most_one_line(self, tmp_path, capsys):
         # 1,100 odd levels: the pair walk once recursed once per level and
         # ended in a RecursionError traceback

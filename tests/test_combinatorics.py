@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmshape as d
-from dmshape.combinatorics import colex_key, float_sum
+from dmshape.combinatorics import float_sum
 from dmshape.errors import ConstructionBugError
 from dmshape.kernels import mc_counts
 
-from oracles import enumerate_compositions, multinomial_coefficient
+from oracles import colex_key, enumerate_compositions, multinomial_coefficient
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))

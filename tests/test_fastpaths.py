@@ -53,7 +53,7 @@ from dmshape.schemes import (
     smallest_feasible_cap,
 )
 
-from oracles import enumerate_compositions
+from oracles import cover_columns, enumerate_compositions, pair_triples
 
 ALPHABETS = [
     d.AmplitudeAlphabet((1, 3)),
@@ -203,7 +203,7 @@ def test_reference_scale_scans_at_most_two(monkeypatch):
 
 def test_two_builds_walk_two_pair_boxes(monkeypatch):
     # compare builds MPDM at k and, under opt-mpdm, at k+1: the winner's scan
-    # leaves its list for enumerate_pairs, and the k+1 selection scans no box
+    # leaves its array for enumerate_pairs, and the k+1 selection scans no box
     mpdm._pair_space.cache_clear()
     walks, calls = [], []
     real_walk, real_capacity = kernels.pair_list, kernels.pair_capacity
@@ -230,7 +230,7 @@ def test_two_builds_walk_two_pair_boxes(monkeypatch):
     got = mpdm.enumerate_pairs(c0, pmin)
     assert len(walks) == 2
     assert len(got) == 20731
-    assert got == real_walk(c0, pmin)
+    assert pair_triples(c0, got) == pair_triples(c0, real_walk(c0, pmin))
 
 
 # -- pair scan -----------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_pair_list_equals_box_filter(case, data):
     c0, _ = case
     pmin = data.draw(st.integers(0, input_bits(c0) + 1))
     want = brute_pairs(c0, pmin)
-    assert kernels.pair_list(c0, pmin) == want
+    assert pair_triples(c0, kernels.pair_list(c0, pmin)) == want
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
 
 
@@ -268,7 +268,7 @@ def test_pair_list_equals_box_filter_at_reference():
     c0 = (105, 70, 31, 10)
     got = kernels.pair_list(c0, mpdm.min_pair_payload(c0))
     assert len(got) == 20731
-    assert got == brute_pairs(c0, mpdm.min_pair_payload(c0))
+    assert pair_triples(c0, got) == brute_pairs(c0, mpdm.min_pair_payload(c0))
 
 
 # -- MB chain ------------------------------------------------------------------
@@ -367,20 +367,22 @@ def test_histogram_cap_equals_direct_sum(k, data):
                                 max_size=40))
     items = [(((i,),) * mult, p) for i, (mult, p) in enumerate(shapes)]
     want = direct_cap(items, k)
+    _, payloads, mult = cover_columns(items)
     if want is None:
         with pytest.raises(RateInfeasibleError):
-            smallest_feasible_cap(items, k)
+            smallest_feasible_cap(payloads, mult, k)
     else:
-        assert smallest_feasible_cap(items, k) == want
+        assert smallest_feasible_cap(payloads, mult, k) == want
 
 
 def test_histogram_cap_at_reference(mpdm216):
     target = mpdm.select_mpdm_target(216, 349)
     pairs = mpdm.enumerate_pairs(target, mpdm.min_pair_payload(target))
     items = [((target,), input_bits(target))]
-    items += [((c, c_bar), p) for c, c_bar, p in pairs]
+    items += [((c, c_bar), p) for c, c_bar, p in pair_triples(target, pairs)]
     assert len(items) == 20732
-    assert smallest_feasible_cap(items, 349) == direct_cap(items, 349)
+    _, payloads, mult = cover_columns(items)
+    assert smallest_feasible_cap(payloads, mult, 349) == direct_cap(items, 349)
 
 
 # -- ESS build -----------------------------------------------------------------
@@ -667,6 +669,21 @@ def test_reference_outputs_pinned(ccdm216, mpdm216, ess216, opt216, capsys):
                 "fa781b99456a8bbc52e90824ef572081",
         "opt-mpdm": "ff7c07ed583278a2e8bd4e2df8ce7ec3"
                     "5e153b518690f3658ce6d8a97054effa"}
+
+
+def test_eight_level_tree_outputs_pinned():
+    # 256-QAM amplitudes: 278,946 pairs behind the mpdm build and more behind
+    # its k+1 base, where the pair array, not a list of tuples, holds them
+    a8 = d.AmplitudeAlphabet((1, 3, 5, 7, 9, 11, 13, 15))
+    digests = {built.scheme: hashlib.sha256(
+        scheme_to_text(built).encode()).hexdigest()
+        for built in (d.build_mpdm(48, 110, a8),
+                      d.build_opt_mpdm(48, 110, a8))}
+    assert digests == {
+        "mpdm": "a5ea892b85ade72e4d021d1771a33583"
+                "9e5dbddc0daac01692eabcb66ca0da3e",
+        "opt-mpdm": "bbd98561a5e5211be928d203abcf9c23"
+                    "632a363cb6c380bf103e48e87ea390d3"}
 
 
 SUM = builtins.sum

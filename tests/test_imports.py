@@ -1,8 +1,9 @@
 """Every import and every top-level helper in the package is used.
 
-Parses each module of src/dmshape with ast and fails on a name that an
-import statement binds but the module never references.  The re-exports
-of dmshape/__init__.py and ``from __future__`` directives are exempt.
+Parses each module of src/dmshape, and each test module, with ast and fails
+on a name that an import statement binds but the module never references.
+The re-exports of dmshape/__init__.py and ``from __future__`` directives are
+exempt.
 Likewise every module-level function or class must be referenced somewhere
 in the package outside its own definition, or re-exported by __init__.py,
 unless DEAD_ALLOWED gives the reason it stays.  And the block size of every
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dmshape"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dmshape"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -37,9 +39,11 @@ def unused_imports(source: str, reexports: bool) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(), path.name == "__init__.py") == []
+    reexports = path.parent == PACKAGE and path.name == "__init__.py"
+    assert unused_imports(path.read_text(), reexports) == []
 
 
 def test_gate_finds_a_dead_import():

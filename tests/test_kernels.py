@@ -12,6 +12,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 from unittest import mock
 
@@ -23,7 +24,7 @@ from dmshape import kernels
 from dmshape.errors import RateInfeasibleError
 from dmshape.schemes import MAX_BLOCK_LENGTH
 
-from oracles import level_split_rank
+from oracles import level_split_rank, pair_triples
 
 # (n, m) with m^n <= 4096, so every sequence can be listed
 SIZES = [(1, 2), (5, 2), (10, 2), (1, 3), (4, 3), (7, 3), (1, 4), (3, 4),
@@ -242,7 +243,7 @@ def test_pair_list_and_capacity(c0, pmin):
         p = min(multinomial(c).bit_length(), multinomial(cb).bit_length()) - 1
         if p >= pmin:
             want.append((c, cb, p))
-    assert kernels.pair_list(c0, pmin) == want
+    assert pair_triples(c0, kernels.pair_list(c0, pmin)) == want
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
 
 
@@ -252,8 +253,41 @@ def test_pair_list_walks_any_number_of_levels(c0):
     # levels on top box every member to zero there, so the pairs are c0's
     # own, each padded with those zeros
     pad = (0,) * 1100
-    assert kernels.pair_list(c0 + pad, 0) == [
-        (c + pad, cb + pad, p) for c, cb, p in kernels.pair_list(c0, 0)]
+    assert pair_triples(c0 + pad, kernels.pair_list(c0 + pad, 0)) == [
+        (c + pad, cb + pad, p)
+        for c, cb, p in pair_triples(c0, kernels.pair_list(c0, 0))]
+
+
+def test_pair_list_budget(monkeypatch):
+    # the walk refuses the pair past MAX_MPDM_PAIRS, not the last one
+    c0 = (5, 3, 2, 1)
+    want = pair_triples(c0, kernels.pair_list(c0, 0))
+    monkeypatch.setattr(kernels, "MAX_MPDM_PAIRS", len(want))
+    assert pair_triples(c0, kernels.pair_list(c0, 0)) == want
+    monkeypatch.setattr(kernels, "MAX_MPDM_PAIRS", len(want) - 1)
+    with pytest.raises(RateInfeasibleError) as info:
+        kernels.pair_list(c0, 0)
+    assert str(info.value) == (
+        "the MPDM pairs around (5, 3, 2, 1) number more than "
+        f"MAX_MPDM_PAIRS={len(want) - 1}")
+
+
+def test_pair_list_memory_is_columnar():
+    # a pair is a row of one structured array: m uint8 counts and an int32
+    # payload, 8 bytes at m=4, where a list of three tuples kept ~237
+    c0 = (105, 70, 31, 10)
+    pmin = kernels.mc_counts(c0).bit_length() - 1 - 40
+    kernels.pair_list(c0, pmin)  # warm-up: caches and free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = kernels.pair_list(c0, pmin)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 20731
+    assert pairs["counts"].dtype == np.uint8
+    assert retained / len(pairs) < 24
 
 
 def test_shells_upto_budget(monkeypatch):
@@ -271,9 +305,10 @@ def test_shells_upto_budget(monkeypatch):
 
 
 def test_pair_walk_frees_its_list(monkeypatch):
-    # a walk leaves nothing for the cyclic collector: its list is freed when
-    # the last reference goes, and pair_capacity's cleared list at once; the
-    # shell walk frees its lists whether it returns or is refused
+    # a walk leaves nothing for the cyclic collector: its array is freed
+    # when the last reference goes, and the cached array pair_capacity
+    # replaces at once; the shell walk frees its lists whether it returns or
+    # is refused
     gc.collect()
     gc.disable()
     try:

@@ -1,14 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dmshape as d
-from dmshape.combinatorics import colex_key
 from dmshape.errors import RateInfeasibleError
-from dmshape.mpdm import assemble_tree, min_pair_payload
+from dmshape.mpdm import min_pair_payload
 from dmshape.schemes import exact_cover, smallest_feasible_cap
 
-from oracles import multinomial_coefficient
+import oracles
+from oracles import (
+    colex_key,
+    cover_columns,
+    multinomial_coefficient,
+    pair_triples,
+)
 
 A4 = d.DEFAULT_ALPHABET
 A2 = d.AmplitudeAlphabet((1, 3))
@@ -37,28 +43,51 @@ def brute_force_pairs(c0, min_payload):
     return sorted(out)
 
 
+def triples(c0, min_payload):
+    """enumerate_pairs(c0, min_payload) as (C, C_bar, payload) triples."""
+    return pair_triples(c0, d.enumerate_pairs(c0, min_payload))
+
+
+def cover(items, k, payload_cap=None):
+    """The column exact_cover of ((members), payload) items as (counts,
+    payload) leaves in take order, each item's members adjacent."""
+    taken, paid = exact_cover(*cover_columns(items), k,
+                              payload_cap=payload_cap)
+    return [(c, p) for i, p in zip(taken.tolist(), paid.tolist())
+            for c in items[i][0]]
+
+
+def feasible_cap(items, k):
+    return smallest_feasible_cap(*cover_columns(items)[1:], k)
+
+
 class TestEnumeratePairs:
     def test_examples(self):
-        pairs = {(c, c_bar): p
-                 for c, c_bar, p in d.enumerate_pairs((2, 1, 1), 0)}
+        pairs = {(c, c_bar): p for c, c_bar, p in triples((2, 1, 1), 0)}
         assert ((3, 1, 0), (1, 1, 2)) in pairs
         assert ((4, 0, 0), (0, 2, 2)) in pairs
 
     def test_min_payload_example(self):
-        pairs = d.enumerate_pairs((1, 0, 1), 0)
+        pairs = triples((1, 0, 1), 0)
         entry = [(c_bar, p) for c, c_bar, p in pairs if c == (2, 0, 0)]
         assert entry and entry[0] == ((0, 0, 2), 0)
 
     @pytest.mark.parametrize("c0", [(2, 1, 1), (3, 2, 1), (4, 2), (5, 3, 2, 1)])
     def test_against_brute_force(self, c0):
         for pmin in (0, 1):
-            got = sorted((c, c_bar, p)
-                         for c, c_bar, p in d.enumerate_pairs(c0, pmin))
+            got = sorted((c, c_bar, p) for c, c_bar, p in triples(c0, pmin))
             assert got == brute_force_pairs(c0, pmin)
+
+    def test_array_is_read_only(self):
+        pairs = d.enumerate_pairs((5, 3, 2, 1), 0)
+        with pytest.raises(ValueError):
+            pairs["payload"][0] = 0
+        with pytest.raises(ValueError):
+            pairs[0] = pairs[1]
 
     def test_pair_arithmetic(self):
         c0 = (5, 3, 2, 1)
-        for c, c_bar, p in d.enumerate_pairs(c0, 0):
+        for c, c_bar, p in triples(c0, 0):
             assert tuple(a + b for a, b in zip(c, c_bar)) == \
                 tuple(2 * x for x in c0)
             assert colex_key(c) < colex_key(c_bar)
@@ -72,7 +101,7 @@ class TestSelectTarget:
         target = d.select_mpdm_target(4, 2, A2)
         assert target == (3, 1)
         space = 1 << d.input_bits(target)
-        for _, _, p in d.enumerate_pairs(target, min_pair_payload(target)):
+        for _, _, p in triples(target, min_pair_payload(target)):
             space += 2 << p
         assert space >= 4
 
@@ -93,35 +122,54 @@ class TestSelectTarget:
 class TestAssemble:
     def test_toy_cover_depths(self):
         items = [(((2, 2),), 2), (((3, 1), (1, 3)), 1)]
-        cap = smallest_feasible_cap(items, 3)
-        cover = exact_cover(items, 3, payload_cap=cap)
-        assert sum(1 << p for _, p in cover) == 8
-        depths = sorted(3 - p for _, p in cover)
+        cap = feasible_cap(items, 3)
+        leaves = cover(items, 3, payload_cap=cap)
+        assert sum(1 << p for _, p in leaves) == 8
+        depths = sorted(3 - p for _, p in leaves)
         assert depths == [1, 2, 2]
 
     def test_singleton_alone_depth_zero(self):
         items = [(((2, 2),), 2)]
-        cover = exact_cover(items, 2, payload_cap=smallest_feasible_cap(items, 2))
-        assert cover == [((2, 2), 2)]
+        leaves = cover(items, 2, payload_cap=feasible_cap(items, 2))
+        assert leaves == [((2, 2), 2)]
 
     def test_cover_cuts_an_overshooting_pair(self):
         # (2,2) takes 4 of 2^3; the pair at payload 2 would add 8, so both
         # members drop to payload 1
         items = [(((2, 2),), 2), (((1, 3), (3, 1)), 2)]
-        assert exact_cover(items, 3) == [((2, 2), 2), ((1, 3), 1), ((3, 1), 1)]
+        assert cover(items, 3) == [((2, 2), 2), ((1, 3), 1), ((3, 1), 1)]
 
     def test_cover_skips_a_pair_that_cannot_fit(self):
         # one address is left when the pair comes up: it is skipped, and
         # the single (0,4) after it takes that address
         items = [(((2, 2),), 1), (((4, 0),), 0),
                  (((3, 1), (1, 3)), 0), (((0, 4),), 0)]
-        assert exact_cover(items, 2) == [((2, 2), 1), ((4, 0), 0), ((0, 4), 0)]
+        assert cover(items, 2) == [((2, 2), 1), ((4, 0), 0), ((0, 4), 0)]
 
     def test_cover_short_of_2k_is_infeasible(self):
         items = [(((2, 2),), 1), (((4, 0),), 0)]
         with pytest.raises(RateInfeasibleError,
                            match=r"items supply 3 addresses, need 2\^2"):
-            exact_cover(items, 2)
+            cover(items, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(0, 10), data=st.data())
+    def test_cover_equals_tuple_oracle(self, k, data):
+        # take order, payloads and the infeasible message are the tuple
+        # cover's, on items of one composition or a pair, at any cap
+        member = st.tuples(*[st.integers(0, 3)] * 3)
+        items = data.draw(st.lists(st.tuples(
+            st.lists(member, min_size=1, max_size=2).map(tuple),
+            st.integers(0, k + 2)), max_size=30))
+        cap = data.draw(st.none() | st.integers(0, k + 2))
+        try:
+            want = oracles.exact_cover(items, k, payload_cap=cap)
+        except RateInfeasibleError as exc:
+            with pytest.raises(RateInfeasibleError) as info:
+                cover(items, k, payload_cap=cap)
+            assert str(info.value) == str(exc)
+        else:
+            assert cover(items, k, payload_cap=cap) == want
 
     def test_toy_exact_cover_brute_force(self):
         # n=6, maximal k on {1,3}: hand-checked cover 8 + 4 + 4 = 2^4
