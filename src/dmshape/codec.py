@@ -13,8 +13,8 @@ words are integers, most-significant bit first.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, islice
-from operator import mul
+from itertools import accumulate, count, islice
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -25,9 +25,13 @@ from .combinatorics import (
     Counts,
 )
 from .errors import DecodeError
-from .schemes import CompositionSet, composition_keys, count_dtype, key_radix
-
-START_STRIDE = 64  # leaves per stored block start; encode walks at most 63
+from .schemes import (
+    START_STRIDE,
+    CompositionSet,
+    composition_keys,
+    count_dtype,
+    key_radix,
+)
 
 
 def cc_unrank(index: int, counts: Counts,
@@ -39,21 +43,38 @@ def cc_unrank(index: int, counts: Counts,
     except ValueError:
         raise DecodeError(f"rank {index} outside "
                           f"[0, {kernels.mc_counts(counts)})") from None
-    return tuple(map(alphabet.levels.__getitem__, seq))
+    # itemgetter forms the tuple in C, ~3x faster than a map at n=216, but
+    # hands back a bare level for one index
+    if len(seq) == 1:
+        return (alphabet.levels[seq[0]],)
+    return itemgetter(*seq)(alphabet.levels)
 
 
 def cc_rank(seq, counts: Counts,
             alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> int:
     """Amplitude sequence -> its rank within the composition."""
-    idx = _level_indices(seq, alphabet)
+    idx = _level_indices(seq, _level_lookup(alphabet))
     try:
         return kernels.cc_rank(idx, tuple(counts))
     except ValueError:
         raise DecodeError("sequence composition does not match") from None
 
 
-def _level_indices(seq, alphabet: AmplitudeAlphabet) -> list[int]:
-    lookup = {lvl: i for i, lvl in enumerate(alphabet.levels)}
+def _level_lookup(alphabet: AmplitudeAlphabet) -> dict[float, int]:
+    return {lvl: i for i, lvl in enumerate(alphabet.levels)}
+
+
+def _level_indices(seq, lookup: dict[float, int]) -> list[int]:
+    """The level index of each amplitude.  A value the lookup holds as it is
+    (a level, as a float or an int) costs one read; only when one misses is
+    float() applied, to every value, as it always was, so the same inputs
+    are accepted and a miss is named as float(value)."""
+    if not isinstance(seq, (list, tuple)):
+        seq = list(seq)
+    try:
+        return list(map(lookup.__getitem__, seq))
+    except (KeyError, TypeError):
+        pass
     try:
         return list(map(lookup.__getitem__, map(float, seq)))
     except KeyError as exc:
@@ -71,19 +92,29 @@ class SchemeCodec:
     def __init__(self, built: CompositionSet):
         self.set = built
         table = built.leaves
-        # the n_words column (for ESS the table's own used-count tuple), the
-        # first word of every START_STRIDE-th leaf, and the leaves' packed
-        # composition keys in sorted order with the leaf index of each: a
-        # start per leaf would hold ~10 MB for the n=216 ESS scheme.  The
-        # leaf indices take count_dtype's rule (uint32 or narrower), and the
-        # keys are uint32 while (n+1)^m <= 2^32.  decode searches with a key
-        # of the column's own scalar type: searchsorted converts the whole
-        # column to match a Python int (23 us a call on uint32, 1 us with
-        # an np.uint32 key)
-        self._n_words = n_words = table.n_words
-        self._starts = list(islice(accumulate(n_words, initial=0),
-                                   0, len(n_words), START_STRIDE))
+        # the first word of every START_STRIDE-th leaf, the leaves' packed
+        # composition keys in sorted order with the leaf index of each, and
+        # the level lookup.  An ESS table brings its block starts, formed by
+        # the pass that formed the table, and a leaf's words are derived
+        # from its counts per word (kernels.row_multinomials); a tree's are
+        # 2^payload_bits, listed here.  A start per leaf would hold ~10 MB
+        # for the n=216 ESS scheme.  The leaf indices take count_dtype's
+        # rule (uint32 or narrower), and the keys are uint32 while (n+1)^m
+        # <= 2^32.  decode searches with a key of the column's own scalar
+        # type: searchsorted converts the whole column to match a Python
+        # int (23 us a call on uint32, 1 us with an np.uint32 key)
+        used = table.used_counts
+        if used is None:
+            self._n_words = n_words = table.n_words
+            self._starts = list(islice(accumulate(n_words, initial=0),
+                                       0, len(n_words), START_STRIDE))
+            self._block_words = self._tree_words
+        else:
+            self._overrides = used.overrides
+            self._starts = used.starts
+            self._block_words = self._ess_words
         self._counts = table.counts
+        self._levels = _level_lookup(built.alphabet)
         self._radix = key_radix(built.n, built.alphabet.m)
         keys = composition_keys(table.counts, built.n)
         by_key = np.argsort(keys, kind="stable")
@@ -94,22 +125,33 @@ class SchemeCodec:
         self._keys = keys
         self._key = keys.dtype.type
 
+    def _tree_words(self, first: int):
+        """The words of leaf first and the leaves after it in its block."""
+        return self._n_words[first:first + START_STRIDE]
+
+    def _ess_words(self, first: int):
+        """_tree_words for an ESS leaf: its multinomial, or its override."""
+        rows = self._counts[first:first + START_STRIDE].tolist()
+        return map(self._overrides.get, count(first),
+                   kernels.row_multinomials(rows, self.set.n))
+
     def encode(self, word: int) -> tuple[float, ...]:
         k = self.set.k
         if not 0 <= word < (1 << k):
             raise DecodeError(f"word outside [0, 2^{k})")
-        n_words = self._n_words
         block = bisect_right(self._starts, word) - 1
-        i, start = block * START_STRIDE, self._starts[block]
+        i = block * START_STRIDE
+        word -= self._starts[block]
         # leaves that own no words are stepped over
-        while word >= start + n_words[i]:
-            start += n_words[i]
+        for words in self._block_words(i):
+            if word < words:
+                break
+            word -= words
             i += 1
-        return cc_unrank(word - start, self._counts[i].tolist(),
-                         self.set.alphabet)
+        return cc_unrank(word, self._counts[i].tolist(), self.set.alphabet)
 
     def decode(self, seq) -> int:
-        idx = _level_indices(seq, self.set.alphabet)
+        idx = _level_indices(seq, self._levels)
         if len(idx) != self.set.n:
             raise DecodeError("sequence length does not match the scheme")
         counts = _composition(idx, self.set.alphabet.m)
@@ -119,9 +161,8 @@ class SchemeCodec:
             raise DecodeError("sequence composition is not in the scheme")
         i = int(self._by_key[j])
         rank = kernels.cc_rank(idx, counts)
-        n_words = self._n_words
-        if rank >= n_words[i]:
+        block, before = divmod(i, START_STRIDE)
+        words = list(islice(self._block_words(i - before), before + 1))
+        if rank >= words[-1]:
             raise DecodeError("sequence rank beyond the leaf's used words")
-        block = i // START_STRIDE
-        return (self._starts[block] + rank
-                + sum(n_words[block * START_STRIDE:i]))
+        return self._starts[block] + rank + sum(words[:-1])

@@ -8,10 +8,13 @@ used-count ratios rather than dyadic payloads: sphere-shaped sets carry no
 prefix tree.  The shells are one (L, m) count matrix from the scan to the
 leaf table, with no object per shell, narrowed to schemes.count_dtype(n)
 before it is put in (energy, colex) order.  build_ess holds each of the
-table's columns once: the count matrix, the float64 weights and the used
-counts, the last two filled one block of multinomials (kernels.CHUNK
-shells) at a time.  Block totals locate the shell where the used total
-reaches 2^k, and only that block is accumulated.
+table's columns once: the count matrix and the float64 weights, the
+weights filled one block of multinomials (kernels.CHUNK shells) at a time.
+The used counts are no column: a shell uses its multinomial, and the same
+walk records as overrides only the shells that use another count, the
+crossing shell and the zero-weight shells after it (schemes.UsedCounts),
+with the codec's block starts.  Block totals locate the shell where the
+used total reaches 2^k, and only that block is accumulated.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -24,13 +27,20 @@ rather than a simplex scan.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
 from .combinatorics import DEFAULT_ALPHABET, AmplitudeAlphabet, integer_radius
-from .schemes import CompositionSet, LeafTable, block_energies, narrow_counts
+from .schemes import (
+    CompositionSet,
+    LeafTable,
+    UsedCounts,
+    block_energies,
+    narrow_counts,
+    used_overrides,
+)
 
 
 def build_ess(n: int, k: int,
@@ -51,28 +61,35 @@ def build_ess(n: int, k: int,
     order = np.argsort(block_energies(counts, n, units), kind="stable")
     counts = narrow_counts(counts, n)[order]
     del order
-    # shells before the first one whose cumulative count reaches 2^k are
-    # used in full, that one in part, the ones after it not at all
     need = 1 << k
-    short = need  # of 2^k, what the shells so far leave unused
-    used = []
     weights = np.zeros(len(counts))
-    for mc in kernels.multinomials(counts, n):
-        size = mc.sum()
-        crossed = size >= short
-        if crossed:
-            cumulative = list(accumulate(mc.tolist()))
-            cross = bisect_left(cumulative, short)
-            mc = mc[:cross + 1]
-            mc[cross] = short - (cumulative[cross - 1] if cross else 0)
-        weights[len(used):len(used) + len(mc)] = mc / need
-        used += mc.tolist()
-        if crossed:
-            break
-        short -= size
-    used += repeat(0, len(counts) - len(used))
+
+    def used_blocks():
+        """Each block's used counts and multinomials, its weights filled on
+        the way: shells before the first one whose cumulative count reaches
+        2^k are used in full, that one in part, the ones after it not at
+        all, and their multinomials are never formed."""
+        short = need  # of 2^k, what the shells so far leave unused
+        sizes = kernels.multinomials(counts, n)
+        for rows in kernels.chunks(len(counts)):
+            if not short:
+                yield np.zeros(rows.stop - rows.start, dtype=object), None
+                continue
+            used = mc = next(sizes)
+            size = mc.sum()
+            if size >= short:
+                cumulative = list(accumulate(mc.tolist()))
+                cross = bisect_left(cumulative, short)
+                used = mc.copy()
+                used[cross] = short - (cumulative[cross - 1] if cross else 0)
+                used[cross + 1:] = 0
+                size = short
+            weights[rows] = used / need
+            short -= size
+            yield used, mc
+
+    used = UsedCounts(counts, n, *used_overrides(used_blocks()))
     leaves = LeafTable(counts=counts, weights=weights, used_counts=used)
-    del used  # the table holds its own tuple
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
     built.validate()

@@ -12,7 +12,10 @@ payloads, bounded by MAX_MPDM_PAIRS; scanned_pairs keeps the last for
 pair_capacity and MPDM); and the column kernel ``multinomials``: the exact
 multinomial of every row of a count matrix (validate's capacities,
 build_ess's shell sizes), each distinct binomial formed once and the
-products taken in numpy's object loops.  The energy ball's suffix-count
+products taken in numpy's object loops, by multinomial_blocks, which also
+serves a pass that meets its blocks one at a time (the ESS used counts a
+scheme file or a table derives); the codec derives a few leaves' words
+per word with row_multinomials.  The energy ball's suffix-count
 table and its walks (trellis_build, ess_unrank, ess_rank) serve only
 perfbench's kernel bench and the test oracle, as energy_totals does.  All
 arithmetic that can overflow 64 bits is done with Python ints, so every
@@ -71,16 +74,16 @@ def mc_counts(counts):
     return r
 
 
-def multinomials(counts, n):
-    """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
+def multinomial_blocks(n):
+    """A function from a block of compositions of n, an (L, m) count matrix,
+    to the exact multinomials of its rows as an object array of Python ints.
 
-    Yields them as object arrays of Python ints, CHUNK rows at a time in row
-    order, so no array of L bigints is held.  Row i's value is the product
-    over j < m-1 of comb(rest_j, c_j), with rest_j = n minus the earlier
-    counts, as in mc_counts; each distinct (rest_j, c_j) binomial is formed
-    once for the whole matrix.  Every count must lie in [0, n] and
-    each row must sum to n, with (n+1)^2 inside int64.  Each block is cast
-    to int64 on its own, so a narrow count matrix is never copied whole.
+    Row i's value is the product over j < m-1 of comb(rest_j, c_j), with
+    rest_j = n minus the earlier counts, as in mc_counts.  Each distinct
+    (rest_j, c_j) binomial is formed once over every block the function is
+    given, so one function serves one pass over a column of blocks.  Every
+    count must lie in [0, n] and each row must sum to n, with (n+1)^2 inside
+    int64.  Each block is cast to int64 on its own.
     """
     binomials = {}
 
@@ -90,8 +93,8 @@ def multinomials(counts, n):
             value = binomials[key] = comb(*divmod(key, n + 1))
         return value
 
-    for rows in chunks(len(counts)):
-        head = np.asarray(counts[rows, :-1], dtype=np.int64)
+    def block_multinomials(counts):
+        head = np.asarray(counts[:, :-1], dtype=np.int64)
         # one int64 key rest_j * (n+1) + c_j per binomial, built in place
         keys = np.cumsum(head, axis=1)
         keys -= head
@@ -100,7 +103,22 @@ def multinomials(counts, n):
         keys += head
         pairs, index = np.unique(keys, return_inverse=True)
         values = np.array(list(map(binomial, pairs.tolist())), dtype=object)
-        yield np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
+        return np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
+
+    return block_multinomials
+
+
+def multinomials(counts, n):
+    """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
+
+    Yields them as object arrays of Python ints, CHUNK rows at a time in row
+    order, so no array of L bigints is held, from one multinomial_blocks(n):
+    each distinct binomial is formed once for the whole matrix, and a narrow
+    count matrix is never copied whole.
+    """
+    block_multinomials = multinomial_blocks(n)
+    for rows in chunks(len(counts)):
+        yield block_multinomials(counts[rows])
 
 
 # Largest block length whose binomial table cc_unrank and cc_rank build.
@@ -126,6 +144,23 @@ def binomial_columns(n):
         col = [0, *accumulate(col[:n])]
         cols.append(col)
     return cols
+
+
+def row_multinomials(rows, n):
+    """Exact multinomials of a few compositions of n (lists of counts), one
+    at a time: the product of C(r, c) = C(r, r - c) read from
+    binomial_columns(n) up to MAX_TABLE_N, mc_counts above it.  This is the
+    codec's per-word rule; whole columns go through multinomials."""
+    if n > MAX_TABLE_N:
+        yield from map(mc_counts, rows)
+        return
+    cols = binomial_columns(n)
+    for row in rows:
+        r, mc = n, 1
+        for c in row[:-1]:
+            mc *= cols[c][r] if c + c <= r else cols[r - c][r]
+            r -= c
+        yield mc
 
 
 def _split(counts):

@@ -18,16 +18,20 @@ import numpy as np
 from . import __version__
 from .combinatorics import AmplitudeAlphabet
 from .errors import SchemeFileError
-from .kernels import chunks
+from .kernels import chunks, multinomial_blocks
 from .optimizer import BUILDERS
 from .schemes import (
+    MAX_BLOCK_LENGTH,
     CompositionSet,
     LeafTable,
+    UsedCounts,
+    composition_rows,
     count_dtype,
     int_array,
     is_tree_scheme,
     joined_rows,
     narrow_counts,
+    used_overrides,
 )
 
 TOOL_VERSION = f"dmshape {__version__}"
@@ -45,7 +49,8 @@ def _format_level(x: float) -> str:
 
 def _scheme_text(built: CompositionSet):
     """The file's text in pieces: the header, then the leaf lines of each
-    kernels.CHUNK block of leaves, formatted column by column."""
+    kernels.CHUNK block of leaves, formatted column by column (an ESS
+    block's used counts from one block of multinomials)."""
     header = [
         f"scheme={built.scheme}",
         f"n={built.n}",
@@ -60,13 +65,14 @@ def _scheme_text(built: CompositionSet):
     header.append(f"leaves={len(built.leaves)}")
     yield "\n".join(header) + "\n"
     leaves, tree = built.leaves, is_tree_scheme(built.scheme)
+    used = None if tree else leaves.used_counts.blocks()
     for rows in chunks(len(leaves)):
         counts = joined_rows(leaves.counts[rows], ",")
         if tree:
             mid = map(str, leaves.payload_bits[rows].tolist())
             depth = map(str, leaves.depth[rows].tolist())
         else:
-            mid = map(str, leaves.used_counts[rows])
+            mid = map(str, next(used).tolist())
             depth = repeat("")
         # repr is _format_number for the Python floats tolist returns
         weights = map(repr, leaves.weights[rows].tolist())
@@ -202,44 +208,73 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
     the header's n.  A block holding a count outside [0, n] turns it into
     int64, or into Python ints (int_array) for a count beyond int64, and
     validate refuses that leaf.
+
+    An ESS block's used counts are compared with the multinomials of its
+    rows that are compositions of n, and only the ones that differ are kept,
+    as the UsedCounts' overrides.  That pass runs only for an n within
+    [1, MAX_BLOCK_LENGTH]; every used count of a row that is no composition,
+    or of a file whose n is outside it, is kept as parsed.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
-    mid, depth = [], []
+    mid, depth = [], []  # a tree's payload and depth columns
+    # the multinomials of the whole pass, or None when none may be formed
+    block_multinomials = (multinomial_blocks(n) if 1 <= n <= MAX_BLOCK_LENGTH
+                          else None)
     lines = ((lineno, line) for lineno, line in lines if line.strip())
-    for rows in chunks(n_leaves):
-        chunk_counts, chunk_weights = [], []
-        for lineno, line in islice(lines, rows.stop - rows.start):
-            line = line.rstrip("\n")
-            parts = line.split("|")
-            if len(parts) != 4:
-                raise SchemeFileError(
-                    f"{path}:{lineno}: malformed leaf line {line!r}")
-            counts_text, mid_text, depth_text, weight_text = parts
-            field = "counts"
-            try:
-                row = list(map(int, counts_text.split(",")))
-                if len(row) != m:
-                    raise ValueError(f"{len(row)} levels, alphabet has {m}")
-                field = "weight"
-                chunk_weights.append(float(weight_text))
-                field = "payload_bits" if tree else "used_count"
-                mid.append(int(mid_text))
-                field = "depth"
-                if tree:
-                    depth.append(int(depth_text))
-                elif depth_text:
-                    raise ValueError(
-                        f"an ess leaf has no depth, found {depth_text!r}")
-            except ValueError as exc:
-                raise SchemeFileError(
-                    f"{path}:{lineno}: {field}: {exc}") from None
-            chunk_counts += row
-        block = narrow_counts(int_array(chunk_counts).reshape(-1, m), n)
-        counts = counts.astype(np.result_type(counts, block), copy=False)
-        counts[rows] = block
-        weights[rows] = chunk_weights
+
+    def used_blocks():
+        """Parse one block of leaves at a time into the columns; yield the
+        used counts and multinomials of each ESS block."""
+        nonlocal counts
+        for rows in chunks(n_leaves):
+            chunk_counts, chunk_weights, chunk_mid = [], [], []
+            for lineno, line in islice(lines, rows.stop - rows.start):
+                line = line.rstrip("\n")
+                parts = line.split("|")
+                if len(parts) != 4:
+                    raise SchemeFileError(
+                        f"{path}:{lineno}: malformed leaf line {line!r}")
+                counts_text, mid_text, depth_text, weight_text = parts
+                field = "counts"
+                try:
+                    row = list(map(int, counts_text.split(",")))
+                    if len(row) != m:
+                        raise ValueError(
+                            f"{len(row)} levels, alphabet has {m}")
+                    field = "weight"
+                    chunk_weights.append(float(weight_text))
+                    field = "payload_bits" if tree else "used_count"
+                    chunk_mid.append(int(mid_text))
+                    field = "depth"
+                    if tree:
+                        depth.append(int(depth_text))
+                    elif depth_text:
+                        raise ValueError(
+                            f"an ess leaf has no depth, found {depth_text!r}")
+                except ValueError as exc:
+                    raise SchemeFileError(
+                        f"{path}:{lineno}: {field}: {exc}") from None
+                chunk_counts += row
+            block = narrow_counts(int_array(chunk_counts).reshape(-1, m), n)
+            counts = counts.astype(np.result_type(counts, block), copy=False)
+            counts[rows] = block
+            weights[rows] = chunk_weights
+            if tree:
+                mid.extend(chunk_mid)
+                continue
+            used = np.array(chunk_mid, dtype=object)
+            if block_multinomials is None:
+                yield used, None
+                continue
+            mc = np.full(len(used), None, dtype=object)
+            fits = composition_rows(block, n)
+            mc[fits] = block_multinomials(block[fits])
+            yield used, mc
+
+    overrides, starts = used_overrides(used_blocks())  # none for a tree
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth))
-    return LeafTable(counts, weights, used_counts=mid)
+    return LeafTable(counts, weights,
+                     used_counts=UsedCounts(counts, n, overrides, starts))

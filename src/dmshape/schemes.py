@@ -15,7 +15,10 @@ leaf (the n=216 ESS scheme has 108,990 leaves):
 - weights, a float64 array;
 - tree schemes: payload_bits and depth as int64 arrays.  A file states the
   depth, so it is kept and validate checks depth == k - payload_bits;
-- ESS: used_counts, one tuple of exact Python ints (they reach 2^k).
+- ESS: used_counts, a UsedCounts: leaf i uses MC(c_i) sequences unless a
+  sparse override map names another value (exact Python ints, up to 2^k),
+  so a built table holds the crossing shell and the zero-weight shells
+  after it (925 of 108,990 at n=216), not one bigint per leaf.
 
 A column the kind has no use for is None.  ``CompositionSet.leaves`` is that
 table, built from columns by the builders and the file reader.  It is a
@@ -43,10 +46,11 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import eq
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,12 +65,20 @@ from .combinatorics import (
     select_emax,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
-from .kernels import chunks, multinomials
+from .kernels import chunks, multinomial_blocks, multinomials
 
 # Largest block length a scheme may state.  validate forms binomials
 # comb(n, c) of up to n bits (comb(2^16, 2^15) takes ~0.2 s on Python 3.11);
 # a file naming n=10^6 would take ~16 s for one such binomial.
 MAX_BLOCK_LENGTH = 1 << 16
+
+# Leaves per block start a UsedCounts keeps: the codec derives the used
+# counts of at most START_STRIDE - 1 leaves a word past one (~0.6 us each at
+# n=216).  The n=216 ESS starts take 1.0 MB at 8, against the 7.3 MB a
+# tuple of used counts took.  Against that tuple's walk at a stride of 64,
+# in paired words, an ESS encode at 16 read ~5% slower in the median; at 8
+# it read no slower.
+START_STRIDE = 8
 
 
 def is_tree_scheme(scheme: str) -> bool:
@@ -180,19 +192,146 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
+def composition_rows(block: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a count block are compositions of n: counts in [0, n]
+    that sum to n, added as int64 (as Python ints for a count beyond it),
+    so no sum wraps."""
+    block = block.astype(np.result_type(block, np.int64), copy=False)
+    return ((block.sum(axis=1) == n) & (block.min(axis=1) >= 0)
+            & (block.max(axis=1) <= n))
+
+
+def used_overrides(blocks: Iterable) -> tuple[dict, list]:
+    """(overrides, starts) of a used-count column given one kernels.chunks
+    block at a time, in order.
+
+    Each block is (used, mc): an object array of the block's used counts,
+    and one of its rows' multinomials, with None for a row whose
+    multinomial is not formed (or None for the whole block).  A used count
+    that is not its row's multinomial is an override, {leaf index: value}.
+    starts holds the first word of every START_STRIDE-th leaf.
+    """
+    overrides, starts, total, first = {}, [], 0, 0
+    for used, mc in blocks:
+        differs = np.ones(len(used), dtype=bool) if mc is None else used != mc
+        for j in np.flatnonzero(differs).tolist():
+            overrides[first + j] = used[j]
+        # cumulative[j]: the words of the leaves before leaf first + j
+        cumulative = list(accumulate(used.tolist(), initial=total))
+        starts += cumulative[-first % START_STRIDE:-1:START_STRIDE]
+        total = cumulative[-1]
+        first += len(used)
+    return overrides, starts
+
+
+class UsedCounts(Sequence):
+    """An ESS table's used counts, derived from its shells.
+
+    Leaf i uses MC(c_i) sequences, the multinomial of its row of counts (a
+    composition of n), unless the read-only map ``overrides`` names another
+    value for it; an overridden row need not be a composition.  A read
+    forms the multinomials of the rows it reads, one kernels.CHUNK block at
+    a time from one kernels.multinomial_blocks, so no per-leaf value
+    outlives its block.  ``starts``, a tuple formed with the overrides by
+    used_overrides, holds the first word of every START_STRIDE-th leaf for
+    the codec.  A slice is a tuple (from one pass), and the column compares
+    equal to any sequence of the same values.
+    """
+
+    __slots__ = ("counts", "n", "overrides", "starts", "_marked")
+
+    def __init__(self, counts: np.ndarray, n: int, overrides: dict,
+                 starts: Sequence[int]):
+        marked = np.fromiter(sorted(overrides), dtype=np.int64,
+                             count=len(overrides))
+        marked.flags.writeable = False
+        for name, value in zip(self.__slots__, (
+                counts, n, MappingProxyType(overrides), tuple(starts),
+                marked)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UsedCounts is read-only: cannot set {name}")
+
+    @classmethod
+    def of_values(cls, counts: np.ndarray, values: Sequence[int]):
+        """The column holding the given used count of each leaf, every one
+        of them an override (n is not needed)."""
+        values = tuple(values)
+        if len(values) != len(counts):
+            raise ValueError(f"{len(values)} used counts for "
+                             f"{len(counts)} leaves")
+        blocks = ((np.array(values[rows], dtype=object), None)
+                  for rows in chunks(len(values)))
+        return cls(counts, 0, *used_overrides(blocks))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def over(self, rows: slice, mc: np.ndarray) -> np.ndarray:
+        """The used counts of the leaves in rows, given an object array of
+        their multinomials: mc, with each override among them written over
+        it in place."""
+        lo, hi = self._marked.searchsorted((rows.start, rows.stop))
+        for i in self._marked[lo:hi].tolist():
+            mc[i - rows.start] = self.overrides[i]
+        return mc
+
+    def _block(self, rows: slice, block_multinomials) -> np.ndarray:
+        """The used counts of the leaves in rows, as an object array, those
+        of the rows no override names from block_multinomials (a
+        kernels.multinomial_blocks(n))."""
+        lo, hi = self._marked.searchsorted((rows.start, rows.stop))
+        derived = np.ones(rows.stop - rows.start, dtype=bool)
+        derived[self._marked[lo:hi] - rows.start] = False
+        mc = np.empty(len(derived), dtype=object)
+        mc[derived] = block_multinomials(self.counts[rows][derived])
+        return self.over(rows, mc)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The used counts of each kernels.chunks block in order, as object
+        arrays, from one pass of multinomials."""
+        block_multinomials = multinomial_blocks(self.n)
+        return (self._block(rows, block_multinomials)
+                for rows in chunks(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # one pass, as a tuple's slice
+            return tuple(self)[i]
+        i = range(len(self))[i]
+        return self._block(slice(i, i + 1), multinomial_blocks(self.n))[0]
+
+    def __iter__(self):
+        return chain.from_iterable(block.tolist() for block in self.blocks())
+
+    def __eq__(self, other) -> bool:
+        """Value by value, with any sequence."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return (f"UsedCounts({len(self)} leaves, "
+                f"{len(self.overrides)} overrides)")
+
+
 class LeafTable(Sequence):
     """The leaves of a scheme as columns; see the module docstring.
 
     payload_bits and depth (tree) and used_counts (ESS) are None when the
-    kind has no such field.
+    kind has no such field.  used_counts may be given as any sequence of
+    values, each of which is then an override; a UsedCounts over these
+    very counts is kept as it is.
     """
 
     __slots__ = ("counts", "weights", "payload_bits", "depth", "used_counts")
 
     def __init__(self, counts: np.ndarray, weights: np.ndarray,
                  payload_bits=None, depth=None, used_counts=None):
-        if used_counts is not None:
-            used_counts = tuple(used_counts)
+        if used_counts is not None and not (
+                isinstance(used_counts, UsedCounts)
+                and used_counts.counts is counts):
+            used_counts = UsedCounts.of_values(counts, used_counts)
         columns = (counts, weights, payload_bits, depth, used_counts)
         for name, column in zip(self.__slots__, columns):
             if isinstance(column, np.ndarray):
@@ -315,14 +454,11 @@ class CompositionSet:
         keys = np.zeros(size, dtype=key_dtype(n, m))
         if size and counts.shape[1] == m:
             for rows in chunks(size):
-                # int64 (object for a count beyond it): no sum wraps
-                chunk = counts[rows].astype(np.result_type(counts, np.int64),
-                                            copy=False)
-                bad = ((chunk.sum(axis=1) != n) | (chunk.min(axis=1) < 0)
-                       | (chunk.max(axis=1) > n))
-                not_comp[rows] = bad
-                keys[rows][~bad] = composition_keys(
-                    chunk[~bad].astype(np.int64, copy=False), n)
+                chunk = counts[rows]
+                fits = composition_rows(chunk, n)
+                not_comp[rows] = ~fits
+                keys[rows][fits] = composition_keys(
+                    chunk[fits].astype(np.int64, copy=False), n)
         # a stable sort puts the copies of a key together, earliest first:
         # each one after the first is a duplicate, unless it is no
         # composition (key 0) and so at fault as that
@@ -356,11 +492,15 @@ class CompositionSet:
             words = table.used_counts
         # capacity and weight by column, one block of multinomials at a time:
         # words[i] <= MC(c_i) exactly, and the share words[i] / 2^k formed
-        # as a float only for a word in [0, 2^k]
+        # as a float only for a word in [0, 2^k].  An ESS block's words are
+        # its multinomials with its overrides written over them
         bad_cap = np.zeros(size, dtype=bool)
         bad_w = np.zeros(size, dtype=bool)
+        total = 0
         for rows, mc in zip(chunks(size), multinomials(counts, n)):
-            w = np.array(words[rows], dtype=object)
+            w = (np.array(words[rows], dtype=object) if tree
+                 else words.over(rows, mc.copy()))
+            total += w.sum()
             bad_cap[rows] = (w < 0) | (w > mc)
             fits = ~bad_cap[rows] & (w <= need)
             share = (np.where(fits, w, 0) / need).astype(np.float64)
@@ -383,7 +523,6 @@ class CompositionSet:
                      else f"{leaf.used_count}/2^{k}")
             raise ConstructionBugError(
                 f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}")
-        total = sum(words)
         if total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")

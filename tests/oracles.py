@@ -12,6 +12,9 @@ dmshape.schemes replaced; w_to_dbm states launch powers in dBm.  Two
 converters let tests state pairs and cover items as tuples: pair_triples
 turns a pair array back into (C, 2*c0 - C, payload) triples, and
 cover_columns turns ((members), payload) items into exact_cover's columns.
+ess_leaf_fields, ess_verdict and ess_address read an ESS scheme file's
+leaves as a tuple of used counts, a value a leaf, and say what validate and
+the codec's addressing rule make of them, leaf by leaf.
 """
 
 import itertools
@@ -192,3 +195,52 @@ def cover_columns(items):
     return (np.array(rows, dtype=np.int64).reshape(len(rows), width),
             np.array([p for _, p in items], dtype=np.int64),
             np.array([len(members) for members, _ in items], dtype=np.int64))
+
+
+def ess_leaf_fields(text: str) -> list[tuple[Counts, int, float]]:
+    """(counts, used_count, weight) of each leaf line of an ESS scheme
+    file's text, parsed line by line into tuples: the values a table that
+    stores one used count a leaf holds.  Every field must parse."""
+    _, _, section = text.partition("\nleaves=")
+    leaves = []
+    for line in section.splitlines()[1:]:
+        counts, used, _, weight = line.split("|")
+        leaves.append((tuple(map(int, counts.split(","))), int(used),
+                       float(weight)))
+    return leaves
+
+
+def ess_verdict(n: int, k: int,
+                leaves: Sequence[tuple[Counts, int, float]]) -> str | None:
+    """What validate says of ESS leaves, given as (counts, used_count,
+    weight) tuples of distinct compositions inside the radius: leaf by leaf,
+    a used count outside [0, MC] (compared by factorials), then one above
+    2^k, then a weight that is not its share; then the total and the weight
+    sum, added left to right.  None when they pass."""
+    need = 1 << k
+    n_fact = math.factorial(n)
+    for counts, used, weight in leaves:
+        if used < 0 or used * math.prod(map(math.factorial, counts)) > n_fact:
+            return f"leaf {counts} used count {used} exceeds its shell size"
+        if used > need:
+            return f"leaf {counts} used count {used} exceeds 2^{k}"
+        if weight != used / need:
+            return f"leaf {counts} weight {weight!r} is not {used}/2^{k}"
+    total = sum(used for _, used, _ in leaves)
+    if total != need:
+        return f"used sequences is {total}, expected 2^{k}"
+    wsum = sum(weight for _, _, weight in leaves)
+    if not abs(wsum - 1.0) <= 1e-9:
+        return f"leaf weights sum to {wsum!r}"
+    return None
+
+
+def ess_address(word: int,
+                leaves: Sequence[tuple[Counts, int, float]]) -> tuple[Counts, int]:
+    """(counts, rank): the leaf a word lands on and its rank there, by a
+    walk over the used counts from the first leaf."""
+    for counts, used, _ in leaves:
+        if word < used:
+            return counts, word
+        word -= used
+    raise ValueError("word beyond the used sequences")

@@ -689,6 +689,24 @@ class TestHostileInput:
         assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
                        "exceeds MAX_BLOCK_LENGTH=65536\n")
 
+    def test_ess_block_length_above_bound_is_refused_fast(self, tmp_path,
+                                                          capsys):
+        # the reader compares an ESS file's used counts with its shells'
+        # multinomials only once n is within the bound: C(10^6, 5*10^5)
+        # alone takes ~12 s
+        bad = self.toy_scheme(
+            tmp_path, capsys,
+            lambda ls: [ln.replace("n=6", "n=1000000")
+                        .replace("leaves=3", "leaves=1") for ln in ls[:9]]
+            + ["500000,500000|1||1.0"], scheme="ess")
+        t0 = time.perf_counter()
+        rc = main(["codec", "encode", bad, "0x1"])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
+                       "exceeds MAX_BLOCK_LENGTH=65536\n")
+
     def test_ess_shell_budget_is_one_line(self, tmp_path, capsys):
         # 256-QAM amplitudes at n=216, k=400: the ball holds ~8.8e7 shells,
         # and the walk refuses it once its count passes the budget

@@ -97,6 +97,12 @@ class TestSchemeCodec:
                 setattr(built.leaves, name, getattr(built.leaves, name))
         with pytest.raises(AttributeError, match="read-only"):
             built.leaves.used_counts = (16, 0, 0)
+        # the used counts derive from the shells and a read-only override map
+        with pytest.raises(TypeError):
+            built.leaves.used_counts.overrides[1] = 7
+        for name in ("counts", "overrides", "starts"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(built.leaves.used_counts, name, None)
         # word 1 is rank 0 of shell 5,1: its lone 3 at position 0
         assert codec.encode(1) == (3, 1, 1, 1, 1, 1)
 

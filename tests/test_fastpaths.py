@@ -462,6 +462,49 @@ def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
     assert built.leaves.weights.tolist() == [u / (1 << k) for u in used]
 
 
+def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
+    # a built ESS table stores no used count a leaf: iterating, indexing,
+    # slicing, == and n_words form one block of multinomials for each chunk
+    # they read, over one binomial memo a pass (kernels.multinomial_blocks),
+    # and never a per-leaf mc_counts
+    built, twin = d.build_ess(24, 36), d.build_ess(24, 36)
+    table = built.leaves
+    want = bisect_used(table.counts, 36)
+    assert len(table.used_counts.overrides) < len(table) // 4
+    monkeypatch.setattr(kernels, "CHUNK", 7)
+    blocks = -(-len(table) // 7)
+    passes, rows = [], []
+
+    def counted(n):
+        block_multinomials = kernels.multinomial_blocks(n)
+        passes.append(n)
+
+        def block(counts):
+            rows.append(len(counts))
+            return block_multinomials(counts)
+
+        return block
+
+    def refused(counts):
+        raise AssertionError("mc_counts read for one leaf")
+
+    monkeypatch.setattr(schemes, "multinomial_blocks", counted)
+    monkeypatch.setattr(kernels, "mc_counts", refused)
+    for read, want_read, n_passes, n_blocks in [
+            (lambda: list(table.used_counts), want, 1, blocks),
+            (lambda: list(table.n_words), want, 1, blocks),
+            (lambda: [leaf.used_count for leaf in table], want, 1, blocks),
+            (lambda: table == twin.leaves, True, 2, 2 * blocks),
+            (lambda: table.used_counts == tuple(want), True, 1, blocks),
+            (lambda: table.used_counts[3:10], tuple(want[3:10]), 1, blocks),
+            (lambda: table[40].used_count, want[40], 1, 1)]:
+        passes.clear()
+        rows.clear()
+        assert read() == want_read
+        assert len(passes) == n_passes and len(rows) == n_blocks
+        assert max(rows) <= 7
+
+
 @pytest.mark.parametrize("n,k", [(12, 14), (24, 36)])
 def test_shell_order_is_energy_then_colex(n, k):
     # compositions of equal energy come in colex order, which differs from
@@ -1053,6 +1096,7 @@ def ess_step_memory(ess216, model216, tmp_path_factory):
         "analyze": lambda: d.analyze(ess216, model216),
         "analyze_and_report": lambda: _write_report(
             str(tmp / "r"), d.analyze(ess216, model216), 0.01),
+        "codec": lambda: d.SchemeCodec(ess216),
     }
     gc.freeze()
     try:
@@ -1079,10 +1123,15 @@ def test_ess_steps_hold_each_column_once(step, ess216, ess_step_memory):
     assert peak - retained < STEP_BYTES_PER_LEAF[step] * len(ess216.leaves)
 
 
-# Bytes per leaf the table or report each step returns keeps: uint8 counts
-# (4 a leaf at m=4), float64 weights (8) and, for a table, the used-count
-# tuple (~72).  With int64 counts they kept 110, 108 and 56.
-RETAINED_BYTES_PER_LEAF = {"build_ess": 90, "read_scheme": 90, "analyze": 35}
+# Bytes per leaf the table, report or codec each step returns keeps: uint8
+# counts (4 a leaf at m=4) and float64 weights (8); for a table, the codec's
+# block starts, one bigint per START_STRIDE leaves (~10), and the used-count
+# overrides, 925 of 108,990 leaves (~1.5); for the codec, the sorted uint32
+# keys and leaf indices (8), as the starts are the table's.  They keep 22.6,
+# 22.6, 27.8 and 8.0.  With the used counts as a tuple of one bigint a leaf
+# the tables kept 81.7 and 79.4, with int64 counts 110 and 108.
+RETAINED_BYTES_PER_LEAF = {"build_ess": 30, "read_scheme": 30, "analyze": 35,
+                           "codec": 16}
 
 
 @pytest.mark.parametrize("step", sorted(RETAINED_BYTES_PER_LEAF))

@@ -1,15 +1,26 @@
 import dataclasses
+import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (
+    ess_address,
+    ess_leaf_fields,
+    ess_verdict,
+    multinomial_coefficient,
+)
 
 import dmshape as d
-from dmshape import kernels
+from dmshape import kernels, schemes
+from dmshape.combinatorics import rate_loss
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
-from dmshape.schemes import LeafTable, is_tree_scheme
+from dmshape.schemes import AddressedComposition, LeafTable, is_tree_scheme
 
 A2 = d.AmplitudeAlphabet((1, 3))
 # TestRoundtrip covers every tag: the tree tags here, ess on its own
@@ -268,3 +279,123 @@ def test_leaf_field_messages(tmp_path, name, old, new, message):
     with pytest.raises(SchemeFileError) as err:
         read_scheme(str(path))
     assert str(err.value) == f"{path}:{message}"
+
+
+# -- derived ESS used counts ----------------------------------------------------
+
+USED_EDITS = ("text", "value", "value-and-weight", "shift", "garbage")
+
+
+@st.composite
+def edited_ess_files(draw):
+    """A small ESS file with some used-count fields edited, and what the
+    tuple oracle says of it: (text, leaves, fault, words).  fault is None
+    for a file read_scheme must accept, else its message with {path} and
+    {line} to fill in.  A shift moves used sequences between two leaves
+    with both weights restated, and the header then states the edited
+    leaves' avg_pmf and rate_loss, so such a file can pass."""
+    alphabet = draw(st.sampled_from([A2, d.AmplitudeAlphabet((1, 3, 5)),
+                                     d.DEFAULT_ALPHABET]))
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(0, math.floor(n * math.log2(alphabet.m))))
+    need = 1 << k
+    lines = scheme_to_text(d.build_ess(n, k, alphabet)).splitlines()
+    head = lines.index(next(ln for ln in lines if ln.startswith("leaves=")))
+    leaves = ess_leaf_fields("\n".join(lines))
+    used = [u for _, u, _ in leaves]
+    texts = list(map(str, used))
+    weights = [repr(w) for _, _, w in leaves]
+    for kind in draw(st.lists(st.sampled_from(USED_EDITS), max_size=3)):
+        i = draw(st.integers(0, len(used) - 1))
+        mc = multinomial_coefficient(leaves[i][0])
+        if kind == "text" and used[i] >= 0:  # the same value, other digits
+            texts[i] = draw(st.sampled_from(["+{}", "0{}", "00{}"])).format(
+                used[i])
+        elif kind.startswith("value"):
+            x = draw(st.sampled_from([-1, 0, mc - 1, mc, mc + 1, need,
+                                      need + 1, 10**30]))
+            used[i], texts[i] = x, str(x)
+            if kind == "value-and-weight" and 0 <= x <= need:
+                weights[i] = repr(x / need)
+        elif kind == "shift" and len(used) > 1:
+            j = draw(st.integers(0, len(used) - 1).filter(lambda j: j != i))
+            x = draw(st.integers(0, max(used[i], 0)))
+            used[i] -= x
+            used[j] += x
+            for t in (i, j):
+                texts[t] = str(used[t])
+                if 0 <= used[t] <= need:
+                    weights[t] = repr(used[t] / need)
+        elif kind == "garbage":
+            texts[i] = draw(st.sampled_from(["x", "1.5", ""]))
+    leaves = [(c, u, float(w)) for (c, _, _), u, w in zip(leaves, used,
+                                                          weights)]
+    fault = ess_verdict(n, k, leaves)
+    if fault is None:
+        avg = [0.0] * alphabet.m
+        for counts, _, w in leaves:
+            for j, c in enumerate(counts):
+                avg[j] += w * c / n
+        try:
+            loss = rate_loss(avg, k, n)
+        except ConstructionBugError as exc:
+            fault = str(exc)
+        else:
+            lines = [f"avg_pmf={','.join(map(repr, avg))}"
+                     if ln.startswith("avg_pmf=") else
+                     f"rate_loss={loss!r}" if ln.startswith("rate_loss=")
+                     else ln for ln in lines]
+    if fault is not None:
+        fault = "{path}: inconsistent scheme: " + fault
+    garbage = [i for i, t in enumerate(texts) if t in ("x", "1.5", "")]
+    if garbage:
+        i = garbage[0]
+        fault = (f"{{path}}:{head + 2 + i}: used_count: invalid literal for "
+                 f"int() with base 10: {texts[i]!r}")
+    lines[head + 1:] = ["|".join((ln.split("|")[0], t, "", w)) for ln, t, w
+                        in zip(lines[head + 1:], texts, weights)]
+    words = draw(st.lists(st.integers(0, need - 1), max_size=12))
+    return "\n".join(lines) + "\n", leaves, fault, [0, need - 1, *words]
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=edited_ess_files(), chunk=st.sampled_from([1, 3, kernels.CHUNK]),
+       stride=st.sampled_from([1, 3, schemes.START_STRIDE]))
+def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
+    # the reader keeps only the used counts that differ from their shell's
+    # multinomial; every read of the column gives the file's values, and
+    # the codec addresses them as a walk over the file's tuple would
+    text, leaves, fault, words = case
+    used = [u for _, u, _ in leaves]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(kernels, "CHUNK", chunk), \
+            mock.patch.object(schemes, "START_STRIDE", stride), \
+            mock.patch("dmshape.codec.START_STRIDE", stride):
+        path = os.path.join(tmp, "ess.scheme")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            built = read_scheme(path)
+        except SchemeFileError as exc:
+            assert str(exc) == fault.replace("{path}", path)
+            return
+        assert fault is None
+        table = built.leaves
+        assert list(table.used_counts) == used
+        assert list(table.n_words) == used
+        assert table.used_counts == tuple(used)
+        assert table.used_counts[1::2] == tuple(used[1::2])
+        assert dict(table.used_counts.overrides) == {
+            i: u for i, (c, u, _) in enumerate(leaves)
+            if u != multinomial_coefficient(c)}
+        want = [AddressedComposition(c, w, used_count=u) for c, u, w in leaves]
+        assert list(table) == want
+        assert [table[i] for i in range(len(table))] == want
+        codec = d.SchemeCodec(built)
+        levels = built.alphabet.levels
+        for word in words:
+            counts, rank = ess_address(word, leaves)
+            seq = codec.encode(word)
+            assert seq == tuple(levels[t]
+                                for t in kernels.cc_unrank(rank, counts))
+            assert codec.decode(seq) == word
