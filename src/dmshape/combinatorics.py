@@ -92,14 +92,20 @@ class AmplitudeAlphabet:
 DEFAULT_ALPHABET = AmplitudeAlphabet()
 
 
+def k_fits(n: int, k: int, m: int) -> bool:
+    """Whether k lies in [0, n*log2(m)]: 2^k words need 2^k <= m^n
+    sequences."""
+    return 0 <= k <= n * math.log2(m)
+
+
 def check_k_range(n: int, k: int, m: int,
                   error: type[Exception] = RateInfeasibleError) -> None:
-    """Refuse k outside [0, n*log2(m)]: 2^k words need 2^k <= m^n sequences.
+    """Refuse k outside [0, n*log2(m)] (k_fits).
 
     Called before 2^k is formed; a builder raises RateInfeasibleError,
     validate ConstructionBugError.
     """
-    if not 0 <= k <= n * math.log2(m):
+    if not k_fits(n, k, m):
         raise error(f"k={k} outside [0, n*log2(m)]")
 
 

@@ -14,7 +14,9 @@ The used counts are no column: a shell uses its multinomial, and the same
 walk records as overrides only the shells that use another count, the
 crossing shell and the zero-weight shells after it (schemes.UsedCounts),
 with the codec's block starts.  Block totals locate the shell where the
-used total reaches 2^k, and only that block is accumulated.
+used total reaches 2^k, and only that block is accumulated.  validate
+takes its capacity and weight checks from that walk too (schemes.WordCheck),
+so a build forms each multinomial up to the crossing shell's block once.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -37,8 +39,10 @@ from .schemes import (
     CompositionSet,
     LeafTable,
     UsedCounts,
+    WordCheck,
     block_energies,
     narrow_counts,
+    shares,
     used_overrides,
 )
 
@@ -84,13 +88,15 @@ def build_ess(n: int, k: int,
                 used[cross] = short - (cumulative[cross - 1] if cross else 0)
                 used[cross + 1:] = 0
                 size = short
-            weights[rows] = used / need
+            weights[rows] = shares(used, k)
             short -= size
             yield used, mc
 
-    used = UsedCounts(counts, n, *used_overrides(used_blocks()))
+    # validate reads its capacity and weight checks off the same walk
+    checked = WordCheck(weights, k)
+    used = UsedCounts(counts, n, *used_overrides(checked.scan(used_blocks())))
     leaves = LeafTable(counts=counts, weights=weights, used_counts=used)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
-    built.validate()
+    built.validate(checked)
     return built

@@ -2,24 +2,25 @@
 
 These are the hot inner loops of the package: the codec's rank and unrank
 of multiset permutations in one level-split order (cc_rank, cc_unrank),
-which read their binomials from one cached table (binomial_columns) up to
-MAX_TABLE_N and update one binomial per step above it; the ESS shell walk
-(shells_upto: one count matrix, from a depth-first walk that stops each
-level at the energy radius, so its cost follows its output, and that
-refuses a ball of more than MAX_ESS_SHELLS shells before forming any row);
-the complement-pair walk (pair_list: one array of canonical members and
-payloads, bounded by MAX_MPDM_PAIRS; scanned_pairs keeps the last for
-pair_capacity and MPDM); and the column kernel ``multinomials``: the exact
-multinomial of every row of a count matrix (validate's capacities,
-build_ess's shell sizes), each distinct binomial formed once and the
-products taken in numpy's object loops, by multinomial_blocks, which also
+which read their binomials from one cached table (binomial_table, as the
+lists of binomial_columns) up to MAX_TABLE_N and update one binomial per
+step above it; the ESS shell walk (shells_upto: one count matrix, from a
+depth-first walk that stops each level at the energy radius, so its cost
+follows its output, and that refuses a ball of more than MAX_ESS_SHELLS
+shells before forming any row); the complement-pair walk (pair_list: one
+array of canonical members and payloads, bounded by MAX_MPDM_PAIRS;
+scanned_pairs keeps the last for pair_capacity and MPDM); and the column
+kernel ``multinomials``: the exact multinomial of every row of a count
+matrix (validate's capacities, build_ess's shell sizes), by
+multinomial_blocks, which reads each block's binomials from that same table
+by one 2-D index up to MAX_TABLE_N (forms each distinct one once a pass
+above it) and takes the products in numpy's object loops, and which also
 serves a pass that meets its blocks one at a time (the ESS used counts a
-scheme file or a table derives); the codec derives a few leaves' words
-per word with row_multinomials.  The energy ball's suffix-count
-table and its walks (trellis_build, ess_unrank, ess_rank) serve only
-perfbench's kernel bench and the test oracle, as energy_totals does.  All
-arithmetic that can overflow 64 bits is done with Python ints, so every
-kernel is exact.
+scheme file or a table derives); the codec derives a few leaves' words per
+word with row_multinomials.  The energy ball's suffix-count table and its
+walks (trellis_build, ess_unrank, ess_rank) serve only perfbench's kernel
+bench and the test oracle, as energy_totals does.  All arithmetic that can
+overflow 64 bits is done with Python ints, so every kernel is exact.
 """
 
 import functools
@@ -45,10 +46,11 @@ def chunks(size):
         yield slice(start, min(start + step, size))
 
 
-# Rows one shells_upto walk may return.  An ESS build peaks near 190 bytes
-# of RSS per shell in one process (44 MB for 108,990 shells at n=216,
-# 151 MB for 802,188 at n=432, 183 MB for 989,150 at n=464), so this bounds
-# it near 200 MB and still holds compare at n=432.
+# Rows one shells_upto walk may return.  An ESS build in one process peaks
+# near 65 bytes of RSS per shell above the ~30 MB that importing dmshape
+# takes (37 MB in all for 108,990 shells at n=216, 80 MB for 802,188 at
+# n=432, 91 MB for 989,150 at n=464), so this bounds it near 100 MB and
+# still holds compare at n=432.
 MAX_ESS_SHELLS = 1 << 20
 
 # Pairs one pair_list walk may return.  An MPDM build peaks near 55 bytes of
@@ -74,17 +76,80 @@ def mc_counts(counts):
     return r
 
 
+# Largest block length whose binomial table is built: cc_unrank, cc_rank and
+# the multinomial kernels read it.  binomial_table takes 0.69 MB at n=216,
+# 3.4 MB at n=432 and 5.1 MB here (tracemalloc), built in ~10 ms, and
+# binomial_columns' lists 0.19, 0.76 and 1.1 MB more; its digits grow as
+# n^3, to an estimated ~200 MB at n=2,048.  Above the bound the same order
+# comes from a walk that updates one binomial per step: ~1 ms a word each
+# way at n=2,048 over two levels.
+MAX_TABLE_N = 512
+
+
+@functools.lru_cache(maxsize=1)
+def binomial_table(n):
+    """table[a, p] = C(p, a) for 0 <= a <= n // 2 and 0 <= p <= n: the one
+    binomial table, an object ndarray of Python ints that multinomial_blocks
+    indexes and binomial_columns lists for the codec.
+
+    Each column is the running sum of the one before (Pascal's rule summed
+    along p), so the table costs additions only.  C(p, a) for p < 2a equals
+    C(p, p - a) of an earlier column and is stored as that same int, which
+    leaves 0.46 MB of ints at n=216 and 2.5 MB at n=432 (0.68 and 3.6 MB as
+    separate ints); the array adds 0.19 and 0.75 MB of pointers.  Built on
+    first use, never at import; the last n asked for is cached.
+    """
+    col = [1] * (n + 1)
+    cols = [col]
+    for a in range(1, n // 2 + 1):
+        col = [0, *accumulate(col[:n])]
+        col[a:2 * a] = [cols[p - a][p] for p in range(a, min(2 * a, n + 1))]
+        cols.append(col)
+    return np.array(cols, dtype=object)
+
+
+@functools.lru_cache(maxsize=1)
+def binomial_columns(n):
+    """binomial_table(n) as a list of columns, cols[a][p] = C(p, a), holding
+    the table's own ints: the codec's rank and unrank read it by C-level
+    list lookups, bisections and sums.  The last n asked for is cached, and
+    the four codecs of one block length share it."""
+    return binomial_table(n).tolist()
+
+
 def multinomial_blocks(n):
     """A function from a block of compositions of n, an (L, m) count matrix,
     to the exact multinomials of its rows as an object array of Python ints.
 
-    Row i's value is the product over j < m-1 of comb(rest_j, c_j), with
-    rest_j = n minus the earlier counts, as in mc_counts.  Each distinct
-    (rest_j, c_j) binomial is formed once over every block the function is
-    given, so one function serves one pass over a column of blocks.  Every
-    count must lie in [0, n] and each row must sum to n, with (n+1)^2 inside
-    int64.  Each block is cast to int64 on its own.
+    Row i's value is the product over j < m-1 of C(r_j, c_j) = C(r_j, r_j -
+    c_j), with r_j = n minus the earlier counts, as in mc_counts.  Up to
+    MAX_TABLE_N each binomial is read from binomial_table(n), the codec's
+    cached table, at (min(c_j, r_j - c_j), r_j), by one 2-D index of each
+    block.  Above it each distinct binomial is formed once over every block
+    the function is given, so one function serves one pass over a column of
+    blocks.  Every count must lie in [0, n] and each row must sum to n, with
+    (n+1)^2 inside int64.  Each block is cast to int64 on its own.
     """
+
+    def rests(counts):
+        """(c_j, r_j) for j < m-1 of every row of a block, as two int64
+        matrices."""
+        head = np.asarray(counts[:, :-1], dtype=np.int64)
+        rest = np.cumsum(head, axis=1)
+        rest -= head
+        np.subtract(n, rest, out=rest)
+        return head, rest
+
+    if n <= MAX_TABLE_N:
+        table = binomial_table(n)
+
+        def block_multinomials(counts):
+            head, rest = rests(counts)
+            small = np.minimum(head, rest - head)
+            return np.multiply.reduce(table[small, rest], axis=1)
+
+        return block_multinomials
+
     binomials = {}
 
     def binomial(key):
@@ -93,57 +158,28 @@ def multinomial_blocks(n):
             value = binomials[key] = comb(*divmod(key, n + 1))
         return value
 
-    def block_multinomials(counts):
-        head = np.asarray(counts[:, :-1], dtype=np.int64)
-        # one int64 key rest_j * (n+1) + c_j per binomial, built in place
-        keys = np.cumsum(head, axis=1)
-        keys -= head
-        np.subtract(n, keys, out=keys)
+    def block_memo_multinomials(counts):
+        head, keys = rests(counts)
+        # one int64 key r_j * (n+1) + c_j per binomial, built in place
         keys *= n + 1
         keys += head
         pairs, index = np.unique(keys, return_inverse=True)
         values = np.array(list(map(binomial, pairs.tolist())), dtype=object)
         return np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
 
-    return block_multinomials
+    return block_memo_multinomials
 
 
 def multinomials(counts, n):
     """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
 
     Yields them as object arrays of Python ints, CHUNK rows at a time in row
-    order, so no array of L bigints is held, from one multinomial_blocks(n):
-    each distinct binomial is formed once for the whole matrix, and a narrow
-    count matrix is never copied whole.
+    order, so no array of L bigints is held, from one multinomial_blocks(n),
+    and a narrow count matrix is never copied whole.
     """
     block_multinomials = multinomial_blocks(n)
     for rows in chunks(len(counts)):
         yield block_multinomials(counts[rows])
-
-
-# Largest block length whose binomial table cc_unrank and cc_rank build.
-# binomial_columns takes 0.95 MB at n=216, 4.7 MB at n=432 and 7.1 MB here
-# (tracemalloc), built in ~6 ms; its digits grow as n^3, to an estimated
-# ~270 MB at n=2,048.  Above the bound the same order comes from a walk that
-# updates one binomial per step: ~1 ms a word each way at n=2,048 over two
-# levels.
-MAX_TABLE_N = 512
-
-
-@functools.lru_cache(maxsize=1)
-def binomial_columns(n):
-    """cols[a][p] = C(p, a) for 0 <= a <= n // 2 and 0 <= p <= n.
-
-    Each column is the running sum of the one before (Pascal's rule summed
-    along p), so the table costs additions only.  The last n asked for is
-    cached, and the four codecs of one block length share it.
-    """
-    col = [1] * (n + 1)
-    cols = [col]
-    for _ in range(n // 2):
-        col = [0, *accumulate(col[:n])]
-        cols.append(col)
-    return cols
 
 
 def row_multinomials(rows, n):

@@ -16,7 +16,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import __version__
-from .combinatorics import AmplitudeAlphabet
+from .combinatorics import AmplitudeAlphabet, k_fits
 from .errors import SchemeFileError
 from .kernels import chunks, multinomial_blocks
 from .optimizer import BUILDERS
@@ -25,6 +25,7 @@ from .schemes import (
     CompositionSet,
     LeafTable,
     UsedCounts,
+    WordCheck,
     composition_rows,
     count_dtype,
     int_array,
@@ -115,11 +116,11 @@ def read_scheme(path: str) -> CompositionSet:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            built, (e_max, avg_pmf, rate_loss) = _parse(fh, path)
+            built, checked, (e_max, avg_pmf, rate_loss) = _parse(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
     try:
-        built.validate()
+        built.validate(checked)
     except Exception as exc:
         raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
     # the header must state what the leaves imply
@@ -137,8 +138,9 @@ def read_scheme(path: str) -> CompositionSet:
 
 
 def _parse(fh, path: str):
-    """The unvalidated scheme an open scheme file holds, and the (e_max,
-    avg_pmf, rate_loss) its header states."""
+    """The unvalidated scheme an open scheme file holds, the WordCheck its
+    leaf pass filled for validate (or None), and the (e_max, avg_pmf,
+    rate_loss) its header states."""
 
     def parse(lineno: int, field: str, text: str, convert):
         try:
@@ -188,17 +190,18 @@ def _parse(fh, path: str):
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {found}")
     fh.seek(start)
-    leaves = _leaf_table(enumerate(fh, i + 1), n_leaves, path, n, alphabet.m,
-                         is_tree_scheme(scheme))
+    leaves, checked = _leaf_table(enumerate(fh, i + 1), n_leaves, path, n, k,
+                                  alphabet.m, is_tree_scheme(scheme))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
-    return built, (e_max, avg_pmf, rate_loss)
+    return built, checked, (e_max, avg_pmf, rate_loss)
 
 
-def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
-                tree: bool) -> LeafTable:
+def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
+                tree: bool) -> tuple[LeafTable, WordCheck | None]:
     """Parse the numbered leaf lines, of which n_leaves are not blank, into
-    table columns, each line once.
+    table columns, each line once, and return the table with the WordCheck
+    that validate reads (None for a tree, or when no multinomial is formed).
 
     Per line the fields are converted counts, weight, payload_bits or
     used_count, then depth; the first that fails is the one named.  Counts
@@ -211,16 +214,21 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
 
     An ESS block's used counts are compared with the multinomials of its
     rows that are compositions of n, and only the ones that differ are kept,
-    as the UsedCounts' overrides.  That pass runs only for an n within
+    as the UsedCounts' overrides.  A used count of 0 is never a multinomial,
+    so its row's is not formed.  That pass runs only for an n within
     [1, MAX_BLOCK_LENGTH]; every used count of a row that is no composition,
-    or of a file whose n is outside it, is kept as parsed.
+    or of a file whose n is outside it, is kept as parsed.  The same blocks
+    fill validate's WordCheck when k also lies in range (k_fits), the
+    multinomials all from the file's own counts.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
     mid, depth = [], []  # a tree's payload and depth columns
     # the multinomials of the whole pass, or None when none may be formed
     block_multinomials = (multinomial_blocks(n) if 1 <= n <= MAX_BLOCK_LENGTH
-                          else None)
+                          and not tree else None)
+    checked = (WordCheck(weights, k) if block_multinomials is not None
+               and k_fits(n, k, m) else None)
     lines = ((lineno, line) for lineno, line in lines if line.strip())
 
     def used_blocks():
@@ -268,13 +276,14 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, m: int,
                 yield used, None
                 continue
             mc = np.full(len(used), None, dtype=object)
-            fits = composition_rows(block, n)
+            fits = composition_rows(block, n) & (used != 0)
             mc[fits] = block_multinomials(block[fits])
             yield used, mc
 
-    overrides, starts = used_overrides(used_blocks())  # none for a tree
+    blocks = used_blocks() if checked is None else checked.scan(used_blocks())
+    overrides, starts = used_overrides(blocks)  # none for a tree
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
-                         depth=int_array(depth))
-    return LeafTable(counts, weights,
-                     used_counts=UsedCounts(counts, n, overrides, starts))
+                         depth=int_array(depth)), None
+    return LeafTable(counts, weights, used_counts=UsedCounts(
+        counts, n, overrides, starts)), checked

@@ -35,9 +35,11 @@ each given those, so they are computed from them; read_scheme checks that a
 file's header states those values.
 
 Capacities are checked exactly, by column: kernels.multinomials gives each
-leaf's multinomial MC as a product of binomials, each distinct binomial
-formed once, one block of leaves at a time, and a leaf's words (2^p, or its
-used count) must lie in [0, MC].  A multinomial at n=216 has ~400 bits,
+leaf's multinomial MC as a product of binomials from one cached table, one
+block of leaves at a time, and a leaf's words (2^p, or its used count) must
+lie in [0, MC].  A WordCheck takes that check, and the weight check, from
+the pass that forms an ESS table (build_ess's walk, the file reader's), so
+validate forms no second pass for it.  A multinomial at n=216 has ~400 bits,
 far beyond a float's 53, and every interior ESS shell is used exactly to its
 capacity, so no float bound could decide it.
 """
@@ -222,6 +224,63 @@ def used_overrides(blocks: Iterable) -> tuple[dict, list]:
         total = cumulative[-1]
         first += len(used)
     return overrides, starts
+
+
+def shares(words: np.ndarray, k: int) -> np.ndarray:
+    """words / 2^k as float64, each the correctly rounded exact quotient,
+    for an object array of Python ints in [0, 2^k].
+
+    For k <= 1022 it is np.ldexp(float(w), -k): float() of a word of at
+    most 2^1022 rounds once, correctly, and cannot overflow, and a nonzero
+    quotient is at least 2^-1022, a normal float, so scaling by 2^-k is
+    exact and equals the quotient bit for bit.  Above that a word may
+    overflow a float, or its quotient fall below the normal range and round
+    twice, so each word is divided exactly, as w / 2^k.
+    """
+    if k <= 1022:
+        return np.ldexp(words.astype(np.float64), -k)
+    return (words / (1 << k)).astype(np.float64)
+
+
+class WordCheck:
+    """validate's capacity and weight checks over a scheme's words, filled
+    one kernels.chunks block at a time, in order, by the pass that forms the
+    blocks' multinomials (see CompositionSet.validate).
+
+    ``add(w, mc)`` takes a block's words, an object array of Python ints,
+    and its rows' multinomials, an object array with None for a row whose
+    multinomial is not formed (or None for the whole block).  A row is at
+    fault unless 0 <= w <= MC, an unformed MC counting as 0 (a row of 0
+    words needs none), w <= 2^k and its weight in ``weights`` is shares(w,
+    k).  ``first`` is the first row at fault, or None, and ``over_cap`` says
+    whether its words lie outside [0, MC]; ``total`` sums the words.
+    """
+
+    __slots__ = ("weights", "k", "first", "over_cap", "total", "end")
+
+    def __init__(self, weights: np.ndarray, k: int):
+        self.weights, self.k = weights, k
+        self.first = self.over_cap = None
+        self.total = self.end = 0
+
+    def add(self, w: np.ndarray, mc: np.ndarray | None) -> None:
+        rows = slice(self.end, self.end + len(w))
+        self.end = rows.stop
+        cap = 0 if mc is None else np.where(np.equal(mc, None), 0, mc)
+        over_cap = (w < 0) | (w > cap)
+        fits = ~over_cap & (w <= 1 << self.k)
+        bad = ~fits | (self.weights[rows]
+                       != shares(np.where(fits, w, 0), self.k))
+        if self.first is None and bad.any():
+            j = int(bad.argmax())
+            self.first, self.over_cap = rows.start + j, bool(over_cap[j])
+        self.total += w.sum()
+
+    def scan(self, blocks: Iterable) -> Iterator:
+        """The (w, mc) blocks, each passed on after it is added."""
+        for block in blocks:
+            self.add(*block)
+            yield block
 
 
 class UsedCounts(Sequence):
@@ -415,7 +474,7 @@ class CompositionSet:
         ks = kurtosis_of(table.counts[table.weights > 0], self.alphabet)
         return min(ks), max(ks)
 
-    def validate(self) -> None:
+    def validate(self, checked: WordCheck | None = None) -> None:
         """Raise ConstructionBugError on any violated scheme invariant.
 
         n lies in [1, MAX_BLOCK_LENGTH].  A tree table carries payload and
@@ -423,15 +482,23 @@ class CompositionSet:
         words[i] input words (2^payload_bits, or the ESS used count), as the
         codec addresses them: 0 <= words[i] <= MC(c_i), compared exactly with
         the multinomials of kernels.multinomials, words[i] <= 2^k, its weight
-        is words[i] / 2^k, and the words sum to 2^k.  Every ESS leaf lies
-        inside the minimal radius, and the rate loss is not negative.
+        is shares(words[i], k), and the words sum to 2^k.  Every ESS leaf
+        lies inside the minimal radius, and the rate loss is not negative.
+
+        The capacity and weight checks and the word total come from
+        ``checked``, a WordCheck of this very table's words filled from the
+        multinomials of its own counts by the pass that formed the table
+        (build_ess's walk, or read_scheme's over an ESS file); without one,
+        validate forms them in one pass of kernels.multinomials.
 
         The checks run column by column, and the error names the first leaf
         at fault in stored order, as a leaf-by-leaf pass would: per leaf,
         duplicate before composition before kind (a table of the wrong kind
         misfits at every leaf), then (once every leaf has passed those)
-        payload/depth, capacity and weight, each a mask over all leaves,
-        with the three checked in that order at the first leaf any marks.
+        payload/depth, capacity and weight, with the three checked in that
+        order at the first leaf any marks: payload/depth is a mask over a
+        tree's leaves, and the WordCheck keeps the first leaf whose capacity
+        or weight is at fault.
 
         Besides those masks, validate holds one key per leaf and its stable
         sort order for the duplicate check; everything else per leaf (row
@@ -486,31 +553,23 @@ class CompositionSet:
         if tree:
             p = table.payload_bits
             bad_pd = (p < 0) | (p > k) | (table.depth != k - p)
+            first_pd = _first(bad_pd)
             words = [1 << x for x in np.where(bad_pd, 0, p).tolist()]
         else:
-            bad_pd = np.zeros(size, dtype=bool)
-            words = table.used_counts
-        # capacity and weight by column, one block of multinomials at a time:
-        # words[i] <= MC(c_i) exactly, and the share words[i] / 2^k formed
-        # as a float only for a word in [0, 2^k].  An ESS block's words are
-        # its multinomials with its overrides written over them
-        bad_cap = np.zeros(size, dtype=bool)
-        bad_w = np.zeros(size, dtype=bool)
-        total = 0
-        for rows, mc in zip(chunks(size), multinomials(counts, n)):
-            w = (np.array(words[rows], dtype=object) if tree
-                 else words.over(rows, mc.copy()))
-            total += w.sum()
-            bad_cap[rows] = (w < 0) | (w > mc)
-            fits = ~bad_cap[rows] & (w <= need)
-            share = (np.where(fits, w, 0) / need).astype(np.float64)
-            bad_w[rows] = ~fits | (table.weights[rows] != share)
-        i = _first(bad_pd | bad_cap | bad_w)
+            first_pd, words = size, table.used_counts
+        if checked is None:
+            # one block of multinomials at a time; an ESS block's words are
+            # its multinomials with its overrides written over them
+            checked = WordCheck(table.weights, k)
+            for rows, mc in zip(chunks(size), multinomials(counts, n)):
+                checked.add(np.array(words[rows], dtype=object) if tree
+                            else words.over(rows, mc.copy()), mc)
+        i = size if checked.first is None else checked.first
+        if first_pd < size and first_pd <= i:
+            raise ConstructionBugError("inconsistent payload/depth")
         if i < size:
-            if bad_pd[i]:
-                raise ConstructionBugError("inconsistent payload/depth")
             leaf = table[i]
-            if bad_cap[i]:
+            if checked.over_cap:
                 raise ConstructionBugError(
                     "payload exceeds composition capacity" if tree else
                     f"leaf {leaf.counts} used count {leaf.used_count} "
@@ -523,9 +582,10 @@ class CompositionSet:
                      else f"{leaf.used_count}/2^{k}")
             raise ConstructionBugError(
                 f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}")
-        if total != need:
+        if checked.total != need:
             what = "address space" if tree else "used sequences"
-            raise ConstructionBugError(f"{what} is {total}, expected 2^{k}")
+            raise ConstructionBugError(
+                f"{what} is {checked.total}, expected 2^{k}")
         wsum = 0.0  # left to right, as sum() before 3.12
         for chunk in row_chunks(table.weights):
             wsum = running_sum(wsum, chunk.copy())

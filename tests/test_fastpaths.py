@@ -35,7 +35,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dmshape as d
-from dmshape import ccdm, combinatorics, kernels, mpdm, nli, schemes
+from dmshape import (
+    ccdm,
+    combinatorics,
+    kernels,
+    mpdm,
+    nli,
+    schemefile,
+    schemes,
+)
 from dmshape.ccdm import mb_composition_chain
 from dmshape.cli import _write_report, main
 from dmshape.combinatorics import input_bits, integer_radius, kurtosis_of
@@ -465,8 +473,8 @@ def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
 def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
     # a built ESS table stores no used count a leaf: iterating, indexing,
     # slicing, == and n_words form one block of multinomials for each chunk
-    # they read, over one binomial memo a pass (kernels.multinomial_blocks),
-    # and never a per-leaf mc_counts
+    # they read, from one kernels.multinomial_blocks a pass, and never a
+    # per-leaf mc_counts
     built, twin = d.build_ess(24, 36), d.build_ess(24, 36)
     table = built.leaves
     want = bisect_used(table.counts, 36)
@@ -503,6 +511,71 @@ def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
         assert read() == want_read
         assert len(passes) == n_passes and len(rows) == n_blocks
         assert max(rows) <= 7
+
+
+def fed_rows(monkeypatch):
+    """The rows, as tuples, that every caller feeds the multinomial kernel
+    from now on, and the number of passes (multinomial_blocks calls)."""
+    fed, passes = [], []
+    real = kernels.multinomial_blocks
+
+    def counted(n):
+        block_multinomials = real(n)
+        passes.append(n)
+
+        def block(counts):
+            fed.extend(map(tuple, counts.tolist()))
+            return block_multinomials(counts)
+
+        return block
+
+    for module in (kernels, schemes, schemefile):
+        monkeypatch.setattr(module, "multinomial_blocks", counted)
+    return fed, passes
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_ess_steps_form_each_multinomial_once(chunk, tmp_path, monkeypatch):
+    # build_ess's walk also fills validate's checks, and forms no row after
+    # the crossing shell's block; a read forms each row it compares once,
+    # and none of a leaf that uses 0 words; a validate on its own makes one
+    # pass over every row
+    built = d.build_ess(24, 36)
+    path = str(tmp_path / "ess.scheme")
+    write_scheme(built, path)
+    rows = list(map(tuple, built.leaves.counts.tolist()))
+    used = list(built.leaves.used_counts)
+    cross = max(i for i, u in enumerate(used) if u)
+    assert 0 < cross < len(rows) - chunk
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    fed, passes = fed_rows(monkeypatch)
+    again = d.build_ess(24, 36)
+    assert fed == rows[:(cross // chunk + 1) * chunk] and passes == [24]
+    fed.clear(), passes.clear()
+    read = read_scheme(path)
+    assert fed == [row for row, u in zip(rows, used) if u] and passes == [24]
+    fed.clear(), passes.clear()
+    built.validate()
+    assert fed == rows and passes == [24]
+    assert again.leaves == read.leaves == built.leaves
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([0, 349, 1022, 1023, 1100]), data=st.data())
+def test_shares_are_the_correctly_rounded_quotients(k, data):
+    # ldexp up to k = 1022, exact division above: each share is w / 2^k as
+    # Python divides ints, rounded once, ties (a 54th significant bit of 1
+    # and nothing below it) to even
+    need = 1 << k
+    words = [0, 1, need, need - 1]
+    if k > 60:
+        words += [(1 << 53 | 1) << (k - 60), (1 << 53 | 3) << (k - 60)]
+    if k == 1100:  # a subnormal quotient that float() then ldexp rounds twice
+        words.append(1 << 60 | 1 << 25 | 1)
+    words += data.draw(st.lists(st.integers(0, need), max_size=8))
+    got = schemes.shares(np.array(words, dtype=object), k)
+    assert got.dtype == np.float64
+    assert got.tolist() == [w / need for w in words]
 
 
 @pytest.mark.parametrize("n,k", [(12, 14), (24, 36)])
@@ -1107,13 +1180,14 @@ def ess_step_memory(ess216, model216, tmp_path_factory):
 
 # Bytes per leaf each step of the n=216 ESS flow may allocate above what it
 # keeps.  Each holds the table's columns once; what remains is validate's
-# binomial dict (~18 bytes a leaf) or its key column and sort order (16),
-# and analyze's report (4 bytes of uint8 counts and 24 of float64 columns a
-# carried leaf) with the CDF's sort order (8).  They take 28, 25, 25 and 40
-# bytes a leaf; with int64 counts the report took 68, with whole-column
-# copies beside the table the four took 72, 60, 60 and 96, and with the
-# report's columns as lists of Python floats analyze peaked near 170.
-STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 40, "read_scheme": 40,
+# key column and sort order (16), and analyze's report (4 bytes of uint8
+# counts and 24 of float64 columns a carried leaf) with the CDF's sort
+# order (8).  They take 25, 19, 20 and 40 bytes a leaf; with a binomial
+# dict a pass (~18 bytes a leaf) validate and read_scheme took 23 and 28,
+# with int64 counts the report took 68, with whole-column copies beside the
+# table the four took 72, 60, 60 and 96, and with the report's columns as
+# lists of Python floats analyze peaked near 170.
+STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 30, "read_scheme": 30,
                        "analyze_and_report": 55}
 
 

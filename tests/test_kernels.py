@@ -5,7 +5,8 @@ Each kernel is checked against an independent enumeration by
 walks by oracles.level_split_rank), or of all count vectors in a box, for
 alphabets of m = 2 to 4 levels.  Compositions without a box come from stars
 and bars, so the shell walk is also checked at m = 5 and 8.  The column
-kernel multinomials is checked against the scalar mc_counts row by row.
+kernel multinomials is checked against the scalar mc_counts row by row, on
+both sides of MAX_TABLE_N.
 """
 
 import gc
@@ -101,14 +102,31 @@ def count_matrices(draw):
 HALF = MAX_BLOCK_LENGTH // 2
 
 
+def split_rows(n):
+    """Compositions of n into 3 levels: all of n in each level, an uneven
+    split, and one whose first binomial is read as C(r, r - c)."""
+    return [[n, 0, 0], [0, n, 0], [0, 0, n],
+            [n - n // 3 - n // 5, n // 3, n // 5], [n - 2, 1, 1]]
+
+
 @settings(max_examples=200, deadline=None)
-@given(count_matrices(), st.sampled_from([1, 2, 3, 5, kernels.CHUNK]))
+@given(count_matrices(), st.sampled_from([1, 2, 3, 5, kernels.CHUNK]),
+       st.booleans())
 # the largest binomial a valid scheme can ask for, comb(2^16, 2^15)
-@example((MAX_BLOCK_LENGTH, 2, [[HALF, HALF], [0, MAX_BLOCK_LENGTH]]), 1)
-def test_multinomials_equal_mc_counts(case, chunk):
+@example((MAX_BLOCK_LENGTH, 2, [[HALF, HALF], [0, MAX_BLOCK_LENGTH]]), 1,
+         False)
+# the largest n whose binomials are read from the table, and the smallest
+# whose binomials are formed
+@example((kernels.MAX_TABLE_N, 3, split_rows(kernels.MAX_TABLE_N)), 2, False)
+@example((kernels.MAX_TABLE_N + 1, 3, split_rows(kernels.MAX_TABLE_N + 1)), 2,
+         False)
+def test_multinomials_equal_mc_counts(case, chunk, formed):
+    # formed: every n takes the path above MAX_TABLE_N
     n, m, rows = case
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-    with mock.patch.object(kernels, "CHUNK", chunk):
+    bound = -1 if formed else kernels.MAX_TABLE_N
+    with mock.patch.object(kernels, "CHUNK", chunk), \
+            mock.patch.object(kernels, "MAX_TABLE_N", bound):
         blocks = list(kernels.multinomials(matrix, n))
     assert all(0 < len(block) <= chunk for block in blocks)
     got = [x for block in blocks for x in block.tolist()]
@@ -175,6 +193,23 @@ def test_binomial_columns(n):
     assert len(cols) == n // 2 + 1
     assert cols == [[math.comb(p, a) for p in range(n + 1)]
                     for a in range(n // 2 + 1)]
+    table = kernels.binomial_table(n)
+    assert table.dtype == object and table.shape == (n // 2 + 1, n + 1)
+    assert table.tolist() == cols
+
+
+def test_multinomials_read_the_table_up_to_its_bound(monkeypatch):
+    # n = MAX_TABLE_N reads its binomials from binomial_table, one more
+    # forms them, and both equal mc_counts there
+    read = []
+    table = kernels.binomial_table
+    monkeypatch.setattr(kernels, "binomial_table",
+                        lambda n: read.append(n) or table(n))
+    for n in (kernels.MAX_TABLE_N, kernels.MAX_TABLE_N + 1):
+        rows = split_rows(n)
+        got = kernels.multinomial_blocks(n)(np.array(rows, dtype=np.uint16))
+        assert got.tolist() == [kernels.mc_counts(row) for row in rows]
+    assert read == [kernels.MAX_TABLE_N]
 
 
 def test_cc_rank_rejects_foreign_sequence():
