@@ -9,6 +9,10 @@ class RateInfeasibleError(DmShapeError):
     """The requested (n, k) cannot be realised by the scheme."""
 
 
+class BinomialBudgetError(RateInfeasibleError):
+    """Exact counts that need more binomial work than one pass may spend."""
+
+
 class ConstructionBugError(DmShapeError):
     """An internal consistency check failed while building a scheme."""
 

@@ -8,29 +8,32 @@ step above it; the ESS shell walk (shells_upto: one count matrix, from a
 depth-first walk that stops each level at the energy radius, so its cost
 follows its output, and that refuses a ball of more than MAX_ESS_SHELLS
 shells before forming any row); the complement-pair walk (pair_list: one
-array of canonical members and payloads, bounded by MAX_MPDM_PAIRS;
-scanned_pairs keeps the last for pair_capacity and MPDM); and the column
-kernel ``multinomials``: the exact multinomial of every row of a count
-matrix (validate's capacities, build_ess's shell sizes), by
+array of canonical members and payloads, bounded by MAX_MPDM_PAIRS, from a
+walk that finds each line's kept interval exactly by a search down the
+same table's columns and forms only the kept rows' payloads, CHUNK rows at
+a time; scanned_pairs keeps the last for pair_capacity and MPDM); and the
+column kernel ``multinomials``: the exact multinomial of every row of a
+count matrix (validate's capacities, build_ess's shell sizes), by
 multinomial_blocks, which reads each block's binomials from that same table
 by one 2-D index up to MAX_TABLE_N (forms each distinct one once a pass
-above it) and takes the products in numpy's object loops, and which also
-serves a pass that meets its blocks one at a time (the ESS used counts a
-scheme file or a table derives); the codec derives a few leaves' words per
-word with row_multinomials.  The energy ball's suffix-count table and its
-walks (trellis_build, ess_unrank, ess_rank) serve only perfbench's kernel
-bench and the test oracle, as energy_totals does.  All arithmetic that can
+above it, one step from its neighbour where the pass holds that, within
+MAX_BINOMIAL_WORK) and takes the products in numpy's object loops, and
+which also serves a pass that meets its blocks one at a time (the ESS used
+counts a scheme file or a table derives); the codec derives a few leaves'
+words per word with row_multinomials.  The energy ball's suffix-count table
+and its walks (trellis_build, ess_unrank, ess_rank) serve only perfbench's
+kernel bench and the test oracle, as energy_totals does.  All arithmetic that can
 overflow 64 bits is done with Python ints, so every kernel is exact.
 """
 
 import functools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .errors import RateInfeasibleError
+from .errors import BinomialBudgetError, RateInfeasibleError
 
 # Rows per block of every column walk: multinomials, validate, analyze, the
 # scheme file's leaf lines and the MB lambda grid.  A block holds this many
@@ -85,6 +88,30 @@ def mc_counts(counts):
 # way at n=2,048 over two levels.
 MAX_TABLE_N = 512
 
+# Work one multinomial_blocks pass may spend above MAX_TABLE_N forming its
+# distinct binomials, each charged binomial_work before any of a block's new
+# ones is formed.  The charge follows the time, so this bounds a pass near
+# 1 s.  The program's own largest passes ask for 5.3x less: ESS over 1,3,5
+# at n=1,320, k=2,090 (near the largest n its energy grid allows, 332,725
+# binomials, 4.0e8, a 1.4 s pass with its products) and over 1,5,7 at
+# n=1,620, k=2,520 (3.6e8); an mpdm table over 1,3,5,7 at n=1,200 asks for
+# 9.6e6.  A file of 100 two-level leaves two apart near n/2 at n=2^16 asks
+# for 1.3e10 (~6 s of comb).
+MAX_BINOMIAL_WORK = 1 << 31
+
+
+def binomial_work(r, a, stepped=False):
+    """The work charged for forming C(r, a), 0 <= a <= r // 2: a * b^0.75
+    in integers from comb, or 2 * b when it is stepped from C(r, a - 1) by
+    one multiply and one exact divide, with b = min(r, a * (bit_length(r) -
+    bit_length(a) + 3)) a bound on its bits, since C(r, a) <= (e*r/a)^a and
+    C(r, a) <= 2^r.  Both follow the time (Python 3.11, 2-core x86-64):
+    comb takes 0.3-0.5 ns a unit from r = 1,024 to 65,536 and a from r/100
+    to r/2, so C(65536, 32768) is charged 2^27 and takes 63 ms, and a step
+    0.3-0.7 ns a bit."""
+    b = min(r, a * (r.bit_length() - a.bit_length() + 3))
+    return 2 * b if stepped else a * isqrt(b * isqrt(b))
+
 
 @functools.lru_cache(maxsize=1)
 def binomial_table(n):
@@ -127,8 +154,12 @@ def multinomial_blocks(n):
     cached table, at (min(c_j, r_j - c_j), r_j), by one 2-D index of each
     block.  Above it each distinct binomial is formed once over every block
     the function is given, so one function serves one pass over a column of
-    blocks.  Every count must lie in [0, n] and each row must sum to n, with
-    (n+1)^2 inside int64.  Each block is cast to int64 on its own.
+    blocks: by one step from C(r_j, a - 1) when the pass holds it, a =
+    min(c_j, r_j - c_j), else by comb; a pass whose binomial_work passes
+    MAX_BINOMIAL_WORK is refused (BinomialBudgetError) before the new ones
+    of the block that passes it are formed.  Every count must lie in [0, n]
+    and each row must sum to n, with (n+1)^2 inside int64.  Each block is
+    cast to int64 on its own.
     """
 
     def rests(counts):
@@ -150,21 +181,34 @@ def multinomial_blocks(n):
 
         return block_multinomials
 
-    binomials = {}
-
-    def binomial(key):
-        value = binomials.get(key)
-        if value is None:
-            value = binomials[key] = comb(*divmod(key, n + 1))
-        return value
+    binomials = {}  # C(r, a) at key r * (n+1) + a, a = min(c, r - c)
+    spent = 0  # the pass's binomial_work so far
 
     def block_memo_multinomials(counts):
+        nonlocal spent
         head, keys = rests(counts)
-        # one int64 key r_j * (n+1) + c_j per binomial, built in place
+        # one int64 key r_j * (n+1) + a_j per binomial, built in place
+        head = np.minimum(head, keys - head)
         keys *= n + 1
         keys += head
         pairs, index = np.unique(keys, return_inverse=True)
-        values = np.array(list(map(binomial, pairs.tolist())), dtype=object)
+        # ascending, so C(r, a - 1) is formed before C(r, a); as a <= r // 2
+        # < n, key - 1 is its key or no binomial's
+        new = [key for key in pairs.tolist() if key not in binomials]
+        fresh = set(new)
+        spent += sum(binomial_work(*divmod(key, n + 1), stepped=(
+            key - 1 in binomials or key - 1 in fresh)) for key in new)
+        if spent > MAX_BINOMIAL_WORK:
+            raise BinomialBudgetError(
+                f"the multinomials at n={n} need more binomial work than "
+                f"MAX_BINOMIAL_WORK={MAX_BINOMIAL_WORK}")
+        for key in new:
+            r, a = divmod(key, n + 1)
+            below = binomials.get(key - 1)
+            binomials[key] = (comb(r, a) if below is None
+                              else below * (r - a + 1) // a)
+        values = np.array(list(map(binomials.__getitem__, pairs.tolist())),
+                          dtype=object)
         return np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
 
     return block_memo_multinomials
@@ -391,16 +435,24 @@ def energy_totals(n, int_energies):
     return totals, ncomp
 
 
+def _sweep_steps(lengths):
+    """(rows, sweep, steps) for each chunks block of the rows of consecutive
+    sweeps of the given lengths: the sweep each row belongs to and its step
+    within it, as int64 arrays."""
+    firsts = np.cumsum([0, *lengths])  # each sweep's first row
+    for rows in chunks(int(firsts[-1])):
+        at = np.arange(rows.start, rows.stop)
+        sweep = np.searchsorted(firsts, at, side="right") - 1
+        yield rows, sweep, at - firsts[sweep]
+
+
 def _sweep_rows(out, starts, lengths):
     """Fill the (L, m) matrix out, and return it, with sweeps given as start
     rows (m ints each, flat) and lengths: row j of a sweep is its start row
     with j units moved from level 0 to level 1, formed CHUNK rows at a time."""
     starts = np.array(starts, dtype=out.dtype).reshape(-1, out.shape[1])
-    firsts = np.cumsum([0, *lengths])  # each sweep's first row
-    for rows in chunks(len(out)):
-        at = np.arange(rows.start, rows.stop)
-        sweep = np.searchsorted(firsts, at, side="right") - 1
-        steps = (at - firsts[sweep]).astype(out.dtype, copy=False)
+    for rows, sweep, steps in _sweep_steps(lengths):
+        steps = steps.astype(out.dtype, copy=False)
         out[rows] = starts[sweep]
         out[rows, 0] -= steps
         out[rows, 1] += steps
@@ -444,75 +496,197 @@ def shells_upto(n, int_energies, e_cap):
     return _sweep_rows(np.empty((total, m), dtype=np.int64), starts, lengths)
 
 
+class _PairBinomials:
+    """The binomials C(r, a) of one pair walk over compositions of n.
+
+    Up to MAX_TABLE_N they are read from binomial_table(n): C(r, a) for
+    a <= r // 2 is source()[key + a * stride], with stride n + 1 and key r.
+    Above it they are formed by one update a step from a comb, and the ones
+    a kept line reads are held, at stride 1, until source() hands them over.
+    The table is indexed in place rather than held: copying each kept
+    line's column slice into the held list made the walk at (105, 70, 31,
+    10) take 16.0 ms instead of 14.1 ms, and at (211, 140, 62, 19) 59 ms
+    instead of 54 ms (medians of 30 walks, Python 3.11, 2-core x86-64).
+    """
+
+    def __init__(self, n):
+        self.table = binomial_table(n) if n <= MAX_TABLE_N else None
+        self.stride = n + 1 if self.table is not None else 1
+        self.held = []
+
+    def run(self, r, lo, hi, found=None):
+        """C(r, a) for lo <= a <= hi, as a list; above the table stepped up
+        from found = (j, C(r, j)) with j <= lo, or else from comb(r, lo)."""
+        if self.table is not None:
+            a = np.arange(lo, hi + 1)
+            return self.table[np.minimum(a, r - a), r].tolist()
+        a, b = found or (lo, comb(r, lo))
+        out = []
+        while True:
+            if a >= lo:
+                out.append(b)
+            if a == hi:
+                return out
+            b = b * (r - a) // (a + 1)  # C(r, a + 1)
+            a += 1
+
+    def least(self, r, t, a_min):
+        """(j, C(r, j)) for the least j in [a_min, r // 2] with C(r, j) >=
+        t, or None when there is none.  C(r, .) rises up to r // 2, so the
+        table's column is bisected; above it the column is walked down from
+        r // 2."""
+        a = r // 2
+        if self.table is not None:
+            j = bisect_left(self.table[:, r], t, a_min, a + 1)
+            return (j, self.table[j, r]) if j <= a else None
+        b = comb(r, a)
+        if b < t:
+            return None
+        while a > a_min:
+            below = b * a // (r - a + 1)  # C(r, a - 1)
+            if below < t:
+                break
+            a, b = a - 1, below
+        return a, b
+
+    def key(self, r, lo, hi, found):
+        """The key of C(r, a) for lo <= a <= hi <= r // 2, which a kept
+        line reads, with found from least.  Above the table they are held,
+        stepped up from found's j: no further than least walked down."""
+        if self.table is not None:
+            return r
+        self.held += self.run(r, lo, hi, found)
+        return len(self.held) - (hi + 1)
+
+    def source(self):
+        """The flat object array the keys index: the table, or the
+        binomials held since the last call, which it releases."""
+        if self.table is not None:
+            return self.table.ravel()
+        held, self.held = self.held, []
+        return np.array(held, dtype=object)
+
+
+def _folded(lo, hi, r):
+    """The least and the greatest min(c, r - c) over lo <= c <= hi, for
+    0 <= lo <= hi <= r."""
+    return min(lo, r - hi), min(hi, r - lo, r // 2)
+
+
 def pair_list(c0, min_payload):
     """All complement pairs around c0 with payload >= min_payload.
 
     Returns one read-only structured array, a row per pair in colex order:
     ``counts`` is the colexicographically smaller member in
-    np.min_scalar_type(n), whose complement 2*c0 - counts is never stored,
-    and ``payload`` the smaller member's input bits.  Each unordered pair
-    appears exactly once, the pair {c0, c0} never.  More than MAX_MPDM_PAIRS
-    pairs are refused before the array is formed.
+    np.min_scalar_type(n), whose complement Cb = 2*c0 - counts is never
+    stored, and ``payload`` the smaller member's input bits,
+    min(bit_length(MC(C)), bit_length(MC(Cb))) - 1.  Each unordered pair
+    appears exactly once, the pair {c0, c0} never.  More than
+    MAX_MPDM_PAIRS pairs are refused before the array is formed.
+
+    The walk visits only the pairs it keeps, each exactly, with no float.
+    Outer levels m-1 .. 2 are walked depth first on an explicit stack, so
+    any number of levels is walked; on each line they leave, level 1's c1
+    moves one unit at a time from level 0, which holds the rest rem.  Every
+    push multiplies two factors by one binomial each, so on a line
+    MC(C) = A * C(rem, c1), with A the multinomial of (rem, c_2, ...), and
+    likewise MC(Cb) = B * C(remb, 2*c0[1] - c1), remb = 2*(c0[0] + c0[1]) -
+    rem.  A column C(r, .) is symmetric and rises up to r // 2, so
+    MC(C) >= 2^min_payload exactly when c1 lies in [j, rem - j], j the least
+    a with C(rem, a) >= ceil(2^min_payload / A), found by a bisection (see
+    _PairBinomials); the same holds for Cb.  A line keeps the intersection
+    of both intervals with the box 0 <= C_i <= min(2*c0_i, n) and the colex
+    bound, so an empty line costs at most two searches.  The payloads of
+    the kept rows are formed CHUNK rows at a time in numpy's object loops,
+    and only the lines whose payloads are pending hold their factors.
     """
     from array import array  # here, so ESS runs never map its ~0.3 MB
-    m = len(c0)
-    n = sum(c0)
-    c0t = tuple(c0)
+    c0t = tuple(map(int, c0))
+    m, n = len(c0t), sum(c0t)
     box = [min(2 * a, n) for a in c0t]
     floor = 1 << min_payload
+    two1 = 2 * c0t[1]  # C_1 + Cb_1 on every line
+    binomials = _PairBinomials(n)
+    bit_length = np.frompyfunc(int.bit_length, 1, 1)
     starts, lengths = [], []
     payloads = array("i")  # 4 bytes a pair, no object per pair
-    # Outer levels run over coordinates m-1 .. 2 in colex order, on an
-    # explicit stack as in shells_upto, so any number of levels is walked;
-    # coordinate 1 varies along the inner line and coordinate 0 is the
-    # remainder.  C is the colex-smaller member iff C_i < c0_i at the highest
-    # index where they differ, so while every outer coordinate equals c0's
-    # ("tight") the next one is capped at c0's value, and a tight line stops
-    # below c0[1].
-    stack = [(m - 1, n, (), True)]
+    pending, factors = [], []  # (c1, rem, remb, keys) and (A, B) a line
+
+    def flush():
+        """Append the payloads of the pending lines, CHUNK rows at a time."""
+        first, rem, remb, key, keyb = np.array(
+            pending, dtype=np.int64).reshape(-1, 5).T
+        a, b = np.array(factors, dtype=object).reshape(-1, 2).T
+        source, stride = binomials.source(), binomials.stride
+        for _, line, steps in _sweep_steps(lengths[-len(a):]):
+            c1 = first[line] + steps
+            r, rb, y = rem[line], remb[line], two1 - c1
+            x = source[key[line] + np.minimum(c1, r - c1) * stride]
+            xb = source[keyb[line] + np.minimum(y, rb - y) * stride]
+            bits = np.minimum(bit_length(a[line] * x),
+                              bit_length(b[line] * xb))
+            payloads.extend((bits - 1).tolist())
+        pending.clear()
+        factors.clear()
+
+    # C is the colex-smaller member iff C_i < c0_i at the highest index where
+    # they differ, so while every outer coordinate equals c0's ("tight") the
+    # next one is capped at c0's value, and a tight line stops below c0[1].
+    # (level, rem, remb, counts of the levels above, tight, A, B)
+    stack = [(m - 1, n, n, (), True, 1, 1)]
+    total = waiting = 0  # rows kept, and rows whose payloads are pending
     while stack:
-        i, rem, suffix, tight = stack.pop()
+        i, rem, remb, suffix, tight, fa, fb = stack.pop()
         if i > 1:
+            two = 2 * c0t[i]
             hi = min(box[i], rem, c0t[i]) if tight else min(box[i], rem)
+            lo = max(0, two - remb)  # Cb's rest stays >= 0
+            if lo > hi:
+                continue
+            xs = binomials.run(rem, lo, hi)
+            xbs = binomials.run(remb, two - hi, two - lo)
             # pushed last first, so the walk pops them in colex order
-            stack += [(i - 1, rem - ci, (ci,) + suffix, tight and ci == c0t[i])
-                      for ci in range(hi, -1, -1)]
+            stack += [(i - 1, rem - ci, remb - two + ci, (ci,) + suffix,
+                       tight and ci == c0t[i], fa * x, fb * xb)
+                      for ci, x, xb in zip(range(hi, lo - 1, -1),
+                                           reversed(xs), xbs)]
             continue
-        # Along the line one unit moves level 0 -> 1 per step, so MC(C) and
-        # MC(2*c0 - C) are each a binomial in c1, hence log-concave: the
-        # points where both reach 2^min_payload form one interval (a sweep).
         lo = max(0, rem - box[0])
         hi = min(box[1], rem, c0t[1] - 1) if tight else min(box[1], rem)
         if lo > hi:
             continue
-        a, b = rem - lo, lo                    # C[0], C[1]
-        ab, bb = 2 * c0t[0] - a, 2 * c0t[1] - b  # Cb[0], Cb[1]
-        rest = tuple(2 * x - y for x, y in zip(c0t[2:], suffix))
-        mc = mc_counts((a, b) + suffix)
-        mcb = mc_counts((ab, bb) + rest)
-        first, held = None, len(payloads)
-        for c1 in range(lo, hi + 1):
-            if c1 > lo:
-                # one unit moved 0 -> 1 in C, and 1 -> 0 in Cb
-                a -= 1
-                b += 1
-                ab += 1
-                bb -= 1
-                mc = mc * (a + 1) // b
-                mcb = mcb * (bb + 1) // ab
-            if mc >= floor and mcb >= floor:
-                first = c1 if first is None else first
-                payloads.append(min(mc.bit_length(), mcb.bit_length()) - 1)
-            elif first is not None:
-                break
-        if first is not None:
-            if len(payloads) > MAX_MPDM_PAIRS:
-                raise RateInfeasibleError(
-                    f"the MPDM pairs around {c0t} number more than "
-                    f"MAX_MPDM_PAIRS={MAX_MPDM_PAIRS}")
-            starts += (rem - first, first) + suffix  # flat, as in shells_upto
-            lengths.append(len(payloads) - held)
-    pairs = np.empty(len(payloads), dtype=[
+        found = binomials.least(rem, -(-floor // fa), _folded(lo, hi, rem)[0])
+        if found is None:
+            continue
+        lo, hi = max(lo, found[0]), min(hi, rem - found[0])
+        if lo > hi:
+            continue
+        # Cb_1 = two1 - c1 runs over [two1 - hi, two1 - lo]
+        foundb = binomials.least(remb, -(-floor // fb),
+                                 _folded(two1 - hi, two1 - lo, remb)[0])
+        if foundb is None:
+            continue
+        lo, hi = max(lo, two1 - remb + foundb[0]), min(hi, two1 - foundb[0])
+        if lo > hi:
+            continue
+        total += hi - lo + 1
+        if total > MAX_MPDM_PAIRS:
+            raise RateInfeasibleError(
+                f"the MPDM pairs around {c0t} number more than "
+                f"MAX_MPDM_PAIRS={MAX_MPDM_PAIRS}")
+        starts += (rem - lo, lo) + suffix  # flat, as in shells_upto
+        lengths.append(hi - lo + 1)
+        pending += (
+            lo, rem, remb, binomials.key(rem, *_folded(lo, hi, rem), found),
+            binomials.key(remb, *_folded(two1 - hi, two1 - lo, remb), foundb))
+        factors += (fa, fb)
+        waiting += hi - lo + 1
+        if waiting >= CHUNK:
+            flush()
+            waiting = 0
+    if pending:
+        flush()
+    pairs = np.empty(total, dtype=[
         ("counts", np.min_scalar_type(n), (m,)), ("payload", np.int32)])
     _sweep_rows(pairs["counts"], starts, lengths)
     pairs["payload"] = payloads

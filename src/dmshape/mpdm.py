@@ -4,7 +4,13 @@ Every used composition C comes with its complement 2*C0 - C so that each
 full pair averages exactly to the target C0; both members carry the same
 payload, which keeps the scheme's average PMF pinned to the target's.  The
 pair population is every complement pair whose payload (the smaller member
-capacity) is within PAIR_WINDOW_BITS of the target's own bit count.
+capacity) is within PAIR_WINDOW_BITS of the target's own bit count.  These
+are the pairs of Fehenberger et al., "Multiset-partition distribution
+matching" (IEEE Trans. Commun., 2019).  kernels.pair_list walks them
+exactly and visits only the ones it keeps: along a line of the box, each
+member's multinomial is a fixed factor times one binomial in the moving
+count, so the members that reach the payload floor form one interval,
+which a search down the binomial table's column finds.
 
 The prefix tree is depth-balanced: all items operate at the smallest
 payload cap that still reaches 2^k addresses, which spreads the input space

@@ -27,7 +27,7 @@ from .combinatorics import (
     check_k_range,
     kurtosis_of,
 )
-from .errors import RateInfeasibleError
+from .errors import BinomialBudgetError, RateInfeasibleError
 from .ess import build_ess
 from .kernels import chunks, multinomials
 from .mpdm import build_mpdm
@@ -41,6 +41,8 @@ def build_opt_mpdm(n: int, k: int,
     check_k_range(n, k, alphabet.m)
     try:
         base = build_mpdm(n, k + 1, alphabet)
+    except BinomialBudgetError:  # a cost of the table, not of its room
+        raise
     except RateInfeasibleError as exc:  # it names k+1, not the caller's k
         raise RateInfeasibleError(
             f"opt-mpdm at k={k} needs room for k+1={k + 1} bits: {exc}"

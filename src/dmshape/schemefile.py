@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import AmplitudeAlphabet, k_fits
-from .errors import SchemeFileError
+from .errors import BinomialBudgetError, SchemeFileError
 from .kernels import chunks, multinomial_blocks
 from .optimizer import BUILDERS
 from .schemes import (
@@ -219,7 +219,8 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
     [1, MAX_BLOCK_LENGTH]; every used count of a row that is no composition,
     or of a file whose n is outside it, is kept as parsed.  The same blocks
     fill validate's WordCheck when k also lies in range (k_fits), the
-    multinomials all from the file's own counts.
+    multinomials all from the file's own counts.  A pass past
+    kernels.MAX_BINOMIAL_WORK is refused as an inconsistent scheme.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
@@ -281,7 +282,10 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
             yield used, mc
 
     blocks = used_blocks() if checked is None else checked.scan(used_blocks())
-    overrides, starts = used_overrides(blocks)  # none for a tree
+    try:
+        overrides, starts = used_overrides(blocks)  # none for a tree
+    except BinomialBudgetError as exc:
+        raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from None
     if tree:
         return LeafTable(counts, weights, payload_bits=int_array(mid),
                          depth=int_array(depth)), None

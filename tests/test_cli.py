@@ -1,9 +1,11 @@
+import bisect
 import csv
 import time
 import warnings
 
 import pytest
 
+from dmshape import kernels
 from dmshape.cli import main
 from dmshape.combinatorics import AmplitudeAlphabet
 from dmshape.mpdm import build_mpdm
@@ -706,6 +708,77 @@ class TestHostileInput:
         assert rc == 3
         assert err == (f"dmshape: {bad}: inconsistent scheme: n=1000000 "
                        "exceeds MAX_BLOCK_LENGTH=65536\n")
+
+    @pytest.mark.parametrize("scheme,used,depth", [("ccdm", "93", "7"),
+                                                   ("ess", "1", "")])
+    @pytest.mark.parametrize("apart", [1, 2])
+    def test_binomial_budget_is_refused_fast(self, tmp_path, capsys, scheme,
+                                             used, depth, apart):
+        # 100 distinct two-level leaves near n/2 at n=2^16 (validate of a
+        # ccdm file, the leaf pass of an ess file).  One apart, each binomial
+        # is one step from the one before, and the file fails its own
+        # checks; two apart, each comes from comb, ~6 s in all, and the
+        # first block's work passes the budget before any is formed
+        bad = self.toy_scheme(
+            tmp_path, capsys,
+            lambda ls: [ln.replace("n=6", "n=65536").replace("k=4", "k=100")
+                        .replace("leaves=1", "leaves=100")
+                        .replace("leaves=3", "leaves=100")
+                        for ln in ls if "|" not in ln]
+            + [f"{32768 + apart * i},{32768 - apart * i}|{used}|{depth}|1.0"
+               for i in range(100)], scheme=scheme)
+        t0 = time.perf_counter()
+        rc = main(["codec", "encode", bad, "0x1"])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert rc == 3
+        budget = (f"dmshape: {bad}: inconsistent scheme: the multinomials "
+                  "at n=65536 need more binomial work than "
+                  f"MAX_BINOMIAL_WORK={kernels.MAX_BINOMIAL_WORK}\n")
+        assert (err == budget) == (apart == 2), err
+
+    @pytest.mark.parametrize("scheme", ["ccdm", "mpdm", "ess", "opt-mpdm"])
+    def test_files_built_at_the_binomial_budget_read(self, tmp_path, capsys,
+                                                     monkeypatch, scheme):
+        # every n forms its binomials as above MAX_TABLE_N, under the least
+        # budget the build passes: the file it writes reads, and one unit
+        # less refuses the build in one line, opt-mpdm's too (the work is
+        # no want of room for k+1 bits)
+        monkeypatch.setattr(kernels, "MAX_TABLE_N", -1)
+        out = tmp_path / "x.scheme"
+        args = ["build", "--scheme", scheme, "--n", "24", "--k", "36",
+                "--out", str(out)]
+
+        def builds(budget):
+            monkeypatch.setattr(kernels, "MAX_BINOMIAL_WORK", budget)
+            return main(args) == 0
+
+        least = bisect.bisect_left(range(1 << 20), True, key=builds)
+        assert 0 < least < 1 << 20
+        assert builds(least)
+        capsys.readouterr()
+        assert main(["codec", "encode", str(out), "0x1"]) == 0
+        assert not builds(least - 1)
+        assert capsys.readouterr().err == (
+            "dmshape: the multinomials at n=24 need more binomial work than "
+            f"MAX_BINOMIAL_WORK={least - 1}\n")
+
+    @pytest.mark.parametrize("scheme,n,k,alphabet", [
+        # over three levels a pass forms ~145,000 distinct binomials, over
+        # two levels ~1,300 near the largest n the ESS radius allows
+        ("ess", 1000, 1500, "1,3,5"),
+        ("ess", 2800, 2790, "1,3"),
+        ("mpdm", 1024, 1000, "1,3"),
+    ])
+    def test_program_files_above_the_table_read(self, tmp_path, capsys,
+                                                scheme, n, k, alphabet):
+        # at the real MAX_TABLE_N and MAX_BINOMIAL_WORK, each build's passes
+        # and the read's stay within the budget
+        out = tmp_path / "x.scheme"
+        assert main(["build", "--scheme", scheme, "--n", str(n), "--k",
+                     str(k), "--alphabet", alphabet, "--out", str(out)]) == 0
+        assert main(["codec", "encode", str(out), "0x1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_ess_shell_budget_is_one_line(self, tmp_path, capsys):
         # 256-QAM amplitudes at n=216, k=400: the ball holds ~8.8e7 shells,

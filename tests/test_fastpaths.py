@@ -32,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dmshape as d
 from dmshape import (
@@ -270,6 +270,43 @@ def test_pair_list_equals_box_filter(case, data):
     want = brute_pairs(c0, pmin)
     assert pair_triples(c0, kernels.pair_list(c0, pmin)) == want
     assert kernels.pair_capacity(c0, pmin) == sum(2 << p for _, _, p in want)
+
+
+@st.composite
+def pair_cases(draw):
+    """(c0, min_payload): a composition over 2, 3, 4, 5 or 8 levels, at an
+    n whose box brute_pairs lists in well under a second, and a payload
+    floor up to one past the most any pair carries."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8]))
+    n = draw(st.integers(1, {2: 30, 3: 30, 4: 30, 5: 22, 8: 12}[m]))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1,
+                                max_size=m - 1)))
+    c0 = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return c0, draw(st.integers(0, input_bits(c0) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_cases(), st.sampled_from([1, 2, 3, kernels.CHUNK]))
+# every kept member's MC is exactly 2^2, with A = 4 on its line: the
+# ceil(2^p / A) boundary
+@example(((1, 1, 2), 2), 1)
+# no pair carries 15 bits (the box bound caps them at input_bits, 14), so
+# the searches empty every line
+@example(((5, 3, 2, 1), 15), kernels.CHUNK)
+# the one line is tight: its interval [0, 6] stops below c0[1] = 3
+@example(((3, 3), 0), 2)
+def test_pair_list_equals_box_filter_from_both_binomial_sources(case, chunk):
+    c0, pmin = case
+    want = brute_pairs(c0, pmin)
+    # the table up to MAX_TABLE_N, then the walk of every n above it
+    for bound in (kernels.MAX_TABLE_N, -1):
+        with mock.patch.object(kernels, "CHUNK", chunk), \
+                mock.patch.object(kernels, "MAX_TABLE_N", bound):
+            kernels.scanned_pairs.cache_clear()
+            assert pair_triples(c0, kernels.pair_list(c0, pmin)) == want
+            assert kernels.pair_capacity(c0, pmin) == sum(
+                2 << p for _, _, p in want)
+    kernels.scanned_pairs.cache_clear()
 
 
 def test_pair_list_equals_box_filter_at_reference():

@@ -10,6 +10,7 @@ both sides of MAX_TABLE_N.
 """
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmshape import kernels
-from dmshape.errors import RateInfeasibleError
+from dmshape.errors import BinomialBudgetError, RateInfeasibleError
 from dmshape.schemes import MAX_BLOCK_LENGTH
 
 from oracles import level_split_rank, pair_triples
@@ -132,6 +133,52 @@ def test_multinomials_equal_mc_counts(case, chunk, formed):
     got = [x for block in blocks for x in block.tolist()]
     assert all(type(x) is int for x in got)
     assert got == [kernels.mc_counts(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, r // 2))))
+@example((MAX_BLOCK_LENGTH, HALF))
+@example((MAX_BLOCK_LENGTH, 1))
+def test_binomial_work_bounds_the_bits(case):
+    # the work is a * b^0.75 from comb and 2 * b a step (from C(r, a - 1),
+    # so a > 0), with b no less than the binomial's bits
+    r, a = case
+    bits = math.comb(r, a).bit_length()
+    assert a * math.isqrt(bits * math.isqrt(bits)) <= \
+        kernels.binomial_work(r, a)
+    assert a == 0 or 2 * bits <= kernels.binomial_work(r, a, stepped=True)
+
+
+def test_multinomial_pass_steps_and_is_refused_before_forming(monkeypatch):
+    # three blocks of one pass above the table: C(n, h - 1) comes from comb;
+    # C(n, h), asked for as C(n, n - h), is one step from it; C(n, h - 2),
+    # whose neighbour below is not held, would come from comb but passes
+    # the budget, and is refused before comb forms it
+    n = kernels.MAX_TABLE_N + 8
+    h = n // 2
+    formed = []
+
+    def comb(r, a):
+        formed.append((r, a))
+        return math.comb(r, a)
+
+    monkeypatch.setattr(kernels, "comb", comb)
+    monkeypatch.setattr(kernels, "MAX_BINOMIAL_WORK", (
+        kernels.binomial_work(n, h - 1)
+        + kernels.binomial_work(n, h, stepped=True)
+        + kernels.binomial_work(n, h - 2) - 1))
+    block_multinomials = kernels.multinomial_blocks(n)
+    assert block_multinomials(np.array([[h - 1, n - h + 1]])).tolist() == [
+        math.comb(n, h - 1)]
+    assert block_multinomials(np.array([[n - h, h], [h - 1, n - h + 1]])
+                              ).tolist() == [math.comb(n, h),
+                                             math.comb(n, h - 1)]
+    with pytest.raises(BinomialBudgetError, match=(
+            f"^the multinomials at n={n} need more binomial work than "
+            f"MAX_BINOMIAL_WORK={kernels.MAX_BINOMIAL_WORK}$")):
+        block_multinomials(np.array([[h - 2, n - h + 2]]))
+    assert formed == [(n, h - 1)]
 
 
 @pytest.mark.parametrize("n,m", SIZES)
@@ -323,6 +370,50 @@ def test_pair_list_memory_is_columnar():
     assert len(pairs) == 20731
     assert pairs["counts"].dtype == np.uint8
     assert retained / len(pairs) < 24
+
+
+def test_pair_list_payload_pass_holds_one_chunk():
+    # the walk forms its payloads one CHUNK of rows at a time: its peak above
+    # the array it returns read 864 KB (~211 bytes a row of one CHUNK: the
+    # products A*X, their bit lengths and their index and object arrays),
+    # and 4.6 MB with a CHUNK past the 20,731 rows, when they are formed as
+    # one column; the bound leaves 42% headroom over 864 KB
+    c0 = (105, 70, 31, 10)
+    pmin = kernels.mc_counts(c0).bit_length() - 1 - 40
+    kernels.pair_list(c0, pmin)  # warm-up: caches and free lists
+    tracemalloc.start()
+    try:
+        pairs = kernels.pair_list(c0, pmin)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 20731
+    assert peak - retained < 300 * kernels.CHUNK
+
+
+# sha256 of the counts and payload columns' bytes of the pair arrays of two
+# targets past the reference: 4 levels at n=432, and 256-QAM amplitudes at
+# n=56 (one level empty), each at mpdm.min_pair_payload
+SCALE_PAIRS = {
+    (211, 140, 62, 19): (
+        652, 50222,
+        "a79d9a92dc03640df4c7a6907a6516bda6f1fb347d737a652d00242c6bbd444d",
+        "ec73a9d32ac7a259484891d49a207d328d6eda7c2f986d5e96f1f731fd4d7c14"),
+    (17, 14, 11, 7, 4, 2, 1, 0): (
+        80, 558016,
+        "f55c5b3fa87ad3219327bc39f3156e381695bdb7916961cc7460ea2f9d8a4dad",
+        "76e08d908934866e30d7b47c6ac5b787de2dd1a717372741834d5e943b3b9388"),
+}
+
+
+@pytest.mark.parametrize("c0", sorted(SCALE_PAIRS))
+def test_pair_list_pinned_at_scale(c0):
+    pmin, size, counts_sha, payload_sha = SCALE_PAIRS[c0]
+    pairs = kernels.pair_list(c0, pmin)
+    assert len(pairs) == size
+    assert hashlib.sha256(pairs["counts"].tobytes()).hexdigest() == counts_sha
+    assert hashlib.sha256(pairs["payload"].tobytes()).hexdigest() == \
+        payload_sha
 
 
 def test_shells_upto_budget(monkeypatch):
