@@ -4,32 +4,32 @@ These are the hot inner loops of the package: the codec's rank and unrank
 of multiset permutations in one level-split order (cc_rank, cc_unrank),
 which read their binomials from one cached table (binomial_table, as the
 lists of binomial_columns) up to MAX_TABLE_N and update one binomial per
-step above it; the ESS shell walk (shells_upto: one count matrix, from a
-depth-first walk that stops each level at the energy radius, so its cost
-follows its output, and that refuses a ball of more than MAX_ESS_SHELLS
-shells before forming any row); the complement-pair walk (pair_list: one
-array of canonical members and payloads, bounded by MAX_MPDM_PAIRS, from a
-walk that finds each line's kept interval exactly by a search down the
-same table's columns and forms only the kept rows' payloads, CHUNK rows at
-a time; scanned_pairs keeps the last for pair_capacity and MPDM); and the
-column kernel ``multinomials``: the exact multinomial of every row of a
-count matrix (validate's capacities, build_ess's shell sizes), by
-multinomial_blocks, which reads each block's binomials from that same table
-by one 2-D index up to MAX_TABLE_N (forms each distinct one once a pass
-above it, one step from its neighbour where the pass holds that, within
-MAX_BINOMIAL_WORK) and takes the products in numpy's object loops, and
-which also serves a pass that meets its blocks one at a time (the ESS used
-counts a scheme file or a table derives); the codec derives a few leaves'
-words per word with row_multinomials.  The energy ball's suffix-count table
-and its walks (trellis_build, ess_unrank, ess_rank) serve only perfbench's
-kernel bench and the test oracle, as energy_totals does.  All arithmetic that can
-overflow 64 bits is done with Python ints, so every kernel is exact.
+step above it; the batch kernel binomials, which maps arrays of (r, a) to
+C(r, a) by one 2-D index of that table up to MAX_TABLE_N and forms each
+distinct one once a pass above it, within MAX_BINOMIAL_WORK; the ESS shell
+walk (shells_upto: one count matrix, from a depth-first walk that stops
+each level at the energy radius, so its cost follows its output, and that
+refuses a ball of more than MAX_ESS_SHELLS shells before forming any row);
+the complement-pair walk (pair_list: one array of canonical members and
+payloads, bounded by MAX_MPDM_PAIRS, from a walk that finds each line's
+kept interval exactly by a search down a column of the table and forms
+only the kept rows' payloads, CHUNK rows at a time; scanned_pairs keeps
+the last for pair_capacity and MPDM); and the column kernel
+``multinomials``: the exact multinomial of every row of a count matrix
+(validate's capacities, build_ess's shell sizes), by multinomial_blocks,
+whose one binomials pass also serves a pass that meets its blocks one at a
+time (the ESS used counts a scheme file or a table derives); the codec
+derives a few leaves' words per word with row_multinomials.  The energy
+ball's suffix-count table and its walks (trellis_build, ess_unrank,
+ess_rank) serve only perfbench's kernel bench and the test oracle, as
+energy_totals does.  All arithmetic that can overflow 64 bits is done with
+Python ints, so every kernel is exact.
 """
 
 import functools
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
@@ -79,8 +79,8 @@ def mc_counts(counts):
     return r
 
 
-# Largest block length whose binomial table is built: cc_unrank, cc_rank and
-# the multinomial kernels read it.  binomial_table takes 0.69 MB at n=216,
+# Largest block length whose binomial table is built: cc_unrank, cc_rank,
+# binomials and the pair walk read it.  binomial_table takes 0.69 MB at n=216,
 # 3.4 MB at n=432 and 5.1 MB here (tracemalloc), built in ~10 ms, and
 # binomial_columns' lists 0.19, 0.76 and 1.1 MB more; its digits grow as
 # n^3, to an estimated ~200 MB at n=2,048.  Above the bound the same order
@@ -88,36 +88,38 @@ def mc_counts(counts):
 # way at n=2,048 over two levels.
 MAX_TABLE_N = 512
 
-# Work one multinomial_blocks pass may spend above MAX_TABLE_N forming its
-# distinct binomials, each charged binomial_work before any of a block's new
-# ones is formed.  The charge follows the time, so this bounds a pass near
-# 1 s.  The program's own largest passes ask for 5.3x less: ESS over 1,3,5
-# at n=1,320, k=2,090 (near the largest n its energy grid allows, 332,725
-# binomials, 4.0e8, a 1.4 s pass with its products) and over 1,5,7 at
-# n=1,620, k=2,520 (3.6e8); an mpdm table over 1,3,5,7 at n=1,200 asks for
-# 9.6e6.  A file of 100 two-level leaves two apart near n/2 at n=2^16 asks
-# for 1.3e10 (~6 s of comb).
+# Work one binomials pass may spend above MAX_TABLE_N forming its distinct
+# binomials, each charged binomial_work before any of a call's new ones is
+# formed.  The charge follows the time, so this bounds a pass near 1 s.  The
+# program's own largest passes ask for 5.3x less: ESS over 1,3,5 at n=1,320,
+# k=2,090 (near the largest n its energy grid allows, 332,725 binomials,
+# 4.0e8, a 1.4 s pass with its products) and over 1,5,7 at n=1,620, k=2,520
+# (3.6e8); an mpdm build over 1,3,5,7 at n=1,200, k=2,000 asks for 2.4e7 in
+# a pass of its pair walk.  A file of 100 two-level leaves two apart near
+# n/2 at n=2^16 asks for 1.3e10 (~6 s of comb).
 MAX_BINOMIAL_WORK = 1 << 31
 
 
 def binomial_work(r, a, stepped=False):
-    """The work charged for forming C(r, a), 0 <= a <= r // 2: a * b^0.75
-    in integers from comb, or 2 * b when it is stepped from C(r, a - 1) by
-    one multiply and one exact divide, with b = min(r, a * (bit_length(r) -
-    bit_length(a) + 3)) a bound on its bits, since C(r, a) <= (e*r/a)^a and
-    C(r, a) <= 2^r.  Both follow the time (Python 3.11, 2-core x86-64):
-    comb takes 0.3-0.5 ns a unit from r = 1,024 to 65,536 and a from r/100
-    to r/2, so C(65536, 32768) is charged 2^27 and takes 63 ms, and a step
-    0.3-0.7 ns a bit."""
-    b = min(r, a * (r.bit_length() - a.bit_length() + 3))
-    return 2 * b if stepped else a * isqrt(b * isqrt(b))
+    """The work charged for forming C(r, a), 0 <= a <= r // 2, elementwise
+    over arrays r, a and stepped: a * b^0.75 in integers from comb, or 2 * b
+    when it is stepped from C(r, a - 1) by one multiply and one exact
+    divide, with b = min(r, a * (bit_length(r) - bit_length(a) + 3)) a bound
+    on its bits, since C(r, a) <= (e*r/a)^a and C(r, a) <= 2^r.  Both follow
+    the time (Python 3.11, 2-core x86-64): comb takes 0.3-0.5 ns a unit from
+    r = 1,024 to 65,536 and a from r/100 to r/2, so C(65536, 32768) is
+    charged 2^27 and takes 63 ms, and a step 0.3-0.7 ns a bit.  Bit lengths
+    and square roots are taken in floats, exact below 2^52."""
+    b = np.minimum(r, a * (np.frexp(r)[1] - np.frexp(a)[1] + 3))
+    root = np.sqrt(b).astype(np.int64)
+    return np.where(stepped, 2 * b, a * np.sqrt(b * root).astype(np.int64))
 
 
 @functools.lru_cache(maxsize=1)
 def binomial_table(n):
     """table[a, p] = C(p, a) for 0 <= a <= n // 2 and 0 <= p <= n: the one
-    binomial table, an object ndarray of Python ints that multinomial_blocks
-    indexes and binomial_columns lists for the codec.
+    binomial table, an object ndarray of Python ints that binomials indexes
+    and binomial_columns lists for the codec.
 
     Each column is the running sum of the one before (Pascal's rule summed
     along p), so the table costs additions only.  C(p, a) for p < 2a equals
@@ -144,74 +146,75 @@ def binomial_columns(n):
     return binomial_table(n).tolist()
 
 
-def multinomial_blocks(n):
-    """A function from a block of compositions of n, an (L, m) count matrix,
-    to the exact multinomials of its rows as an object array of Python ints.
+def binomials(n):
+    """A function from int64 arrays r and a of one shape (or two that
+    broadcast to one), 0 <= a <= r <= n, to the exact C(r, a) as an object
+    array of Python ints of that shape.
 
-    Row i's value is the product over j < m-1 of C(r_j, c_j) = C(r_j, r_j -
-    c_j), with r_j = n minus the earlier counts, as in mc_counts.  Up to
-    MAX_TABLE_N each binomial is read from binomial_table(n), the codec's
-    cached table, at (min(c_j, r_j - c_j), r_j), by one 2-D index of each
-    block.  Above it each distinct binomial is formed once over every block
-    the function is given, so one function serves one pass over a column of
-    blocks: by one step from C(r_j, a - 1) when the pass holds it, a =
-    min(c_j, r_j - c_j), else by comb; a pass whose binomial_work passes
-    MAX_BINOMIAL_WORK is refused (BinomialBudgetError) before the new ones
-    of the block that passes it are formed.  Every count must lie in [0, n]
-    and each row must sum to n, with (n+1)^2 inside int64.  Each block is
-    cast to int64 on its own.
+    Up to MAX_TABLE_N each is read from binomial_table(n), the codec's
+    cached table, at (min(a, r - a), r) by one 2-D index.  Above it each
+    distinct binomial is formed once over every call the function is given,
+    so one function serves one pass: by one step from C(r, a' - 1) when the
+    pass holds it, a' = min(a, r - a), else by comb; a pass whose
+    binomial_work passes MAX_BINOMIAL_WORK is refused (BinomialBudgetError)
+    before the new ones of the call that passes it are formed.  (n+1)^2
+    must lie inside int64.
     """
-
-    def rests(counts):
-        """(c_j, r_j) for j < m-1 of every row of a block, as two int64
-        matrices."""
-        head = np.asarray(counts[:, :-1], dtype=np.int64)
-        rest = np.cumsum(head, axis=1)
-        rest -= head
-        np.subtract(n, rest, out=rest)
-        return head, rest
-
     if n <= MAX_TABLE_N:
         table = binomial_table(n)
+        return lambda r, a: table[np.minimum(a, r - a), r]
 
-        def block_multinomials(counts):
-            head, rest = rests(counts)
-            small = np.minimum(head, rest - head)
-            return np.multiply.reduce(table[small, rest], axis=1)
-
-        return block_multinomials
-
-    binomials = {}  # C(r, a) at key r * (n+1) + a, a = min(c, r - c)
+    memo = {}  # C(r, a) at key r * (n+1) + a, a <= r // 2
     spent = 0  # the pass's binomial_work so far
 
-    def block_memo_multinomials(counts):
+    def formed_binomials(r, a):
         nonlocal spent
-        head, keys = rests(counts)
-        # one int64 key r_j * (n+1) + a_j per binomial, built in place
-        head = np.minimum(head, keys - head)
-        keys *= n + 1
-        keys += head
+        keys = np.minimum(a, r - a) + r * (n + 1)
         pairs, index = np.unique(keys, return_inverse=True)
         # ascending, so C(r, a - 1) is formed before C(r, a); as a <= r // 2
         # < n, key - 1 is its key or no binomial's
-        new = [key for key in pairs.tolist() if key not in binomials]
+        new = [key for key in pairs.tolist() if key not in memo]
         fresh = set(new)
-        spent += sum(binomial_work(*divmod(key, n + 1), stepped=(
-            key - 1 in binomials or key - 1 in fresh)) for key in new)
+        stepped = [key - 1 in memo or key - 1 in fresh for key in new]
+        spent += int(binomial_work(*np.divmod(np.array(new, dtype=np.int64),
+                                              n + 1), stepped).sum())
         if spent > MAX_BINOMIAL_WORK:
             raise BinomialBudgetError(
                 f"the multinomials at n={n} need more binomial work than "
                 f"MAX_BINOMIAL_WORK={MAX_BINOMIAL_WORK}")
         for key in new:
             r, a = divmod(key, n + 1)
-            below = binomials.get(key - 1)
-            binomials[key] = (comb(r, a) if below is None
-                              else below * (r - a + 1) // a)
-        values = np.array(list(map(binomials.__getitem__, pairs.tolist())),
+            below = memo.get(key - 1)
+            memo[key] = (comb(r, a) if below is None
+                         else below * (r - a + 1) // a)
+        values = np.array(list(map(memo.__getitem__, pairs.tolist())),
                           dtype=object)
-        return np.multiply.reduce(values[index.reshape(keys.shape)], axis=1)
+        return values[index.reshape(keys.shape)]
 
-    return block_memo_multinomials
+    return formed_binomials
+
+
+def multinomial_blocks(n):
+    """A function from a block of compositions of n, an (L, m) count matrix,
+    to the exact multinomials of its rows as an object array of Python ints.
+
+    Row i's value is the product over j < m-1 of C(r_j, c_j), with r_j = n
+    minus the earlier counts, as in mc_counts, taken in numpy's object
+    loops.  Every block's binomials come from one binomials(n), so one
+    function serves one pass over a column of blocks.  Every count must lie
+    in [0, n] and each row must sum to n.  Each block is cast to int64 on
+    its own.
+    """
+    binomial = binomials(n)
+
+    def block_multinomials(counts):
+        head = np.asarray(counts[:, :-1], dtype=np.int64)
+        rest = np.cumsum(head, axis=1)  # r_j, built in place
+        rest -= head
+        np.subtract(n, rest, out=rest)
+        return np.multiply.reduce(binomial(rest, head), axis=1)
+
+    return block_multinomials
 
 
 def multinomials(counts, n):
@@ -496,81 +499,31 @@ def shells_upto(n, int_energies, e_cap):
     return _sweep_rows(np.empty((total, m), dtype=np.int64), starts, lengths)
 
 
-class _PairBinomials:
-    """The binomials C(r, a) of one pair walk over compositions of n.
+@functools.lru_cache(maxsize=1024)
+def _central_binomial(r):
+    """C(r, r // 2), where _least walks down a column above MAX_TABLE_N:
+    the lines of a pair walk share few rests r, so each is formed once."""
+    return comb(r, r // 2)
 
-    Up to MAX_TABLE_N they are read from binomial_table(n): C(r, a) for
-    a <= r // 2 is source()[key + a * stride], with stride n + 1 and key r.
-    Above it they are formed by one update a step from a comb, and the ones
-    a kept line reads are held, at stride 1, until source() hands them over.
-    The table is indexed in place rather than held: copying each kept
-    line's column slice into the held list made the walk at (105, 70, 31,
-    10) take 16.0 ms instead of 14.1 ms, and at (211, 140, 62, 19) 59 ms
-    instead of 54 ms (medians of 30 walks, Python 3.11, 2-core x86-64).
-    """
 
-    def __init__(self, n):
-        self.table = binomial_table(n) if n <= MAX_TABLE_N else None
-        self.stride = n + 1 if self.table is not None else 1
-        self.held = []
-
-    def run(self, r, lo, hi, found=None):
-        """C(r, a) for lo <= a <= hi, as a list; above the table stepped up
-        from found = (j, C(r, j)) with j <= lo, or else from comb(r, lo)."""
-        if self.table is not None:
-            a = np.arange(lo, hi + 1)
-            return self.table[np.minimum(a, r - a), r].tolist()
-        a, b = found or (lo, comb(r, lo))
-        out = []
-        while True:
-            if a >= lo:
-                out.append(b)
-            if a == hi:
-                return out
-            b = b * (r - a) // (a + 1)  # C(r, a + 1)
-            a += 1
-
-    def least(self, r, t, a_min):
-        """(j, C(r, j)) for the least j in [a_min, r // 2] with C(r, j) >=
-        t, or None when there is none.  C(r, .) rises up to r // 2, so the
-        table's column is bisected; above it the column is walked down from
-        r // 2."""
-        a = r // 2
-        if self.table is not None:
-            j = bisect_left(self.table[:, r], t, a_min, a + 1)
-            return (j, self.table[j, r]) if j <= a else None
-        b = comb(r, a)
+def _least(table, r, t, a_min):
+    """The least a in [a_min, r // 2] with C(r, a) >= t, or None when there
+    is none.  C(r, .) rises up to r // 2, so the table's column is bisected;
+    with no table (above MAX_TABLE_N) the column is walked down from
+    r // 2."""
+    a = r // 2
+    if table is not None:
+        j = bisect_left(table[:, r], t, a_min, a + 1)
+        return j if j <= a else None
+    b = _central_binomial(r)
+    if b < t:
+        return None
+    while a > a_min:
+        b = b * a // (r - a + 1)  # C(r, a - 1)
         if b < t:
-            return None
-        while a > a_min:
-            below = b * a // (r - a + 1)  # C(r, a - 1)
-            if below < t:
-                break
-            a, b = a - 1, below
-        return a, b
-
-    def key(self, r, lo, hi, found):
-        """The key of C(r, a) for lo <= a <= hi <= r // 2, which a kept
-        line reads, with found from least.  Above the table they are held,
-        stepped up from found's j: no further than least walked down."""
-        if self.table is not None:
-            return r
-        self.held += self.run(r, lo, hi, found)
-        return len(self.held) - (hi + 1)
-
-    def source(self):
-        """The flat object array the keys index: the table, or the
-        binomials held since the last call, which it releases."""
-        if self.table is not None:
-            return self.table.ravel()
-        held, self.held = self.held, []
-        return np.array(held, dtype=object)
-
-
-def _folded(lo, hi, r):
-    """The least and the greatest min(c, r - c) over lo <= c <= hi, for
-    0 <= lo <= hi <= r."""
-    return min(lo, r - hi), min(hi, r - lo, r // 2)
+            break
+        a -= 1
+    return a
 
 
 def pair_list(c0, min_payload):
@@ -593,12 +546,12 @@ def pair_list(c0, min_payload):
     likewise MC(Cb) = B * C(remb, 2*c0[1] - c1), remb = 2*(c0[0] + c0[1]) -
     rem.  A column C(r, .) is symmetric and rises up to r // 2, so
     MC(C) >= 2^min_payload exactly when c1 lies in [j, rem - j], j the least
-    a with C(rem, a) >= ceil(2^min_payload / A), found by a bisection (see
-    _PairBinomials); the same holds for Cb.  A line keeps the intersection
-    of both intervals with the box 0 <= C_i <= min(2*c0_i, n) and the colex
-    bound, so an empty line costs at most two searches.  The payloads of
-    the kept rows are formed CHUNK rows at a time in numpy's object loops,
-    and only the lines whose payloads are pending hold their factors.
+    a with C(rem, a) >= ceil(2^min_payload / A), found by _least; the same
+    holds for Cb.  A line keeps the intersection of both intervals with the
+    box 0 <= C_i <= min(2*c0_i, n) and the colex bound, so an empty line
+    costs at most two searches.  Each push, and each flush of the kept
+    rows' payloads (CHUNK rows, in numpy's object loops), is one binomials
+    pass; only the lines whose payloads are pending hold their factors.
     """
     from array import array  # here, so ESS runs never map its ~0.3 MB
     c0t = tuple(map(int, c0))
@@ -606,25 +559,22 @@ def pair_list(c0, min_payload):
     box = [min(2 * a, n) for a in c0t]
     floor = 1 << min_payload
     two1 = 2 * c0t[1]  # C_1 + Cb_1 on every line
-    binomials = _PairBinomials(n)
+    table = binomial_table(n) if n <= MAX_TABLE_N else None
     bit_length = np.frompyfunc(int.bit_length, 1, 1)
     starts, lengths = [], []
     payloads = array("i")  # 4 bytes a pair, no object per pair
-    pending, factors = [], []  # (c1, rem, remb, keys) and (A, B) a line
+    pending, factors = [], []  # (c1, rem, remb) and (A, B) a line
 
     def flush():
         """Append the payloads of the pending lines, CHUNK rows at a time."""
-        first, rem, remb, key, keyb = np.array(
-            pending, dtype=np.int64).reshape(-1, 5).T
+        first, rem, remb = np.array(pending, dtype=np.int64).reshape(-1, 3).T
         a, b = np.array(factors, dtype=object).reshape(-1, 2).T
-        source, stride = binomials.source(), binomials.stride
+        binomial = binomials(n)
         for _, line, steps in _sweep_steps(lengths[-len(a):]):
             c1 = first[line] + steps
-            r, rb, y = rem[line], remb[line], two1 - c1
-            x = source[key[line] + np.minimum(c1, r - c1) * stride]
-            xb = source[keyb[line] + np.minimum(y, rb - y) * stride]
-            bits = np.minimum(bit_length(a[line] * x),
-                              bit_length(b[line] * xb))
+            bits = np.minimum(
+                bit_length(a[line] * binomial(rem[line], c1)),
+                bit_length(b[line] * binomial(remb[line], two1 - c1)))
             payloads.extend((bits - 1).tolist())
         pending.clear()
         factors.clear()
@@ -643,30 +593,30 @@ def pair_list(c0, min_payload):
             lo = max(0, two - remb)  # Cb's rest stays >= 0
             if lo > hi:
                 continue
-            xs = binomials.run(rem, lo, hi)
-            xbs = binomials.run(remb, two - hi, two - lo)
             # pushed last first, so the walk pops them in colex order
-            stack += [(i - 1, rem - ci, remb - two + ci, (ci,) + suffix,
-                       tight and ci == c0t[i], fa * x, fb * xb)
-                      for ci, x, xb in zip(range(hi, lo - 1, -1),
-                                           reversed(xs), xbs)]
+            ci = np.arange(hi, lo - 1, -1)
+            xs, xbs = binomials(n)(np.array([[rem], [remb]]),
+                                   np.stack((ci, two - ci))).tolist()
+            stack += [(i - 1, rem - c, remb - two + c, (c,) + suffix,
+                       tight and c == c0t[i], fa * x, fb * xb)
+                      for c, x, xb in zip(ci.tolist(), xs, xbs)]
             continue
         lo = max(0, rem - box[0])
         hi = min(box[1], rem, c0t[1] - 1) if tight else min(box[1], rem)
         if lo > hi:
             continue
-        found = binomials.least(rem, -(-floor // fa), _folded(lo, hi, rem)[0])
-        if found is None:
+        j = _least(table, rem, -(-floor // fa), min(lo, rem - hi))
+        if j is None:
             continue
-        lo, hi = max(lo, found[0]), min(hi, rem - found[0])
+        lo, hi = max(lo, j), min(hi, rem - j)
         if lo > hi:
             continue
         # Cb_1 = two1 - c1 runs over [two1 - hi, two1 - lo]
-        foundb = binomials.least(remb, -(-floor // fb),
-                                 _folded(two1 - hi, two1 - lo, remb)[0])
-        if foundb is None:
+        j = _least(table, remb, -(-floor // fb),
+                   min(two1 - hi, remb - two1 + lo))
+        if j is None:
             continue
-        lo, hi = max(lo, two1 - remb + foundb[0]), min(hi, two1 - foundb[0])
+        lo, hi = max(lo, two1 - remb + j), min(hi, two1 - j)
         if lo > hi:
             continue
         total += hi - lo + 1
@@ -676,9 +626,7 @@ def pair_list(c0, min_payload):
                 f"MAX_MPDM_PAIRS={MAX_MPDM_PAIRS}")
         starts += (rem - lo, lo) + suffix  # flat, as in shells_upto
         lengths.append(hi - lo + 1)
-        pending += (
-            lo, rem, remb, binomials.key(rem, *_folded(lo, hi, rem), found),
-            binomials.key(remb, *_folded(two1 - hi, two1 - lo, remb), foundb))
+        pending += (lo, rem, remb)
         factors += (fa, fb)
         waiting += hi - lo + 1
         if waiting >= CHUNK:
@@ -688,8 +636,9 @@ def pair_list(c0, min_payload):
         flush()
     pairs = np.empty(total, dtype=[
         ("counts", np.min_scalar_type(n), (m,)), ("payload", np.int32)])
-    _sweep_rows(pairs["counts"], starts, lengths)
     pairs["payload"] = payloads
+    del payloads  # before the counts are swept, which lowers the peak
+    _sweep_rows(pairs["counts"], starts, lengths)
     pairs.flags.writeable = False
     return pairs
 

@@ -102,6 +102,22 @@ def _pair_space_bound(c0: Counts) -> int:
 _FIXED_BITS = 64  # fraction bits of each rounded-up sqrt(r_i(d)) factor
 
 
+def _gm_factors(a: int, n: int) -> tuple[range, list[int]]:
+    """The d of a level with count a in a block of n, and its fixed-point
+    factors isqrt(2^(2*_FIXED_BITS) * a!^2 / D(d)) + 1 > sqrt(r(d)), each
+    rounded up, with D(d) = (a+d)! (a-d)!.  D(d+1) = D(d) * (a+d+1) / (a-d)
+    divides exactly and D(-d) = D(d), so no factorial but a!'s is formed
+    and each factor serves d and -d."""
+    ds = range(-a, min(a, n - a) + 1)
+    den = math.factorial(a) ** 2  # D(0)
+    num = den << (2 * _FIXED_BITS)
+    us = [math.isqrt(num // den) + 1]  # us[d] for d = 0 .. a
+    for d in range(a):
+        den = den * (a + d + 1) // (a - d)  # D(d + 1)
+        us.append(math.isqrt(num // den) + 1)
+    return ds, us[:0:-1] + us[:ds.stop]
+
+
 @functools.lru_cache(maxsize=1024)
 def _pair_space_gm_bound(c0: Counts) -> int:
     """Upper bound on _pair_space(c0): sum over the box of sqrt(MC(C)*MC(C')).
@@ -112,26 +128,15 @@ def _pair_space_gm_bound(c0: Counts) -> int:
     s = 0, so the widest convolution is never formed.
     """
     n = sum(c0)
-    one_sq = 1 << (2 * _FIXED_BITS)
-
-    def factors(a: int) -> tuple[range, list[int]]:
-        """The d of a level with count a, and its fixed-point factors."""
-        fa2 = math.factorial(a) ** 2
-        ds = range(-a, min(a, n - a) + 1)
-        # isqrt(floor(x)) + 1 > sqrt(x), so each factor rounds up
-        return ds, [math.isqrt(one_sq * fa2 // (math.factorial(a + d)
-                                                * math.factorial(a - d))) + 1
-                    for d in ds]
-
     low, sums = 0, [1]  # sums[i]: fixed-point sum of products at s = low + i
     for a in c0[1:]:
-        ds, us = factors(a)
+        ds, us = _gm_factors(a, n)
         nxt = [0] * (len(sums) + len(us) - 1)
         for i, v in enumerate(sums):
             row = slice(i, i + len(us))
             nxt[row] = map(add, nxt[row], map(v.__mul__, us))
         low, sums = low + ds.start, nxt
-    ds, us = factors(c0[0])
+    ds, us = _gm_factors(c0[0], n)
     total = sum(u * sums[-d - low] for d, u in zip(ds, us)
                 if 0 <= -d - low < len(sums))
     total *= kernels.mc_counts(tuple(c0))

@@ -6,7 +6,8 @@ composition's arrangements in the codec's order, ranked from the order's
 definition with math.comb rather than the kernels' binomial table;
 enumerate_compositions walks every composition of n apart from the kernels'
 shell scan, and multinomial_coefficient counts a composition's arrangements
-by factorials rather than by kernels.mc_counts' binomials; exact_cover is the
+by factorials rather than by kernels.mc_counts' binomials, as gm_factors
+forms the MPDM geometric-mean bound's factors; exact_cover is the
 tuple-item greedy cover, sorted by colex_key, that the column cover of
 dmshape.schemes replaced; w_to_dbm states launch powers in dBm.  Two
 converters let tests state pairs and cover items as tuples: pair_triples
@@ -98,6 +99,16 @@ def level_split_arrangements(counts):
 def multinomial_coefficient(counts):
     """Number of distinct arrangements of the composition, exact."""
     return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def gm_factors(a, n, bits=64):
+    """mpdm._gm_factors by factorials: the d of a level with count a in a
+    block of n, and isqrt(2^(2*bits) * a!^2 / ((a+d)! (a-d)!)) + 1 for
+    each, every factorial formed afresh."""
+    fa2 = math.factorial(a) ** 2
+    ds = range(-a, min(a, n - a) + 1)
+    return ds, [math.isqrt((fa2 << 2 * bits) // (
+        math.factorial(a + d) * math.factorial(a - d))) + 1 for d in ds]
 
 
 def enumerate_compositions(n, alphabet=DEFAULT_ALPHABET, predicate=None):

@@ -61,7 +61,12 @@ from dmshape.schemes import (
     smallest_feasible_cap,
 )
 
-from oracles import cover_columns, enumerate_compositions, pair_triples
+from oracles import (
+    cover_columns,
+    enumerate_compositions,
+    gm_factors,
+    pair_triples,
+)
 
 ALPHABETS = [
     d.AmplitudeAlphabet((1, 3)),
@@ -159,12 +164,10 @@ def plain_gm_bound(c0):
     bits = mpdm._FIXED_BITS
     sums = {0: 1}
     for a in c0:
-        fa2 = math.factorial(a) ** 2
+        factors = list(zip(*gm_factors(a, n, bits)))
         nxt = {}
         for s, v in sums.items():
-            for dd in range(-a, min(a, n - a) + 1):
-                u = math.isqrt((fa2 << 2 * bits) // (
-                    math.factorial(a + dd) * math.factorial(a - dd))) + 1
+            for dd, u in factors:
                 nxt[s + dd] = nxt.get(s + dd, 0) + v * u
         sums = nxt
     total = kernels.mc_counts(c0) * sums[0]
@@ -179,6 +182,18 @@ def targets(draw, max_n=30):
     cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1,
                                 max_size=m - 1)))
     return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example((0, 0))
+@example((7, 7))  # a level that holds all of n: d runs over -a .. 0
+@example((1200, 2048))
+def test_gm_factors_equal_factorial_form(case):
+    # the factors updated along d equal those formed from fresh factorials
+    a, n = case
+    assert mpdm._gm_factors(a, n) == gm_factors(a, n, mpdm._FIXED_BITS)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,8 +5,9 @@ Each kernel is checked against an independent enumeration by
 walks by oracles.level_split_rank), or of all count vectors in a box, for
 alphabets of m = 2 to 4 levels.  Compositions without a box come from stars
 and bars, so the shell walk is also checked at m = 5 and 8.  The column
-kernel multinomials is checked against the scalar mc_counts row by row, on
-both sides of MAX_TABLE_N.
+kernel multinomials is checked against the scalar mc_counts row by row, and
+the batch kernel binomials against math.comb, on both sides of
+MAX_TABLE_N.
 """
 
 import gc
@@ -133,6 +134,63 @@ def test_multinomials_equal_mc_counts(case, chunk, formed):
     got = [x for block in blocks for x in block.tolist()]
     assert all(type(x) is int for x in got)
     assert got == [kernels.mc_counts(row) for row in rows]
+
+
+@st.composite
+def binomial_arrays(draw):
+    """(n, r, a): int64 arrays r and a of one 2-D shape, maybe empty, with
+    0 <= a <= r <= n; a runs over 0, r and either side of r // 2."""
+    n = draw(st.one_of(st.integers(0, 80), st.sampled_from(
+        [kernels.MAX_TABLE_N, kernels.MAX_TABLE_N + 1])))
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 5)))
+    rs = draw(st.lists(st.integers(0, n), min_size=shape[0] * shape[1],
+                       max_size=shape[0] * shape[1]))
+    a = [draw(st.one_of(st.sampled_from([0, r]), st.integers(0, r)))
+         for r in rs]
+    return (n, np.array(rs, dtype=np.int64).reshape(shape),
+            np.array(a, dtype=np.int64).reshape(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_arrays(), st.booleans())
+@example((kernels.MAX_TABLE_N, np.array([[512, 511], [300, 0]]),
+          np.array([[256, 300], [299, 0]])), False)
+@example((kernels.MAX_TABLE_N + 1, np.array([[513, 513], [400, 1]]),
+          np.array([[256, 257], [0, 1]])), False)
+@example((9, np.zeros((0, 3), dtype=np.int64),
+          np.zeros((0, 3), dtype=np.int64)), True)
+def test_binomials_equal_comb(case, formed):
+    # formed: every n takes the path above MAX_TABLE_N.  A second call of
+    # one pass reads what the first formed, and gives the same values
+    n, r, a = case
+    bound = -1 if formed else kernels.MAX_TABLE_N
+    want = [[math.comb(x, y) for x, y in zip(rr, aa)]
+            for rr, aa in zip(r.tolist(), a.tolist())]
+    with mock.patch.object(kernels, "MAX_TABLE_N", bound):
+        binomial = kernels.binomials(n)
+        for _ in range(2):
+            got = binomial(r, a)
+            assert got.dtype == object and got.shape == r.shape
+            assert got.tolist() == want
+            assert all(type(x) is int for x in got.ravel().tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, MAX_BLOCK_LENGTH).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, r // 2), st.booleans())),
+    min_size=1, max_size=40))
+@example([(MAX_BLOCK_LENGTH, HALF, False), (MAX_BLOCK_LENGTH, 1, True),
+          (0, 0, False)])
+def test_binomial_work_is_elementwise(cases):
+    # over arrays, each entry is the work of its own (r, a), by the rule in
+    # integers: b = min(r, a * (bits(r) - bits(a) + 3)), then 2 * b stepped
+    # or a * isqrt(b * isqrt(b)) from comb
+    r, a, stepped = map(np.array, zip(*cases))
+    want = []
+    for x, y, step in cases:
+        b = min(x, y * (x.bit_length() - y.bit_length() + 3))
+        want.append(2 * b if step else y * math.isqrt(b * math.isqrt(b)))
+    assert kernels.binomial_work(r, a, stepped).tolist() == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,6 +447,25 @@ def test_pair_list_payload_pass_holds_one_chunk():
         tracemalloc.stop()
     assert len(pairs) == 20731
     assert peak - retained < 300 * kernels.CHUNK
+
+
+def test_pair_list_above_the_table_holds_one_chunk():
+    # above MAX_TABLE_N (n=600) each push and each payload flush forms its
+    # binomials in a pass of its own: the peak above the array returned read
+    # 1.35 MB, ~330 bytes a row of one CHUNK, and 3.1 MB with one pass for
+    # the whole walk, whose binomials are held to its end
+    c0 = (281, 195, 93, 31)
+    assert sum(c0) > kernels.MAX_TABLE_N
+    pmin = kernels.mc_counts(c0).bit_length() - 1 - 40
+    kernels.pair_list(c0, pmin)  # warm-up: caches and free lists
+    tracemalloc.start()
+    try:
+        pairs = kernels.pair_list(c0, pmin)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 82907
+    assert peak - retained < 500 * kernels.CHUNK
 
 
 # sha256 of the counts and payload columns' bytes of the pair arrays of two
