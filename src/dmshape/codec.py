@@ -1,7 +1,7 @@
 """Bit-exact encoders and decoders.
 
 Every scheme follows one addressing rule.  Leaf i, in stored order, owns the
-next n_words of the 2^k input words: 2^payload_bits for a tree leaf (CCDM,
+next block of the 2^k input words: 2^payload_bits for a tree leaf (CCDM,
 MPDM, optimised MPDM), whose leading depth bits are then its canonical
 prefix, and the used count for an ESS leaf, whose shells are stored in
 (energy, colex) order.  Inside that block a word is the rank of the
@@ -31,6 +31,7 @@ from .schemes import (
     composition_keys,
     count_dtype,
     key_radix,
+    row_values,
 )
 
 
@@ -95,19 +96,19 @@ class SchemeCodec:
         # the first word of every START_STRIDE-th leaf, the leaves' packed
         # composition keys in sorted order with the leaf index of each, and
         # the level lookup.  An ESS table brings its block starts, formed by
-        # the pass that formed the table, and a leaf's words are derived
-        # from its counts per word (kernels.row_multinomials); a tree's are
-        # 2^payload_bits, listed here.  A start per leaf would hold ~10 MB
-        # for the n=216 ESS scheme.  The leaf indices take count_dtype's
-        # rule (uint32 or narrower), and the keys are uint32 while (n+1)^m
-        # <= 2^32.  decode searches with a key of the column's own scalar
-        # type: searchsorted converts the whole column to match a Python
-        # int (23 us a call on uint32, 1 us with an np.uint32 key)
+        # the pass that formed the table; a tree's are summed here from a
+        # stream of 2^payload_bits.  A leaf's words are derived per word from
+        # its counts (kernels.row_multinomials) or payload_bits.  A start per
+        # leaf would hold ~10 MB for the n=216 ESS scheme.  The leaf indices
+        # take count_dtype's rule (uint32 or narrower), and the keys are
+        # uint32 while (n+1)^m <= 2^32.  decode searches with a key of the
+        # column's own scalar type: searchsorted converts the whole column to
+        # match a Python int (23 us a call on uint32, 1 us with a uint32 key)
         used = table.used_counts
         if used is None:
-            self._n_words = n_words = table.n_words
-            self._starts = list(islice(accumulate(n_words, initial=0),
-                                       0, len(n_words), START_STRIDE))
+            words = (1 << p for p in row_values(table.payload_bits))
+            self._starts = list(islice(accumulate(words, initial=0),
+                                       0, len(table), START_STRIDE))
             self._block_words = self._tree_words
         else:
             self._overrides = used.overrides
@@ -127,7 +128,8 @@ class SchemeCodec:
 
     def _tree_words(self, first: int):
         """The words of leaf first and the leaves after it in its block."""
-        return self._n_words[first:first + START_STRIDE]
+        bits = self.set.leaves.payload_bits[first:first + START_STRIDE]
+        return (1 << p for p in bits.tolist())
 
     def _ess_words(self, first: int):
         """_tree_words for an ESS leaf: its multinomial, or its override."""

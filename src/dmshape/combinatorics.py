@@ -13,7 +13,7 @@ from two independent amplitude draws:
     kurtosis_2d = E|X|^4 / E|X|^2^2 = (mu4/mu2^2 + 1) / 2
 
 which equals 2 for a circular Gaussian and 1 for any constant-modulus
-constellation; ``kurtosis_of`` computes it for every row of a count matrix.
+constellation; ``kurtosis_of`` forms it for a count matrix, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -236,35 +236,39 @@ def block_moments(pmf: Sequence[float],
 
 
 def kurtosis_of(counts: np.ndarray,
-                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> list[float]:
-    """2D-symbol kurtosis of each row of an (L, m) count matrix:
-    block_moments(pmf_of(row)).kurtosis_2d, bit-identical and row-parallel.
+                alphabet: AmplitudeAlphabet = DEFAULT_ALPHABET) -> np.ndarray:
+    """2D-symbol kurtosis of each row of an (L, m) count matrix, as one
+    float64 column: block_moments(pmf_of(row)).kurtosis_2d, bit-identical.
 
-    numpy replays block_moments's operations in the same order (IEEE
-    multiply, divide and add round identically elementwise); mu2**2 stays
-    scalar, as numpy squares as mu2*mu2.  A matrix that would raise, is not
-    m wide or holds counts too large to be exact in float64 reruns row by
-    row through block_moments, which raises at the same row.
+    numpy replays block_moments's operations in the same order on each
+    kernels.CHUNK block (IEEE multiply, divide and add round identically
+    elementwise); mu2**2 stays scalar, as numpy squares as mu2*mu2.  A block
+    that would raise, is not m wide or holds counts too large to be exact
+    in float64 reruns row by row through block_moments, which raises there.
     """
     m = alphabet.m
-    if np.issubdtype(counts.dtype, np.integer) and counts.shape[1:] == (m,):
-        c = counts.astype(np.float64)
-        rows = c.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pmf = c / rows[:, None]
-            total = mu2 = mu4 = 0.0
-            for i, e in enumerate(alphabet.energies):
-                p = pmf[:, i]
-                total = total + p
-                mu2 = mu2 + p * e
-                mu4 = mu4 + p * e * e
-            kurt = (mu4 / np.array([x**2 for x in mu2.tolist()]) + 1.0) / 2.0
-        if not (np.abs(c).max(initial=0.0) * m >= 2.0**53
-                or ((rows <= 0) | (np.abs(total - 1.0) > 1e-12)
-                    | (mu2 <= 0)).any()):
-            return kurt.tolist()
-    return [block_moments(pmf_of(row), alphabet).kurtosis_2d
-            for row in counts.tolist()]
+    fast = np.issubdtype(counts.dtype, np.integer) and counts.shape[1:] == (m,)
+    kurt = np.empty(len(counts))
+    for rows in kernels.chunks(len(counts)):
+        if fast:
+            c = counts[rows].astype(np.float64)
+            sums = c.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pmf = c / sums[:, None]
+                total = mu2 = mu4 = 0.0
+                for p, e in zip(pmf.T, alphabet.energies):
+                    total = total + p
+                    mu2 = mu2 + p * e
+                    mu4 = mu4 + p * e * e
+                kurt[rows] = (mu4 / np.array([x**2 for x in mu2.tolist()])
+                              + 1.0) / 2.0
+            if not (np.abs(c).max(initial=0.0) * m >= 2.0**53
+                    or ((sums <= 0) | (np.abs(total - 1.0) > 1e-12)
+                        | (mu2 <= 0)).any()):
+                continue
+        kurt[rows] = [block_moments(pmf_of(row), alphabet).kurtosis_2d
+                      for row in counts[rows].tolist()]
+    return kurt
 
 
 def rate_loss(avg_pmf: Sequence[float], k: int, n: int) -> float:

@@ -303,15 +303,15 @@ class SnrEntries(Sequence):
                    row_values(r.snr_db))
 
 
-def _snr_db(kurtoses: list[float], model: NliModel) -> list[float]:
-    """snr_eff over a list of kurtoses, bit-identical: the ratio in numpy,
+def _snr_db(kurtoses: np.ndarray, model: NliModel) -> list[float]:
+    """snr_eff over a column of kurtoses, bit-identical: the ratio in numpy,
     log10 in scalar Python (numpy rounds it differently).  A non-positive
     noise power reruns snr_eff per leaf, which raises at the same leaf."""
     p = model.launch_power_w
-    eta = model.eta0 + model.eta1 * (np.array(kurtoses) - 2.0)
+    eta = model.eta0 + model.eta1 * (kurtoses - 2.0)
     denom = model.ase_variance_w + eta * p**3
     if (denom <= 0).any():
-        return [snr_eff(q, model) for q in kurtoses]
+        return [snr_eff(q, model) for q in kurtoses.tolist()]
     return [10 * math.log10(r) for r in (p / denom).tolist()]
 
 
@@ -320,24 +320,23 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
 
     Zero-weight leaves (unused boundary shells) are excluded; aggregates are
     weighted by leaf usage, min/max are unweighted extremes over the carried
-    leaves.  Kurtoses and SNRs are computed over the count matrix in chunks
-    (kurtosis_of, _snr_db) that equal the per-leaf block_moments + snr_eff
-    reference exactly, into float64 columns: no Python float per leaf is
-    kept.  The report holds the carried rows of the table's counts and
-    weights as its own copies, and the kurtosis and SNR columns; every
-    other per-leaf value lives for one chunk of kernels.CHUNK leaves.
+    leaves.  The kurtoses (kurtosis_of) and SNRs (_snr_db, a chunk at a
+    time) equal the per-leaf block_moments + snr_eff reference exactly, in
+    float64 columns: no Python float per leaf is kept.  The report holds
+    the carried rows of the table's counts and weights as its own copies,
+    and the kurtosis and SNR columns; every other per-leaf value lives for
+    one chunk of kernels.CHUNK leaves.  Kurtoses come first: a row that
+    kurtosis_of refuses fails before any leaf's noise power is checked.
     """
     table = built.leaves
     carried = table.weights > 0
     counts = table.counts[carried]
     weights = table.weights[carried]
-    kurts = np.empty(len(weights))
+    kurts = kurtosis_of(counts, built.alphabet)
     snrs = np.empty(len(weights))
     avg = 0.0
     for rows in chunks(len(weights)):
-        q = kurtosis_of(counts[rows], built.alphabet)
-        kurts[rows] = q
-        snrs[rows] = _snr_db(q, model)
+        snrs[rows] = _snr_db(kurts[rows], model)
         # avg is float_sum(snr * weight), left to right across the chunks
         avg = running_sum(avg, snrs[rows] * weights[rows])
     return SnrReport(counts=counts, kurtosis=kurts, weights=weights,

@@ -16,7 +16,7 @@ shrinks the composition count by an order of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .combinatorics import (
 )
 from .errors import BinomialBudgetError, RateInfeasibleError
 from .ess import build_ess
-from .kernels import chunks, multinomials
+from .kernels import multinomials
 from .mpdm import build_mpdm
 from .nli import NliModel, analyze
 from .schemes import CompositionSet, exact_cover, row_values, tree_scheme
@@ -48,9 +48,7 @@ def build_opt_mpdm(n: int, k: int,
             f"opt-mpdm at k={k} needs room for k+1={k + 1} bits: {exc}"
         ) from None
     counts = base.leaves.counts
-    kurtosis = np.fromiter(chain.from_iterable(
-        kurtosis_of(counts[rows], alphabet) for rows in chunks(len(counts))),
-        dtype=np.float64, count=len(counts))
+    kurtosis = kurtosis_of(counts, alphabet)
     # worst kurtosis first, ties in colex order: the last key is primary
     counts = counts[np.lexsort((*counts.T, -kurtosis))]
     # Addressability of a freed leaf is its own multinomial capacity (the

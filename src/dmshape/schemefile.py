@@ -112,11 +112,12 @@ def read_scheme(path: str) -> CompositionSet:
     malformed field is reported as a one-line SchemeFileError of the form
     ``path:line: field: reason``.  After validate, the header values the
     file states (e_max, avg_pmf, rate_loss, in that order) must equal the
-    ones the scheme computes from its leaves.
+    ones the scheme computes from its leaves; the first that differs is
+    named at its header line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            built, checked, (e_max, avg_pmf, rate_loss) = _parse(fh, path)
+            built, checked, header, stated = _parse(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
     try:
@@ -124,23 +125,26 @@ def read_scheme(path: str) -> CompositionSet:
     except Exception as exc:
         raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
     # the header must state what the leaves imply
+    e_max, avg_pmf, rate_loss = stated
     if e_max != built.e_max:
-        fault = (f"tree scheme carries e_max {e_max!r}" if built.e_max is None
-                 else f"e_max {e_max!r} is not the minimal radius "
-                 f"{built.e_max!r}")
+        key, fault = "e_max", (
+            f"a tree scheme has none, found {e_max!r}" if built.e_max is None
+            else f"{e_max!r} is not the minimal radius {built.e_max!r}")
     elif avg_pmf != built.avg_pmf:
-        fault = f"avg_pmf {avg_pmf!r} is not the leaves' {built.avg_pmf!r}"
+        key, fault = ("avg_pmf",
+                      f"{avg_pmf!r} is not the leaves' {built.avg_pmf!r}")
     elif rate_loss != built.rate_loss:
-        fault = f"rate_loss {rate_loss!r} is not the leaves' {built.rate_loss!r}"
+        key, fault = ("rate_loss",
+                      f"{rate_loss!r} is not the leaves' {built.rate_loss!r}")
     else:
         return built
-    raise SchemeFileError(f"{path}: inconsistent scheme: {fault}")
+    raise SchemeFileError(f"{path}:{header[key][0]}: {key}: {fault}")
 
 
 def _parse(fh, path: str):
     """The unvalidated scheme an open scheme file holds, the WordCheck its
-    leaf pass filled for validate (or None), and the (e_max, avg_pmf,
-    rate_loss) its header states."""
+    leaf pass filled for validate (or None), the header's (line, value) by
+    key, and the (e_max, avg_pmf, rate_loss) it states."""
 
     def parse(lineno: int, field: str, text: str, convert):
         try:
@@ -182,7 +186,9 @@ def _parse(fh, path: str):
         tuple(float(x) for x in v.split(","))))
     rate_loss = field("rate_loss", float)
     avg_pmf = field("avg_pmf", lambda v: tuple(float(x) for x in v.split(",")))
-    e_max = field("e_max", float) if "e_max" in header else None
+    # an ess file states its radius; a tree file's e_max fails after validate
+    e_max = (field("e_max", float) if "e_max" in header or not
+             is_tree_scheme(scheme) else None)
     # the line count is checked before any leaf field
     start = fh.tell()
     found = sum(1 for line in fh if line.strip())
@@ -194,7 +200,7 @@ def _parse(fh, path: str):
                                   alphabet.m, is_tree_scheme(scheme))
     built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
                            leaves=leaves)
-    return built, checked, (e_max, avg_pmf, rate_loss)
+    return built, checked, header, (e_max, avg_pmf, rate_loss)
 
 
 def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,

@@ -432,13 +432,6 @@ class LeafTable(Sequence):
     def __repr__(self) -> str:
         return f"LeafTable({len(self)} leaves)"
 
-    @property
-    def n_words(self) -> Sequence[int]:
-        """Input words each leaf owns: 2^payload_bits, or the ESS used count."""
-        if self.used_counts is not None:
-            return self.used_counts
-        return [1 << p for p in self.payload_bits.tolist()]
-
 
 @dataclass(frozen=True)
 class CompositionSet:
@@ -472,7 +465,7 @@ class CompositionSet:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
         table = self.leaves
         ks = kurtosis_of(table.counts[table.weights > 0], self.alphabet)
-        return min(ks), max(ks)
+        return float(ks.min()), float(ks.max())
 
     def validate(self, checked: WordCheck | None = None) -> None:
         """Raise ConstructionBugError on any violated scheme invariant.
@@ -550,20 +543,18 @@ class CompositionSet:
                 f"leaf {leaf} does not fit scheme {self.scheme!r}")
         check_k_range(n, k, m, ConstructionBugError)
         need = 1 << k
-        if tree:
-            p = table.payload_bits
-            bad_pd = (p < 0) | (p > k) | (table.depth != k - p)
-            first_pd = _first(bad_pd)
-            words = [1 << x for x in np.where(bad_pd, 0, p).tolist()]
-        else:
-            first_pd, words = size, table.used_counts
+        p = table.payload_bits
+        bad_pd = (p < 0) | (p > k) | (table.depth != k - p) if tree else None
+        first_pd = _first(bad_pd) if tree else size
         if checked is None:
-            # one block of multinomials at a time; an ESS block's words are
-            # its multinomials with its overrides written over them
+            # one block of multinomials at a time; a tree block's words are
+            # 2^payload_bits (2^0 where payload/depth is at fault), an ESS
+            # block's its multinomials with its overrides written over them
             checked = WordCheck(table.weights, k)
             for rows, mc in zip(chunks(size), multinomials(counts, n)):
-                checked.add(np.array(words[rows], dtype=object) if tree
-                            else words.over(rows, mc.copy()), mc)
+                words = (1 << np.where(bad_pd[rows], 0, p[rows]).astype(object)
+                         if tree else table.used_counts.over(rows, mc.copy()))
+                checked.add(words, mc)
         i = size if checked.first is None else checked.first
         if first_pd < size and first_pd <= i:
             raise ConstructionBugError("inconsistent payload/depth")
@@ -574,7 +565,7 @@ class CompositionSet:
                     "payload exceeds composition capacity" if tree else
                     f"leaf {leaf.counts} used count {leaf.used_count} "
                     "exceeds its shell size")
-            if words[i] > need:  # an ESS leaf: a tree's p > k fails above
+            if not tree and leaf.used_count > need:  # p > k fails above
                 raise ConstructionBugError(
                     f"leaf {leaf.counts} used count {leaf.used_count} "
                     f"exceeds 2^{k}")

@@ -259,6 +259,16 @@ class TestHostileInput:
         assert rc == 3
         assert err == f"dmshape: {bad}:{lineno}: {key}: {reason}\n"
 
+    def test_ess_file_without_e_max(self, tmp_path, capsys):
+        # an ess file states its radius, so it is refused as any other
+        # missing header field is, before its leaves are read
+        bad = self.toy_scheme(tmp_path, capsys,
+                              self.replace_line("e_max=22.0", ""), scheme="ess")
+        rc = main(["codec", "encode", bad, "0x5"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"dmshape: {bad}: missing header field 'e_max'\n")
+
     def test_bad_config_integer(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# link\nn_spans=abc\n")
@@ -515,15 +525,17 @@ class TestHostileInput:
         pytest.param("ess", [("6,0|1||0.0625", "6,0|1||nan")],
                      "weight nan is not 1/2^4", id="ess-nan-weight"),
         pytest.param("ess", [("e_max=22.0", "e_max=1000.0")],
-                     "e_max 1000.0 is not the minimal radius 22.0",
+                     ":8: e_max: 1000.0 is not the minimal radius 22.0",
                      id="ess-e_max"),
         pytest.param("mpdm", [("leaves=3", "e_max=22.0\nleaves=3")],
-                     "tree scheme carries e_max 22.0", id="tree-e_max"),
+                     ":8: e_max: a tree scheme has none, found 22.0",
+                     id="tree-e_max"),
         pytest.param("mpdm", [("avg_pmf=0.6666666666666666,0.3333333333333333",
                                "avg_pmf=0.9,0.1")],
-                     "avg_pmf (0.9, 0.1) is not the leaves'", id="avg_pmf"),
+                     ":7: avg_pmf: (0.9, 0.1) is not the leaves' "
+                     "(0.6666666666666666, 0.3333333333333333)", id="avg_pmf"),
         pytest.param("ess", [("rate_loss=0.1446114577924662", "rate_loss=0.5")],
-                     "rate_loss 0.5 is not the leaves' 0.1446114577924662",
+                     ":6: rate_loss: 0.5 is not the leaves' 0.1446114577924662",
                      id="rate_loss"),
         # a zero-weight shell of energy 30, outside the radius 22
         pytest.param("ess", [("leaves=3", "leaves=4"),
@@ -593,8 +605,11 @@ class TestHostileInput:
                    "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == 3
-        assert err.startswith(f"dmshape: {bad}: inconsistent scheme: ")
-        assert reason in err and "Traceback" not in err
+        if reason.startswith(":"):  # a stated header value names its line
+            assert err == f"dmshape: {bad}{reason}\n"
+        else:
+            assert err.startswith(f"dmshape: {bad}: inconsistent scheme: ")
+            assert reason in err and "Traceback" not in err
         assert not (tmp_path / "r_scatter.csv").exists()
 
     def test_codec_refuses_wrong_e_max(self, tmp_path, capsys):
@@ -611,7 +626,8 @@ class TestHostileInput:
                               scheme="ess")
         assert main(["codec", "encode", bad, "0x5"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"dmshape: {bad}: inconsistent scheme: e_max ")
+        assert err == (f"dmshape: {bad}:8: e_max: 1000.0 is not the minimal "
+                       "radius 22.0\n")
 
     @pytest.mark.parametrize("direction,payload,reason", [
         ("encode", "0x10", "word outside [0, 2^4)"),

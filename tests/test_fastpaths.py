@@ -524,7 +524,7 @@ def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
 
 def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
     # a built ESS table stores no used count a leaf: iterating, indexing,
-    # slicing, == and n_words form one block of multinomials for each chunk
+    # slicing and == form one block of multinomials for each chunk
     # they read, from one kernels.multinomial_blocks a pass, and never a
     # per-leaf mc_counts
     built, twin = d.build_ess(24, 36), d.build_ess(24, 36)
@@ -552,7 +552,6 @@ def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
     monkeypatch.setattr(kernels, "mc_counts", refused)
     for read, want_read, n_passes, n_blocks in [
             (lambda: list(table.used_counts), want, 1, blocks),
-            (lambda: list(table.n_words), want, 1, blocks),
             (lambda: [leaf.used_count for leaf in table], want, 1, blocks),
             (lambda: table == twin.leaves, True, 2, 2 * blocks),
             (lambda: table.used_counts == tuple(want), True, 1, blocks),
@@ -1043,9 +1042,11 @@ def test_chunked_analyze_equals_per_leaf(alphabet, n, data, chunk, hostile):
     want = outcome(lambda: [d.block_moments(d.pmf_of(c), alphabet).kurtosis_2d
                             for c in counts_list])
     matrix = np.array(counts_list, dtype=np.int64)
-    assert outcome(lambda: kurtosis_of(matrix, alphabet)) == want
     built = adhoc_set(alphabet, counts_list)
+    # a hostile row in a later block raises as the reference does, and the
+    # values across block edges equal it bit for bit
     with mock.patch.object(kernels, "CHUNK", chunk):
+        assert outcome(lambda: kurtosis_of(matrix, alphabet).tolist()) == want
         report = outcome(lambda: d.analyze(built, MODEL))
     if isinstance(want, tuple):
         assert report == want
@@ -1264,6 +1265,37 @@ RETAINED_BYTES_PER_LEAF = {"build_ess": 30, "read_scheme": 30, "analyze": 35,
 def test_ess_steps_retain_narrow_columns(step, ess216, ess_step_memory):
     retained, _ = ess_step_memory[step]
     assert retained < RETAINED_BYTES_PER_LEAF[step] * len(ess216.leaves)
+
+
+# Bytes per leaf that validate, SchemeCodec and kurtosis_range may allocate
+# at their peak over a tree table, and the codec may keep: the mpdm table at
+# n=48, k=110 over the eight levels 1,3,...,15 (82,661 leaves).  Each forms
+# its tree words or kurtoses one chunk at a time: validate holds its key
+# column and sort order, the codec its sorted keys and leaf indices and a
+# bigint start every START_STRIDE leaves.  They take 19, 35 (19 kept) and
+# 28; with a list of 2^payload_bits (one Python int a leaf) validate and the
+# codec took 69 and 87 (71 kept), and kurtosis_range over every carried row
+# at once took 240.
+TREE_BYTES_PER_LEAF = {"validate": 45, "codec": 60, "codec kept": 45,
+                       "kurtosis_range": 120}
+
+
+def test_tree_words_and_kurtoses_keep_to_one_chunk():
+    built = d.build_mpdm(48, 110, d.AmplitudeAlphabet(tuple(range(1, 16, 2))))
+    size = len(built.leaves)
+    assert size == 82_661
+    gc.freeze()
+    try:
+        (_, validate), (kept, codec), (_, kurtoses) = (
+            traced_memory(step) for step in (
+                built.validate, lambda: d.SchemeCodec(built),
+                built.kurtosis_range))
+    finally:
+        gc.unfreeze()
+    measured = {"validate": validate, "codec": codec, "codec kept": kept,
+                "kurtosis_range": kurtoses}
+    for step, bound in TREE_BYTES_PER_LEAF.items():
+        assert measured[step] < bound * size, step
 
 
 # -- narrow count columns ------------------------------------------------------

@@ -382,7 +382,6 @@ def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
         assert fault is None
         table = built.leaves
         assert list(table.used_counts) == used
-        assert list(table.n_words) == used
         assert table.used_counts == tuple(used)
         assert table.used_counts[1::2] == tuple(used[1::2])
         assert dict(table.used_counts.overrides) == {
