@@ -12,7 +12,6 @@ words are integers, most-significant bit first.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate, count, islice
 from operator import itemgetter, mul
 
@@ -28,6 +27,7 @@ from .errors import DecodeError
 from .schemes import (
     START_STRIDE,
     CompositionSet,
+    block_starts,
     composition_keys,
     count_dtype,
     key_radix,
@@ -95,57 +95,73 @@ class SchemeCodec:
         table = built.leaves
         # the first word of every START_STRIDE-th leaf, the leaves' packed
         # composition keys in sorted order with the leaf index of each, and
-        # the level lookup.  An ESS table brings its block starts, formed by
-        # the pass that formed the table; a tree's are summed here from a
-        # stream of 2^payload_bits.  A leaf's words are derived per word from
-        # its counts (kernels.row_multinomials) or payload_bits.  A start per
-        # leaf would hold ~10 MB for the n=216 ESS scheme.  The leaf indices
-        # take count_dtype's rule (uint32 or narrower), and the keys are
-        # uint32 while (n+1)^m <= 2^32.  decode searches with a key of the
-        # column's own scalar type: searchsorted converts the whole column to
-        # match a Python int (23 us a call on uint32, 1 us with a uint32 key)
+        # the level lookup.  The starts are one schemes.block_starts buffer
+        # of big-endian bytes: an ESS table brings its own, formed by the
+        # pass that formed the table, and a tree's are packed here from a
+        # stream of 2^payload_bits.  A leaf's words are derived per word
+        # from its counts (kernels.row_multinomials) or payload_bits.  A
+        # start per leaf would hold ~10 MB for the n=216 ESS scheme, and a
+        # Python int per START_STRIDE leaves 1.0 MB.  The leaf indices take
+        # count_dtype's rule (uint32 or narrower), and the keys key_dtype's
+        # (uint32 while (n+1)^m <= 2^32).  decode searches with a key of
+        # the column's own scalar type: searchsorted converts the whole
+        # column to match a Python int (23 us a call on uint32, 1 us with a
+        # uint32 key)
         used = table.used_counts
         if used is None:
             words = (1 << p for p in row_values(table.payload_bits))
-            self._starts = list(islice(accumulate(words, initial=0),
-                                       0, len(table), START_STRIDE))
+            stream = islice(accumulate(words, initial=0), 0, len(table),
+                            START_STRIDE)
+            self._starts = block_starts(
+                iter(lambda: list(islice(stream, kernels.CHUNK)), []),
+                built.k)
             self._block_words = self._tree_words
         else:
             self._overrides = used.overrides
             self._starts = used.starts
             self._block_words = self._ess_words
+        if self._starts is None:
+            raise DecodeError("the scheme's words do not lie in [0, 2^k]")
+        self._end = 1 << built.k
+        # sorted as the starts are; encode searches it with a word's bytes
+        self._start_keys = self._starts.view(
+            f"S{self._starts.shape[1]}").ravel()
         self._counts = table.counts
         self._levels = _level_lookup(built.alphabet)
         self._radix = key_radix(built.n, built.alphabet.m)
         keys = composition_keys(table.counts, built.n)
         by_key = np.argsort(keys, kind="stable")
         self._by_key = by_key.astype(count_dtype(len(keys)))
-        keys = keys[by_key]
-        if (built.n + 1) ** built.alphabet.m <= 1 << 32:
-            keys = keys.astype(np.uint32)
-        self._keys = keys
+        self._keys = keys[by_key]
         self._key = keys.dtype.type
 
-    def _tree_words(self, first: int):
-        """The words of leaf first and the leaves after it in its block."""
-        bits = self.set.leaves.payload_bits[first:first + START_STRIDE]
+    def _start(self, block: int) -> int:
+        """The first word of the block's first leaf, or 2^k past the last."""
+        if block == len(self._starts):
+            return self._end
+        return int.from_bytes(self._starts[block].tobytes(), "big")
+
+    def _tree_words(self, lo: int, hi: int):
+        """The words of leaves lo .. hi - 1 (fewer at the table's end)."""
+        bits = self.set.leaves.payload_bits[lo:hi]
         return (1 << p for p in bits.tolist())
 
-    def _ess_words(self, first: int):
-        """_tree_words for an ESS leaf: its multinomial, or its override."""
-        rows = self._counts[first:first + START_STRIDE].tolist()
-        return map(self._overrides.get, count(first),
+    def _ess_words(self, lo: int, hi: int):
+        """_tree_words for ESS leaves: a multinomial, or its override."""
+        rows = self._counts[lo:hi].tolist()
+        return map(self._overrides.get, count(lo),
                    kernels.row_multinomials(rows, self.set.n))
 
     def encode(self, word: int) -> tuple[float, ...]:
-        k = self.set.k
-        if not 0 <= word < (1 << k):
-            raise DecodeError(f"word outside [0, 2^{k})")
-        block = bisect_right(self._starts, word) - 1
+        starts = self._starts
+        if not 0 <= word < self._end:
+            raise DecodeError(f"word outside [0, 2^{self.set.k})")
+        key = word.to_bytes(starts.shape[1], "big")
+        block = int(self._start_keys.searchsorted(key, "right")) - 1
         i = block * START_STRIDE
-        word -= self._starts[block]
+        word -= int.from_bytes(starts[block].tobytes(), "big")
         # leaves that own no words are stepped over
-        for words in self._block_words(i):
+        for words in self._block_words(i, i + START_STRIDE):
             if word < words:
                 break
             word -= words
@@ -163,8 +179,17 @@ class SchemeCodec:
             raise DecodeError("sequence composition is not in the scheme")
         i = int(self._by_key[j])
         rank = kernels.cc_rank(idx, counts)
+        # the leaf's first word, summed from the nearer end of its block:
+        # the block's start plus the words of the leaves before it, or the
+        # next block's start minus its own words and those after it
         block, before = divmod(i, START_STRIDE)
-        words = list(islice(self._block_words(i - before), before + 1))
-        if rank >= words[-1]:
+        end = min(i - before + START_STRIDE, len(self._counts))
+        if end - 1 - i < before:
+            words = list(self._block_words(i, end))
+            own, first = words[0], self._start(block + 1) - sum(words)
+        else:
+            words = list(self._block_words(i - before, i + 1))
+            own, first = words[-1], self._start(block) + sum(words[:-1])
+        if rank >= own:
             raise DecodeError("sequence rank beyond the leaf's used words")
-        return self._starts[block] + rank + sum(words[:-1])
+        return first + rank

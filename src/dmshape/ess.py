@@ -6,17 +6,21 @@ first (colex within equal energy), with the boundary-energy shells
 truncated so that exactly 2^k sequences are used.  Shell weights are exact
 used-count ratios rather than dyadic payloads: sphere-shaped sets carry no
 prefix tree.  The shells are one (L, m) count matrix from the scan to the
-leaf table, with no object per shell, narrowed to schemes.count_dtype(n)
-before it is put in (energy, colex) order.  build_ess holds each of the
-table's columns once: the count matrix and the float64 weights, the
-weights filled one block of multinomials (kernels.CHUNK shells) at a time.
-The used counts are no column: a shell uses its multinomial, and the same
-walk records as overrides only the shells that use another count, the
-crossing shell and the zero-weight shells after it (schemes.UsedCounts),
-with the codec's block starts.  Block totals locate the shell where the
-used total reaches 2^k, and only that block is accumulated.  validate
-takes its capacity and weight checks from that walk too (schemes.WordCheck),
-so a build forms each multinomial up to the crossing shell's block once.
+leaf table, with no object per shell, built in kernels.count_dtype(n)
+(uint8 at n=216) and put in (energy, colex) order by one gather, its
+energies formed a chunk at a time into uint16 at n=216; no int64 copy of
+the matrix is formed.  build_ess holds each of the table's columns once:
+the count matrix and the float64 weights, the weights filled one block of
+multinomials (kernels.CHUNK shells) at a time.  The used counts are no
+column: a shell uses its multinomial, and the same walk records as
+overrides only the shells that use another count, the crossing shell and
+the zero-weight shells after it (schemes.UsedCounts), with the codec's
+block starts as one byte buffer (schemes.block_starts), each chunk's
+starts packed as the walk passes them.  Block totals locate the shell
+where the used total reaches 2^k, and only that block is accumulated.
+validate takes its capacity and weight checks from that walk too
+(schemes.WordCheck), so a build forms each multinomial up to the crossing
+shell's block once.
 
 Energies are put on an exact integer grid (levels are binary rationals, so
 their squares have a finite common denominator); the radius search and the
@@ -41,7 +45,6 @@ from .schemes import (
     UsedCounts,
     WordCheck,
     block_energies,
-    narrow_counts,
     shares,
     used_overrides,
 )
@@ -59,12 +62,14 @@ def build_ess(n: int, k: int,
     units, _ = alphabet.integer_energies()
     counts = kernels.shells_upto(n, units, integer_radius(n, k, alphabet))
     # shells_upto returns colex order, so a stable sort on energy alone
-    # gives the (energy, colex) order.  The energies are taken from the
-    # int64 rows, as a narrow matrix would be cast whole, and the rows are
-    # narrowed before the gather
-    order = np.argsort(block_energies(counts, n, units), kind="stable")
-    counts = narrow_counts(counts, n)[order]
-    del order
+    # gives the (energy, colex) order.  The energies are formed a chunk at
+    # a time into the narrowest dtype that holds n * max(units), which
+    # bounds them (uint16 at n=216), and the rows are gathered once
+    energies = np.empty(len(counts), dtype=np.min_scalar_type(n * max(units)))
+    for rows in kernels.chunks(len(counts)):
+        energies[rows] = block_energies(counts[rows], n, units)
+    counts = counts[np.argsort(energies, kind="stable")]
+    del energies
     need = 1 << k
     weights = np.zeros(len(counts))
 
@@ -94,7 +99,8 @@ def build_ess(n: int, k: int,
 
     # validate reads its capacity and weight checks off the same walk
     checked = WordCheck(weights, k)
-    used = UsedCounts(counts, n, *used_overrides(checked.scan(used_blocks())))
+    used = UsedCounts(counts, n,
+                      *used_overrides(checked.scan(used_blocks()), k))
     leaves = LeafTable(counts=counts, weights=weights, used_counts=used)
     built = CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                            leaves=leaves)

@@ -49,10 +49,17 @@ def chunks(size):
         yield slice(start, min(start + step, size))
 
 
+def count_dtype(n):
+    """dtype of a count column whose counts all lie in [0, n]: the narrowest
+    of uint8, uint16 and uint32 that holds n (np.min_scalar_type), or int64
+    for an n outside [0, 2^32), which validate refuses."""
+    return np.min_scalar_type(n) if 0 <= n < 1 << 32 else np.dtype(np.int64)
+
+
 # Rows one shells_upto walk may return.  An ESS build in one process peaks
-# near 65 bytes of RSS per shell above the ~30 MB that importing dmshape
-# takes (37 MB in all for 108,990 shells at n=216, 80 MB for 802,188 at
-# n=432, 91 MB for 989,150 at n=464), so this bounds it near 100 MB and
+# near 53 bytes of RSS per shell above the ~30 MB that importing dmshape
+# takes (36 MB in all for 108,990 shells at n=216, 73 MB for 802,188 at
+# n=432, 82 MB for 989,150 at n=464), so this bounds it near 86 MB and
 # still holds compare at n=432.
 MAX_ESS_SHELLS = 1 << 20
 
@@ -465,7 +472,8 @@ def _sweep_rows(out, starts, lengths):
 def shells_upto(n, int_energies, e_cap):
     """All compositions with integer energy <= e_cap, in colex order.
 
-    Returns them as the rows of an (L, m) int64 matrix.  The walk goes
+    Returns them as the rows of an (L, m) matrix of count_dtype(n), filled
+    in that dtype, so no wider copy is formed.  The walk goes
     depth first over levels m-1 .. 2, outermost first; level 1 is the sweep
     and level 0 holds the rest.  The levels ascend, so the energy e with the
     rest in level 0 is the least below that point, and each level stops at
@@ -496,7 +504,8 @@ def shells_upto(n, int_energies, e_cap):
                     f"MAX_ESS_SHELLS={MAX_ESS_SHELLS} shells")
             starts += (rem, 0) + suffix  # flat: no object per row
             lengths.append(hi + 1)
-    return _sweep_rows(np.empty((total, m), dtype=np.int64), starts, lengths)
+    return _sweep_rows(np.empty((total, m), dtype=count_dtype(n)), starts,
+                       lengths)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -25,7 +25,13 @@ import numpy as np
 from .combinatorics import Counts, kurtosis_of
 from .errors import CalibrationError, ModelDomainError
 from .kernels import chunks
-from .schemes import CompositionSet, row_chunks, row_values, running_sum
+from .schemes import (
+    CompositionSet,
+    carried_rows,
+    row_chunks,
+    row_values,
+    running_sum,
+)
 
 # Exact by the SI definition (m/s, J s).
 C_LIGHT = 299792458.0
@@ -323,13 +329,16 @@ def analyze(built: CompositionSet, model: NliModel) -> SnrReport:
     leaves.  The kurtoses (kurtosis_of) and SNRs (_snr_db, a chunk at a
     time) equal the per-leaf block_moments + snr_eff reference exactly, in
     float64 columns: no Python float per leaf is kept.  The report holds
-    the carried rows of the table's counts and weights as its own copies,
-    and the kurtosis and SNR columns; every other per-leaf value lives for
-    one chunk of kernels.CHUNK leaves.  Kurtoses come first: a row that
-    kurtosis_of refuses fails before any leaf's noise power is checked.
+    the carried rows of the table's counts and weights, as views of the
+    table's read-only columns when they form a prefix of it
+    (schemes.carried_rows, as in every table the builders make) and as
+    copies otherwise, and the kurtosis and SNR columns; every other
+    per-leaf value lives for one chunk of kernels.CHUNK leaves.  Kurtoses
+    come first: a row that kurtosis_of refuses fails before any leaf's
+    noise power is checked.
     """
     table = built.leaves
-    carried = table.weights > 0
+    carried = carried_rows(table)
     counts = table.counts[carried]
     weights = table.weights[carried]
     kurts = kurtosis_of(counts, built.alphabet)

@@ -225,8 +225,11 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
     [1, MAX_BLOCK_LENGTH]; every used count of a row that is no composition,
     or of a file whose n is outside it, is kept as parsed.  The same blocks
     fill validate's WordCheck when k also lies in range (k_fits), the
-    multinomials all from the file's own counts.  A pass past
-    kernels.MAX_BINOMIAL_WORK is refused as an inconsistent scheme.
+    multinomials all from the file's own counts, and the codec's block
+    starts (schemes.block_starts), which stay unformed otherwise, or when a
+    start falls outside [0, 2^k]: validate refuses every such table.  A
+    pass past kernels.MAX_BINOMIAL_WORK is refused as an inconsistent
+    scheme.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
@@ -287,9 +290,12 @@ def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
             mc[fits] = block_multinomials(block[fits])
             yield used, mc
 
-    blocks = used_blocks() if checked is None else checked.scan(used_blocks())
+    # the codec's block starts are formed only where validate may pass: n
+    # and k in range, so a start's width k // 8 + 1 is one a scheme can have
+    blocks, width_k = ((used_blocks(), None) if checked is None
+                       else (checked.scan(used_blocks()), k))
     try:
-        overrides, starts = used_overrides(blocks)  # none for a tree
+        overrides, starts = used_overrides(blocks, width_k)  # none for a tree
     except BinomialBudgetError as exc:
         raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from None
     if tree:

@@ -18,7 +18,10 @@ leaf (the n=216 ESS scheme has 108,990 leaves):
 - ESS: used_counts, a UsedCounts: leaf i uses MC(c_i) sequences unless a
   sparse override map names another value (exact Python ints, up to 2^k),
   so a built table holds the crossing shell and the zero-weight shells
-  after it (925 of 108,990 at n=216), not one bigint per leaf.
+  after it (925 of 108,990 at n=216), not one bigint per leaf.  Its block
+  starts for the codec, the first word of every START_STRIDE-th leaf, are
+  one (S, k // 8 + 1) uint8 array of big-endian bytes (block_starts), no
+  Python int per start.
 
 A column the kind has no use for is None.  ``CompositionSet.leaves`` is that
 table, built from columns by the builders and the file reader.  It is a
@@ -67,7 +70,7 @@ from .combinatorics import (
     select_emax,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
-from .kernels import chunks, multinomial_blocks, multinomials
+from .kernels import chunks, count_dtype, multinomial_blocks, multinomials
 
 # Largest block length a scheme may state.  validate forms binomials
 # comb(n, c) of up to n bits (comb(2^16, 2^15) takes ~0.2 s on Python 3.11);
@@ -76,10 +79,10 @@ MAX_BLOCK_LENGTH = 1 << 16
 
 # Leaves per block start a UsedCounts keeps: the codec derives the used
 # counts of at most START_STRIDE - 1 leaves a word past one (~0.6 us each at
-# n=216).  The n=216 ESS starts take 1.0 MB at 8, against the 7.3 MB a
-# tuple of used counts took.  Against that tuple's walk at a stride of 64,
-# in paired words, an ESS encode at 16 read ~5% slower in the median; at 8
-# it read no slower.
+# n=216).  The n=216 ESS starts take 0.6 MB at 8 (13,624 starts of 44
+# bytes; 1.0 MB as Python ints), against the 7.3 MB a tuple of used counts
+# took.  Against that tuple's walk at a stride of 64, in paired words, an
+# ESS encode at 16 read ~5% slower in the median; at 8 it read no slower.
 START_STRIDE = 8
 
 
@@ -108,13 +111,6 @@ def int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def count_dtype(n: int) -> np.dtype:
-    """dtype of a count column whose counts all lie in [0, n]: the narrowest
-    of uint8, uint16 and uint32 that holds n (np.min_scalar_type), or int64
-    for an n outside [0, 2^32), which validate refuses."""
-    return np.min_scalar_type(n) if 0 <= n < 1 << 32 else np.dtype(np.int64)
-
-
 def narrow_counts(counts: np.ndarray, n: int) -> np.ndarray:
     """counts as count_dtype(n) when that is unsigned and every count lies
     in [0, n], else as given, so that no cast wraps or overflows a count
@@ -140,8 +136,11 @@ def key_radix(n: int, m: int) -> list[int]:
 
 
 def key_dtype(n: int, m: int):
-    """dtype of composition_keys: int64 when (n+1)^m fits, else object."""
-    return np.int64 if (n + 1) ** m <= 1 << 63 else object
+    """dtype of composition_keys: uint32 when (n+1)^m <= 2^32, else int64
+    when it fits, else object."""
+    bound = (n + 1) ** m
+    return (np.uint32 if bound <= 1 << 32 else
+            np.int64 if bound <= 1 << 63 else object)
 
 
 def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
@@ -149,9 +148,9 @@ def composition_keys(counts: np.ndarray, n: int) -> np.ndarray:
 
     Distinct compositions of n get distinct keys, ordered as the rows are
     lexicographically, and none is 0 (a composition of n >= 1 has a nonzero
-    count).  The keys are int64 when (n+1)^m fits, else Python ints in an
-    object array, formed kernels.CHUNK rows at a time, so a narrow count
-    column is cast one chunk at a time.  Every count must lie in [0, n].
+    count).  The keys take key_dtype(n, m), uint32 at n=216 over four levels,
+    formed kernels.CHUNK rows at a time, so a narrow count column is cast
+    one chunk at a time.  Every count must lie in [0, n].
     """
     m = counts.shape[1]
     exact = key_dtype(n, m)
@@ -189,6 +188,16 @@ def running_sum(total: float, terms: np.ndarray) -> float:
     return float(np.cumsum(terms, out=terms)[-1])
 
 
+def carried_rows(table) -> slice | np.ndarray:
+    """Index of a table's leaves of nonzero weight: a slice when they form a
+    prefix of it, as in every tree table and every ESS table (whose
+    zero-weight shells follow the crossing shell), so that indexing a column
+    gives a view; else a boolean mask, and indexing copies."""
+    mask = table.weights > 0
+    size = int(np.count_nonzero(mask))
+    return slice(0, size) if mask[:size].all() else mask
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first True, or len(mask) when there is none."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -203,7 +212,35 @@ def composition_rows(block: np.ndarray, n: int) -> np.ndarray:
             & (block.max(axis=1) <= n))
 
 
-def used_overrides(blocks: Iterable) -> tuple[dict, list]:
+def block_starts(pieces: Iterable[list], k: int | None) -> np.ndarray | None:
+    """Block starts given one list of integers at a time, as one
+    read-only (S, W) uint8 array: each start as W = k // 8 + 1 big-endian
+    bytes, formed as its piece arrives, so no start int outlives its piece.
+
+    Bytes of one width compare as the numbers do, so the array's S{W} view
+    is sorted as the starts are.  Read a start back from its row's bytes
+    (int.from_bytes), never from that view, which drops trailing NULs.
+    Every piece is read; the array is None (unformed) when k is None or a
+    start lies outside [0, 2^k], which no valid table holds.
+    """
+    buf = None if k is None else bytearray()
+    for starts in pieces:
+        if buf is None or not starts:
+            continue
+        if min(starts) >= 0 and max(starts) <= 1 << k:
+            buf += b"".join([int(s).to_bytes(k // 8 + 1, "big")
+                             for s in starts])
+        else:
+            buf = None
+    if buf is None:
+        return None
+    starts = np.frombuffer(buf, dtype=np.uint8).reshape(-1, k // 8 + 1)
+    starts.flags.writeable = False
+    return starts
+
+
+def used_overrides(blocks: Iterable,
+                   k: int | None) -> tuple[dict, np.ndarray | None]:
     """(overrides, starts) of a used-count column given one kernels.chunks
     block at a time, in order.
 
@@ -211,18 +248,25 @@ def used_overrides(blocks: Iterable) -> tuple[dict, list]:
     and one of its rows' multinomials, with None for a row whose
     multinomial is not formed (or None for the whole block).  A used count
     that is not its row's multinomial is an override, {leaf index: value}.
-    starts holds the first word of every START_STRIDE-th leaf.
+    starts is the block_starts(..., k) buffer of the first word of every
+    START_STRIDE-th leaf.
     """
-    overrides, starts, total, first = {}, [], 0, 0
-    for used, mc in blocks:
-        differs = np.ones(len(used), dtype=bool) if mc is None else used != mc
-        for j in np.flatnonzero(differs).tolist():
-            overrides[first + j] = used[j]
-        # cumulative[j]: the words of the leaves before leaf first + j
-        cumulative = list(accumulate(used.tolist(), initial=total))
-        starts += cumulative[-first % START_STRIDE:-1:START_STRIDE]
-        total = cumulative[-1]
-        first += len(used)
+    overrides = {}
+
+    def picked():
+        total = first = 0
+        for used, mc in blocks:
+            differs = (np.ones(len(used), dtype=bool) if mc is None
+                       else used != mc)
+            for j in np.flatnonzero(differs).tolist():
+                overrides[first + j] = used[j]
+            # cumulative[j]: the words of the leaves before leaf first + j
+            cumulative = list(accumulate(used.tolist(), initial=total))
+            yield cumulative[-first % START_STRIDE:-1:START_STRIDE]
+            total = cumulative[-1]
+            first += len(used)
+
+    starts = block_starts(picked(), k)
     return overrides, starts
 
 
@@ -291,22 +335,22 @@ class UsedCounts(Sequence):
     value for it; an overridden row need not be a composition.  A read
     forms the multinomials of the rows it reads, one kernels.CHUNK block at
     a time from one kernels.multinomial_blocks, so no per-leaf value
-    outlives its block.  ``starts``, a tuple formed with the overrides by
-    used_overrides, holds the first word of every START_STRIDE-th leaf for
-    the codec.  A slice is a tuple (from one pass), and the column compares
-    equal to any sequence of the same values.
+    outlives its block.  ``starts``, formed with the overrides by
+    used_overrides, is the codec's block_starts buffer: the first word of
+    every START_STRIDE-th leaf, or None for a table validate refuses.  A
+    slice is a tuple (from one pass), and the column compares equal to any
+    sequence of the same values.
     """
 
     __slots__ = ("counts", "n", "overrides", "starts", "_marked")
 
     def __init__(self, counts: np.ndarray, n: int, overrides: dict,
-                 starts: Sequence[int]):
+                 starts: np.ndarray | None):
         marked = np.fromiter(sorted(overrides), dtype=np.int64,
                              count=len(overrides))
         marked.flags.writeable = False
         for name, value in zip(self.__slots__, (
-                counts, n, MappingProxyType(overrides), tuple(starts),
-                marked)):
+                counts, n, MappingProxyType(overrides), starts, marked)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -315,14 +359,19 @@ class UsedCounts(Sequence):
     @classmethod
     def of_values(cls, counts: np.ndarray, values: Sequence[int]):
         """The column holding the given used count of each leaf, every one
-        of them an override (n is not needed)."""
+        of them an override (n is not needed).  With no k given, the starts
+        take the k of a total 2^k, and are unformed for any other total."""
         values = tuple(values)
         if len(values) != len(counts):
             raise ValueError(f"{len(values)} used counts for "
                              f"{len(counts)} leaves")
+        total = sum(values)
+        k = (int(total).bit_length() - 1
+             if isinstance(total, (int, np.integer)) and total > 0
+             and not total & (total - 1) else None)
         blocks = ((np.array(values[rows], dtype=object), None)
                   for rows in chunks(len(values)))
-        return cls(counts, 0, *used_overrides(blocks))
+        return cls(counts, 0, *used_overrides(blocks, k))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -464,7 +513,7 @@ class CompositionSet:
     def kurtosis_range(self) -> tuple[float, float]:
         """Min and max 2D kurtosis over leaves with nonzero weight."""
         table = self.leaves
-        ks = kurtosis_of(table.counts[table.weights > 0], self.alphabet)
+        ks = kurtosis_of(table.counts[carried_rows(table)], self.alphabet)
         return float(ks.min()), float(ks.max())
 
     def validate(self, checked: WordCheck | None = None) -> None:
@@ -493,10 +542,11 @@ class CompositionSet:
         tree's leaves, and the WordCheck keeps the first leaf whose capacity
         or weight is at fault.
 
-        Besides those masks, validate holds one key per leaf and its stable
-        sort order for the duplicate check; everything else per leaf (row
-        sums, energies, multinomials, shares, the weight sum) is formed
-        kernels.CHUNK rows at a time.
+        Besides those masks, validate holds one key per leaf (uint32 at
+        n=216) and a sorted copy of them for the duplicate check, and forms
+        their stable sort order only when two compositions share a key;
+        everything else per leaf (row sums, energies, multinomials, shares,
+        the weight sum) is formed kernels.CHUNK rows at a time.
         """
         n, k, m = self.n, self.k, self.alphabet.m
         if n < 1:
@@ -519,15 +569,20 @@ class CompositionSet:
                 not_comp[rows] = ~fits
                 keys[rows][fits] = composition_keys(
                     chunk[fits].astype(np.int64, copy=False), n)
-        # a stable sort puts the copies of a key together, earliest first:
-        # each one after the first is a duplicate, unless it is no
-        # composition (key 0) and so at fault as that
-        order = np.argsort(keys, kind="stable")
-        keys.sort()
+        # a sorted copy finds whether two compositions share a key (the 0s
+        # of the rows that are none sort first and are passed over); only
+        # then does a stable sort, which puts the copies of a key together
+        # earliest first, mark each one after the first as a duplicate,
+        # unless it is no composition and so at fault as that
         dup = np.zeros(size, dtype=bool)
-        dup[order[1:]] = keys[1:] == keys[:-1]
-        dup &= ~not_comp
-        del order, keys  # freed before any multinomial is formed
+        ordered = np.sort(keys)
+        ones = ordered[int(not_comp.sum()):]
+        if (ones[1:] == ones[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            dup[order[1:]] = ordered[1:] == ordered[:-1]
+            dup &= ~not_comp
+            del order
+        del ordered, ones, keys  # freed before any multinomial is formed
         misfit = ((table.payload_bits is None) == tree
                   or (table.depth is None) == tree
                   or (table.used_counts is None) != tree)

@@ -16,6 +16,9 @@ cover_columns turns ((members), payload) items into exact_cover's columns.
 ess_leaf_fields, ess_verdict and ess_address read an ESS scheme file's
 leaves as a tuple of used counts, a value a leaf, and say what validate and
 the codec's addressing rule make of them, leaf by leaf.
+block_start_words gives the first word of every stride-th leaf by a
+running total over a list of each leaf's words, as the codec's block
+starts were kept before they became bytes.
 """
 
 import itertools
@@ -255,3 +258,9 @@ def ess_address(word: int,
             return counts, word
         word -= used
     raise ValueError("word beyond the used sequences")
+
+
+def block_start_words(words: Iterable[int], stride: int) -> list[int]:
+    """The first word of every stride-th leaf, given the words of each leaf
+    in stored order: the running total of the words before it."""
+    return list(itertools.accumulate(words, initial=0))[:-1][::stride]

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,12 @@ import dmshape as d
 from dmshape.errors import DecodeError, RateInfeasibleError
 from dmshape.kernels import mc_counts
 from dmshape.optimizer import BUILDERS
+from dmshape.schemefile import read_scheme, write_scheme
+from dmshape.schemes import START_STRIDE
 
 from oracles import (
     EssTrellis,
+    block_start_words,
     enumerate_compositions,
     level_split_arrangements,
     multinomial_coefficient,
@@ -284,3 +288,55 @@ def test_codec_round_trips_onto_scheme_leaves(tag, alphabet, n, data):
         for seq in set(itertools.product(alphabet.levels, repeat=n)) - emitted:
             with pytest.raises(DecodeError):
                 codec.decode(seq)
+
+
+# -- block starts ----------------------------------------------------------------
+
+def start_values(starts, k):
+    """The block starts a buffer holds, as Python ints, after checking that
+    it is a read-only (S, k // 8 + 1) uint8 array, which holds no int."""
+    assert isinstance(starts, np.ndarray)
+    assert starts.dtype == np.uint8 and starts.shape[1:] == (k // 8 + 1,)
+    assert not starts.flags.writeable
+    return [int.from_bytes(row.tobytes(), "big") for row in starts]
+
+
+def test_ess_block_starts_are_the_running_words(ess216, tmp_path):
+    path = str(tmp_path / "ess.scheme")
+    write_scheme(ess216, path)
+    read = read_scheme(path)
+    want = block_start_words(ess216.leaves.used_counts, START_STRIDE)
+    assert len(want) == 13_624
+    for built in (ess216, read):
+        starts = built.leaves.used_counts.starts
+        assert start_values(starts, built.k) == want
+        assert start_values(d.SchemeCodec(built)._starts, built.k) == want
+    small = d.build_ess(24, 36)
+    assert start_values(small.leaves.used_counts.starts, 36) == \
+        block_start_words(small.leaves.used_counts, START_STRIDE)
+
+
+@pytest.mark.parametrize("built_name", ["ccdm216", "mpdm216", "opt216"])
+def test_tree_block_starts_round_trip_at_every_block_edge(built_name,
+                                                          request):
+    built = request.getfixturevalue(built_name)
+    k = built.k
+    codec = d.SchemeCodec(built)
+    payloads = built.leaves.payload_bits.tolist()
+    starts = start_values(codec._starts, k)
+    assert starts == block_start_words((1 << p for p in payloads),
+                                       START_STRIDE)
+    # every start after the first is a multiple of 2^p, so its bytes end
+    # in NULs, which the buffer's S view drops on reading
+    assert all(row[-1] == 0 for row in codec._starts[1:])
+    ends = [*starts[1:], 1 << k]
+    for block, (first, stop) in enumerate(zip(starts, ends)):
+        leaf = block * START_STRIDE
+        last = leaf + len(payloads[leaf:leaf + START_STRIDE]) - 1
+        for word, i in ((first, leaf), (stop - 1, last)):
+            seq = codec.encode(word)
+            assert tuple(map(seq.count, built.alphabet.levels)) == \
+                built.leaves[i].counts
+            assert codec.decode(seq) == word
+    for word in (0, (1 << k) - 1):
+        assert codec.decode(codec.encode(word)) == word

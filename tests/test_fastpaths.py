@@ -1233,15 +1233,18 @@ def ess_step_memory(ess216, model216, tmp_path_factory):
 
 # Bytes per leaf each step of the n=216 ESS flow may allocate above what it
 # keeps.  Each holds the table's columns once; what remains is validate's
-# key column and sort order (16), and analyze's report (4 bytes of uint8
-# counts and 24 of float64 columns a carried leaf) with the CDF's sort
-# order (8).  They take 25, 19, 20 and 40 bytes a leaf; with a binomial
-# dict a pass (~18 bytes a leaf) validate and read_scheme took 23 and 28,
-# with int64 counts the report took 68, with whole-column copies beside the
-# table the four took 72, 60, 60 and 96, and with the report's columns as
-# lists of Python floats analyze peaked near 170.
-STEP_BYTES_PER_LEAF = {"build_ess": 45, "validate": 30, "read_scheme": 30,
-                       "analyze_and_report": 55}
+# uint32 key column and its sorted copy (8), and analyze's report (its
+# kurtosis and SNR columns, 16 bytes a carried leaf, the counts and weights
+# being views of the table's) with the CDF's sort order (8).  They take 11,
+# 11, 19 and 28 bytes a leaf; with the int64 shell matrix in build_ess,
+# int64 keys and their sort order in validate, and copies of the carried
+# rows in analyze they took 25, 19, 19 and 40; with a binomial dict a pass
+# (~18 bytes a leaf) validate and read_scheme took 23 and 28, with int64
+# counts the report took 68, with whole-column copies beside the table the
+# four took 72, 60, 60 and 96, and with the report's columns as lists of
+# Python floats analyze peaked near 170.
+STEP_BYTES_PER_LEAF = {"build_ess": 18, "validate": 15, "read_scheme": 30,
+                       "analyze_and_report": 34}
 
 
 @pytest.mark.parametrize("step", sorted(STEP_BYTES_PER_LEAF))
@@ -1252,12 +1255,16 @@ def test_ess_steps_hold_each_column_once(step, ess216, ess_step_memory):
 
 # Bytes per leaf the table, report or codec each step returns keeps: uint8
 # counts (4 a leaf at m=4) and float64 weights (8); for a table, the codec's
-# block starts, one bigint per START_STRIDE leaves (~10), and the used-count
-# overrides, 925 of 108,990 leaves (~1.5); for the codec, the sorted uint32
-# keys and leaf indices (8), as the starts are the table's.  They keep 22.6,
-# 22.6, 27.8 and 8.0.  With the used counts as a tuple of one bigint a leaf
-# the tables kept 81.7 and 79.4, with int64 counts 110 and 108.
-RETAINED_BYTES_PER_LEAF = {"build_ess": 30, "read_scheme": 30, "analyze": 35,
+# block starts, 44 bytes per START_STRIDE leaves (5.5, and the buffer's
+# spare capacity), and the used-count overrides, 925 of 108,990 leaves
+# (~1.5); for a report, its kurtosis and SNR columns (16), its counts and
+# weights being views of the table's; for the codec, the sorted uint32
+# keys and leaf indices (8), as the starts are the table's.  They keep
+# 18.8, 18.8, 15.9 and 8.0.  With a Python int a start (~10 a leaf) the
+# tables kept 22.6 and 22.6, and with copies of the carried rows the report
+# kept 27.8; with the used counts as a tuple of one bigint a leaf the tables
+# kept 81.7 and 79.4, with int64 counts 110 and 108.
+RETAINED_BYTES_PER_LEAF = {"build_ess": 21, "read_scheme": 21, "analyze": 22,
                            "codec": 16}
 
 
@@ -1271,11 +1278,12 @@ def test_ess_steps_retain_narrow_columns(step, ess216, ess_step_memory):
 # at their peak over a tree table, and the codec may keep: the mpdm table at
 # n=48, k=110 over the eight levels 1,3,...,15 (82,661 leaves).  Each forms
 # its tree words or kurtoses one chunk at a time: validate holds its key
-# column and sort order, the codec its sorted keys and leaf indices and a
-# bigint start every START_STRIDE leaves.  They take 19, 35 (19 kept) and
-# 28; with a list of 2^payload_bits (one Python int a leaf) validate and the
-# codec took 69 and 87 (71 kept), and kurtosis_range over every carried row
-# at once took 240.
+# column and its sorted copy, the codec its sorted keys and leaf indices
+# and the bytes of a start every START_STRIDE leaves.  They take 19, 30 (14
+# kept) and 20; with a bigint a start the codec took 35 (19 kept), and with
+# a copy of the carried rows kurtosis_range took 28; with a list of
+# 2^payload_bits (one Python int a leaf) validate and the codec took 69 and
+# 87 (71 kept), and kurtosis_range over every carried row at once took 240.
 TREE_BYTES_PER_LEAF = {"validate": 45, "codec": 60, "codec kept": 45,
                        "kurtosis_range": 120}
 

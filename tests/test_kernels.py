@@ -351,7 +351,7 @@ def test_shells_upto(n, m):
         levels = {energy(c, units) for c in compositions(n, m)}
         for cap in sorted(levels | {n * min(units) - 1}):
             got = kernels.shells_upto(n, units, cap)
-            assert got.dtype == np.int64
+            assert got.dtype == kernels.count_dtype(n)
             assert got.tolist() == in_cap(n, units, cap)
         below = kernels.shells_upto(n, units, n * min(units) - 1)
         assert below.shape == (0, m)

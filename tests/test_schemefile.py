@@ -16,11 +16,17 @@ from oracles import (
 
 import dmshape as d
 from dmshape import kernels, schemes
+from dmshape.cli import main
 from dmshape.combinatorics import rate_loss
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
-from dmshape.schemes import AddressedComposition, LeafTable, is_tree_scheme
+from dmshape.schemes import (
+    AddressedComposition,
+    LeafTable,
+    UsedCounts,
+    is_tree_scheme,
+)
 
 A2 = d.AmplitudeAlphabet((1, 3))
 # TestRoundtrip covers every tag: the tree tags here, ess on its own
@@ -398,3 +404,64 @@ def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
             assert seq == tuple(levels[t]
                                 for t in kernels.cc_unrank(rank, counts))
             assert codec.decode(seq) == word
+
+
+# -- hostile used counts ---------------------------------------------------------
+
+# The toy ESS at n=6, k=4 over {1, 3} uses (6,0) x1, (5,1) x6, (4,2) x9.  Each
+# edit puts a block start outside [0, 2^4] at a stride of 1, where its one
+# byte could not hold it: a negative count, a count above 2^k (with the
+# total still 2^k), and a count beyond int64 held in an object array.
+HOSTILE_USED = {
+    "negative": [-1, 8, 9],
+    "above-2^k": [300, -290, 6],
+    "beyond-int64": np.array([1, 10**30, 6], dtype=object),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_USED))
+def test_hostile_used_counts_leave_the_starts_unformed(case):
+    built = d.build_ess(6, 4, A2)
+    used = HOSTILE_USED[case]
+    leaves = [(c, int(u), w) for c, u, w in zip(
+        (leaf.counts for leaf in built.leaves), used, built.leaves.weights)]
+    with mock.patch.object(schemes, "START_STRIDE", 1):
+        column = UsedCounts.of_values(built.leaves.counts, used)
+        assert column.starts is None
+        hostile = dataclasses.replace(built, leaves=LeafTable(
+            built.leaves.counts, built.leaves.weights, used_counts=used))
+        with pytest.raises(ConstructionBugError) as err:
+            hostile.validate()
+    assert str(err.value) == ess_verdict(6, 4, leaves)
+
+
+@pytest.mark.parametrize("used", [[1, 6, 9], np.array([1, 6, 9])],
+                         ids=["ints", "int64"])
+def test_used_counts_of_total_2k_form_their_starts(used):
+    # k is taken from the total, and numpy ints are packed as Python ints
+    counts = d.build_ess(6, 4, A2).leaves.counts
+    with mock.patch.object(schemes, "START_STRIDE", 1):
+        column = UsedCounts.of_values(counts, used)
+    assert column.starts.tolist() == [[0], [1], [7]]
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_USED))
+def test_hostile_used_counts_in_a_file_are_one_line(case, tmp_path, capsys):
+    lines = scheme_to_text(d.build_ess(6, 4, A2)).splitlines()
+    head = lines.index(next(ln for ln in lines if ln.startswith("leaves=")))
+    leaves = []
+    for i, used in enumerate(HOSTILE_USED[case], head + 1):
+        counts, _, depth, weight = lines[i].split("|")
+        lines[i] = "|".join((counts, str(used), depth, weight))
+        leaves.append((tuple(map(int, counts.split(","))), int(used),
+                       float(weight)))
+    path = tmp_path / "bad.scheme"
+    path.write_text("\n".join(lines) + "\n")
+    want = f"{path}: inconsistent scheme: {ess_verdict(6, 4, leaves)}"
+    with mock.patch.object(schemes, "START_STRIDE", 1):
+        with pytest.raises(SchemeFileError) as err:
+            read_scheme(str(path))
+        assert str(err.value) == want
+        capsys.readouterr()
+        assert main(["codec", "encode", str(path), "0x1"]) == 3
+    assert capsys.readouterr().err == f"dmshape: {want}\n"
