@@ -12,7 +12,7 @@ words are integers, most-significant bit first.
 
 from __future__ import annotations
 
-from itertools import accumulate, count, islice
+from itertools import chain
 from operator import itemgetter, mul
 
 import numpy as np
@@ -31,7 +31,7 @@ from .schemes import (
     composition_keys,
     count_dtype,
     key_radix,
-    row_values,
+    row_chunks,
 )
 
 
@@ -97,9 +97,10 @@ class SchemeCodec:
         # composition keys in sorted order with the leaf index of each, and
         # the level lookup.  The starts are one schemes.block_starts buffer
         # of big-endian bytes: an ESS table brings its own, formed by the
-        # pass that formed the table, and a tree's are packed here from a
-        # stream of 2^payload_bits.  A leaf's words are derived per word
-        # from its counts (kernels.row_multinomials) or payload_bits.  A
+        # walk that formed the table, and a tree's are packed here from its
+        # blocks of 2^payload_bits.  A leaf's words are derived per word
+        # from payload_bits, or for ESS from its counts
+        # (kernels.row_multinomials) and the table's crossing.  A
         # start per leaf would hold ~10 MB for the n=216 ESS scheme, and a
         # Python int per START_STRIDE leaves 1.0 MB.  The leaf indices take
         # count_dtype's rule (uint32 or narrower), and the keys key_dtype's
@@ -109,15 +110,15 @@ class SchemeCodec:
         # uint32 key)
         used = table.used_counts
         if used is None:
-            words = (1 << p for p in row_values(table.payload_bits))
-            stream = islice(accumulate(words, initial=0), 0, len(table),
-                            START_STRIDE)
             self._starts = block_starts(
-                iter(lambda: list(islice(stream, kernels.CHUNK)), []),
-                built.k)
+                ([1 << p for p in bits.tolist()]
+                 for bits in row_chunks(table.payload_bits)), built.k)
             self._block_words = self._tree_words
         else:
-            self._overrides = used.overrides
+            self._cross = used.cross
+            # the words of the crossing shell and the shells after it
+            self._tail = (used.cross_used,) + (0,) * (len(table) - used.cross
+                                                      - 1)
             self._starts = used.starts
             self._block_words = self._ess_words
         if self._starts is None:
@@ -147,10 +148,13 @@ class SchemeCodec:
         return (1 << p for p in bits.tolist())
 
     def _ess_words(self, lo: int, hi: int):
-        """_tree_words for ESS leaves: a multinomial, or its override."""
-        rows = self._counts[lo:hi].tolist()
-        return map(self._overrides.get, count(lo),
-                   kernels.row_multinomials(rows, self.set.n))
+        """_tree_words for ESS leaves: a multinomial before the crossing
+        shell, its used count at it and 0 after it."""
+        cross = self._cross
+        words = kernels.row_multinomials(
+            self._counts[lo:min(hi, cross)].tolist(), self.set.n)
+        return (words if hi <= cross else
+                chain(words, self._tail[max(lo - cross, 0):hi - cross]))
 
     def encode(self, word: int) -> tuple[float, ...]:
         starts = self._starts

@@ -14,7 +14,12 @@ class BinomialBudgetError(RateInfeasibleError):
 
 
 class ConstructionBugError(DmShapeError):
-    """An internal consistency check failed while building a scheme."""
+    """An internal consistency check failed while building a scheme; leaf
+    is the stored index of the leaf at fault, or None."""
+
+    def __init__(self, message: str, leaf: int | None = None):
+        super().__init__(message)
+        self.leaf = leaf
 
 
 class DegeneratePmfError(DmShapeError):

@@ -9,16 +9,16 @@ C(r, a) by one 2-D index of that table up to MAX_TABLE_N and forms each
 distinct one once a pass above it, within MAX_BINOMIAL_WORK; the ESS shell
 walk (shells_upto: one count matrix, from a depth-first walk that stops
 each level at the energy radius, so its cost follows its output, and that
-refuses a ball of more than MAX_ESS_SHELLS shells before forming any row);
+refuses a ball of more than MAX_ESS_SHELLS shells before forming any row;
+shell_count takes the same walk's count alone);
 the complement-pair walk (pair_list: one array of canonical members and
 payloads, bounded by MAX_MPDM_PAIRS, from a walk that finds each line's
 kept interval exactly by a search down a column of the table and forms
 only the kept rows' payloads, CHUNK rows at a time; scanned_pairs keeps
 the last for pair_capacity and MPDM); and the column kernel
 ``multinomials``: the exact multinomial of every row of a count matrix
-(validate's capacities, build_ess's shell sizes), by multinomial_blocks,
-whose one binomials pass also serves a pass that meets its blocks one at a
-time (the ESS used counts a scheme file or a table derives); the codec
+(validate's capacities, the ESS walk's shell sizes and the used counts an
+ESS table derives), one block at a time from one binomials pass; the codec
 derives a few leaves' words per word with row_multinomials.  The energy
 ball's suffix-count table and its walks (trellis_build, ess_unrank,
 ess_rank) serve only perfbench's kernel bench and the test oracle, as
@@ -201,39 +201,24 @@ def binomials(n):
     return formed_binomials
 
 
-def multinomial_blocks(n):
-    """A function from a block of compositions of n, an (L, m) count matrix,
-    to the exact multinomials of its rows as an object array of Python ints.
-
-    Row i's value is the product over j < m-1 of C(r_j, c_j), with r_j = n
-    minus the earlier counts, as in mc_counts, taken in numpy's object
-    loops.  Every block's binomials come from one binomials(n), so one
-    function serves one pass over a column of blocks.  Every count must lie
-    in [0, n] and each row must sum to n.  Each block is cast to int64 on
-    its own.
-    """
-    binomial = binomials(n)
-
-    def block_multinomials(counts):
-        head = np.asarray(counts[:, :-1], dtype=np.int64)
-        rest = np.cumsum(head, axis=1)  # r_j, built in place
-        rest -= head
-        np.subtract(n, rest, out=rest)
-        return np.multiply.reduce(binomial(rest, head), axis=1)
-
-    return block_multinomials
-
-
 def multinomials(counts, n):
     """Exact multinomials of the rows of an (L, m) matrix of compositions of n.
 
     Yields them as object arrays of Python ints, CHUNK rows at a time in row
-    order, so no array of L bigints is held, from one multinomial_blocks(n),
-    and a narrow count matrix is never copied whole.
+    order, so no array of L bigints is held, and a narrow count matrix is
+    never copied whole: each block is cast to int64 on its own.  Row i's
+    value is the product over j < m-1 of C(r_j, c_j), with r_j = n minus
+    the earlier counts, as in mc_counts, taken in numpy's object loops, and
+    every block's binomials come from one binomials(n), one pass.  Every
+    count must lie in [0, n] and each row must sum to n.
     """
-    block_multinomials = multinomial_blocks(n)
+    binomial = binomials(n)
     for rows in chunks(len(counts)):
-        yield block_multinomials(counts[rows])
+        head = np.asarray(counts[rows, :-1], dtype=np.int64)
+        rest = np.cumsum(head, axis=1)  # r_j, built in place
+        rest -= head
+        np.subtract(n, rest, out=rest)
+        yield np.multiply.reduce(binomial(rest, head), axis=1)
 
 
 def row_multinomials(rows, n):
@@ -469,18 +454,16 @@ def _sweep_rows(out, starts, lengths):
     return out
 
 
-def shells_upto(n, int_energies, e_cap):
-    """All compositions with integer energy <= e_cap, in colex order.
+def _sweeps(n, int_energies, e_cap):
+    """The sweeps of the compositions with integer energy <= e_cap, in colex
+    order: the start row of each (m ints, flat in one list) and its length.
 
-    Returns them as the rows of an (L, m) matrix of count_dtype(n), filled
-    in that dtype, so no wider copy is formed.  The walk goes
-    depth first over levels m-1 .. 2, outermost first; level 1 is the sweep
-    and level 0 holds the rest.  The levels ascend, so the energy e with the
-    rest in level 0 is the least below that point, and each level stops at
-    (e_cap - e) // (u_i - u_0).  A sweep inside the cap keeps one start row
-    and one length, expanded into rows at the end.  A running count of the
-    rows refuses more than MAX_ESS_SHELLS before any row is formed.  The
-    walk keeps its own stack, so any number of levels is walked.
+    The walk goes depth first over levels m-1 .. 2, outermost first; level
+    1 is the sweep and level 0 holds the rest.  The levels ascend, so the
+    energy e with the rest in level 0 is the least below that point, and
+    each level stops at (e_cap - e) // (u_i - u_0).  A running count of the
+    rows refuses more than MAX_ESS_SHELLS.  The walk keeps its own stack,
+    so any number of levels is walked.
     """
     m = len(int_energies)
     u0 = int_energies[0]
@@ -504,8 +487,26 @@ def shells_upto(n, int_energies, e_cap):
                     f"MAX_ESS_SHELLS={MAX_ESS_SHELLS} shells")
             starts += (rem, 0) + suffix  # flat: no object per row
             lengths.append(hi + 1)
-    return _sweep_rows(np.empty((total, m), dtype=count_dtype(n)), starts,
-                       lengths)
+    return starts, lengths
+
+
+def shell_count(n, int_energies, e_cap):
+    """The number of rows shells_upto returns, from the same walk of sweeps,
+    with no row formed."""
+    return sum(_sweeps(n, int_energies, e_cap)[1])
+
+
+def shells_upto(n, int_energies, e_cap):
+    """All compositions with integer energy <= e_cap, in colex order.
+
+    Returns them as the rows of an (L, m) matrix of count_dtype(n), filled
+    in that dtype, so no wider copy is formed.  Each sweep of the walk
+    (_sweeps) keeps one start row and one length, expanded into rows at the
+    end, so more than MAX_ESS_SHELLS is refused before any row is formed.
+    """
+    starts, lengths = _sweeps(n, int_energies, e_cap)
+    return _sweep_rows(np.empty((sum(lengths), len(int_energies)),
+                                dtype=count_dtype(n)), starts, lengths)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -16,23 +16,19 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import __version__
-from .combinatorics import AmplitudeAlphabet, k_fits
-from .errors import BinomialBudgetError, SchemeFileError
-from .kernels import chunks, multinomial_blocks
+from .combinatorics import AmplitudeAlphabet
+from .errors import SchemeFileError
+from .ess import ess_shells, ess_walk
+from .kernels import chunks
 from .optimizer import BUILDERS
 from .schemes import (
-    MAX_BLOCK_LENGTH,
     CompositionSet,
     LeafTable,
-    UsedCounts,
-    WordCheck,
-    composition_rows,
     count_dtype,
     int_array,
     is_tree_scheme,
     joined_rows,
     narrow_counts,
-    used_overrides,
 )
 
 TOOL_VERSION = f"dmshape {__version__}"
@@ -110,20 +106,20 @@ def read_scheme(path: str) -> CompositionSet:
     The file is read as a stream: the header line by line, then the leaf
     section twice, once to count its lines and once to parse them.  Every
     malformed field is reported as a one-line SchemeFileError of the form
-    ``path:line: field: reason``.  After validate, the header values the
-    file states (e_max, avg_pmf, rate_loss, in that order) must equal the
-    ones the scheme computes from its leaves; the first that differs is
-    named at its header line.
+    ``path:line: field: reason``, and so is a leaf that validate refuses,
+    its line found by a third pass that runs only then.  An ESS file must
+    hold the ESS its header names: its leaf count is checked against the
+    ball's shells before any leaf is read, and each leaf line against the
+    leaf that ess.ess_walk forms (see _ess_visit).  After that, the header
+    values the file states (e_max, avg_pmf, rate_loss, in that order) must
+    equal the ones the scheme computes from its leaves; the first that
+    differs is named at its header line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            built, checked, header, stated = _parse(fh, path)
+            built, header, stated = _parse(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemeFileError(f"cannot read scheme file {path}: {exc}") from exc
-    try:
-        built.validate(checked)
-    except Exception as exc:
-        raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from exc
     # the header must state what the leaves imply
     e_max, avg_pmf, rate_loss = stated
     if e_max != built.e_max:
@@ -142,9 +138,8 @@ def read_scheme(path: str) -> CompositionSet:
 
 
 def _parse(fh, path: str):
-    """The unvalidated scheme an open scheme file holds, the WordCheck its
-    leaf pass filled for validate (or None), the header's (line, value) by
-    key, and the (e_max, avg_pmf, rate_loss) it states."""
+    """The validated scheme an open scheme file holds, the header's (line,
+    value) by key, and the (e_max, avg_pmf, rate_loss) it states."""
 
     def parse(lineno: int, field: str, text: str, convert):
         try:
@@ -186,120 +181,138 @@ def _parse(fh, path: str):
         tuple(float(x) for x in v.split(","))))
     rate_loss = field("rate_loss", float)
     avg_pmf = field("avg_pmf", lambda v: tuple(float(x) for x in v.split(",")))
+    tree = is_tree_scheme(scheme)
     # an ess file states its radius; a tree file's e_max fails after validate
-    e_max = (field("e_max", float) if "e_max" in header or not
-             is_tree_scheme(scheme) else None)
+    e_max = (field("e_max", float) if "e_max" in header or not tree
+             else None)
+    stated = (e_max, avg_pmf, rate_loss)
     # the line count is checked before any leaf field
     start = fh.tell()
     found = sum(1 for line in fh if line.strip())
     if found != n_leaves:
         raise SchemeFileError(
             f"{path}: expected {n_leaves} leaf lines, found {found}")
-    fh.seek(start)
-    leaves, checked = _leaf_table(enumerate(fh, i + 1), n_leaves, path, n, k,
-                                  alphabet.m, is_tree_scheme(scheme))
-    built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
-                           leaves=leaves)
-    return built, checked, header, (e_max, avg_pmf, rate_loss)
+
+    def leaf_line(index: int | None = None):
+        """The numbered leaf lines that are not blank, from the start, or
+        the index-th of them."""
+        fh.seek(start)
+        lines = ((lineno, line) for lineno, line in enumerate(fh, i + 1)
+                 if line.strip())
+        return lines if index is None else next(islice(lines, index, None))
+
+    try:
+        if tree:
+            built = CompositionSet(scheme=scheme, n=n, k=k, alphabet=alphabet,
+                                   leaves=_leaf_table(leaf_line(), n_leaves,
+                                                      path, n, alphabet.m))
+            built.validate()
+            return built, header, stated
+        # the walk's refusals (a k, radius, ball or binomial pass it cannot
+        # form) are inconsistent schemes too
+        shells = ess_shells(n, k, alphabet)
+        if shells != n_leaves:
+            raise SchemeFileError(
+                f"{path}:{i}: leaves: {n_leaves}, the ESS of n={n}, k={k} "
+                f"over {header['alphabet'][1]} has {shells} shells")
+        visit = _ess_visit(leaf_line, path, alphabet.m)
+        return ess_walk(n, k, alphabet, visit), header, stated
+    except (SchemeFileError, OSError):
+        raise
+    except Exception as exc:
+        leaf = getattr(exc, "leaf", None)
+        if not tree or leaf is None:
+            raise SchemeFileError(
+                f"{path}: inconsistent scheme: {exc}") from exc
+        raise SchemeFileError(
+            f"{path}:{leaf_line(leaf)[0]}: leaf: {exc}") from None
 
 
-def _leaf_table(lines, n_leaves: int, path: str, n: int, k: int, m: int,
-                tree: bool) -> tuple[LeafTable, WordCheck | None]:
-    """Parse the numbered leaf lines, of which n_leaves are not blank, into
-    table columns, each line once, and return the table with the WordCheck
-    that validate reads (None for a tree, or when no multinomial is formed).
+def _leaf_fields(lines, path: str, m: int, tree: bool):
+    """(counts, mids, depths, weights) of the numbered leaf lines: every
+    line's counts in one flat list, m a line, and a list of its
+    payload_bits or used_count, of its depth (none for an ess leaf, whose
+    depth field is empty) and of its weight.  Per line the fields are
+    converted counts, weight, payload_bits or used_count, then depth; the
+    first that fails is the one named."""
+    counts, mids, depths, weights = [], [], [], []
+    for lineno, line in lines:
+        line = line.rstrip("\n")
+        parts = line.split("|")
+        if len(parts) != 4:
+            raise SchemeFileError(
+                f"{path}:{lineno}: malformed leaf line {line!r}")
+        counts_text, mid_text, depth_text, weight_text = parts
+        field = "counts"
+        try:
+            row = list(map(int, counts_text.split(",")))
+            if len(row) != m:
+                raise ValueError(f"{len(row)} levels, alphabet has {m}")
+            field = "weight"
+            weights.append(float(weight_text))
+            field = "payload_bits" if tree else "used_count"
+            mids.append(int(mid_text))
+            field = "depth"
+            if tree:
+                depths.append(int(depth_text))
+            elif depth_text:
+                raise ValueError(
+                    f"an ess leaf has no depth, found {depth_text!r}")
+        except ValueError as exc:
+            raise SchemeFileError(f"{path}:{lineno}: {field}: {exc}") from None
+        counts += row
+    return counts, mids, depths, weights
 
-    Per line the fields are converted counts, weight, payload_bits or
-    used_count, then depth; the first that fails is the one named.  Counts
-    and weights are written into their n_leaves-row arrays kernels.CHUNK
-    leaves at a time, so no list of every count or weight, and no second
-    copy of either column, is held.  The count matrix is count_dtype(n) for
-    the header's n.  A block holding a count outside [0, n] turns it into
-    int64, or into Python ints (int_array) for a count beyond int64, and
-    validate refuses that leaf.
 
-    An ESS block's used counts are compared with the multinomials of its
-    rows that are compositions of n, and only the ones that differ are kept,
-    as the UsedCounts' overrides.  A used count of 0 is never a multinomial,
-    so its row's is not formed.  That pass runs only for an n within
-    [1, MAX_BLOCK_LENGTH]; every used count of a row that is no composition,
-    or of a file whose n is outside it, is kept as parsed.  The same blocks
-    fill validate's WordCheck when k also lies in range (k_fits), the
-    multinomials all from the file's own counts, and the codec's block
-    starts (schemes.block_starts), which stay unformed otherwise, or when a
-    start falls outside [0, 2^k]: validate refuses every such table.  A
-    pass past kernels.MAX_BINOMIAL_WORK is refused as an inconsistent
-    scheme.
+def _ess_visit(leaf_line, path: str, m: int):
+    """The visit for ess.ess_walk that converts the file's leaf lines of
+    each block of the table the walk forms (leaf_line() numbers them) and
+    compares them with the walk's leaves.  The first line that differs is
+    named with the line the walk expects there, found by a second read
+    (leaf_line(i)) that runs only then."""
+    lines = leaf_line()
+
+    def visit(rows: slice, counts: np.ndarray, used: np.ndarray,
+              weights: np.ndarray):
+        flat, mids, _, found = _leaf_fields(islice(lines, len(used)), path,
+                                            m, False)
+        differs = ((int_array(flat).reshape(-1, m) != counts[rows]).any(1)
+                   | (np.array(mids, dtype=object) != used)
+                   | (np.array(found) != weights[rows]))
+        if differs.any():
+            i = rows.start + int(differs.argmax())
+            lineno, line = leaf_line(i)
+            want = (f"{','.join(map(str, counts[i].tolist()))}|"
+                    f"{used[i - rows.start]}||{float(weights[i])!r}")
+            line = line.rstrip("\n")
+            raise SchemeFileError(
+                f"{path}:{lineno}: leaf: expected {want}, found {line}")
+
+    return visit
+
+
+def _leaf_table(lines, n_leaves: int, path: str, n: int,
+                m: int) -> LeafTable:
+    """A tree file's table: the numbered leaf lines, of which n_leaves are
+    not blank, parsed into its columns, each line once (_leaf_fields).
+
+    Counts and weights are written into their n_leaves-row arrays
+    kernels.CHUNK leaves at a time, so no list of every count or weight,
+    and no second copy of either column, is held.  The count matrix is
+    count_dtype(n) for the header's n.  A block holding a count outside
+    [0, n] turns it into int64, or into Python ints (int_array) for a count
+    beyond int64, and validate refuses that leaf.
     """
     counts = np.zeros((n_leaves, m), dtype=count_dtype(n))
     weights = np.zeros(n_leaves)
-    mid, depth = [], []  # a tree's payload and depth columns
-    # the multinomials of the whole pass, or None when none may be formed
-    block_multinomials = (multinomial_blocks(n) if 1 <= n <= MAX_BLOCK_LENGTH
-                          and not tree else None)
-    checked = (WordCheck(weights, k) if block_multinomials is not None
-               and k_fits(n, k, m) else None)
-    lines = ((lineno, line) for lineno, line in lines if line.strip())
-
-    def used_blocks():
-        """Parse one block of leaves at a time into the columns; yield the
-        used counts and multinomials of each ESS block."""
-        nonlocal counts
-        for rows in chunks(n_leaves):
-            chunk_counts, chunk_weights, chunk_mid = [], [], []
-            for lineno, line in islice(lines, rows.stop - rows.start):
-                line = line.rstrip("\n")
-                parts = line.split("|")
-                if len(parts) != 4:
-                    raise SchemeFileError(
-                        f"{path}:{lineno}: malformed leaf line {line!r}")
-                counts_text, mid_text, depth_text, weight_text = parts
-                field = "counts"
-                try:
-                    row = list(map(int, counts_text.split(",")))
-                    if len(row) != m:
-                        raise ValueError(
-                            f"{len(row)} levels, alphabet has {m}")
-                    field = "weight"
-                    chunk_weights.append(float(weight_text))
-                    field = "payload_bits" if tree else "used_count"
-                    chunk_mid.append(int(mid_text))
-                    field = "depth"
-                    if tree:
-                        depth.append(int(depth_text))
-                    elif depth_text:
-                        raise ValueError(
-                            f"an ess leaf has no depth, found {depth_text!r}")
-                except ValueError as exc:
-                    raise SchemeFileError(
-                        f"{path}:{lineno}: {field}: {exc}") from None
-                chunk_counts += row
-            block = narrow_counts(int_array(chunk_counts).reshape(-1, m), n)
-            counts = counts.astype(np.result_type(counts, block), copy=False)
-            counts[rows] = block
-            weights[rows] = chunk_weights
-            if tree:
-                mid.extend(chunk_mid)
-                continue
-            used = np.array(chunk_mid, dtype=object)
-            if block_multinomials is None:
-                yield used, None
-                continue
-            mc = np.full(len(used), None, dtype=object)
-            fits = composition_rows(block, n) & (used != 0)
-            mc[fits] = block_multinomials(block[fits])
-            yield used, mc
-
-    # the codec's block starts are formed only where validate may pass: n
-    # and k in range, so a start's width k // 8 + 1 is one a scheme can have
-    blocks, width_k = ((used_blocks(), None) if checked is None
-                       else (checked.scan(used_blocks()), k))
-    try:
-        overrides, starts = used_overrides(blocks, width_k)  # none for a tree
-    except BinomialBudgetError as exc:
-        raise SchemeFileError(f"{path}: inconsistent scheme: {exc}") from None
-    if tree:
-        return LeafTable(counts, weights, payload_bits=int_array(mid),
-                         depth=int_array(depth)), None
-    return LeafTable(counts, weights, used_counts=UsedCounts(
-        counts, n, overrides, starts)), checked
+    mid, depth = [], []
+    for rows in chunks(n_leaves):
+        flat, chunk_mid, chunk_depth, weights[rows] = _leaf_fields(
+            islice(lines, rows.stop - rows.start), path, m, True)
+        block = narrow_counts(int_array(flat).reshape(-1, m), n)
+        counts = counts.astype(np.result_type(counts, block), copy=False)
+        counts[rows] = block
+        mid += chunk_mid
+        depth += chunk_depth
+    return LeafTable(counts, weights, payload_bits=int_array(mid),
+                     depth=int_array(depth))

@@ -15,13 +15,12 @@ leaf (the n=216 ESS scheme has 108,990 leaves):
 - weights, a float64 array;
 - tree schemes: payload_bits and depth as int64 arrays.  A file states the
   depth, so it is kept and validate checks depth == k - payload_bits;
-- ESS: used_counts, a UsedCounts: leaf i uses MC(c_i) sequences unless a
-  sparse override map names another value (exact Python ints, up to 2^k),
-  so a built table holds the crossing shell and the zero-weight shells
-  after it (925 of 108,990 at n=216), not one bigint per leaf.  Its block
-  starts for the codec, the first word of every START_STRIDE-th leaf, are
-  one (S, k // 8 + 1) uint8 array of big-endian bytes (block_starts), no
-  Python int per start.
+- ESS: used_counts, a UsedCounts derived from the counts, the index of the
+  crossing shell and that shell's used count (an exact Python int): leaf i
+  uses MC(c_i) sequences before the crossing, that count at it and none
+  after it, so no bigint a leaf is held.  Its block starts for the codec,
+  the first word of every START_STRIDE-th leaf, are one (S, k // 8 + 1)
+  uint8 array of big-endian bytes (block_starts), no Python int per start.
 
 A column the kind has no use for is None.  ``CompositionSet.leaves`` is that
 table, built from columns by the builders and the file reader.  It is a
@@ -41,8 +40,8 @@ Capacities are checked exactly, by column: kernels.multinomials gives each
 leaf's multinomial MC as a product of binomials from one cached table, one
 block of leaves at a time, and a leaf's words (2^p, or its used count) must
 lie in [0, MC].  A WordCheck takes that check, and the weight check, from
-the pass that forms an ESS table (build_ess's walk, the file reader's), so
-validate forms no second pass for it.  A multinomial at n=216 has ~400 bits,
+the walk that forms an ESS table (ess, for a build or a file), so validate
+forms no second pass for it.  A multinomial at n=216 has ~400 bits,
 far beyond a float's 53, and every interior ESS shell is used exactly to its
 capacity, so no float bound could decide it.
 """
@@ -55,7 +54,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import eq
-from types import MappingProxyType
 
 import numpy as np
 
@@ -70,7 +68,7 @@ from .combinatorics import (
     select_emax,
 )
 from .errors import ConstructionBugError, RateInfeasibleError
-from .kernels import chunks, count_dtype, multinomial_blocks, multinomials
+from .kernels import chunks, count_dtype, multinomials
 
 # Largest block length a scheme may state.  validate forms binomials
 # comb(n, c) of up to n bits (comb(2^16, 2^15) takes ~0.2 s on Python 3.11);
@@ -89,6 +87,15 @@ START_STRIDE = 8
 def is_tree_scheme(scheme: str) -> bool:
     """The tag decides the kind: every scheme but ess is a prefix tree."""
     return scheme != "ess"
+
+
+def check_block_length(n: int) -> None:
+    """Refuse an n outside [1, MAX_BLOCK_LENGTH], as validate does."""
+    if n < 1:
+        raise ConstructionBugError(f"n={n} is not a positive block length")
+    if n > MAX_BLOCK_LENGTH:
+        raise ConstructionBugError(
+            f"n={n} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,24 +219,29 @@ def composition_rows(block: np.ndarray, n: int) -> np.ndarray:
             & (block.max(axis=1) <= n))
 
 
-def block_starts(pieces: Iterable[list], k: int | None) -> np.ndarray | None:
-    """Block starts given one list of integers at a time, as one
-    read-only (S, W) uint8 array: each start as W = k // 8 + 1 big-endian
-    bytes, formed as its piece arrives, so no start int outlives its piece.
+def block_starts(blocks: Iterable, k: int) -> np.ndarray | None:
+    """The first word of every START_STRIDE-th leaf, given the words of each
+    kernels.chunks block of leaves in order (Python ints, in a list or an
+    object array), as one read-only (S, W) uint8 array: each start as
+    W = k // 8 + 1 big-endian bytes, formed as its block arrives, so no
+    start int outlives its block.
 
     Bytes of one width compare as the numbers do, so the array's S{W} view
     is sorted as the starts are.  Read a start back from its row's bytes
     (int.from_bytes), never from that view, which drops trailing NULs.
-    Every piece is read; the array is None (unformed) when k is None or a
-    start lies outside [0, 2^k], which no valid table holds.
+    Every block is read; the array is None (unformed) when a start lies
+    outside [0, 2^k], which no valid table holds.
     """
-    buf = None if k is None else bytearray()
-    for starts in pieces:
+    buf, total, first = bytearray(), 0, 0
+    for words in blocks:
+        # cumulative[j]: the words of the leaves before leaf first + j
+        cumulative = list(accumulate(words, initial=total))
+        starts = cumulative[-first % START_STRIDE:-1:START_STRIDE]
+        total, first = cumulative[-1], first + len(words)
         if buf is None or not starts:
             continue
         if min(starts) >= 0 and max(starts) <= 1 << k:
-            buf += b"".join([int(s).to_bytes(k // 8 + 1, "big")
-                             for s in starts])
+            buf += b"".join([s.to_bytes(k // 8 + 1, "big") for s in starts])
         else:
             buf = None
     if buf is None:
@@ -237,37 +249,6 @@ def block_starts(pieces: Iterable[list], k: int | None) -> np.ndarray | None:
     starts = np.frombuffer(buf, dtype=np.uint8).reshape(-1, k // 8 + 1)
     starts.flags.writeable = False
     return starts
-
-
-def used_overrides(blocks: Iterable,
-                   k: int | None) -> tuple[dict, np.ndarray | None]:
-    """(overrides, starts) of a used-count column given one kernels.chunks
-    block at a time, in order.
-
-    Each block is (used, mc): an object array of the block's used counts,
-    and one of its rows' multinomials, with None for a row whose
-    multinomial is not formed (or None for the whole block).  A used count
-    that is not its row's multinomial is an override, {leaf index: value}.
-    starts is the block_starts(..., k) buffer of the first word of every
-    START_STRIDE-th leaf.
-    """
-    overrides = {}
-
-    def picked():
-        total = first = 0
-        for used, mc in blocks:
-            differs = (np.ones(len(used), dtype=bool) if mc is None
-                       else used != mc)
-            for j in np.flatnonzero(differs).tolist():
-                overrides[first + j] = used[j]
-            # cumulative[j]: the words of the leaves before leaf first + j
-            cumulative = list(accumulate(used.tolist(), initial=total))
-            yield cumulative[-first % START_STRIDE:-1:START_STRIDE]
-            total = cumulative[-1]
-            first += len(used)
-
-    starts = block_starts(picked(), k)
-    return overrides, starts
 
 
 def shares(words: np.ndarray, k: int) -> np.ndarray:
@@ -320,94 +301,59 @@ class WordCheck:
             self.first, self.over_cap = rows.start + j, bool(over_cap[j])
         self.total += w.sum()
 
-    def scan(self, blocks: Iterable) -> Iterator:
-        """The (w, mc) blocks, each passed on after it is added."""
-        for block in blocks:
-            self.add(*block)
-            yield block
-
 
 class UsedCounts(Sequence):
     """An ESS table's used counts, derived from its shells.
 
     Leaf i uses MC(c_i) sequences, the multinomial of its row of counts (a
-    composition of n), unless the read-only map ``overrides`` names another
-    value for it; an overridden row need not be a composition.  A read
-    forms the multinomials of the rows it reads, one kernels.CHUNK block at
-    a time from one kernels.multinomial_blocks, so no per-leaf value
-    outlives its block.  ``starts``, formed with the overrides by
-    used_overrides, is the codec's block_starts buffer: the first word of
-    every START_STRIDE-th leaf, or None for a table validate refuses.  A
-    slice is a tuple (from one pass), and the column compares equal to any
-    sequence of the same values.
+    composition of n), when i < cross, cross_used (held as a Python int)
+    when i == cross, and 0 after it: the shells before the crossing shell are
+    used in full and the ones after it not at all.  A read forms the
+    multinomials of the rows it reads, one kernels.CHUNK block at a time
+    from one kernels.multinomials pass, so no per-leaf value outlives its
+    block.  ``starts``, formed by the walk that forms the
+    table, is the codec's block_starts buffer: the first word of every
+    START_STRIDE-th leaf, or None for a table validate refuses.  A slice is
+    a tuple (from one pass), and the column compares equal to any sequence
+    of the same values.
     """
 
-    __slots__ = ("counts", "n", "overrides", "starts", "_marked")
+    __slots__ = ("counts", "n", "cross", "cross_used", "starts")
 
-    def __init__(self, counts: np.ndarray, n: int, overrides: dict,
-                 starts: np.ndarray | None):
-        marked = np.fromiter(sorted(overrides), dtype=np.int64,
-                             count=len(overrides))
-        marked.flags.writeable = False
-        for name, value in zip(self.__slots__, (
-                counts, n, MappingProxyType(overrides), starts, marked)):
+    def __init__(self, counts: np.ndarray, n: int, cross: int,
+                 cross_used: int, starts: np.ndarray | None):
+        for name, value in zip(self.__slots__,
+                               (counts, n, cross, int(cross_used), starts)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"UsedCounts is read-only: cannot set {name}")
 
-    @classmethod
-    def of_values(cls, counts: np.ndarray, values: Sequence[int]):
-        """The column holding the given used count of each leaf, every one
-        of them an override (n is not needed).  With no k given, the starts
-        take the k of a total 2^k, and are unformed for any other total."""
-        values = tuple(values)
-        if len(values) != len(counts):
-            raise ValueError(f"{len(values)} used counts for "
-                             f"{len(counts)} leaves")
-        total = sum(values)
-        k = (int(total).bit_length() - 1
-             if isinstance(total, (int, np.integer)) and total > 0
-             and not total & (total - 1) else None)
-        blocks = ((np.array(values[rows], dtype=object), None)
-                  for rows in chunks(len(values)))
-        return cls(counts, 0, *used_overrides(blocks, k))
-
     def __len__(self) -> int:
         return len(self.counts)
 
-    def over(self, rows: slice, mc: np.ndarray) -> np.ndarray:
-        """The used counts of the leaves in rows, given an object array of
-        their multinomials: mc, with each override among them written over
-        it in place."""
-        lo, hi = self._marked.searchsorted((rows.start, rows.stop))
-        for i in self._marked[lo:hi].tolist():
-            mc[i - rows.start] = self.overrides[i]
-        return mc
-
-    def _block(self, rows: slice, block_multinomials) -> np.ndarray:
-        """The used counts of the leaves in rows, as an object array, those
-        of the rows no override names from block_multinomials (a
-        kernels.multinomial_blocks(n))."""
-        lo, hi = self._marked.searchsorted((rows.start, rows.stop))
-        derived = np.ones(rows.stop - rows.start, dtype=bool)
-        derived[self._marked[lo:hi] - rows.start] = False
-        mc = np.empty(len(derived), dtype=object)
-        mc[derived] = block_multinomials(self.counts[rows][derived])
-        return self.over(rows, mc)
+    def block(self, rows: slice, mc) -> np.ndarray:
+        """The used counts of the leaves in rows, as an object array, given
+        mc, the multinomials of (at least) those of them before cross."""
+        used = np.zeros(rows.stop - rows.start, dtype=object)
+        full = min(max(self.cross - rows.start, 0), len(used))
+        used[:full] = mc[:full]
+        if rows.start <= self.cross < rows.stop:
+            used[self.cross - rows.start] = self.cross_used
+        return used
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The used counts of each kernels.chunks block in order, as object
-        arrays, from one pass of multinomials."""
-        block_multinomials = multinomial_blocks(self.n)
-        return (self._block(rows, block_multinomials)
-                for rows in chunks(len(self)))
+        arrays, from one pass of kernels.multinomials."""
+        return map(self.block, chunks(len(self)),
+                   multinomials(self.counts, self.n))
 
     def __getitem__(self, i):
         if isinstance(i, slice):  # one pass, as a tuple's slice
             return tuple(self)[i]
         i = range(len(self))[i]
-        return self._block(slice(i, i + 1), multinomial_blocks(self.n))[0]
+        mc = next(multinomials(self.counts[i:i + 1], self.n))
+        return self.block(slice(i, i + 1), mc)[0]
 
     def __iter__(self):
         return chain.from_iterable(block.tolist() for block in self.blocks())
@@ -419,17 +365,15 @@ class UsedCounts(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
-        return (f"UsedCounts({len(self)} leaves, "
-                f"{len(self.overrides)} overrides)")
+        return f"UsedCounts({len(self)} leaves, crossing at {self.cross})"
 
 
 class LeafTable(Sequence):
     """The leaves of a scheme as columns; see the module docstring.
 
     payload_bits and depth (tree) and used_counts (ESS) are None when the
-    kind has no such field.  used_counts may be given as any sequence of
-    values, each of which is then an override; a UsedCounts over these
-    very counts is kept as it is.
+    kind has no such field; used_counts is a UsedCounts over these very
+    counts.
     """
 
     __slots__ = ("counts", "weights", "payload_bits", "depth", "used_counts")
@@ -439,7 +383,7 @@ class LeafTable(Sequence):
         if used_counts is not None and not (
                 isinstance(used_counts, UsedCounts)
                 and used_counts.counts is counts):
-            used_counts = UsedCounts.of_values(counts, used_counts)
+            raise ValueError("used_counts must be a UsedCounts over counts")
         columns = (counts, weights, payload_bits, depth, used_counts)
         for name, column in zip(self.__slots__, columns):
             if isinstance(column, np.ndarray):
@@ -517,7 +461,8 @@ class CompositionSet:
         return float(ks.min()), float(ks.max())
 
     def validate(self, checked: WordCheck | None = None) -> None:
-        """Raise ConstructionBugError on any violated scheme invariant.
+        """Raise ConstructionBugError on any violated scheme invariant, with
+        the stored index of the leaf at fault for a leaf's fault.
 
         n lies in [1, MAX_BLOCK_LENGTH].  A tree table carries payload and
         depth and no used counts, an ESS table the reverse.  Leaf i owns
@@ -529,9 +474,9 @@ class CompositionSet:
 
         The capacity and weight checks and the word total come from
         ``checked``, a WordCheck of this very table's words filled from the
-        multinomials of its own counts by the pass that formed the table
-        (build_ess's walk, or read_scheme's over an ESS file); without one,
-        validate forms them in one pass of kernels.multinomials.
+        multinomials of its own counts by the walk that formed the table
+        (the ESS walk of a build or a file read); without one, validate
+        forms them in one pass of kernels.multinomials.
 
         The checks run column by column, and the error names the first leaf
         at fault in stored order, as a leaf-by-leaf pass would: per leaf,
@@ -549,11 +494,7 @@ class CompositionSet:
         the weight sum) is formed kernels.CHUNK rows at a time.
         """
         n, k, m = self.n, self.k, self.alphabet.m
-        if n < 1:
-            raise ConstructionBugError(f"n={n} is not a positive block length")
-        if n > MAX_BLOCK_LENGTH:
-            raise ConstructionBugError(
-                f"n={n} exceeds MAX_BLOCK_LENGTH={MAX_BLOCK_LENGTH}")
+        check_block_length(n)
         tree = is_tree_scheme(self.scheme)
         table = self.leaves
         size = len(table)
@@ -588,14 +529,17 @@ class CompositionSet:
                   or (table.used_counts is None) != tree)
         i = _first(dup | not_comp | misfit)
         if i < size:
-            leaf = table[i].counts
+            # the counts alone, as a row that is no composition has no
+            # multinomial to derive a used count from
+            leaf = tuple(counts[i].tolist())
             if dup[i]:
-                raise ConstructionBugError(f"duplicate leaf {leaf}")
+                raise ConstructionBugError(f"duplicate leaf {leaf}", i)
             if not_comp[i]:
                 raise ConstructionBugError(
-                    f"leaf {leaf} is not a composition of {n} into {m} levels")
+                    f"leaf {leaf} is not a composition of {n} into {m} levels",
+                    i)
             raise ConstructionBugError(
-                f"leaf {leaf} does not fit scheme {self.scheme!r}")
+                f"leaf {leaf} does not fit scheme {self.scheme!r}", i)
         check_k_range(n, k, m, ConstructionBugError)
         need = 1 << k
         p = table.payload_bits
@@ -604,30 +548,30 @@ class CompositionSet:
         if checked is None:
             # one block of multinomials at a time; a tree block's words are
             # 2^payload_bits (2^0 where payload/depth is at fault), an ESS
-            # block's its multinomials with its overrides written over them
+            # block's the used counts its multinomials derive
             checked = WordCheck(table.weights, k)
             for rows, mc in zip(chunks(size), multinomials(counts, n)):
                 words = (1 << np.where(bad_pd[rows], 0, p[rows]).astype(object)
-                         if tree else table.used_counts.over(rows, mc.copy()))
+                         if tree else table.used_counts.block(rows, mc))
                 checked.add(words, mc)
         i = size if checked.first is None else checked.first
         if first_pd < size and first_pd <= i:
-            raise ConstructionBugError("inconsistent payload/depth")
+            raise ConstructionBugError("inconsistent payload/depth", first_pd)
         if i < size:
             leaf = table[i]
             if checked.over_cap:
                 raise ConstructionBugError(
                     "payload exceeds composition capacity" if tree else
                     f"leaf {leaf.counts} used count {leaf.used_count} "
-                    "exceeds its shell size")
+                    "exceeds its shell size", i)
             if not tree and leaf.used_count > need:  # p > k fails above
                 raise ConstructionBugError(
                     f"leaf {leaf.counts} used count {leaf.used_count} "
-                    f"exceeds 2^{k}")
+                    f"exceeds 2^{k}", i)
             share = (f"2^({leaf.payload_bits}-{k})" if tree
                      else f"{leaf.used_count}/2^{k}")
             raise ConstructionBugError(
-                f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}")
+                f"leaf {leaf.counts} weight {leaf.weight!r} is not {share}", i)
         if checked.total != need:
             what = "address space" if tree else "used sequences"
             raise ConstructionBugError(
@@ -643,9 +587,10 @@ class CompositionSet:
             for rows in chunks(size):
                 outside = block_energies(counts[rows], n, units) > cap
                 if outside.any():
-                    leaf = table[rows.start + int(outside.argmax())].counts
+                    i = rows.start + int(outside.argmax())
                     raise ConstructionBugError(
-                        f"leaf {leaf} lies outside the radius {self.e_max!r}")
+                        f"leaf {table[i].counts} lies outside the radius "
+                        f"{self.e_max!r}", i)
         self.rate_loss  # evaluated for its check: a negative rate loss raises
 
 

@@ -101,10 +101,9 @@ class TestSchemeCodec:
                 setattr(built.leaves, name, getattr(built.leaves, name))
         with pytest.raises(AttributeError, match="read-only"):
             built.leaves.used_counts = (16, 0, 0)
-        # the used counts derive from the shells and a read-only override map
-        with pytest.raises(TypeError):
-            built.leaves.used_counts.overrides[1] = 7
-        for name in ("counts", "overrides", "starts"):
+        # the used counts derive from the shells and the crossing, none of
+        # which may be set
+        for name in ("counts", "n", "cross", "cross_used", "starts"):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(built.leaves.used_counts, name, None)
         # word 1 is rank 0 of shell 5,1: its lone 3 at position 0
@@ -242,6 +241,19 @@ def test_decode_refuses_zero_weight_shell(ess216):
     with pytest.raises(DecodeError, match="rank beyond the leaf's used words"):
         codec.decode(d.cc_unrank(part.used_count, part.counts,
                                  ess216.alphabet))
+
+
+@pytest.mark.parametrize("tag", list(BUILDERS))
+def test_decoded_words_are_python_ints(tag, tmp_path):
+    # decode gives a Python int, whether the table was built or read back
+    built = BUILDERS[tag](6, 4, A2)
+    path = str(tmp_path / "s.scheme")
+    write_scheme(built, path)
+    for table in (built, read_scheme(path)):
+        codec = d.SchemeCodec(table)
+        for word in range(16):
+            back = codec.decode(codec.encode(word))
+            assert type(back) is int and back == word
 
 
 # -- codec properties over small schemes ----------------------------------------

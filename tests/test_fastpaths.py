@@ -41,7 +41,6 @@ from dmshape import (
     kernels,
     mpdm,
     nli,
-    schemefile,
     schemes,
 )
 from dmshape.ccdm import mb_composition_chain
@@ -56,6 +55,7 @@ from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
 from dmshape.optimizer import BUILDERS
 from dmshape.schemes import (
     LeafTable,
+    UsedCounts,
     average_pmf,
     is_tree_scheme,
     smallest_feasible_cap,
@@ -523,32 +523,35 @@ def test_build_ess_crossing_equals_bisect_reference(alphabet, n, data, chunk):
 
 
 def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
-    # a built ESS table stores no used count a leaf: iterating, indexing,
-    # slicing and == form one block of multinomials for each chunk
-    # they read, from one kernels.multinomial_blocks a pass, and never a
-    # per-leaf mc_counts
+    # a built ESS table stores no used count a leaf, only its crossing:
+    # iterating, indexing, slicing and == form one block of multinomials
+    # for each chunk they read, from one kernels.binomials a pass, and
+    # never a per-leaf mc_counts
     built, twin = d.build_ess(24, 36), d.build_ess(24, 36)
     table = built.leaves
     want = bisect_used(table.counts, 36)
-    assert len(table.used_counts.overrides) < len(table) // 4
+    cross = max(i for i, u in enumerate(want) if u)
+    assert (table.used_counts.cross, table.used_counts.cross_used) == \
+        (cross, want[cross])
     monkeypatch.setattr(kernels, "CHUNK", 7)
     blocks = -(-len(table) // 7)
     passes, rows = [], []
+    real = kernels.binomials
 
     def counted(n):
-        block_multinomials = kernels.multinomial_blocks(n)
+        binomial = real(n)
         passes.append(n)
 
-        def block(counts):
-            rows.append(len(counts))
-            return block_multinomials(counts)
+        def block(r, a):  # a: the block's counts but the last level's
+            rows.append(len(a))
+            return binomial(r, a)
 
         return block
 
     def refused(counts):
         raise AssertionError("mc_counts read for one leaf")
 
-    monkeypatch.setattr(schemes, "multinomial_blocks", counted)
+    monkeypatch.setattr(kernels, "binomials", counted)
     monkeypatch.setattr(kernels, "mc_counts", refused)
     for read, want_read, n_passes, n_blocks in [
             (lambda: list(table.used_counts), want, 1, blocks),
@@ -566,31 +569,32 @@ def test_derived_table_reads_one_block_of_multinomials_a_chunk(monkeypatch):
 
 def fed_rows(monkeypatch):
     """The rows, as tuples, that every caller feeds the multinomial kernel
-    from now on, and the number of passes (multinomial_blocks calls)."""
+    from now on, each rebuilt from all counts but its last, which the
+    kernel hands to its binomials, and the number of passes (binomials
+    calls)."""
     fed, passes = [], []
-    real = kernels.multinomial_blocks
+    real = kernels.binomials
 
     def counted(n):
-        block_multinomials = real(n)
+        binomial = real(n)
         passes.append(n)
 
-        def block(counts):
-            fed.extend(map(tuple, counts.tolist()))
-            return block_multinomials(counts)
+        def block(r, a):
+            fed.extend(tuple(row) + (n - sum(row),) for row in a.tolist())
+            return binomial(r, a)
 
         return block
 
-    for module in (kernels, schemes, schemefile):
-        monkeypatch.setattr(module, "multinomial_blocks", counted)
+    monkeypatch.setattr(kernels, "binomials", counted)
     return fed, passes
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_ess_steps_form_each_multinomial_once(chunk, tmp_path, monkeypatch):
     # build_ess's walk also fills validate's checks, and forms no row after
-    # the crossing shell's block; a read forms each row it compares once,
-    # and none of a leaf that uses 0 words; a validate on its own makes one
-    # pass over every row
+    # the crossing shell's block; a read takes the same walk, so it forms
+    # the same rows once; a validate on its own makes one pass over every
+    # row
     built = d.build_ess(24, 36)
     path = str(tmp_path / "ess.scheme")
     write_scheme(built, path)
@@ -604,7 +608,7 @@ def test_ess_steps_form_each_multinomial_once(chunk, tmp_path, monkeypatch):
     assert fed == rows[:(cross // chunk + 1) * chunk] and passes == [24]
     fed.clear(), passes.clear()
     read = read_scheme(path)
-    assert fed == [row for row, u in zip(rows, used) if u] and passes == [24]
+    assert fed == rows[:(cross // chunk + 1) * chunk] and passes == [24]
     fed.clear(), passes.clear()
     built.validate()
     assert fed == rows and passes == [24]
@@ -666,12 +670,15 @@ def test_average_pmf_equals_leaf_loop(alphabet, n, data):
 
 # -- validate ------------------------------------------------------------------
 
-def ess_set(n, k, alphabet, used_by_counts):
-    """An ESS set with the given used counts and consistent header fields."""
-    leaves = LeafTable(
-        counts=np.array([c for c, _ in used_by_counts], dtype=np.int64),
-        weights=np.array([u / (1 << k) for _, u in used_by_counts]),
-        used_counts=[u for _, u in used_by_counts])
+def ess_set(n, k, alphabet, shells, cross, cross_used):
+    """An ESS set over the given shells, used in full before the crossing
+    shell cross, cross_used at it and not at all after it, each weight the
+    share of its used count."""
+    counts = np.array(shells, dtype=np.int64)
+    used = UsedCounts(counts, n, cross, cross_used, None)
+    leaves = LeafTable(counts=counts,
+                       weights=np.array([u / (1 << k) for u in used]),
+                       used_counts=used)
     return d.CompositionSet(scheme="ess", n=n, k=k, alphabet=alphabet,
                             leaves=leaves)
 
@@ -679,9 +686,10 @@ def ess_set(n, k, alphabet, used_by_counts):
 def test_factorial_check_rejects_used_above_shell_size():
     a2 = d.AmplitudeAlphabet((1, 3))
     # the toy ESS at n=6, k=4 uses (6,0) x1, (5,1) x6, (4,2) x9
-    ess_set(6, 4, a2, [((6, 0), 1), ((5, 1), 6), ((4, 2), 9)]).validate()
-    # MC(6,0) = 1: one used sequence more, with the total still 2^4
-    bad = ess_set(6, 4, a2, [((6, 0), 2), ((5, 1), 6), ((4, 2), 8)])
+    toy = [(6, 0), (5, 1), (4, 2)]
+    ess_set(6, 4, a2, toy, 2, 9).validate()
+    # MC(6,0) = 1: a crossing there that uses one sequence more
+    bad = ess_set(6, 4, a2, toy, 0, 2)
     with pytest.raises(ConstructionBugError, match="exceeds its shell size"):
         bad.validate()
 
@@ -765,7 +773,10 @@ def validate_base(i):
 
 def edited(base, edits):
     """base with each (leaf, kind) edit applied in turn; a word edit states
-    the share the new word would have, so only the edit is at fault."""
+    the share the new word would have, so only the edit is at fault.  An
+    ESS word edit moves the crossing to its leaf, with the new word as its
+    count: the leaves before it then use their multinomials and the ones
+    after it none, which their weights need not state."""
     table, k = base.leaves, base.k
     need = 1 << k
     tree = is_tree_scheme(base.scheme)
@@ -773,7 +784,7 @@ def edited(base, edits):
     if tree:
         payload, depth = table.payload_bits.copy(), table.depth.copy()
     else:
-        used = list(table.used_counts)
+        cross, cross_used = table.used_counts.cross, table.used_counts.cross_used
     for leaf, kind in edits:
         i = leaf % len(weights)
         mc = kernels.mc_counts(tuple(table.counts[i].tolist()))
@@ -791,10 +802,11 @@ def edited(base, edits):
             x = {"at-capacity": mc, "over-capacity": mc + 1,
                  "payload/depth": mc, "negative": -1,
                  "above-2^k": need + 1}[kind]
-            used[i] = x
+            cross, cross_used = i, x
             weights[i] = min(x, need) / need
     columns = (dict(payload_bits=payload, depth=depth) if tree
-               else dict(used_counts=used))
+               else dict(used_counts=UsedCounts(table.counts, base.n, cross,
+                                                cross_used, None)))
     return d.CompositionSet(scheme=base.scheme, n=base.n, k=k,
                             alphabet=base.alphabet,
                             leaves=LeafTable(table.counts, weights, **columns))
@@ -1235,8 +1247,10 @@ def ess_step_memory(ess216, model216, tmp_path_factory):
 # keeps.  Each holds the table's columns once; what remains is validate's
 # uint32 key column and its sorted copy (8), and analyze's report (its
 # kurtosis and SNR columns, 16 bytes a carried leaf, the counts and weights
-# being views of the table's) with the CDF's sort order (8).  They take 11,
-# 11, 19 and 28 bytes a leaf; with the int64 shell matrix in build_ess,
+# being views of the table's) with the CDF's sort order (8).  They take 12,
+# 11, 17 and 28 bytes a leaf (read_scheme 19 when it parsed the file into
+# columns of its own beside its multinomial pass, before it took
+# build_ess's walk); with the int64 shell matrix in build_ess,
 # int64 keys and their sort order in validate, and copies of the carried
 # rows in analyze they took 25, 19, 19 and 40; with a binomial dict a pass
 # (~18 bytes a leaf) validate and read_scheme took 23 and 28, with int64
@@ -1256,14 +1270,14 @@ def test_ess_steps_hold_each_column_once(step, ess216, ess_step_memory):
 # Bytes per leaf the table, report or codec each step returns keeps: uint8
 # counts (4 a leaf at m=4) and float64 weights (8); for a table, the codec's
 # block starts, 44 bytes per START_STRIDE leaves (5.5, and the buffer's
-# spare capacity), and the used-count overrides, 925 of 108,990 leaves
-# (~1.5); for a report, its kurtosis and SNR columns (16), its counts and
-# weights being views of the table's; for the codec, the sorted uint32
-# keys and leaf indices (8), as the starts are the table's.  They keep
-# 18.8, 18.8, 15.9 and 8.0.  With a Python int a start (~10 a leaf) the
-# tables kept 22.6 and 22.6, and with copies of the carried rows the report
-# kept 27.8; with the used counts as a tuple of one bigint a leaf the tables
-# kept 81.7 and 79.4, with int64 counts 110 and 108.
+# spare capacity); for a report, its kurtosis and SNR columns (16), its
+# counts and weights being views of the table's; for the codec, the sorted
+# uint32 keys and leaf indices (8), as the starts are the table's.  They
+# keep 18.1, 18.1, 15.9 and 8.0 (the tables 18.8 with a used-count
+# override map).  With a Python int a start (~10 a leaf) the tables kept
+# 22.6 and 22.6, and with copies of the carried rows the report kept 27.8;
+# with the used counts as a tuple of one bigint a leaf the tables kept 81.7
+# and 79.4, with int64 counts 110 and 108.
 RETAINED_BYTES_PER_LEAF = {"build_ess": 21, "read_scheme": 21, "analyze": 22,
                            "codec": 16}
 
@@ -1359,9 +1373,10 @@ def test_validate_says_the_same_of_a_narrow_table_and_its_int64_twin(base,
                                        max_size=counts.shape[1]))
 
     def verdict(column):
+        used = table.used_counts
         columns = (dict(payload_bits=table.payload_bits, depth=table.depth)
-                   if table.used_counts is None
-                   else dict(used_counts=table.used_counts))
+                   if used is None else dict(used_counts=UsedCounts(
+                       column, n, used.cross, used.cross_used, used.starts)))
         twin = d.CompositionSet(
             scheme=built.scheme, n=n, k=built.k, alphabet=built.alphabet,
             leaves=LeafTable(column, table.weights, **columns))

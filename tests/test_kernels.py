@@ -209,7 +209,7 @@ def test_binomial_work_bounds_the_bits(case):
 
 
 def test_multinomial_pass_steps_and_is_refused_before_forming(monkeypatch):
-    # three blocks of one pass above the table: C(n, h - 1) comes from comb;
+    # blocks of one pass above the table: C(n, h - 1) comes from comb;
     # C(n, h), asked for as C(n, n - h), is one step from it; C(n, h - 2),
     # whose neighbour below is not held, would come from comb but passes
     # the budget, and is refused before comb forms it
@@ -226,16 +226,16 @@ def test_multinomial_pass_steps_and_is_refused_before_forming(monkeypatch):
         kernels.binomial_work(n, h - 1)
         + kernels.binomial_work(n, h, stepped=True)
         + kernels.binomial_work(n, h - 2) - 1))
-    block_multinomials = kernels.multinomial_blocks(n)
-    assert block_multinomials(np.array([[h - 1, n - h + 1]])).tolist() == [
-        math.comb(n, h - 1)]
-    assert block_multinomials(np.array([[n - h, h], [h - 1, n - h + 1]])
-                              ).tolist() == [math.comb(n, h),
-                                             math.comb(n, h - 1)]
+    monkeypatch.setattr(kernels, "CHUNK", 1)
+    blocks = kernels.multinomials(np.array([
+        [h - 1, n - h + 1], [n - h, h], [h - 1, n - h + 1],
+        [h - 2, n - h + 2]]), n)
+    assert [next(blocks).tolist() for _ in range(3)] == [
+        [math.comb(n, h - 1)], [math.comb(n, h)], [math.comb(n, h - 1)]]
     with pytest.raises(BinomialBudgetError, match=(
             f"^the multinomials at n={n} need more binomial work than "
             f"MAX_BINOMIAL_WORK={kernels.MAX_BINOMIAL_WORK}$")):
-        block_multinomials(np.array([[h - 2, n - h + 2]]))
+        next(blocks)
     assert formed == [(n, h - 1)]
 
 
@@ -312,7 +312,7 @@ def test_multinomials_read_the_table_up_to_its_bound(monkeypatch):
                         lambda n: read.append(n) or table(n))
     for n in (kernels.MAX_TABLE_N, kernels.MAX_TABLE_N + 1):
         rows = split_rows(n)
-        got = kernels.multinomial_blocks(n)(np.array(rows, dtype=np.uint16))
+        got, = kernels.multinomials(np.array(rows, dtype=np.uint16), n)
         assert got.tolist() == [kernels.mc_counts(row) for row in rows]
     assert read == [kernels.MAX_TABLE_N]
 

@@ -2,11 +2,12 @@ import dataclasses
 import math
 import os
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     ess_address,
     ess_leaf_fields,
@@ -17,7 +18,6 @@ from oracles import (
 import dmshape as d
 from dmshape import kernels, schemes
 from dmshape.cli import main
-from dmshape.combinatorics import rate_loss
 from dmshape.errors import ConstructionBugError, SchemeFileError
 from dmshape.optimizer import BUILDERS
 from dmshape.schemefile import read_scheme, scheme_to_text, write_scheme
@@ -287,92 +287,40 @@ def test_leaf_field_messages(tmp_path, name, old, new, message):
     assert str(err.value) == f"{path}:{message}"
 
 
-# -- derived ESS used counts ----------------------------------------------------
+# -- an ESS file is the ESS its header names -------------------------------------
 
-USED_EDITS = ("text", "value", "value-and-weight", "shift", "garbage")
+ESS_ALPHABETS = [A2, d.AmplitudeAlphabet((1, 3, 5)), d.DEFAULT_ALPHABET]
 
 
 @st.composite
-def edited_ess_files(draw):
-    """A small ESS file with some used-count fields edited, and what the
-    tuple oracle says of it: (text, leaves, fault, words).  fault is None
-    for a file read_scheme must accept, else its message with {path} and
-    {line} to fill in.  A shift moves used sequences between two leaves
-    with both weights restated, and the header then states the edited
-    leaves' avg_pmf and rate_loss, so such a file can pass."""
-    alphabet = draw(st.sampled_from([A2, d.AmplitudeAlphabet((1, 3, 5)),
-                                     d.DEFAULT_ALPHABET]))
+def ess_builds(draw):
+    """A small ESS build: n <= 14 over 2 to 4 levels, at any k that fits."""
+    alphabet = draw(st.sampled_from(ESS_ALPHABETS))
     n = draw(st.integers(1, 14))
     k = draw(st.integers(0, math.floor(n * math.log2(alphabet.m))))
-    need = 1 << k
-    lines = scheme_to_text(d.build_ess(n, k, alphabet)).splitlines()
-    head = lines.index(next(ln for ln in lines if ln.startswith("leaves=")))
-    leaves = ess_leaf_fields("\n".join(lines))
-    used = [u for _, u, _ in leaves]
-    texts = list(map(str, used))
-    weights = [repr(w) for _, _, w in leaves]
-    for kind in draw(st.lists(st.sampled_from(USED_EDITS), max_size=3)):
-        i = draw(st.integers(0, len(used) - 1))
-        mc = multinomial_coefficient(leaves[i][0])
-        if kind == "text" and used[i] >= 0:  # the same value, other digits
-            texts[i] = draw(st.sampled_from(["+{}", "0{}", "00{}"])).format(
-                used[i])
-        elif kind.startswith("value"):
-            x = draw(st.sampled_from([-1, 0, mc - 1, mc, mc + 1, need,
-                                      need + 1, 10**30]))
-            used[i], texts[i] = x, str(x)
-            if kind == "value-and-weight" and 0 <= x <= need:
-                weights[i] = repr(x / need)
-        elif kind == "shift" and len(used) > 1:
-            j = draw(st.integers(0, len(used) - 1).filter(lambda j: j != i))
-            x = draw(st.integers(0, max(used[i], 0)))
-            used[i] -= x
-            used[j] += x
-            for t in (i, j):
-                texts[t] = str(used[t])
-                if 0 <= used[t] <= need:
-                    weights[t] = repr(used[t] / need)
-        elif kind == "garbage":
-            texts[i] = draw(st.sampled_from(["x", "1.5", ""]))
-    leaves = [(c, u, float(w)) for (c, _, _), u, w in zip(leaves, used,
-                                                          weights)]
-    fault = ess_verdict(n, k, leaves)
-    if fault is None:
-        avg = [0.0] * alphabet.m
-        for counts, _, w in leaves:
-            for j, c in enumerate(counts):
-                avg[j] += w * c / n
-        try:
-            loss = rate_loss(avg, k, n)
-        except ConstructionBugError as exc:
-            fault = str(exc)
-        else:
-            lines = [f"avg_pmf={','.join(map(repr, avg))}"
-                     if ln.startswith("avg_pmf=") else
-                     f"rate_loss={loss!r}" if ln.startswith("rate_loss=")
-                     else ln for ln in lines]
-    if fault is not None:
-        fault = "{path}: inconsistent scheme: " + fault
-    garbage = [i for i, t in enumerate(texts) if t in ("x", "1.5", "")]
-    if garbage:
-        i = garbage[0]
-        fault = (f"{{path}}:{head + 2 + i}: used_count: invalid literal for "
-                 f"int() with base 10: {texts[i]!r}")
-    lines[head + 1:] = ["|".join((ln.split("|")[0], t, "", w)) for ln, t, w
-                        in zip(lines[head + 1:], texts, weights)]
-    words = draw(st.lists(st.integers(0, need - 1), max_size=12))
-    return "\n".join(lines) + "\n", leaves, fault, [0, need - 1, *words]
+    return d.build_ess(n, k, alphabet)
 
 
-@settings(max_examples=250, deadline=None)
-@given(case=edited_ess_files(), chunk=st.sampled_from([1, 3, kernels.CHUNK]),
-       stride=st.sampled_from([1, 3, schemes.START_STRIDE]))
-def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
-    # the reader keeps only the used counts that differ from their shell's
-    # multinomial; every read of the column gives the file's values, and
-    # the codec addresses them as a walk over the file's tuple would
-    text, leaves, fault, words = case
+def leaves_line(lines):
+    """Index of the leaves= line among a scheme file's lines."""
+    return next(i for i, ln in enumerate(lines) if ln.startswith("leaves="))
+
+
+@settings(max_examples=150, deadline=None)
+@given(built=ess_builds(), chunk=st.sampled_from([1, 3, kernels.CHUNK]),
+       stride=st.sampled_from([1, 3, schemes.START_STRIDE]), data=st.data())
+def test_derived_used_counts_equal_the_tuple_oracle(built, chunk, stride,
+                                                    data):
+    # the reader forms the table by the build's walk; every read of the
+    # derived column gives the file's values, full up to the crossing shell
+    # and 0 after it, and the codec addresses them as a walk over the
+    # file's tuple would
+    text = scheme_to_text(built)
+    leaves = ess_leaf_fields(text)
     used = [u for _, u, _ in leaves]
+    need = 1 << built.k
+    words = [0, need - 1,
+             *data.draw(st.lists(st.integers(0, need - 1), max_size=12))]
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(kernels, "CHUNK", chunk), \
             mock.patch.object(schemes, "START_STRIDE", stride), \
@@ -380,24 +328,22 @@ def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
         path = os.path.join(tmp, "ess.scheme")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        try:
-            built = read_scheme(path)
-        except SchemeFileError as exc:
-            assert str(exc) == fault.replace("{path}", path)
-            return
-        assert fault is None
-        table = built.leaves
+        back = read_scheme(path)
+        assert back == built
+        table = back.leaves
         assert list(table.used_counts) == used
         assert table.used_counts == tuple(used)
         assert table.used_counts[1::2] == tuple(used[1::2])
-        assert dict(table.used_counts.overrides) == {
-            i: u for i, (c, u, _) in enumerate(leaves)
-            if u != multinomial_coefficient(c)}
+        cross = table.used_counts.cross
+        assert used[:cross] == [multinomial_coefficient(c)
+                                for c, _, _ in leaves[:cross]]
+        assert 0 < used[cross] <= multinomial_coefficient(leaves[cross][0])
+        assert not any(used[cross + 1:])
         want = [AddressedComposition(c, w, used_count=u) for c, u, w in leaves]
         assert list(table) == want
         assert [table[i] for i in range(len(table))] == want
-        codec = d.SchemeCodec(built)
-        levels = built.alphabet.levels
+        codec = d.SchemeCodec(back)
+        levels = back.alphabet.levels
         for word in words:
             counts, rank = ess_address(word, leaves)
             seq = codec.encode(word)
@@ -406,62 +352,237 @@ def test_derived_used_counts_equal_the_tuple_oracle(case, chunk, stride):
             assert codec.decode(seq) == word
 
 
-# -- hostile used counts ---------------------------------------------------------
+ESS_EDITS = ("swap", "delete", "move", "weight")
 
-# The toy ESS at n=6, k=4 over {1, 3} uses (6,0) x1, (5,1) x6, (4,2) x9.  Each
-# edit puts a block start outside [0, 2^4] at a stride of 1, where its one
-# byte could not hold it: a negative count, a count above 2^k (with the
-# total still 2^k), and a count beyond int64 held in an object array.
-HOSTILE_USED = {
-    "negative": [-1, 8, 9],
-    "above-2^k": [300, -290, 6],
-    "beyond-int64": np.array([1, 10**30, 6], dtype=object),
+
+@st.composite
+def edited_ess_files(draw):
+    """A small ESS file with one edit, and the one line read_scheme says of
+    it, with {path} to fill in: the first leaf line that differs from the
+    ESS, with the line the ESS has there, or the leaves= line of a file
+    that lost a leaf."""
+    built = draw(ess_builds())
+    lines = scheme_to_text(built).splitlines()
+    head = leaves_line(lines)
+    first, size = head + 1, len(lines) - head - 1
+    kind = draw(st.sampled_from(ESS_EDITS))
+    assume(size > 1 or kind in ("delete", "weight"))
+    if kind == "delete":
+        del lines[first + draw(st.integers(0, size - 1))]
+        lines[head] = f"leaves={size - 1}"
+        alphabet = next(ln for ln in lines if ln.startswith("alphabet="))
+        return "\n".join(lines) + "\n", (
+            f"{{path}}:{head + 1}: leaves: {size - 1}, the ESS of "
+            f"n={built.n}, k={built.k} over {alphabet[9:]} has {size} shells")
+    was = list(lines)
+    fields = [ln.split("|") for ln in lines[first:]]
+    if kind == "swap":
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2,
+                             max_size=2, unique=True))
+        fields[i], fields[j] = fields[j], fields[i]
+    elif kind == "move":  # used sequences from one leaf to another
+        i = draw(st.sampled_from([i for i, f in enumerate(fields)
+                                  if int(f[1])]))
+        j = draw(st.integers(0, size - 1).filter(lambda j: j != i))
+        x = draw(st.integers(1, int(fields[i][1])))
+        fields[i][1] = str(int(fields[i][1]) - x)
+        fields[j][1] = str(int(fields[j][1]) + x)
+    else:
+        i = draw(st.integers(0, size - 1))
+        weight = float(fields[i][3])
+        fields[i][3] = repr(draw(st.floats().filter(lambda w: w != weight)))
+    lines[first:] = map("|".join, fields)
+    at = next(i for i in range(first, len(lines)) if lines[i] != was[i])
+    return "\n".join(lines) + "\n", (
+        f"{{path}}:{at + 1}: leaf: expected {was[at]}, found {lines[at]}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edited_ess_files(), chunk=st.sampled_from([1, 3, kernels.CHUNK]))
+def test_one_edit_of_an_ess_file_is_one_line(fuzz_path, case, chunk):
+    text, fault = case
+    fuzz_path.write_text(text)
+    with mock.patch.object(kernels, "CHUNK", chunk):
+        with pytest.raises(SchemeFileError) as err:
+            read_scheme(str(fuzz_path))
+    assert str(err.value) == fault.replace("{path}", str(fuzz_path))
+
+
+PROBE = ["--n", "12", "--k", "14", "--alphabet", "1,3,5,7"]
+
+
+@pytest.fixture
+def probe_lines(tmp_path, capsys):
+    """The lines of the 21-leaf file that build writes for PROBE."""
+    good = tmp_path / "good.scheme"
+    assert main(["build", "--scheme", "ess", *PROBE, "--out", str(good)]) == 0
+    capsys.readouterr()
+    lines = good.read_text().splitlines()
+    assert lines[8] == "leaves=21" and len(lines) == 30
+    return lines
+
+
+def refusals(path, tmp_path):
+    """The exit codes of analyze and of codec encode on path, run in turn
+    (each leaves its stderr to capsys)."""
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text("eta0=15000\neta1=8000\n")
+    for argv in (["analyze", str(path), "--config", str(cfg), "--out",
+                  str(tmp_path / "r")], ["codec", "encode", str(path), "0x5"]):
+        yield main(argv)
+
+
+@pytest.mark.parametrize("probe", ["reversed", "zero-weight-shell-deleted"])
+def test_ess_probes_are_one_line(probe, probe_lines, tmp_path, capsys):
+    # leaf lines in reverse order read as another scheme's words (0x5 went
+    # to 1,1,1,1,1,1,3,3,3,3,3,5, not 1,1,1,1,3,1,1,1,1,1,1,1), and a ball
+    # short of a shell as a scheme of 20 compositions; both were accepted
+    lines, bad = probe_lines, tmp_path / "bad.scheme"
+    if probe == "reversed":
+        lines[9:] = lines[9:][::-1]
+        want = (f"{bad}:10: leaf: expected 12,0,0,0|1||6.103515625e-05, "
+                "found 9,2,0,1|0||0.0")
+    else:
+        lines.remove("9,2,0,1|0||0.0")
+        lines[8] = "leaves=20"
+        want = (f"{bad}:9: leaves: 20, the ESS of n=12, k=14 over 1,3,5,7 "
+                "has 21 shells")
+    bad.write_text("\n".join(lines) + "\n")
+    for code in refusals(bad, tmp_path):
+        assert code == 3
+        assert capsys.readouterr().err == f"dmshape: {want}\n"
+
+
+# Each header names a ball the walk refuses before any leaf line is read,
+# in one line: at n=520, k=840 the radius takes ~0.35 s and the shell count
+# refuses in ~5 ms (2-core x86-64, Python 3.11); the others take under
+# 10 ms.  The bound leaves room for a slow host.
+HOSTILE_HEADERS = {
+    "n-520": ({"n=12": "n=520", "k=14": "k=840"},
+              "the ESS ball at n=520 over 4 levels holds more than "
+              f"MAX_ESS_SHELLS={kernels.MAX_ESS_SHELLS} shells"),
+    "n-above-max": ({"n=12": f"n={schemes.MAX_BLOCK_LENGTH + 1}"},
+                    f"n={schemes.MAX_BLOCK_LENGTH + 1} exceeds "
+                    f"MAX_BLOCK_LENGTH={schemes.MAX_BLOCK_LENGTH}"),
+    "n-0": ({"n=12": "n=0"}, "n=0 is not a positive block length"),
+    "k-above-range": ({"k=14": "k=25"}, "k=25 outside [0, n*log2(m)]"),
+    "k-negative": ({"k=14": "k=-1"}, "k=-1 outside [0, n*log2(m)]"),
+    "binomial-budget": ({}, "the multinomials at n=12 need more binomial "
+                        "work than MAX_BINOMIAL_WORK=1"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_USED))
-def test_hostile_used_counts_leave_the_starts_unformed(case):
+@pytest.mark.parametrize("case", sorted(HOSTILE_HEADERS))
+def test_hostile_ess_headers_are_one_line(case, probe_lines, tmp_path,
+                                          capsys, monkeypatch):
+    edits, reason = HOSTILE_HEADERS[case]
+    if case == "binomial-budget":  # every binomial charged, one unit allowed
+        monkeypatch.setattr(kernels, "MAX_TABLE_N", -1)
+        monkeypatch.setattr(kernels, "MAX_BINOMIAL_WORK", 1)
+    bad = tmp_path / "bad.scheme"
+    bad.write_text("\n".join(edits.get(ln, ln) for ln in probe_lines) + "\n")
+    t0 = time.perf_counter()
+    codes = list(refusals(bad, tmp_path))
+    assert time.perf_counter() - t0 < 3.0
+    assert codes == [3, 3]
+    want = f"dmshape: {bad}: inconsistent scheme: {reason}\n"
+    assert capsys.readouterr().err == want * 2
+
+
+# -- hostile used counts ---------------------------------------------------------
+
+# The toy ESS at n=6, k=4 over {1, 3} uses (6,0) x1, (5,1) x6, (4,2) x9: its
+# crossing is leaf 2, using 9.  Each hostile column moves the crossing or
+# its count, or states other weights, and validate refuses the table as the
+# tuple oracle says.  The first three put a block start outside [0, 2^4] at
+# a stride of 1, where its one byte could not hold it: a negative count, a
+# count above 2^k, and a count beyond int64; the starts are then unformed.
+TOY_WEIGHTS = [1 / 16, 6 / 16, 9 / 16]
+HOSTILE_USED = {
+    "negative": (0, -1, TOY_WEIGHTS),
+    "above-2^k": (1, 300, TOY_WEIGHTS),
+    "beyond-int64": (1, 10**30, TOY_WEIGHTS),
+    "crossing-early": (1, 6, TOY_WEIGHTS),
+    "crossing-past-the-end": (3, 0, TOY_WEIGHTS),
+    "weights-swapped": (2, 9, [6 / 16, 1 / 16, 9 / 16]),
+}
+UNFORMED = ["above-2^k", "beyond-int64", "negative"]
+
+
+def hostile_verdict(case):
+    """The toy with a hostile column: its table, the starts its column
+    forms at a stride of 1, and what validate says of it."""
     built = d.build_ess(6, 4, A2)
-    used = HOSTILE_USED[case]
-    leaves = [(c, int(u), w) for c, u, w in zip(
-        (leaf.counts for leaf in built.leaves), used, built.leaves.weights)]
+    cross, cross_used, weights = HOSTILE_USED[case]
+    counts = built.leaves.counts
+    column = UsedCounts(counts, 6, cross, cross_used, None)
     with mock.patch.object(schemes, "START_STRIDE", 1):
-        column = UsedCounts.of_values(built.leaves.counts, used)
-        assert column.starts is None
-        hostile = dataclasses.replace(built, leaves=LeafTable(
-            built.leaves.counts, built.leaves.weights, used_counts=used))
-        with pytest.raises(ConstructionBugError) as err:
-            hostile.validate()
+        starts = schemes.block_starts(column.blocks(), 4)
+    hostile = dataclasses.replace(built, leaves=LeafTable(
+        counts, np.array(weights), used_counts=column))
+    leaves = [(leaf.counts, leaf.used_count, leaf.weight)
+              for leaf in hostile.leaves]
+    assert [u for _, u, _ in leaves] == list(column)
+    with pytest.raises(ConstructionBugError) as err:
+        hostile.validate()
     assert str(err.value) == ess_verdict(6, 4, leaves)
+    return starts
 
 
-@pytest.mark.parametrize("used", [[1, 6, 9], np.array([1, 6, 9])],
-                         ids=["ints", "int64"])
-def test_used_counts_of_total_2k_form_their_starts(used):
-    # k is taken from the total, and numpy ints are packed as Python ints
+@pytest.mark.parametrize("case", UNFORMED)
+def test_hostile_used_counts_leave_the_starts_unformed(case):
+    assert hostile_verdict(case) is None
+
+
+@pytest.mark.parametrize("case", sorted(set(HOSTILE_USED) - set(UNFORMED)))
+def test_hostile_crossings_and_weights_are_refused(case):
+    assert hostile_verdict(case).tolist() == [[0], [1], [7]]
+
+
+@pytest.mark.parametrize("cross_used", [9, np.int64(9)], ids=["ints", "int64"])
+def test_used_counts_of_total_2k_form_their_starts(cross_used):
+    # a numpy crossing count is held as a Python int, so the derived
+    # column, its starts and the codec's words are Python ints
     counts = d.build_ess(6, 4, A2).leaves.counts
+    column = UsedCounts(counts, 6, 2, cross_used, None)
+    assert [type(u) for u in column] == [int] * 3
     with mock.patch.object(schemes, "START_STRIDE", 1):
-        column = UsedCounts.of_values(counts, used)
-    assert column.starts.tolist() == [[0], [1], [7]]
+        starts = schemes.block_starts(column.blocks(), 4)
+    assert starts.tolist() == [[0], [1], [7]]
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_USED))
+def test_a_table_takes_only_a_used_column_over_its_own_counts():
+    table = d.build_ess(6, 4, A2).leaves
+    for used in ([1, 6, 9], np.array([1, 6, 9]),
+                 UsedCounts(table.counts.copy(), 6, 2, 9, None)):
+        with pytest.raises(ValueError, match="UsedCounts over counts"):
+            LeafTable(table.counts, table.weights, used_counts=used)
+
+
+# Each edit states a hostile used count on one leaf line of the toy: a
+# negative count, a count above 2^k (with the total still 2^k), a count
+# beyond int64.
+HOSTILE_LINES = {
+    "negative": ["6,0|-1||0.0625", "5,1|8||0.375", "4,2|9||0.5625"],
+    "above-2^k": ["6,0|300||0.0625", "5,1|-290||0.375", "4,2|6||0.5625"],
+    "beyond-int64": ["6,0|1||0.0625", f"5,1|{10**30}||0.375",
+                     "4,2|6||0.5625"],
+}
+
+
+@pytest.mark.parametrize("case", UNFORMED)
 def test_hostile_used_counts_in_a_file_are_one_line(case, tmp_path, capsys):
+    # the first line that differs from the ESS is named
     lines = scheme_to_text(d.build_ess(6, 4, A2)).splitlines()
-    head = lines.index(next(ln for ln in lines if ln.startswith("leaves=")))
-    leaves = []
-    for i, used in enumerate(HOSTILE_USED[case], head + 1):
-        counts, _, depth, weight = lines[i].split("|")
-        lines[i] = "|".join((counts, str(used), depth, weight))
-        leaves.append((tuple(map(int, counts.split(","))), int(used),
-                       float(weight)))
+    was, lines[9:] = lines[9:], HOSTILE_LINES[case]
+    line = next(i for i in range(3) if lines[9 + i] != was[i])
     path = tmp_path / "bad.scheme"
     path.write_text("\n".join(lines) + "\n")
-    want = f"{path}: inconsistent scheme: {ess_verdict(6, 4, leaves)}"
-    with mock.patch.object(schemes, "START_STRIDE", 1):
-        with pytest.raises(SchemeFileError) as err:
-            read_scheme(str(path))
-        assert str(err.value) == want
-        capsys.readouterr()
-        assert main(["codec", "encode", str(path), "0x1"]) == 3
+    want = (f"{path}:{10 + line}: leaf: expected {was[line]}, "
+            f"found {lines[9 + line]}")
+    with pytest.raises(SchemeFileError) as err:
+        read_scheme(str(path))
+    assert str(err.value) == want
+    capsys.readouterr()
+    assert main(["codec", "encode", str(path), "0x1"]) == 3
     assert capsys.readouterr().err == f"dmshape: {want}\n"
